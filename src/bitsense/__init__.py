@@ -6,19 +6,18 @@ from .core import (
     MeasurementMatrix,
     SignPattern,
     SparseUnitVector,
-    TernaryDiff,
     angular_distance,
     gaussian_matrix,
     random_sparse_unit,
     sgn,
     sign_measure,
     sphere_distance,
-    ternary_diff,
 )
 from .raic import (
     DEFAULT_ETA,
     RaicReport,
     RaicSample,
+    correction,
     h_a,
     h_a_j,
     orthogonal_decompose,
@@ -51,7 +50,6 @@ __all__ = [
     "SeedSpec",
     "SignPattern",
     "SparseUnitVector",
-    "TernaryDiff",
     "Trajectory",
     "UniversalConstants",
     "angular_distance",
@@ -59,6 +57,7 @@ __all__ = [
     "closed_form_bound",
     "constants",
     "contraction_condition_holds",
+    "correction",
     "derive_seed",
     "epsilon_recurrence",
     "gaussian_matrix",
@@ -79,7 +78,6 @@ __all__ = [
     "sgn",
     "sign_measure",
     "sphere_distance",
-    "ternary_diff",
     "threshold_set",
     "top_k",
 ]

@@ -10,7 +10,8 @@ The recorded per-iteration upper bound (`lemma1_rhs`) is
     4 * ||(truth - x_prev) - h_{A,J}(truth, x_prev)||    with J = supp(x_next)
 
 which holds deterministically at every iteration; a violation beyond rounding
-slack always indicates an implementation bug, never bad luck.
+slack always indicates an implementation bug, never bad luck.  The step's
+correction and the bound's h_A are both `raic.correction`.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .core import (
     sign_measure,
     sphere_distance,
 )
-from .raic import DEFAULT_ETA
+from .raic import DEFAULT_ETA, correction, raic_residual
 from .rng import SeedSpec
-from .thresholding import normalize, threshold_set, top_k
+from .thresholding import normalize, top_k
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,7 @@ class BIHTConfig:
 
     ``init`` is either a SeedSpec (draw the starting point uniformly at
     random from the k-sparse unit sphere) or a SparseUnitVector to start
-    from.  ``stop_tol``, when set, stops early once consecutive iterates are
-    within that sphere distance; it defaults to off because the analysis
+    from.  The solver always runs ``max_iters`` steps, as the analysis
     assumes a fixed iteration count.
     """
 
@@ -48,7 +48,6 @@ class BIHTConfig:
     max_iters: int
     eta: float = DEFAULT_ETA
     init: Union[SeedSpec, SparseUnitVector] = field(default_factory=lambda: SeedSpec(0))
-    stop_tol: Optional[float] = None
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -57,8 +56,6 @@ class BIHTConfig:
             raise ValueError("max_iters must be >= 1")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.stop_tol is not None and self.stop_tol < 0:
-            raise ValueError("stop_tol must be >= 0")
         if not isinstance(self.init, (SeedSpec, SparseUnitVector)):
             raise ValueError("init must be a SeedSpec or a SparseUnitVector")
 
@@ -80,9 +77,6 @@ class Trajectory:
     def final(self) -> SparseUnitVector:
         return self.iterates[-1]
 
-    def iterations(self) -> int:
-        return len(self.iterates) - 1
-
 
 def biht_step(
     A: MeasurementMatrix,
@@ -101,13 +95,13 @@ def biht_step(
         raise ValueError("sign pattern length does not match matrix rows")
     if x_prev.n != A.n:
         raise ValueError("iterate length does not match matrix columns")
-    s = sign_measure(A, x_prev.values)
-    diff = b.bits.astype(np.float64) - s.bits.astype(np.float64)
-    if not diff.any():
+    # Equal bit for bit to (eta/2m) A^T (b - s): moving a factor 1/2 rounds nothing.
+    h = correction(A, b.bits, x_prev.values, eta)
+    if not h.any():
         # Exact fixed point: the correction is zero and re-projecting the
         # iterate would only churn last-bit rounding.
         return x_prev
-    descent = x_prev.values + (eta / (2.0 * A.m)) * (A.entries.T @ diff)
+    descent = x_prev.values + h
     candidate = top_k(descent, k)
     if not candidate.any():
         return x_prev
@@ -146,10 +140,13 @@ def run_biht(
         mismatch.append(_mismatch_count(A, b, x))
         if track:
             error_ds.append(sphere_distance(truth.values, x.values))
-            lemma1.append(_lemma1_rhs(A, b, truth, x_prev, x, config.eta))
-        if config.stop_tol is not None:
-            if sphere_distance(x.values, x_prev.values) < config.stop_tol:
-                break
+            # h_A(truth, x_prev) takes b in place of sgn(A truth): they agree
+            # by construction of the measurement, and this keeps the bound
+            # meaningful even if a caller passes a b merely claimed to
+            # measure truth.
+            lemma1.append(
+                4.0 * raic_residual(A, truth, x_prev, x.support(), config.eta, b.bits)
+            )
 
     return Trajectory(
         iterates=iterates, mismatch=mismatch, error_ds=error_ds, lemma1_rhs=lemma1
@@ -158,27 +155,6 @@ def run_biht(
 
 def _mismatch_count(A: MeasurementMatrix, b: SignPattern, x: SparseUnitVector) -> int:
     return int(np.count_nonzero(b.bits != sign_measure(A, x.values).bits))
-
-
-def _lemma1_rhs(
-    A: MeasurementMatrix,
-    b: SignPattern,
-    truth: SparseUnitVector,
-    x_prev: SparseUnitVector,
-    x_next: SparseUnitVector,
-    eta: float,
-) -> float:
-    # h_A(truth, x_prev) reuses b in place of sgn(A truth): they agree by
-    # construction of the measurement, and this keeps the bound meaningful
-    # even if a caller passes a b that is merely claimed to measure truth.
-    s = sign_measure(A, x_prev.values)
-    r = 0.5 * (b.bits.astype(np.float64) - s.bits.astype(np.float64))
-    h_full = (eta / A.m) * (A.entries.T @ r)
-    keep = set(truth.support().tolist())
-    keep.update(x_prev.support().tolist())
-    keep.update(x_next.support().tolist())
-    restricted = threshold_set(h_full, keep)
-    return 4.0 * float(np.linalg.norm((truth.values - x_prev.values) - restricted))
 
 
 def write_trajectory_csv(path, trajectories) -> None:

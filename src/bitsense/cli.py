@@ -9,10 +9,18 @@ Subcommands:
 * ``generate``  write a Gaussian matrix or sparse signal to file
 
 Every subcommand is deterministic under ``--seed``.  Flags override the JSON
-config file given with ``--config``, which overrides built-in defaults.  The
-environment variable ``BITSENSE_THREADS`` caps trial parallelism (default 1).
+config file given with ``--config``, which overrides built-in defaults; a
+config key that is not a setting of the subcommand is a usage error.  The
+environment variable ``BITSENSE_THREADS`` caps ``run``'s trial parallelism
+(default 1).  It pays off only with single-threaded BLAS: on 2 cores at the
+acceptance config (n=200 k=5 m=10000, 50 trials, T=12), 2 trial threads took
+4.7-5.4 s against 4.3-5.5 s with default OpenBLAS threading and raised peak
+RSS from 102 MB to 179 MB, while with ``OPENBLAS_NUM_THREADS=1`` they took
+2.9-3.3 s against 4.7-5.2 s, with byte-identical outputs.
 
-Exit codes: 0 success, 1 validation/assertion or I/O failure, 2 usage error.
+Exit codes: 0 success; 1 I/O failure, a failed validator (``validate``) or a
+per-iteration error bound violated beyond rounding slack (``run``, which then
+writes nothing); 2 usage error, including sizes ``run`` cannot use.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +46,6 @@ def _threads() -> int:
         return 1
 
 
-def _trial_map(fn, tasks):
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
-
-
 def _load_config(path):
     if path is None:
         return {}
@@ -59,6 +58,9 @@ def _load_config(path):
 
 def _resolve(args, config, defaults):
     """Merged settings: CLI flag > config file entry > default."""
+    unknown = sorted(set(config) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     merged = dict(defaults)
     for key in defaults:
         if key in config:
@@ -80,15 +82,6 @@ def _write_json(path, payload):
 # run
 
 
-def _run_one_trial(task):
-    n, k, m, iters, eta, trial_seed = task
-    x = core.random_sparse_unit(n, k, derive_seed(trial_seed, 0))
-    A = core.gaussian_matrix(m, n, derive_seed(trial_seed, 1))
-    b = core.sign_measure(A, x.values)
-    config = biht.BIHTConfig(k=k, max_iters=iters, eta=eta, init=derive_seed(trial_seed, 2))
-    return biht.run_biht(A, b, config, truth=x)
-
-
 def cmd_run(args) -> int:
     settings = _resolve(
         args,
@@ -103,22 +96,20 @@ def cmd_run(args) -> int:
             "seed": 0,
         },
     )
+    # Sizes are checked and every trial runs before the output directory is
+    # made, so a bad size or a violated error bound leaves no files behind.
+    trajectories = montecarlo.convergence_trials(
+        settings["n"],
+        settings["k"],
+        settings["m"],
+        settings["trials"],
+        settings["iters"],
+        SeedSpec(settings["seed"]),
+        eta=settings["eta"],
+        threads=_threads(),
+    )
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    base = SeedSpec(settings["seed"])
-    tasks = [
-        (
-            settings["n"],
-            settings["k"],
-            settings["m"],
-            settings["iters"],
-            settings["eta"],
-            derive_seed(base, i),
-        )
-        for i in range(settings["trials"])
-    ]
-    trajectories = _trial_map(_run_one_trial, tasks)
-
     biht.write_trajectory_csv(out / "trajectory.csv", trajectories)
     finals = [traj.error_ds[-1] for traj in trajectories]
     worst_slack = min(
@@ -126,8 +117,7 @@ def cmd_run(args) -> int:
             traj.lemma1_rhs[t] - traj.error_ds[t]
             for traj in trajectories
             for t in range(1, len(traj.iterates))
-        ),
-        default=float("nan"),
+        )
     )
     _write_json(
         out / "summary.json",
@@ -347,6 +337,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except montecarlo.ErrorBoundViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:  # domain violation
         print(f"error: {exc}", file=sys.stderr)
         return 2

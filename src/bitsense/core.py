@@ -10,8 +10,8 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,10 +64,9 @@ class SparseUnitVector:
 
 @dataclass(frozen=True)
 class MeasurementMatrix:
-    """An m x n measurement matrix, optionally tagged with its generation seed."""
+    """An m x n measurement matrix."""
 
     entries: np.ndarray
-    seed: Optional[SeedSpec] = None
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=np.float64)
@@ -106,26 +105,6 @@ class SignPattern:
         return self.bits.size
 
 
-@dataclass(frozen=True)
-class TernaryDiff:
-    """Half the difference of two sign patterns, with its support count."""
-
-    entries: np.ndarray
-    support_count: int = field(default=-1)
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.int8)
-        if e.ndim != 1 or not np.all(np.abs(e) <= 1):
-            raise ValueError("entries must be a vector over {-1, 0, +1}")
-        count = int(np.count_nonzero(e))
-        if self.support_count >= 0 and self.support_count != count:
-            raise ValueError("support_count does not match entries")
-        e = e.copy()
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "support_count", count)
-
-
 def sgn(x):
     """Sign with sgn(0) = +1, elementwise on arrays.
 
@@ -146,14 +125,6 @@ def sign_measure(A: MeasurementMatrix, x) -> SignPattern:
     if v.size != A.n:
         raise ValueError(f"x has length {v.size}, expected {A.n}")
     return SignPattern(sgn(A.entries @ v))
-
-
-def ternary_diff(bx: SignPattern, by: SignPattern) -> TernaryDiff:
-    """(bx - by)/2 entrywise, counting the rows where the patterns disagree."""
-    if len(bx) != len(by):
-        raise ValueError("sign patterns have different lengths")
-    d = (bx.bits.astype(np.int16) - by.bits.astype(np.int16)) // 2
-    return TernaryDiff(d.astype(np.int8))
 
 
 def sphere_distance(u, v) -> float:
@@ -217,7 +188,7 @@ def gaussian_matrix(m: int, n: int, seed: SeedSpec) -> MeasurementMatrix:
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     flat = sample_standard_normal(seed, m * n)
-    return MeasurementMatrix(flat.reshape(m, n), seed=seed)
+    return MeasurementMatrix(flat.reshape(m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +216,10 @@ def load_matrix_csv(path) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError(f"{path}: ragged rows")
-    return np.asarray(rows, dtype=np.float64)
+    data = np.asarray(rows, dtype=np.float64)
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite entry")
+    return data
 
 
 def save_matrix_binary(path, entries: np.ndarray) -> None:
@@ -262,8 +236,16 @@ def load_matrix_binary(path) -> np.ndarray:
         magic = fh.read(4)
         if magic != MATRIX_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        m, n = np.frombuffer(fh.read(8), dtype="<u4")
-        data = np.frombuffer(fh.read(8 * int(m) * int(n)), dtype="<f8")
-        if data.size != int(m) * int(n):
-            raise ValueError(f"{path}: truncated payload")
-    return data.reshape(int(m), int(n)).astype(np.float64)
+        header = fh.read(8)
+        if len(header) != 8:
+            raise ValueError(f"{path}: truncated header")
+        m, n = (int(d) for d in np.frombuffer(header, dtype="<u4"))
+        # Checked before reading, so a corrupt header cannot ask for more
+        # memory than the file holds.
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload < 8 * m * n:
+            raise ValueError(f"{path}: truncated payload ({payload} bytes for {m}x{n})")
+        if payload > 8 * m * n:
+            raise ValueError(f"{path}: {payload - 8 * m * n} trailing bytes after {m}x{n}")
+        data = np.frombuffer(fh.read(8 * m * n), dtype="<f8")
+    return data.reshape(m, n).astype(np.float64)

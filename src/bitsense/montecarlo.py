@@ -10,8 +10,9 @@ compares an empirical statistic against its known value:
   ->  ||u - v|| and 0 in expectation
 * conditional tail frequencies of those projections  ->  sub-Gaussian bounds
 
-plus the end-to-end convergence experiment, which runs the solver on fresh
-random instances and aggregates the per-iteration error.
+plus the end-to-end convergence trials, which run the solver on fresh random
+instances (the only trial pipeline; the CLI's ``run`` uses it too), and
+their aggregated per-iteration error.
 
 Mean checks pass at |z| <= 4 (false-failure rate below 1e-4 per assertion);
 tail checks pass when the empirical frequency does not exceed the theoretical
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biht import BIHTConfig, run_biht
+from .biht import BIHTConfig, Trajectory, run_biht
 from .core import (
     angular_distance,
     gaussian_matrix,
@@ -299,33 +300,58 @@ class ConvergenceTable:
     bound: np.ndarray
     errors: np.ndarray  # (trials, T+1) raw sphere distances
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,mean_d_s,median_d_s,max_d_s,closed_form_bound\n")
-            for i in range(self.t.size):
-                fh.write(
-                    f"{int(self.t[i])},{float(self.mean_ds[i])!r},"
-                    f"{float(self.median_ds[i])!r},{float(self.max_ds[i])!r},"
-                    f"{float(self.bound[i])!r}\n"
-                )
+
+class ErrorBoundViolation(RuntimeError):
+    """An iterate's error exceeded its deterministic bound beyond rounding slack."""
 
 
-def _convergence_trial(args):
-    n, k, m, T, trial_seed = args
+def _convergence_trial(args) -> Trajectory:
+    n, k, m, T, eta, trial_seed = args
     x = random_sparse_unit(n, k, derive_seed(trial_seed, 0))
     A = gaussian_matrix(m, n, derive_seed(trial_seed, 1))
     b = sign_measure(A, x.values)
-    config = BIHTConfig(k=k, max_iters=T, init=derive_seed(trial_seed, 2))
+    config = BIHTConfig(k=k, max_iters=T, eta=eta, init=derive_seed(trial_seed, 2))
     traj = run_biht(A, b, config, truth=x)
     for t in range(1, len(traj.iterates)):
         slack = traj.lemma1_rhs[t] - traj.error_ds[t]
         if slack < -ERROR_BOUND_SLACK:
-            raise RuntimeError(
+            raise ErrorBoundViolation(
                 "per-iteration error bound violated: "
                 f"iter={t} d_s={traj.error_ds[t]!r} rhs={traj.lemma1_rhs[t]!r} "
                 f"slack={slack!r} (seed={trial_seed})"
             )
-    return np.asarray(traj.error_ds)
+    return traj
+
+
+def convergence_trials(
+    n: int,
+    k: int,
+    m: int,
+    trials: int,
+    T: int,
+    seed: SeedSpec,
+    eta: float = DEFAULT_ETA,
+    threads: int = 1,
+) -> list[Trajectory]:
+    """Run the solver on fresh random instances, one trajectory per trial.
+
+    Each trial draws its own signal, matrix, and initial point from derived
+    seeds, so trials are independent and the whole experiment is
+    reproducible (and embarrassingly parallel; trajectories come back in
+    trial order regardless of ``threads``).  The deterministic per-iteration
+    bound is checked on every iterate; a violation raises
+    ErrorBoundViolation with diagnostics.
+    """
+    if trials < 1 or T < 1 or m < 1 or not (1 <= k <= n):
+        raise ValueError(
+            "need trials >= 1, iterations >= 1, m >= 1 and 1 <= k <= n "
+            f"(got trials={trials}, iterations={T}, m={m}, k={k}, n={n})"
+        )
+    tasks = [(n, k, m, T, eta, derive_seed(seed, i)) for i in range(trials)]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(_convergence_trial, tasks))
+    return [_convergence_trial(t) for t in tasks]
 
 
 def convergence_experiment(
@@ -338,23 +364,9 @@ def convergence_experiment(
     seed: SeedSpec,
     threads: int = 1,
 ) -> ConvergenceTable:
-    """Run the solver on fresh random instances and aggregate the error decay.
-
-    Each trial draws its own signal, matrix, and initial point from derived
-    seeds, so trials are independent and the whole experiment is
-    reproducible (and embarrassingly parallel; results are reduced in trial
-    order regardless of ``threads``).  The deterministic per-iteration bound
-    is asserted on every iterate and any violation aborts with diagnostics.
-    """
-    if trials < 1 or T < 1:
-        raise ValueError("trials and T must be >= 1")
-    tasks = [(n, k, m, T, derive_seed(seed, i)) for i in range(trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_convergence_trial, tasks))
-    else:
-        results = [_convergence_trial(t) for t in tasks]
-    errors = np.vstack(results)  # (trials, T+1)
+    """Aggregate the error decay of `convergence_trials` against the envelope."""
+    trajectories = convergence_trials(n, k, m, trials, T, seed, threads=threads)
+    errors = np.vstack([traj.error_ds for traj in trajectories])  # (trials, T+1)
 
     ts = np.arange(T + 1)
     return ConvergenceTable(

@@ -27,6 +27,7 @@ from .core import (
     MeasurementMatrix,
     SparseUnitVector,
     random_sparse_unit,
+    sgn,
     sphere_distance,
 )
 from .rng import SeedSpec, derive_seed, random_uniform, sample_standard_normal
@@ -38,32 +39,47 @@ from .thresholding import threshold_set
 DEFAULT_ETA = math.sqrt(2.0 * math.pi)
 
 
+def correction(A: MeasurementMatrix, b, y, eta: float = DEFAULT_ETA) -> np.ndarray:
+    """(eta / m) A^T (b - sgn(Ay)) / 2 for a sign pattern b over the rows of A.
+
+    The one correction kernel: with b = sgn(Ax) it is h_A(x, y), and with b
+    the observed signs it is what a solver step adds to its iterate y.  When
+    b == sgn(Ay) rowwise it is the zero vector, returned without the product.
+    """
+    yv = np.asarray(y, dtype=np.float64)
+    if yv.shape != (A.n,):
+        raise ValueError(f"y must have length {A.n}")
+    r = 0.5 * (np.asarray(b, dtype=np.float64) - sgn(A.entries @ yv).astype(np.float64))
+    if not r.any():
+        return np.zeros(A.n)
+    return (eta / A.m) * (A.entries.T @ r)
+
+
 def h_a(A: MeasurementMatrix, x, y, eta: float = DEFAULT_ETA) -> np.ndarray:
     """The correction map h_A(x, y); zero iff sgn(Ax) == sgn(Ay) rowwise.
 
     Antisymmetric in (x, y).  In expectation over a standard normal A (with
     the default eta) it equals x - y for unit x, y.
     """
-    from .core import sgn  # local to avoid import-cycle noise at module load
-
     xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if xv.shape != (A.n,) or yv.shape != (A.n,):
-        raise ValueError(f"x and y must have length {A.n}")
-    r = 0.5 * (
-        sgn(A.entries @ xv).astype(np.float64) - sgn(A.entries @ yv).astype(np.float64)
-    )
-    return (eta / A.m) * (A.entries.T @ r)
+    if xv.shape != (A.n,):
+        raise ValueError(f"x must have length {A.n}")
+    return correction(A, sgn(A.entries @ xv), y, eta)
 
 
-def h_a_j(A: MeasurementMatrix, x, y, J, eta: float = DEFAULT_ETA) -> np.ndarray:
-    """h_A(x, y) restricted to supp(x) u supp(y) u J."""
+def h_a_j(A: MeasurementMatrix, x, y, J, eta: float = DEFAULT_ETA, b=None) -> np.ndarray:
+    """h_A(x, y) restricted to supp(x) u supp(y) u J.
+
+    ``b``, when given, stands in for sgn(Ax), as when x is a signal known
+    only through its measured signs.
+    """
     xv = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
     keep = set(np.flatnonzero(xv).tolist())
     keep.update(np.flatnonzero(yv).tolist())
     keep.update(int(j) for j in J)
-    return threshold_set(h_a(A, xv, yv, eta), keep)
+    h = h_a(A, xv, yv, eta) if b is None else correction(A, b, yv, eta)
+    return threshold_set(h, keep)
 
 
 def orthogonal_decompose(h, u, v):
@@ -103,10 +119,11 @@ def raic_residual(
     y: SparseUnitVector,
     J,
     eta: float = DEFAULT_ETA,
+    b=None,
 ) -> float:
-    """||(x - y) - h_{A,J}(x, y)||_2."""
+    """||(x - y) - h_{A,J}(x, y)||_2, with ``b`` standing in for sgn(Ax) if given."""
     return float(
-        np.linalg.norm((x.values - y.values) - h_a_j(A, x.values, y.values, J, eta))
+        np.linalg.norm((x.values - y.values) - h_a_j(A, x.values, y.values, J, eta, b))
     )
 
 

@@ -111,10 +111,7 @@ def recurrence_fixed_point(epsilon: float) -> float:
     the reference b is the smallest value for which this holds).
     """
     _check_unit_interval("epsilon", epsilon)
-    u = _CONSTANTS
-    v = 16.0 * u.c1**2 * epsilon / u.c
-    w = u.c2 / (4.0 * u.c1**2)
-    root = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * w))
+    root, v = _fixed_point_parts(epsilon, _CONSTANTS.c1, _CONSTANTS.c2, _CONSTANTS.c)
     return root * root * v
 
 
@@ -127,10 +124,14 @@ def contraction_condition_holds(epsilon: float, b: float) -> bool:
     """
     _check_unit_interval("epsilon", epsilon)
     c1, c2 = derived_constants(b)
-    v = 16.0 * c1 * c1 * epsilon / 32.0
-    w = c2 / (4.0 * c1 * c1)
-    u = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * w))
+    u, v = _fixed_point_parts(epsilon, c1, c2, _CONSTANTS.c)
     return u * math.sqrt(v) < math.sqrt(2.0)
+
+
+def _fixed_point_parts(epsilon: float, c1: float, c2: float, c: float) -> tuple[float, float]:
+    """(u, v) with v = 16 c1^2 eps / c and u = nested_sqrt_limit(c2 / (4 c1^2))."""
+    c1_sq = c1 * c1
+    return nested_sqrt_limit(c2 / (4.0 * c1_sq)), 16.0 * c1_sq * epsilon / c
 
 
 def nested_sqrt(w: float, w0: float, t: int) -> float:

@@ -140,16 +140,6 @@ class TestRun:
         assert mean[2] < mean[1]
         assert mean[-1] < 0.2
 
-    def test_early_stop(self):
-        x, A, b = small_instance(SeedSpec(48))
-        traj = run_biht(
-            A,
-            b,
-            BIHTConfig(k=x.k, max_iters=50, init=x, stop_tol=1e-12),
-            truth=x,
-        )
-        assert traj.iterations() == 1  # started at a fixed point
-
     def test_untracked_run_has_no_error_columns(self):
         x, A, b = small_instance(SeedSpec(49))
         traj = run_biht(A, b, BIHTConfig(k=x.k, max_iters=3, init=x))

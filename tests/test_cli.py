@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bitsense import cli
+from bitsense import biht, cli
 from bitsense.core import load_matrix_binary, load_matrix_csv
 from bitsense.theory import epsilon_recurrence, sample_complexity
 
@@ -53,6 +53,48 @@ class TestRun:
         assert summary["trials"] == 2  # flag wins
         assert summary["n"] == 50  # config wins over default
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--trials", "0"],
+            ["--iters", "0"],
+            ["--m", "0"],
+            ["--k", "0"],
+            ["--k", "51", "--n", "50"],
+        ],
+    )
+    def test_bad_sizes_rejected_before_writing(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        base = ["run", "--n", "50", "--k", "3", "--m", "200", "--trials", "1", "--iters", "1"]
+        code = run_cli(base + flags + ["--output-dir", str(out)])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"itres": 2}))
+        out = tmp_path / "out"
+        code = run_cli(["run", "--config", str(config), "--output-dir", str(out)])
+        assert code == 2
+        assert "itres" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_error_bound_violation_exits_1(self, tmp_path, capsys, monkeypatch):
+        # A zero residual makes every bound 0, below any nonzero error.
+        monkeypatch.setattr(biht, "raic_residual", lambda *args, **kwargs: 0.0)
+        out = tmp_path / "out"
+        code = run_cli(
+            ["run", "--n", "50", "--k", "3", "--m", "600", "--trials", "2",
+             "--iters", "4", "--seed", "11", "--output-dir", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error bound violated" in err
+        assert "iter=1" in err and "slack=-" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run_cli([])
@@ -78,6 +120,14 @@ class TestRaic:
         lines = (tmp_path / "raic_report.csv").read_text().splitlines()
         regimes = {line.split(",")[2] for line in lines[1:]}
         assert regimes == {"small", "large"}
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"pairs": 10, "pair": 3}))
+        code = run_cli(["raic", "--config", str(config), "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert "pair" in capsys.readouterr().err
+        assert not (tmp_path / "raic_report.csv").exists()
 
     def test_zero_pairs_rejected(self, tmp_path, capsys):
         code = run_cli(

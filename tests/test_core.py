@@ -17,7 +17,6 @@ from bitsense.core import (
     sgn,
     sign_measure,
     sphere_distance,
-    ternary_diff,
 )
 from bitsense.rng import SeedSpec, derive_seed
 
@@ -68,38 +67,6 @@ class TestSignMeasure:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             sign_measure(MeasurementMatrix(np.eye(3)), np.ones(4))
-
-
-class TestTernaryDiff:
-    def test_equal_patterns(self):
-        b = SignPattern(np.array([1, -1, 1]))
-        d = ternary_diff(b, b)
-        assert d.support_count == 0
-        assert not d.entries.any()
-
-    def test_hand_case(self):
-        d = ternary_diff(SignPattern(np.array([1, 1])), SignPattern(np.array([-1, 1])))
-        assert d.entries.tolist() == [1, 0]
-        assert d.support_count == 1
-
-    def test_support_count_is_hamming_distance(self):
-        words = sample_sign_pair(SeedSpec(9), 500)
-        d = ternary_diff(*words)
-        hamming = sum(
-            1 for a, b in zip(words[0].bits, words[1].bits) if int(a) != int(b)
-        )
-        assert d.support_count == hamming
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ternary_diff(SignPattern(np.array([1])), SignPattern(np.array([1, 1])))
-
-
-def sample_sign_pair(seed, m):
-    A = gaussian_matrix(m, 8, seed)
-    x = np.cos(np.arange(8.0))
-    y = np.sin(np.arange(8.0) + 0.3)
-    return sign_measure(A, x), sign_measure(A, y)
 
 
 class TestSphereDistance:
@@ -233,6 +200,27 @@ class TestFileFormats:
         path.write_bytes(b"NOPE" + bytes(16))
         with pytest.raises(ValueError):
             load_matrix_binary(path)
+
+    def test_binary_oversized_header(self, tmp_path):
+        # Claims 100000 x 100000 doubles (80 GB); rejected before any read.
+        path = tmp_path / "huge.bin"
+        path.write_bytes(b"B1CS" + np.array([100000, 100000], dtype="<u4").tobytes() + bytes(16))
+        with pytest.raises(ValueError, match="huge.bin"):
+            load_matrix_binary(path)
+
+    def test_binary_trailing_bytes(self, tmp_path):
+        path = tmp_path / "tail.bin"
+        save_matrix_binary(path, np.ones((2, 3)))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="tail.bin"):
+            load_matrix_binary(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_csv_non_finite(self, tmp_path, token):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"1.0,2.0\n3.0,{token}\n")
+        with pytest.raises(ValueError, match="bad.csv"):
+            load_matrix_csv(path)
 
     def test_vector_roundtrip_as_single_row(self, tmp_path):
         x = random_sparse_unit(12, 3, SeedSpec(33)).values

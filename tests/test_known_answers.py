@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from bitsense import cli
 from bitsense.biht import biht_step
 from bitsense.core import SignPattern, gaussian_matrix, random_sparse_unit, sgn
-from bitsense.raic import raic_certify
+from bitsense.raic import correction, raic_certify
 from bitsense.rng import (
     SeedSpec,
     derive_seed,
@@ -154,12 +154,18 @@ def test_small_raic_certify():
         assert record.residual == pytest.approx(residual, abs=FLOAT_TOL, rel=0)
 
 
+def _reference_correction(A, b, x, eta):
+    """(eta/2m) A^T (b - sgn(Ax)), the solver's correction as first written."""
+    diff = b.bits.astype(np.float64) - sgn(A.entries @ x).astype(np.float64)
+    return (eta / (2.0 * A.m)) * (A.entries.T @ diff), diff.any()
+
+
 def _reference_step(A, b, x_prev, k, eta):
     """The solver step written from x + (eta/2m) A^T (b - sgn(Ax))."""
-    diff = b.bits.astype(np.float64) - sgn(A.entries @ x_prev.values).astype(np.float64)
-    if not diff.any():
+    h, moved = _reference_correction(A, b, x_prev.values, eta)
+    if not moved:
         return x_prev.values
-    descent = x_prev.values + (eta / (2.0 * A.m)) * (A.entries.T @ diff)
+    descent = x_prev.values + h
     candidate = top_k(descent, k)
     if not candidate.any():
         return x_prev.values
@@ -185,7 +191,9 @@ def instances(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(instances())
-def test_step_matches_reference_formula(case):
+def test_kernel_and_step_match_reference_formula(case):
     A, b, x_prev, k, eta = case
+    h, _ = _reference_correction(A, b, x_prev.values, eta)
+    assert np.array_equal(correction(A, b.bits, x_prev.values, eta), h)
     out = biht_step(A, b, x_prev, k, eta)
     assert np.array_equal(out.values, _reference_step(A, b, x_prev, k, eta))

@@ -179,13 +179,6 @@ class TestConvergenceExperiment:
         assert np.array_equal(table.errors, again.errors)
         assert np.array_equal(table.errors, threaded.errors)
 
-    def test_csv_layout(self, table, tmp_path):
-        path = tmp_path / "convergence.csv"
-        table.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,mean_d_s,median_d_s,max_d_s,closed_form_bound"
-        assert len(lines) == 10
-
 
 @pytest.fixture(scope="module")
 def rows():
