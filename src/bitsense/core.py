@@ -210,7 +210,10 @@ def load_matrix_csv(path) -> np.ndarray:
         for line in fh:
             line = line.strip()
             if line:
-                rows.append([float(tok) for tok in line.split(",")])
+                try:
+                    rows.append([float(tok) for tok in line.split(",")])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
     width = len(rows[0])

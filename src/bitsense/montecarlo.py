@@ -342,11 +342,8 @@ def convergence_trials(
     bound is checked on every iterate; a violation raises
     ErrorBoundViolation with diagnostics.
     """
-    if trials < 1 or T < 1 or m < 1 or not (1 <= k <= n):
-        raise ValueError(
-            "need trials >= 1, iterations >= 1, m >= 1 and 1 <= k <= n "
-            f"(got trials={trials}, iterations={T}, m={m}, k={k}, n={n})"
-        )
+    if trials < 1 or T < 1:
+        raise ValueError("trials and T (iterations) must be >= 1")
     tasks = [(n, k, m, T, eta, derive_seed(seed, i)) for i in range(trials)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

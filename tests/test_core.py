@@ -215,8 +215,8 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="tail.bin"):
             load_matrix_binary(path)
 
-    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
-    def test_csv_non_finite(self, tmp_path, token):
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "abc"])
+    def test_csv_bad_entry(self, tmp_path, token):
         path = tmp_path / "bad.csv"
         path.write_text(f"1.0,2.0\n3.0,{token}\n")
         with pytest.raises(ValueError, match="bad.csv"):
