@@ -3,15 +3,17 @@
 Each step adds the sign-mismatch correction to the current iterate, keeps the
 k largest-magnitude coordinates, and projects back onto the unit sphere:
 
-    step(x) = normalize(top_k(x + (eta / 2m) A^T (b - sgn(Ax)), k))
+    h = raic.correction(A, b, sgn(Ax), eta) = (eta / 2m) A^T (b - sgn(Ax))
+    step(x) = normalize(top_k(x + h, k))
 
-The recorded per-iteration upper bound (`lemma1_rhs`) is
+The recorded per-iteration upper bound (`lemma1_rhs`) restricts that same h:
 
-    4 * ||(truth - x_prev) - h_{A,J}(truth, x_prev)||    with J = supp(x_next)
+    4 * ||(truth - x_prev) - h_J||    with h_J = h on supp(truth) u supp(x_prev) u supp(x_next)
 
 which holds deterministically at every iteration; a violation beyond rounding
-slack always indicates an implementation bug, never bad luck.  The step's
-correction and the bound's h_A are both `raic.correction`.
+slack always indicates an implementation bug, never bad luck.  `run_biht`
+measures each iterate once and shares its signs between the mismatch count,
+the step and the bound.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .core import (
     sign_measure,
     sphere_distance,
 )
-from .raic import DEFAULT_ETA, correction, raic_residual
+from .raic import DEFAULT_ETA, correction, restricted_residual
 from .rng import SeedSpec
 from .thresholding import normalize, top_k
 
@@ -91,18 +93,17 @@ def biht_step(
     under Gaussian measurements) the previous iterate is kept, since the
     sphere projection is undefined at the origin.
     """
-    if len(b) != A.m:
-        raise ValueError("sign pattern length does not match matrix rows")
-    if x_prev.n != A.n:
-        raise ValueError("iterate length does not match matrix columns")
-    # Equal bit for bit to (eta/2m) A^T (b - s): moving a factor 1/2 rounds nothing.
-    h = correction(A, b.bits, x_prev.values, eta)
+    s = sign_measure(A, x_prev.values).bits
+    return _descend(x_prev, correction(A, b.bits, s, eta), k)
+
+
+def _descend(x_prev: SparseUnitVector, h: np.ndarray, k: int) -> SparseUnitVector:
+    """normalize(top_k(x_prev + h, k)), or x_prev itself when h or the candidate is zero."""
     if not h.any():
         # Exact fixed point: the correction is zero and re-projecting the
         # iterate would only churn last-bit rounding.
         return x_prev
-    descent = x_prev.values + h
-    candidate = top_k(descent, k)
+    candidate = top_k(x_prev.values + h, k)
     if not candidate.any():
         return x_prev
     return SparseUnitVector(normalize(candidate), k)
@@ -124,37 +125,35 @@ def run_biht(
         x = config.init
     else:
         x = random_sparse_unit(A.n, config.k, config.init)
-    if x.n != A.n:
-        raise ValueError("initial iterate has wrong dimension")
 
     track = truth is not None
+    s = sign_measure(A, x.values).bits
     iterates = [x]
-    mismatch = [_mismatch_count(A, b, x)]
+    mismatch = [int(np.count_nonzero(b.bits != s))]
     error_ds = [sphere_distance(truth.values, x.values)] if track else None
     lemma1 = [float("nan")] if track else None
 
     for _ in range(config.max_iters):
         x_prev = x
-        x = biht_step(A, b, x_prev, config.k, config.eta)
+        h = correction(A, b.bits, s, config.eta)
+        x = _descend(x_prev, h, config.k)
+        if x is not x_prev:
+            s = sign_measure(A, x.values).bits
         iterates.append(x)
-        mismatch.append(_mismatch_count(A, b, x))
+        mismatch.append(int(np.count_nonzero(b.bits != s)))
         if track:
             error_ds.append(sphere_distance(truth.values, x.values))
-            # h_A(truth, x_prev) takes b in place of sgn(A truth): they agree
-            # by construction of the measurement, and this keeps the bound
-            # meaningful even if a caller passes a b merely claimed to
+            # h is h_A(truth, x_prev) with b in place of sgn(A truth): they
+            # agree by construction of the measurement, and this keeps the
+            # bound meaningful even if a caller passes a b merely claimed to
             # measure truth.
             lemma1.append(
-                4.0 * raic_residual(A, truth, x_prev, x.support(), config.eta, b.bits)
+                4.0 * restricted_residual(truth.values, x_prev.values, x.support(), h)
             )
 
     return Trajectory(
         iterates=iterates, mismatch=mismatch, error_ds=error_ds, lemma1_rhs=lemma1
     )
-
-
-def _mismatch_count(A: MeasurementMatrix, b: SignPattern, x: SparseUnitVector) -> int:
-    return int(np.count_nonzero(b.bits != sign_measure(A, x.values).bits))
 
 
 def write_trajectory_csv(path, trajectories) -> None:

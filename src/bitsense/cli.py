@@ -57,14 +57,22 @@ def _load_config(path):
 
 
 def _resolve(args, config, defaults):
-    """Merged settings: CLI flag > config file entry > default."""
+    """Merged settings: CLI flag > config file entry > default.
+
+    Config entries of float settings take JSON numbers, all others (counts,
+    whose default is an int or None) JSON integers; a bool is neither."""
     unknown = sorted(set(config) - set(defaults))
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     merged = dict(defaults)
-    for key in defaults:
-        if key in config:
-            merged[key] = type(defaults[key])(config[key]) if defaults[key] is not None else config[key]
+    for key, value in config.items():
+        kind = float if isinstance(defaults[key], float) else int
+        if value is None and defaults[key] is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            wanted = "a number" if kind is float else "an integer"
+            raise ValueError(f"config key {key!r} must be {wanted}, got {value!r}")
+        merged[key] = kind(value)
     for key in defaults:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
@@ -150,18 +158,10 @@ def cmd_raic(args) -> int:
             "seed": 0,
         },
     )
-    if settings["pairs"] < 1:
-        print("error: --pairs must be >= 1", file=sys.stderr)
-        return 2
-    if not (0.0 < settings["delta"] < 1.0):
-        print("error: --delta must lie in (0, 1)", file=sys.stderr)
-        return 2
-    max_j = int(settings["max_j"]) if settings["max_j"] is not None else settings["k"]
-    small = int(settings["small_pairs"]) if settings["small_pairs"] is not None else None
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    max_j = settings["max_j"] if settings["max_j"] is not None else settings["k"]
     base = SeedSpec(settings["seed"])
     A = core.gaussian_matrix(settings["m"], settings["n"], derive_seed(base, 0))
+    # Certify before creating the output directory: bad settings leave no files.
     report = raic.raic_certify(
         A,
         settings["k"],
@@ -169,8 +169,10 @@ def cmd_raic(args) -> int:
         settings["pairs"],
         max_j,
         derive_seed(base, 1),
-        num_small=small,
+        num_small=settings["small_pairs"],
     )
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     report.to_csv(out / "raic_report.csv")
     report.to_json(out / "raic_summary.json")
     return 0

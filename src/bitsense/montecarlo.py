@@ -57,25 +57,16 @@ def _unit(v, name):
     return a / nrm
 
 
-def _normal_rows(seed: SeedSpec, rows: int, n: int):
-    """Yield standard-normal row blocks, bit-identical to one-shot sampling."""
-    per = max(1, _CHUNK_ELEMS // n)
+def _normal_blocks(seed: SeedSpec, count: int, *shape: int):
+    """Yield (take, *shape) standard-normal blocks, ``count`` items (rows or
+    whole trial matrices) in all, bit-identical to one-shot sampling."""
+    size = math.prod(shape)
+    per = max(1, _CHUNK_ELEMS // size)
     done = 0
-    while done < rows:
-        take = min(per, rows - done)
-        block = sample_standard_normal(seed, take * n, offset=done * n)
-        yield block.reshape(take, n)
-        done += take
-
-
-def _normal_matrix_blocks(seed: SeedSpec, trials: int, m: int, n: int):
-    """Yield (count, m, n) blocks of whole trial matrices from one stream."""
-    per = max(1, _CHUNK_ELEMS // (m * n))
-    done = 0
-    while done < trials:
-        take = min(per, trials - done)
-        block = sample_standard_normal(seed, take * m * n, offset=done * m * n)
-        yield block.reshape(take, m, n)
+    while done < count:
+        take = min(per, count - done)
+        block = sample_standard_normal(seed, take * size, offset=done * size)
+        yield block.reshape(take, *shape)
         done += take
 
 
@@ -92,7 +83,7 @@ def mismatch_probability(u, v, draws: int, seed: SeedSpec, sign_fn=None) -> floa
     vv = _unit(v, "v")
     s = sgn if sign_fn is None else sign_fn
     hits = 0
-    for block in _normal_rows(seed, draws, uu.size):
+    for block in _normal_blocks(seed, draws, uu.size):
         hits += int(np.count_nonzero(s(block @ uu) != s(block @ vv)))
     return hits / draws
 
@@ -127,7 +118,7 @@ def band_count_mean(
     sin_beta = math.sin(beta)
     flags = np.empty(trials * m, dtype=bool)
     done = 0
-    for block in _normal_rows(seed, trials * m, uu.size):
+    for block in _normal_blocks(seed, trials * m, uu.size):
         cosines = (block @ uu) / np.linalg.norm(block, axis=1)
         flags[done : done + block.shape[0]] = np.abs(cosines) <= sin_beta
         done += block.shape[0]
@@ -173,7 +164,7 @@ def projection_expectation(
     proj_minus = np.empty(trials)
     proj_plus = np.empty(trials)
     done = 0
-    for Z in _normal_matrix_blocks(seed, trials, m, uu.size):
+    for Z in _normal_blocks(seed, trials, m, uu.size):
         nt = Z.shape[0]
         r = 0.5 * (sgn(Z @ uu).astype(np.float64) - sgn(Z @ vv).astype(np.float64))
         proj_minus[done : done + nt] = (eta / m) * np.einsum("tm,tm->t", r, Z @ e_minus)
@@ -238,7 +229,7 @@ def tail_frequency_check(
     exceed = np.zeros(3, dtype=np.int64)
     bound_sum = np.zeros(3)
     used = 0
-    for Z in _normal_matrix_blocks(seed, trials, m, n):
+    for Z in _normal_blocks(seed, trials, m, n):
         r = 0.5 * (sgn(Z @ uu).astype(np.float64) - sgn(Z @ vv).astype(np.float64))
         ell = np.count_nonzero(r, axis=1).astype(np.float64)
         x_minus = np.einsum("tm,tm->t", r, Z @ e_minus) / m

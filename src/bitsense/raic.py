@@ -4,10 +4,12 @@ The central object is the correction map
 
     h_A(x, y) = (eta / m) * A^T * (sgn(Ax) - sgn(Ay)) / 2
 
-whose restriction to supp(x) u supp(y) u J is what each solver step actually
-adds to its iterate.  A matrix approximately inverts the one-bit measurement
-map when the residual ||(x - y) - h_{A,J}(x, y)|| stays below
-a1 sqrt(delta d_S(x, y)) + a2 delta uniformly over sparse unit pairs.
+(`correction`, from the two sign patterns).  A solver step adds it to its
+iterate y, with the observed signs standing in for sgn(Ax), and the step's
+error bound restricts that same vector to supp(x) u supp(y) u J.  A matrix
+approximately inverts the one-bit measurement map when the residual
+||(x - y) - h_{A,J}(x, y)|| stays below a1 sqrt(delta d_S(x, y)) + a2 delta
+uniformly over sparse unit pairs.
 
 Checking that uniformly is combinatorially infeasible (the covering-net union
 bound is astronomically large), so `raic_certify` samples pairs instead,
@@ -39,17 +41,18 @@ from .thresholding import threshold_set
 DEFAULT_ETA = math.sqrt(2.0 * math.pi)
 
 
-def correction(A: MeasurementMatrix, b, y, eta: float = DEFAULT_ETA) -> np.ndarray:
-    """(eta / m) A^T (b - sgn(Ay)) / 2 for a sign pattern b over the rows of A.
+def correction(A: MeasurementMatrix, b, s, eta: float = DEFAULT_ETA) -> np.ndarray:
+    """(eta / m) A^T (b - s) / 2 for sign patterns b, s over the rows of A.
 
-    The one correction kernel: with b = sgn(Ax) it is h_A(x, y), and with b
-    the observed signs it is what a solver step adds to its iterate y.  When
-    b == sgn(Ay) rowwise it is the zero vector, returned without the product.
+    With b = sgn(Ax), s = sgn(Ay) it is h_A(x, y); with b the observed signs
+    it is what a solver step adds to its iterate y.  When b == s rowwise it
+    is the zero vector, returned without the product.
     """
-    yv = np.asarray(y, dtype=np.float64)
-    if yv.shape != (A.n,):
-        raise ValueError(f"y must have length {A.n}")
-    r = 0.5 * (np.asarray(b, dtype=np.float64) - sgn(A.entries @ yv).astype(np.float64))
+    bv = np.asarray(b, dtype=np.float64)
+    sv = np.asarray(s, dtype=np.float64)
+    if bv.shape != (A.m,) or sv.shape != (A.m,):
+        raise ValueError(f"sign patterns must have length {A.m}")
+    r = 0.5 * (bv - sv)
     if not r.any():
         return np.zeros(A.n)
     return (eta / A.m) * (A.entries.T @ r)
@@ -62,24 +65,25 @@ def h_a(A: MeasurementMatrix, x, y, eta: float = DEFAULT_ETA) -> np.ndarray:
     the default eta) it equals x - y for unit x, y.
     """
     xv = np.asarray(x, dtype=np.float64)
-    if xv.shape != (A.n,):
-        raise ValueError(f"x must have length {A.n}")
-    return correction(A, sgn(A.entries @ xv), y, eta)
+    yv = np.asarray(y, dtype=np.float64)
+    for name, v in (("x", xv), ("y", yv)):
+        if v.shape != (A.n,):
+            raise ValueError(f"{name} must have length {A.n}")
+    return correction(A, sgn(A.entries @ xv), sgn(A.entries @ yv), eta)
 
 
-def h_a_j(A: MeasurementMatrix, x, y, J, eta: float = DEFAULT_ETA, b=None) -> np.ndarray:
-    """h_A(x, y) restricted to supp(x) u supp(y) u J.
+def _restrict(h, x, y, J) -> np.ndarray:
+    keep = set(np.flatnonzero(x).tolist())
+    keep.update(np.flatnonzero(y).tolist())
+    keep.update(int(j) for j in J)
+    return threshold_set(h, keep)
 
-    ``b``, when given, stands in for sgn(Ax), as when x is a signal known
-    only through its measured signs.
-    """
+
+def h_a_j(A: MeasurementMatrix, x, y, J, eta: float = DEFAULT_ETA) -> np.ndarray:
+    """h_A(x, y) restricted to supp(x) u supp(y) u J."""
     xv = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
-    keep = set(np.flatnonzero(xv).tolist())
-    keep.update(np.flatnonzero(yv).tolist())
-    keep.update(int(j) for j in J)
-    h = h_a(A, xv, yv, eta) if b is None else correction(A, b, yv, eta)
-    return threshold_set(h, keep)
+    return _restrict(h_a(A, xv, yv, eta), xv, yv, J)
 
 
 def orthogonal_decompose(h, u, v):
@@ -113,18 +117,21 @@ def orthogonal_decompose(h, u, v):
     return c_minus, c_plus, g
 
 
+def restricted_residual(x: np.ndarray, y: np.ndarray, J, h: np.ndarray) -> float:
+    """||(x - y) - h_J||_2, h_J the precomputed correction h restricted to
+    supp(x) u supp(y) u J: the RAIC residual, and a quarter of the solver's bound."""
+    return float(np.linalg.norm((x - y) - _restrict(h, x, y, J)))
+
+
 def raic_residual(
     A: MeasurementMatrix,
     x: SparseUnitVector,
     y: SparseUnitVector,
     J,
     eta: float = DEFAULT_ETA,
-    b=None,
 ) -> float:
-    """||(x - y) - h_{A,J}(x, y)||_2, with ``b`` standing in for sgn(Ax) if given."""
-    return float(
-        np.linalg.norm((x.values - y.values) - h_a_j(A, x.values, y.values, J, eta, b))
-    )
+    """||(x - y) - h_{A,J}(x, y)||_2."""
+    return restricted_residual(x.values, y.values, J, h_a(A, x.values, y.values, eta))
 
 
 def raic_bound(delta: float, a1: float, a2: float, d_s: float) -> float:

@@ -80,9 +80,19 @@ class TestRun:
         assert "itres" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [2.7, True, "2"])
+    def test_non_integer_count_rejected(self, tmp_path, capsys, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"trials": value}))
+        out = tmp_path / "out"
+        code = run_cli(["run", "--config", str(config), "--output-dir", str(out)])
+        assert code == 2
+        assert "'trials' must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_error_bound_violation_exits_1(self, tmp_path, capsys, monkeypatch):
         # A zero residual makes every bound 0, below any nonzero error.
-        monkeypatch.setattr(biht, "raic_residual", lambda *args, **kwargs: 0.0)
+        monkeypatch.setattr(biht, "restricted_residual", lambda *args, **kwargs: 0.0)
         out = tmp_path / "out"
         code = run_cli(
             ["run", "--n", "50", "--k", "3", "--m", "600", "--trials", "2",
@@ -128,6 +138,32 @@ class TestRaic:
         assert code == 2
         assert "pair" in capsys.readouterr().err
         assert not (tmp_path / "raic_report.csv").exists()
+
+    def test_non_integer_max_j_rejected(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_j": 2.5}))
+        out = tmp_path / "out"
+        code = run_cli(["raic", "--config", str(config), "--output-dir", str(out)])
+        assert code == 2
+        assert "'max_j' must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--k", "0"], "k"),
+            (["--pairs", "5", "--small-pairs", "9"], "num_small"),
+            (["--pairs", "0"], "pairs"),
+            (["--delta", "1.5"], "delta"),
+        ],
+    )
+    def test_bad_settings_rejected_before_writing(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "out"
+        base = ["raic", "--n", "40", "--m", "200"]
+        code = run_cli(base + flags + ["--output-dir", str(out)])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_pairs_rejected(self, tmp_path, capsys):
         code = run_cli(

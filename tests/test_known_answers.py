@@ -5,6 +5,10 @@ values are pinned exactly.  Mismatch counts are integers and are pinned
 exactly as well.  Floats that pass through a BLAS product (``d_s``, the
 error bound, RAIC residuals) are reproducible only for a fixed BLAS build
 and thread count, so they are pinned to 1e-12.
+
+Hypothesis properties tie the solver to the formulas it was first written
+from: one step, a whole run (iterates, mismatch counts, error bound), and
+the number of matrix products a tracked run takes.
 """
 
 import csv
@@ -14,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitsense import cli
-from bitsense.biht import biht_step
+from bitsense import biht, cli
+from bitsense.biht import BIHTConfig, biht_step, run_biht
 from bitsense.core import SignPattern, gaussian_matrix, random_sparse_unit, sgn
 from bitsense.raic import correction, raic_certify
 from bitsense.rng import (
@@ -26,7 +30,7 @@ from bitsense.rng import (
     sample_standard_normal,
     splitmix64,
 )
-from bitsense.thresholding import normalize, top_k
+from bitsense.thresholding import normalize, threshold_set, top_k
 
 FLOAT_TOL = 1e-12
 
@@ -194,6 +198,77 @@ def instances(draw):
 def test_kernel_and_step_match_reference_formula(case):
     A, b, x_prev, k, eta = case
     h, _ = _reference_correction(A, b, x_prev.values, eta)
-    assert np.array_equal(correction(A, b.bits, x_prev.values, eta), h)
+    assert np.array_equal(correction(A, b.bits, sgn(A.entries @ x_prev.values), eta), h)
     out = biht_step(A, b, x_prev, k, eta)
     assert np.array_equal(out.values, _reference_step(A, b, x_prev, k, eta))
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_step_returns_k_sparse_unit_vector(case):
+    A, b, x_prev, k, eta = case
+    out = biht_step(A, b, x_prev, k, eta)
+    assert np.count_nonzero(out.values) <= k
+    assert abs(np.linalg.norm(out.values) - 1.0) <= 1e-12
+
+
+def _reference_bound(A, b, truth, x_prev, x_next, eta):
+    """4 ||(truth - x_prev) - h_J|| with h recomputed from x_prev's signs."""
+    h, _ = _reference_correction(A, b, x_prev.values, eta)
+    J = set(truth.support()) | set(x_prev.support()) | set(x_next.support())
+    return 4.0 * np.linalg.norm((truth.values - x_prev.values) - threshold_set(h, J))
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(), st.integers(0, 2**64 - 1), st.integers(1, 6), st.booleans())
+def test_run_matches_repeated_steps(case, truth_seed, T, track):
+    A, b, x_prev, k, eta = case
+    truth = random_sparse_unit(A.n, k, SeedSpec(truth_seed)) if track else None
+    traj = run_biht(A, b, BIHTConfig(k=k, max_iters=T, eta=eta, init=x_prev), truth=truth)
+    assert len(traj.iterates) == T + 1
+    for t, x in enumerate(traj.iterates):
+        assert traj.mismatch[t] == int(np.count_nonzero(b.bits != sgn(A.entries @ x.values)))
+        if t == T:
+            break
+        nxt = traj.iterates[t + 1]
+        assert np.array_equal(nxt.values, biht_step(A, b, x, k, eta).values)
+        if track:
+            assert traj.lemma1_rhs[t + 1] == _reference_bound(A, b, truth, x, nxt, eta)
+    assert (traj.lemma1_rhs is None) == (not track)
+
+
+class _ProductLog(np.ndarray):
+    """A matrix view that records the shape of each matrix product it takes."""
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def __matmul__(self, other):
+        self.log.append(self.shape)
+        return np.asarray(self) @ other
+
+
+def test_tracked_run_measures_each_iterate_once(monkeypatch):
+    n, k, m, T = 40, 3, 300, 8
+    truth = random_sparse_unit(n, k, SeedSpec(1))
+    A = gaussian_matrix(m, n, SeedSpec(2))
+    b = SignPattern(sgn(A.entries @ truth.values))
+    logged = A.entries.view(_ProductLog)
+    logged.log = []
+    object.__setattr__(A, "entries", logged)
+    corrections = []
+    real_correction = biht.correction
+
+    def counted(*args, **kwargs):
+        corrections.append(1)
+        return real_correction(*args, **kwargs)
+
+    monkeypatch.setattr(biht, "correction", counted)
+    traj = run_biht(A, b, BIHTConfig(k=k, max_iters=T, init=SeedSpec(3)), truth=truth)
+    assert len(traj.iterates) == T + 1
+    assert len(corrections) == T
+    # One product for the start point, then one after each step that moved.
+    moves = sum(nxt is not x for x, nxt in zip(traj.iterates, traj.iterates[1:]))
+    assert logged.log.count((m, n)) == 1 + moves <= T + 1
+    assert logged.log.count((n, m)) <= T
+    assert set(logged.log) <= {(m, n), (n, m)}

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bitsense.core import gaussian_matrix, random_sparse_unit
 from bitsense.raic import (
@@ -132,6 +134,20 @@ class TestOrthogonalDecompose:
             lhs = np.linalg.norm(h) ** 2
             rhs = c_minus**2 + c_plus**2 + np.linalg.norm(g) ** 2
             assert abs(lhs - rhs) <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 2**64 - 1))
+    def test_pythagoras_property(self, n, base):
+        seed = SeedSpec(base)
+        u = unit(sample_standard_normal(derive_seed(seed, 0), n))
+        v = unit(sample_standard_normal(derive_seed(seed, 1), n))
+        h = sample_standard_normal(derive_seed(seed, 2), n)
+        # Pairs too close to u = +-v have ill-conditioned directions.
+        assume(min(np.linalg.norm(u - v), np.linalg.norm(u + v)) >= 1e-3)
+        c_minus, c_plus, g = orthogonal_decompose(h, u, v)
+        lhs = np.linalg.norm(h) ** 2
+        rhs = c_minus**2 + c_plus**2 + np.linalg.norm(g) ** 2
+        assert abs(lhs - rhs) <= 1e-9 * max(1.0, lhs)
 
     def test_degenerate_directions_rejected(self):
         u = np.array([1.0, 0.0])

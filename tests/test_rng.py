@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitsense.rng import (
     SeedSpec,
@@ -62,6 +64,23 @@ class TestStandardNormal:
             ]
         )
         assert np.array_equal(whole, parts)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 2**40),
+        st.lists(st.integers(0, 300), max_size=6),
+    )
+    def test_chunks_match_one_shot_at_random_offsets(self, base, stream, offset, sizes):
+        s = SeedSpec(base, stream)
+        parts = []
+        at = offset
+        for size in sizes:
+            parts.append(sample_standard_normal(s, size, offset=at))
+            at += size
+        whole = sample_standard_normal(s, at - offset, offset=offset)
+        assert np.array_equal(np.concatenate([np.empty(0)] + parts), whole)
 
     def test_mean_within_clt_bound(self):
         draws = sample_standard_normal(SeedSpec(123), 1_000_000)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitsense.rng import SeedSpec, derive_seed, random_uniform, sample_standard_normal
 from bitsense.thresholding import normalize, threshold_set, top_k
@@ -42,6 +44,16 @@ class TestTopK:
         v = sample_standard_normal(SeedSpec(62), 20)
         once = top_k(v, 6)
         assert np.array_equal(top_k(once, 6), once)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=16), st.data())
+    def test_idempotent_and_lowest_index_on_ties_property(self, ints, data):
+        # Small integers make magnitude ties frequent.
+        v = np.array(ints, dtype=np.float64)
+        k = data.draw(st.integers(0, v.size))
+        once = top_k(v, k)
+        assert np.array_equal(top_k(once, k), once)
+        assert np.array_equal(once, reference_top_k(v, k))
 
     def test_kept_entries_dominate_zeroed(self):
         v = np.round(sample_standard_normal(SeedSpec(63), 15) * 3)
