@@ -12,6 +12,7 @@ the number of matrix products a tracked run takes.
 """
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -103,6 +104,38 @@ def test_stream_words(seed, offset):
     assert [float(z) for z in sample_standard_normal(seed, 3, offset)] == [
         float.fromhex(h) for h in normals
     ]
+
+
+# Long spans, pinned by the sha256 of their little-endian bytes.  The first
+# crosses 64Ki-element chunk boundaries on both sides (offset one chunk - 5,
+# count three chunks + 17); the second is long enough to be split over
+# several chunks and threads.
+CHUNK = 1 << 16
+SPAN_SEED = SeedSpec(20220707, 3)
+SPANS = {
+    (3 * CHUNK + 17, CHUNK - 5): (
+        "a10c57a790be59db1970f0f1f3ef1fb00827f416a0b4f35f20b92bfe4120187d",
+        "bad75bf03002d102ced12f98658f4b28dd2225f39faebbd9c58f32de827751eb",
+        "75f9104a8371a0a35423487d0bd01705437e1178224f21087750b804b278da0b",
+    ),
+    (2_000_003, 5 * CHUNK + 11): (
+        "997e60cf4ba6ffe575ba25814b8bae384bd4f1fe25f69ec4bb71651bd6e54552",
+        "3b0962561a4b5ec668c1ea981d8d972d8eb118e17580b6bf3f02bfd46a33fe7d",
+        "a726bbc73299a25fa76ec9fd91f20ab9fca324140550c8a240412f0dd009d6c7",
+    ),
+}
+
+
+def _sha256(a, dtype):
+    return hashlib.sha256(np.asarray(a).astype(dtype).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("count, offset", list(SPANS))
+def test_stream_span_digests(count, offset):
+    words, uniforms, normals = SPANS[(count, offset)]
+    assert _sha256(random_uint64(SPAN_SEED, count, offset), "<u8") == words
+    assert _sha256(random_uniform(SPAN_SEED, count, offset), "<f8") == uniforms
+    assert _sha256(sample_standard_normal(SPAN_SEED, count, offset), "<f8") == normals
 
 
 # bitsense run --n 50 --k 3 --m 600 --trials 2 --iters 4 --seed 11

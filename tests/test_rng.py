@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bitsense.rng import (
     SeedSpec,
     derive_seed,
+    random_uint64,
     random_uniform,
     sample_standard_normal,
     splitmix64,
@@ -81,6 +82,19 @@ class TestStandardNormal:
             at += size
         whole = sample_standard_normal(s, at - offset, offset=offset)
         assert np.array_equal(np.concatenate([np.empty(0)] + parts), whole)
+
+    @pytest.mark.parametrize("sample", [random_uint64, random_uniform, sample_standard_normal])
+    def test_long_request_matches_short_requests(self, sample):
+        # One request spanning many 64Ki-element chunks against requests of
+        # at most one chunk each, at consecutive offsets.
+        s = SeedSpec(31337, 9)
+        offset, count, piece = 12_345, 5 * 65_536 + 1_001, 65_536
+        whole = sample(s, count, offset=offset)
+        parts = [
+            sample(s, min(piece, count - at), offset=offset + at)
+            for at in range(0, count, piece)
+        ]
+        assert np.array_equal(whole, np.concatenate(parts))
 
     def test_mean_within_clt_bound(self):
         draws = sample_standard_normal(SeedSpec(123), 1_000_000)
