@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -36,14 +35,6 @@ import numpy as np
 
 from . import biht, core, montecarlo, raic, theory
 from .rng import SeedSpec, derive_seed
-
-
-def _threads() -> int:
-    raw = os.environ.get("BITSENSE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load_config(path):
@@ -114,7 +105,6 @@ def cmd_run(args) -> int:
         settings["iters"],
         SeedSpec(settings["seed"]),
         eta=settings["eta"],
-        threads=_threads(),
     )
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)

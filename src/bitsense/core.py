@@ -64,7 +64,13 @@ class SparseUnitVector:
 
 @dataclass(frozen=True)
 class MeasurementMatrix:
-    """An m x n measurement matrix."""
+    """An m x n measurement matrix.
+
+    ``entries`` is read-only.  A writeable array, or a view of memory owned
+    elsewhere, is copied first, so later writes by its owner cannot reach
+    the matrix; a read-only array that owns its memory is kept as it is
+    (``gaussian_matrix`` hands over its fresh sample that way).
+    """
 
     entries: np.ndarray
 
@@ -72,8 +78,9 @@ class MeasurementMatrix:
         a = np.asarray(self.entries, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError("entries must be a 2-d array with m, n >= 1")
-        a = a.copy()
-        a.setflags(write=False)
+        if a.flags.writeable or not a.flags.owndata:
+            a = a.copy()
+            a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
     @property
@@ -187,8 +194,10 @@ def gaussian_matrix(m: int, n: int, seed: SeedSpec) -> MeasurementMatrix:
     """An m x n matrix with i.i.d. standard normal entries, row-major."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    flat = sample_standard_normal(seed, m * n)
-    return MeasurementMatrix(flat.reshape(m, n))
+    entries = sample_standard_normal(seed, m * n)
+    entries.shape = (m, n)  # in place: the array keeps owning its memory
+    entries.setflags(write=False)
+    return MeasurementMatrix(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ deterministic given its SeedSpec.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,8 +295,7 @@ class ErrorBoundViolation(RuntimeError):
     """An iterate's error exceeded its deterministic bound beyond rounding slack."""
 
 
-def _convergence_trial(args) -> Trajectory:
-    n, k, m, T, eta, trial_seed = args
+def _convergence_trial(n, k, m, T, eta, trial_seed) -> Trajectory:
     x = random_sparse_unit(n, k, derive_seed(trial_seed, 0))
     A = gaussian_matrix(m, n, derive_seed(trial_seed, 1))
     b = sign_measure(A, x.values)
@@ -322,24 +320,19 @@ def convergence_trials(
     T: int,
     seed: SeedSpec,
     eta: float = DEFAULT_ETA,
-    threads: int = 1,
 ) -> list[Trajectory]:
     """Run the solver on fresh random instances, one trajectory per trial.
 
     Each trial draws its own signal, matrix, and initial point from derived
     seeds, so trials are independent and the whole experiment is
-    reproducible (and embarrassingly parallel; trajectories come back in
-    trial order regardless of ``threads``).  The deterministic per-iteration
-    bound is checked on every iterate; a violation raises
-    ErrorBoundViolation with diagnostics.
+    reproducible.  The deterministic per-iteration bound is checked on every
+    iterate; a violation raises ErrorBoundViolation with diagnostics.
     """
     if trials < 1 or T < 1:
         raise ValueError("trials and T (iterations) must be >= 1")
-    tasks = [(n, k, m, T, eta, derive_seed(seed, i)) for i in range(trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_convergence_trial, tasks))
-    return [_convergence_trial(t) for t in tasks]
+    return [
+        _convergence_trial(n, k, m, T, eta, derive_seed(seed, i)) for i in range(trials)
+    ]
 
 
 def convergence_experiment(
@@ -350,10 +343,9 @@ def convergence_experiment(
     T: int,
     epsilon_ref: float,
     seed: SeedSpec,
-    threads: int = 1,
 ) -> ConvergenceTable:
     """Aggregate the error decay of `convergence_trials` against the envelope."""
-    trajectories = convergence_trials(n, k, m, trials, T, seed, threads=threads)
+    trajectories = convergence_trials(n, k, m, trials, T, seed)
     errors = np.vstack([traj.error_ds for traj in trajectories])  # (trials, T+1)
 
     ts = np.arange(T + 1)

@@ -248,8 +248,8 @@ def raic_certify(
         raise ValueError("max_j must be >= 0")
     if num_small is None:
         num_small = num_pairs // 5
-    if num_small > num_pairs:
-        raise ValueError("num_small cannot exceed num_pairs")
+    if not (0 <= num_small <= num_pairs):
+        raise ValueError("num_small must satisfy 0 <= num_small <= num_pairs")
 
     u = constants()
     tau = delta / u.b

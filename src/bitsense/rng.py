@@ -14,11 +14,24 @@ The scheme, fixed for reproducibility:
 * Standard normals are produced by the inverse-CDF transform
   (``scipy.special.ndtri``) applied to those uniforms.
 
+Element ``i`` of a stream depends only on the seed and ``i``, so a stream can
+be produced piecewise without changing any value (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11).  The functions below share one
+kernel that fills one chunk of at most 64Ki elements in place, straight into
+the result.  A request longer than one chunk is split into chunks that run
+on a small thread pool (numpy's integer ufuncs and ``ndtri`` release the
+GIL); the split depends only on the request size, and the values are the
+same as those of one serial pass.  The stream definition above is unchanged
+by this; the sha256 known-answer tests pin it.
+
 Nothing here is cryptographic.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +41,17 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # odd => i -> i * _GOLDEN is a bijection mod 2^64
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# Elements per kernel call: 512 KB of words, so a chunk and its scratch stay
+# in cache.  Requests of more than one chunk go to the pool.
+_CHUNK = 1 << 16
+# (j + 1) * _GOLDEN mod 2^64: the counter steps within a chunk.
+_STEPS = np.arange(1, _CHUNK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+
+_WORDS, _UNIFORM, _NORMAL = range(3)
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -75,26 +99,89 @@ def _stream_key(seed: SeedSpec) -> int:
     return splitmix64(seed.base_seed ^ splitmix64(seed.stream_id ^ _MIX2))
 
 
+def _fill(out: np.ndarray, key: int, first: int, stage: int) -> None:
+    """Write stream elements ``first, first + 1, ...`` into ``out`` in place.
+
+    ``out`` holds at most one chunk: uint64 for words, float64 otherwise.
+    Element i is word ``splitmix64(key + (i + 1) * _GOLDEN)``, then for
+    floats ``((word >> 11) + 0.5) * 2**-53``, then for normals ``ndtri``.
+    """
+    z = out.view(np.uint64)
+    np.add(_STEPS[: z.size], np.uint64((key + first * _GOLDEN) & _MASK64), out=z)
+    t = np.empty_like(z)
+    np.right_shift(z, np.uint64(30), out=t)
+    z ^= t
+    z *= np.uint64(_MIX1)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= np.uint64(_MIX2)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    if stage == _WORDS:
+        return
+    z >>= np.uint64(11)
+    # z < 2**53, so the cast to float64 is exact: the same value as
+    # z.astype(float64) + 0.5.
+    np.add(z, 0.5, out=out)
+    out *= 2.0**-53
+    if stage == _NORMAL:
+        ndtri(out, out=out)
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            try:
+                workers = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity call on this platform
+                workers = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="bitsense-rng")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but none of its threads.
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _stream(seed: SeedSpec, count: int, offset: int, stage: int) -> np.ndarray:
+    if count < 0 or offset < 0:
+        raise ValueError("count and offset must be >= 0")
+    out = np.empty(count, dtype=np.uint64 if stage == _WORDS else np.float64)
+    key = _stream_key(seed)
+
+    def fill(start: int) -> None:
+        _fill(out[start : start + _CHUNK], key, offset + start, stage)
+
+    starts = range(0, count, _CHUNK)
+    if count > _CHUNK:
+        # Reading every result re-raises any worker's exception here.
+        for _ in _executor().map(fill, starts):
+            pass
+    else:
+        for start in starts:
+            fill(start)
+    return out
+
+
 def random_uint64(seed: SeedSpec, count: int, offset: int = 0) -> np.ndarray:
     """``count`` pseudorandom 64-bit words from the stream named by ``seed``.
 
     ``offset`` skips that many words first, so a stream may be materialized
     in chunks without changing a single value.
     """
-    if count < 0 or offset < 0:
-        raise ValueError("count and offset must be >= 0")
-    key = _stream_key(seed)
-    ctr = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    z = np.uint64(key) + ctr * np.uint64(_GOLDEN)  # wraps mod 2^64
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    return _stream(seed, count, offset, _WORDS)
 
 
 def random_uniform(seed: SeedSpec, count: int, offset: int = 0) -> np.ndarray:
     """i.i.d. uniforms on the open interval (0, 1), as float64."""
-    words = random_uint64(seed, count, offset)
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return _stream(seed, count, offset, _UNIFORM)
 
 
 def sample_standard_normal(seed: SeedSpec, count: int, offset: int = 0) -> np.ndarray:
@@ -103,6 +190,4 @@ def sample_standard_normal(seed: SeedSpec, count: int, offset: int = 0) -> np.nd
     The transform is fixed (uniform -> ndtri) so the mapping from seed to
     values is stable across platforms and releases of this package.
     """
-    if count == 0:
-        return np.empty(0, dtype=np.float64)
-    return ndtri(random_uniform(seed, count, offset))
+    return _stream(seed, count, offset, _NORMAL)

@@ -155,6 +155,7 @@ class TestRaic:
             (["--pairs", "5", "--small-pairs", "9"], "num_small"),
             (["--pairs", "0"], "pairs"),
             (["--delta", "1.5"], "delta"),
+            (["--pairs", "5", "--small-pairs", "-1"], "num_small"),
         ],
     )
     def test_bad_settings_rejected_before_writing(self, tmp_path, capsys, flags, named):

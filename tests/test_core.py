@@ -18,7 +18,7 @@ from bitsense.core import (
     sign_measure,
     sphere_distance,
 )
-from bitsense.rng import SeedSpec, derive_seed
+from bitsense.rng import SeedSpec, derive_seed, sample_standard_normal
 
 
 class TestSgn:
@@ -167,6 +167,37 @@ class TestDomainTypes:
     def test_matrix_shape_validation(self):
         with pytest.raises(ValueError):
             MeasurementMatrix(np.ones(4))
+
+    def test_matrix_copies_caller_array(self):
+        a = np.arange(6.0).reshape(2, 3)
+        A = MeasurementMatrix(a)
+        a[0, 0] = 99.0
+        assert A.entries[0, 0] == 0.0
+        assert not A.entries.flags.writeable
+        with pytest.raises(ValueError):
+            A.entries[0, 0] = 5.0
+
+    def test_matrix_copies_read_only_view(self):
+        # A read-only view does not stop writes through its base.
+        base = np.arange(6.0).reshape(2, 3)
+        view = base.view()
+        view.setflags(write=False)
+        A = MeasurementMatrix(view)
+        base[0, 0] = 99.0
+        assert A.entries[0, 0] == 0.0
+
+    def test_matrix_keeps_frozen_array_without_copy(self):
+        a = np.arange(6.0).reshape(2, 3).copy()
+        a.setflags(write=False)
+        assert MeasurementMatrix(a).entries is a
+
+    def test_gaussian_matrix_frozen(self):
+        A = gaussian_matrix(4, 3, SeedSpec(5))
+        assert A.entries.shape == (4, 3)
+        assert not A.entries.flags.writeable
+        assert np.array_equal(A.entries.ravel(), sample_standard_normal(SeedSpec(5), 12))
+        with pytest.raises(ValueError):
+            A.entries[0, 0] = 5.0
 
     def test_values_frozen(self):
         x = random_sparse_unit(10, 2, SeedSpec(3))

@@ -171,13 +171,9 @@ class TestConvergenceExperiment:
         for t in range(9):
             assert table.bound[t] == closed_form_bound(0.25, t)
 
-    def test_deterministic_and_thread_invariant(self, table):
+    def test_deterministic(self, table):
         again = convergence_experiment(100, 3, 2500, 12, 8, 0.25, SeedSpec(540))
-        threaded = convergence_experiment(
-            100, 3, 2500, 12, 8, 0.25, SeedSpec(540), threads=3
-        )
         assert np.array_equal(table.errors, again.errors)
-        assert np.array_equal(table.errors, threaded.errors)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,9 @@
 import math
+import os
+import signal
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -95,6 +100,43 @@ class TestStandardNormal:
             for at in range(0, count, piece)
         ]
         assert np.array_equal(whole, np.concatenate(parts))
+
+    def test_concurrent_callers_get_serial_values(self):
+        # More calling threads than cores, each sending long requests to the
+        # shared sampler pool, with frequent thread switches.
+        seeds = [SeedSpec(4242, i) for i in range(8)]
+        expected = [sample_standard_normal(s, 200_003, offset=7) for s in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as callers:
+                got = list(
+                    callers.map(lambda s: sample_standard_normal(s, 200_003, offset=7), seeds)
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_long_request_in_forked_child(self):
+        # The child inherits the pool object but not its threads; a long
+        # request there must still complete.
+        parent = sample_standard_normal(SeedSpec(8), 300_000)
+        pid = os.fork()
+        if pid == 0:
+            child = sample_standard_normal(SeedSpec(8), 300_000)
+            os._exit(0 if np.array_equal(child, parent) else 3)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.02)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("sampling in a forked child did not finish")
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_mean_within_clt_bound(self):
         draws = sample_standard_normal(SeedSpec(123), 1_000_000)
