@@ -10,13 +10,13 @@ Subcommands:
 
 Every subcommand is deterministic under ``--seed``.  Flags override the JSON
 config file given with ``--config``, which overrides built-in defaults; a
-config key that is not a setting of the subcommand is a usage error.  The
-environment variable ``BITSENSE_THREADS`` caps ``run``'s trial parallelism
-(default 1).  It pays off only with single-threaded BLAS: on 2 cores at the
-acceptance config (n=200 k=5 m=10000, 50 trials, T=12), 2 trial threads took
-4.7-5.4 s against 4.3-5.5 s with default OpenBLAS threading and raised peak
-RSS from 102 MB to 179 MB, while with ``OPENBLAS_NUM_THREADS=1`` they took
-2.9-3.3 s against 4.7-5.2 s, with byte-identical outputs.
+config key that is not a setting of the subcommand is a usage error.  Trials
+run one after another; the only parallel layer is the sampler, which spreads
+long requests (a whole measurement matrix, a validator block) over a thread
+pool with one worker per usable CPU and gives the same values as one serial
+pass.  On 2 cores at the acceptance config (n=200 k=5 m=10000, 50 trials,
+T=12) ``run`` took 3.8-4.3 s with default OpenBLAS threading and 2.9-3.7 s
+with ``OPENBLAS_NUM_THREADS=1``, at 75 MB peak RSS.
 
 Exit codes: 0 success; 1 I/O failure, a failed validator (``validate``) or a
 per-iteration error bound violated beyond rounding slack (``run``, which then

@@ -2,7 +2,7 @@
 
 All randomness in this package flows through a counter-based generator so
 that identical seeds reproduce bit-identical streams on every platform and
-so that parallel trials never share mutable state.
+so that no generator state is ever shared, between streams or threads.
 
 The scheme, fixed for reproducibility:
 
@@ -141,9 +141,11 @@ def _executor() -> ThreadPoolExecutor:
 
 
 def _forget_pool() -> None:
-    # A forked child inherits the pool object but none of its threads.
-    global _pool
+    # A forked child inherits the pool object but none of its threads, and
+    # the lock in whatever state another thread left it.
+    global _pool, _pool_lock
     _pool = None
+    _pool_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
