@@ -14,10 +14,20 @@ which holds deterministically at every iteration; a violation beyond rounding
 slack always indicates an implementation bug, never bad luck.  `run_biht`
 measures each iterate once and shares its signs between the mismatch count,
 the step and the bound.
+
+A step costs O(mk + ln) for k-sparse iterates and l mismatched rows, down
+from O(mn): sgn(Ax) takes only the k columns of A on supp(x), and the
+correction is non-zero only on the l rows where b and sgn(Ax) differ, so
+`correction` sums over those rows alone while l < m/5
+(`raic.ROWS_ONLY_BELOW`, the measured break-even against the dense m x n
+product) and takes the dense product above it.  l is about m theta / pi
+for the angle theta between x and the signal, so late steps are cheap and
+the first, with l near m/2, cost what they did.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -28,7 +38,7 @@ from .core import (
     SignPattern,
     SparseUnitVector,
     random_sparse_unit,
-    sign_measure,
+    sgn,
     sphere_distance,
 )
 from .raic import DEFAULT_ETA, correction, restricted_residual
@@ -52,8 +62,8 @@ class BIHTConfig:
     init: Union[SeedSpec, SparseUnitVector] = field(default_factory=lambda: SeedSpec(0))
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be positive and finite, got {self.eta!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.k < 1:
@@ -91,10 +101,37 @@ def biht_step(
 
     If thresholding yields the exact zero vector (a probability-zero event
     under Gaussian measurements) the previous iterate is kept, since the
-    sphere projection is undefined at the origin.
+    sphere projection is undefined at the origin.  Like a step of
+    `run_biht`, it also measures its result, an O(mk) product.
     """
-    s = sign_measure(A, x_prev.values).bits
-    return _descend(x_prev, correction(A, b.bits, s, eta), k)
+    return _step(A, b.bits, x_prev, _measure(A, x_prev), k, eta)[1]
+
+
+def _measure(A: MeasurementMatrix, x: SparseUnitVector) -> np.ndarray:
+    """sgn(A x) as int8, from the columns of A on supp(x): O(mk)."""
+    supp = x.support()
+    return sgn(A.entries[:, supp] @ x.values[supp])
+
+
+def _step(
+    A: MeasurementMatrix,
+    b: np.ndarray,
+    x: SparseUnitVector,
+    s: np.ndarray,
+    k: int,
+    eta: float,
+):
+    """Correct and descend from iterate x with signs s = sgn(A x), then
+    measure the result: (h, x_next, sgn(A x_next)).
+
+    A step that does not move keeps x and s, so each iterate is measured
+    once; h is returned for the error bound.
+    """
+    h = correction(A, b, s, eta)
+    x_next = _descend(x, h, k)
+    if x_next is x:
+        return h, x, s
+    return h, x_next, _measure(A, x_next)
 
 
 def _descend(x_prev: SparseUnitVector, h: np.ndarray, k: int) -> SparseUnitVector:
@@ -127,7 +164,7 @@ def run_biht(
         x = random_sparse_unit(A.n, config.k, config.init)
 
     track = truth is not None
-    s = sign_measure(A, x.values).bits
+    s = _measure(A, x)
     iterates = [x]
     mismatch = [int(np.count_nonzero(b.bits != s))]
     error_ds = [sphere_distance(truth.values, x.values)] if track else None
@@ -135,10 +172,7 @@ def run_biht(
 
     for _ in range(config.max_iters):
         x_prev = x
-        h = correction(A, b.bits, s, config.eta)
-        x = _descend(x_prev, h, config.k)
-        if x is not x_prev:
-            s = sign_measure(A, x.values).bits
+        h, x, s = _step(A, b.bits, x_prev, s, config.k, config.eta)
         iterates.append(x)
         mismatch.append(int(np.count_nonzero(b.bits != s)))
         if track:

@@ -118,12 +118,12 @@ def sgn(x):
     Rejects non-finite input; returns int8 in {-1, +1}.
     """
     a = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("sgn requires finite input")
-    out = np.where(a >= 0.0, np.int8(1), np.int8(-1))
     if np.isscalar(x) or a.ndim == 0:
-        return int(out)
-    return out
+        return 1 if a >= 0.0 else -1
+    # Bools are the bytes 0 and 1, so 2 * bit - 1 is the sign, in int8.
+    return (a >= 0.0).view(np.int8) * np.int8(2) - np.int8(1)
 
 
 def sign_measure(A: MeasurementMatrix, x) -> SignPattern:

@@ -40,22 +40,36 @@ from .thresholding import threshold_set
 # the contraction, so treat overrides as experimental.
 DEFAULT_ETA = math.sqrt(2.0 * math.pi)
 
+# `correction` sums over the mismatched rows only while they are fewer than
+# this share of m, and takes the dense product otherwise.  Gathering l rows
+# of the row-major matrix and multiplying costs about as much as the dense
+# m x n product at l = m/5: on 2 vCPU with OpenBLAS 0.3.31 (default
+# threading), A.T @ r took 0.47 ms at m=10000, n=200, and the rows-only
+# product 0.23 ms at l = m/10, 0.47 ms at m/5 and 0.81 ms at 3m/10; at
+# m=5000 the ratios were 0.23, 0.93 and 1.32.
+ROWS_ONLY_BELOW = 0.2
+
 
 def correction(A: MeasurementMatrix, b, s, eta: float = DEFAULT_ETA) -> np.ndarray:
     """(eta / m) A^T (b - s) / 2 for sign patterns b, s over the rows of A.
 
     With b = sgn(Ax), s = sgn(Ay) it is h_A(x, y); with b the observed signs
-    it is what a solver step adds to its iterate y.  When b == s rowwise it
-    is the zero vector, returned without the product.
+    it is what a solver step adds to its iterate y.  Only the l rows where
+    b and s differ contribute: while l < ROWS_ONLY_BELOW * m the product
+    runs over those rows alone, in O(l n), and over all m rows otherwise.
+    When b == s rowwise it is the zero vector, returned without a product.
     """
-    bv = np.asarray(b, dtype=np.float64)
-    sv = np.asarray(s, dtype=np.float64)
+    bv = np.asarray(b)
+    sv = np.asarray(s)
     if bv.shape != (A.m,) or sv.shape != (A.m,):
         raise ValueError(f"sign patterns must have length {A.m}")
-    r = 0.5 * (bv - sv)
-    if not r.any():
+    rows = np.flatnonzero(bv != sv)
+    if rows.size == 0:
         return np.zeros(A.n)
-    return (eta / A.m) * (A.entries.T @ r)
+    if rows.size >= ROWS_ONLY_BELOW * A.m:
+        rows = slice(None)  # all rows, as views: no gather
+    r = 0.5 * (bv[rows].astype(np.float64) - sv[rows])
+    return (eta / A.m) * (A.entries[rows].T @ r)
 
 
 def h_a(A: MeasurementMatrix, x, y, eta: float = DEFAULT_ETA) -> np.ndarray:
@@ -236,9 +250,13 @@ def raic_certify(
     (use k for the certificate's own definition, 2k to probe the wider
     restriction the solver's error analysis relies on).
 
-    Bound constants are the certified (c1, c2); they are loose by design, so
-    any ratio above 1 at desk scale indicates an implementation bug rather
-    than a theory failure.  Deterministic given ``seed``.
+    Bound constants are the certified (c1, c2).  Every ratio is guaranteed
+    to be at most 1 only when m meets the theory's sample complexity
+    (`theory.sample_complexity`), far above desk-scale m; below it the
+    ratios are sampled evidence, and a large-regime ratio a little above 1
+    is no fault (the CLI defaults at seed 97 give 1.061, and an independent
+    long-double recomputation of that residual agrees).  Deterministic
+    given ``seed``.
     """
     if num_pairs < 1:
         raise ValueError("num_pairs must be >= 1")

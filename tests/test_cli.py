@@ -71,6 +71,15 @@ class TestRun:
         assert "error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("eta", ["nan", "inf"])
+    def test_non_finite_eta_rejected_before_writing(self, tmp_path, capsys, eta):
+        out = tmp_path / "out"
+        code = run_cli(["run", "--n", "50", "--k", "3", "--m", "200", "--trials", "1",
+                        "--iters", "1", "--eta", eta, "--output-dir", str(out)])
+        assert code == 2
+        assert "eta must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"itres": 2}))

@@ -7,8 +7,9 @@ error bound, RAIC residuals) are reproducible only for a fixed BLAS build
 and thread count, so they are pinned to 1e-12.
 
 Hypothesis properties tie the solver to the formulas it was first written
-from: one step, a whole run (iterates, mismatch counts, error bound), and
-the number of matrix products a tracked run takes.
+from: the correction on either side of its rows-only crossover, one step, a
+whole run (iterates, mismatch counts, error bound), and the number and
+shape of the matrix products a tracked run takes.
 """
 
 import csv
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from bitsense import biht, cli
 from bitsense.biht import BIHTConfig, biht_step, run_biht
 from bitsense.core import SignPattern, gaussian_matrix, random_sparse_unit, sgn
-from bitsense.raic import correction, raic_certify
+from bitsense.raic import ROWS_ONLY_BELOW, correction, raic_certify
 from bitsense.rng import (
     SeedSpec,
     derive_seed,
@@ -192,9 +193,16 @@ def test_small_raic_certify():
 
 
 def _reference_correction(A, b, x, eta):
-    """(eta/2m) A^T (b - sgn(Ax)), the solver's correction as first written."""
+    """(eta/2m) A^T (b - sgn(Ax)) as the kernel computes it: over the rows
+    where b and sgn(Ax) differ while they are fewer than ROWS_ONLY_BELOW * m,
+    over all rows otherwise."""
     diff = b.bits.astype(np.float64) - sgn(A.entries @ x).astype(np.float64)
-    return (eta / (2.0 * A.m)) * (A.entries.T @ diff), diff.any()
+    rows = [i for i in range(A.m) if diff[i] != 0.0]
+    if len(rows) < ROWS_ONLY_BELOW * A.m:
+        h = (eta / (2.0 * A.m)) * (A.entries[rows].T @ diff[rows])
+    else:
+        h = (eta / (2.0 * A.m)) * (A.entries.T @ diff)
+    return h, bool(rows)
 
 
 def _reference_step(A, b, x_prev, k, eta):
@@ -243,6 +251,29 @@ def test_step_returns_k_sparse_unit_vector(case):
     out = biht_step(A, b, x_prev, k, eta)
     assert np.count_nonzero(out.values) <= k
     assert abs(np.linalg.norm(out.values) - 1.0) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 400),
+    st.integers(1, 30),
+    st.integers(0, 2**64 - 1),
+    st.booleans(),
+    st.sampled_from([np.sqrt(2.0 * np.pi), 1.0, 0.3]),
+)
+def test_correction_agrees_with_dense_formula_across_crossover(m, n, seed, below, eta):
+    # l mismatched rows, drawn on the chosen side of the rows-only crossover.
+    crossover = int(np.ceil(ROWS_ONLY_BELOW * m))
+    u = random_uniform(SeedSpec(seed), m + 1)
+    l = int(u[0] * crossover) if below else crossover + int(u[0] * (m + 1 - crossover))
+    A = gaussian_matrix(m, n, SeedSpec(seed, 1))
+    s = sgn(sample_standard_normal(SeedSpec(seed, 2), m))
+    b = s.copy()
+    flipped = np.argsort(u[1:], kind="stable")[:l]
+    b[flipped] = -b[flipped]
+    assert (l < ROWS_ONLY_BELOW * m) == below
+    dense = (eta / (2.0 * m)) * (A.entries.T @ (b.astype(np.float64) - s))
+    np.testing.assert_allclose(correction(A, b, s, eta), dense, rtol=0, atol=FLOAT_TOL)
 
 
 def _reference_bound(A, b, truth, x_prev, x_next, eta):
@@ -300,8 +331,15 @@ def test_tracked_run_measures_each_iterate_once(monkeypatch):
     traj = run_biht(A, b, BIHTConfig(k=k, max_iters=T, init=SeedSpec(3)), truth=truth)
     assert len(traj.iterates) == T + 1
     assert len(corrections) == T
-    # One product for the start point, then one after each step that moved.
+    # Forward products take the columns of A on the iterate's support: one
+    # for the start point, then one after each step that moved.  Transposed
+    # products take the mismatched rows, or all m once they are many.
     moves = sum(nxt is not x for x, nxt in zip(traj.iterates, traj.iterates[1:]))
-    assert logged.log.count((m, n)) == 1 + moves <= T + 1
-    assert logged.log.count((n, m)) <= T
-    assert set(logged.log) <= {(m, n), (n, m)}
+    forward = [shape for shape in logged.log if shape[0] == m]
+    transposed = [shape for shape in logged.log if shape[0] == n]
+    assert len(forward) + len(transposed) == len(logged.log)
+    assert len(forward) == 1 + moves <= T + 1
+    assert all(1 <= cols <= k for _, cols in forward)
+    assert len(transposed) <= T
+    assert all(1 <= rows <= m for _, rows in transposed)
+    assert any(rows < m for _, rows in transposed)

@@ -286,6 +286,42 @@ class TestCertify:
         with pytest.raises(ValueError):
             raic_certify(A, 2, 1.5, 5, 2, SeedSpec(1))
 
+    def test_ratio_above_one_at_seed_97_is_no_kernel_fault(self):
+        # `bitsense raic --seed 97` at its defaults (m=5000, n=200, k=5,
+        # delta=0.01, 500 pairs of which 100 small, max_j=k) has its worst
+        # ratio, above 1, at pair 497 in the large regime.  The residual is
+        # recomputed here from the definition, one row at a time in long
+        # double, over only the kept columns supp(x) u supp(y) u J.
+        from bitsense.raic import _random_index_set
+
+        n, k, m = 200, 5, 5000
+        base = SeedSpec(97)
+        A = gaussian_matrix(m, n, derive_seed(base, 0))
+        report = raic_certify(A, k, 0.01, 500, k, derive_seed(base, 1))
+        record = report.records[497]
+        assert record.regime == "large"
+        assert record.ratio == report.worst_ratio > 1.06
+
+        pair_seed = derive_seed(derive_seed(base, 1), 497)
+        x = random_sparse_unit(n, k, derive_seed(pair_seed, 0)).values
+        y = random_sparse_unit(n, k, derive_seed(pair_seed, 1)).values
+        J = _random_index_set(n, k, derive_seed(pair_seed, 2))
+        supp_x, supp_y = np.flatnonzero(x).tolist(), np.flatnonzero(y).tolist()
+        keep = sorted(set(supp_x) | set(supp_y) | set(J))
+        ld = np.longdouble
+        h = {j: ld(0) for j in keep}
+        for i in range(m):
+            row = A.entries[i]
+            ax = sum(ld(row[j]) * ld(x[j]) for j in supp_x)
+            ay = sum(ld(row[j]) * ld(y[j]) for j in supp_y)
+            half_diff = ((1 if ax >= 0 else -1) - (1 if ay >= 0 else -1)) // 2
+            if half_diff:
+                for j in keep:
+                    h[j] += half_diff * ld(row[j])
+        scale = ld(DEFAULT_ETA) / ld(m)
+        residual = np.sqrt(sum((ld(x[j]) - ld(y[j]) - scale * h[j]) ** 2 for j in keep))
+        assert abs(float(residual) - record.residual) <= 1e-12
+
     def test_ratio_convention_for_degenerate_bounds(self):
         # A zero bound yields ratio 0 for a zero residual and a flagged
         # infinity otherwise, keeping reports total.
