@@ -262,16 +262,17 @@ def test_step_returns_k_sparse_unit_vector(case):
     st.sampled_from([np.sqrt(2.0 * np.pi), 1.0, 0.3]),
 )
 def test_correction_agrees_with_dense_formula_across_crossover(m, n, seed, below, eta):
-    # l mismatched rows, drawn on the chosen side of the rows-only crossover.
+    # The number of mismatched rows is drawn on the chosen side of the
+    # rows-only crossover.
     crossover = int(np.ceil(ROWS_ONLY_BELOW * m))
     u = random_uniform(SeedSpec(seed), m + 1)
-    l = int(u[0] * crossover) if below else crossover + int(u[0] * (m + 1 - crossover))
+    ell = int(u[0] * crossover) if below else crossover + int(u[0] * (m + 1 - crossover))
     A = gaussian_matrix(m, n, SeedSpec(seed, 1))
     s = sgn(sample_standard_normal(SeedSpec(seed, 2), m))
     b = s.copy()
-    flipped = np.argsort(u[1:], kind="stable")[:l]
+    flipped = np.argsort(u[1:], kind="stable")[:ell]
     b[flipped] = -b[flipped]
-    assert (l < ROWS_ONLY_BELOW * m) == below
+    assert (ell < ROWS_ONLY_BELOW * m) == below
     dense = (eta / (2.0 * m)) * (A.entries.T @ (b.astype(np.float64) - s))
     np.testing.assert_allclose(correction(A, b, s, eta), dense, rtol=0, atol=FLOAT_TOL)
 
