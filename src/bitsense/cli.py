@@ -15,8 +15,8 @@ run one after another; the only parallel layer is the sampler, which spreads
 long requests (a whole measurement matrix, a validator block) over a thread
 pool with one worker per usable CPU and gives the same values as one serial
 pass.  On 2 cores at the acceptance config (n=200 k=5 m=10000, 50 trials,
-T=12) ``run`` took 2.8-3.4 s with default OpenBLAS threading and 1.9-2.4 s
-with ``OPENBLAS_NUM_THREADS=1`` (five runs each, alternating), at 75 MB
+T=12) ``run`` took 2.8-3.5 s with default OpenBLAS threading and 1.9-2.6 s
+with ``OPENBLAS_NUM_THREADS=1`` (five runs each, alternating), at 75-76 MB
 peak RSS; the difference is in drawing the matrices, not in the solver.
 
 Exit codes: 0 success; 1 I/O failure, a failed validator (``validate``) or a
