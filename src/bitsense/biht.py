@@ -11,18 +11,21 @@ The recorded per-iteration upper bound (`lemma1_rhs`) restricts that same h:
     4 * ||(truth - x_prev) - h_J||    with h_J = h on supp(truth) u supp(x_prev) u supp(x_next)
 
 which holds deterministically at every iteration; a violation beyond rounding
-slack always indicates an implementation bug, never bad luck.  `run_biht`
-measures each iterate once and shares its signs between the mismatch count,
-the step and the bound.
+slack always indicates an implementation bug, never bad luck.  The step is
+written once, in `run_biht`'s loop; `biht_step` is one iteration of it.  The
+loop measures each iterate once and shares its signs between the mismatch
+count, the step and the bound.
 
 A step costs O(mk + ln) for k-sparse iterates and l mismatched rows, down
-from O(mn).  sgn(Ax) takes only the k columns of A on supp(x), gathered
-again only when the support changes.  The correction is non-zero only on
-the l rows where b and sgn(Ax) differ, so `correction` sums over those rows
-alone while l < m/5 (`raic.ROWS_ONLY_BELOW`, the measured break-even
-against the dense m x n product) and takes the dense product above it.
-l is about m theta / pi for the angle theta between x and the signal, so
-late steps are cheap and the first, with l near m/2, cost what they did.
+from O(mn).  sgn(Ax) is measured the one way `core.sign_measure` measures
+it, from the k columns of A on supp(x); the solver keeps that column block
+and gathers it again only when the support changes.  The correction is
+non-zero only on the l rows where b and sgn(Ax) differ, so `correction`
+sums over those rows alone while l < m/5 (`raic.ROWS_ONLY_BELOW`, the
+measured break-even against the dense m x n product) and takes the dense
+product above it.  l is about m theta / pi for the angle theta between x and
+the signal, so late steps are cheap and the first, with l near m/2, cost
+what they did.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from .core import (
     MeasurementMatrix,
     SignPattern,
     SparseUnitVector,
+    _Measure,
     random_sparse_unit,
-    sgn,
     sphere_distance,
 )
 from .raic import DEFAULT_ETA, correction, restricted_residual
@@ -97,57 +100,14 @@ def biht_step(
     k: int,
     eta: float = DEFAULT_ETA,
 ) -> SparseUnitVector:
-    """One solver step; a fixed point whenever sgn(A x_prev) == b.
+    """One solver step: one iteration of `run_biht` from x_prev.
 
-    If thresholding yields the exact zero vector (a probability-zero event
-    under Gaussian measurements) the previous iterate is kept, since the
-    sphere projection is undefined at the origin.  Like a step of
-    `run_biht`, it also measures its result, an O(mk) product.
+    A fixed point whenever sgn(A x_prev) == b.  If thresholding yields the
+    exact zero vector (a probability-zero event under Gaussian measurements)
+    the previous iterate is kept, since the sphere projection is undefined
+    at the origin.  ``k`` and ``eta`` are checked as `BIHTConfig` checks them.
     """
-    measure = _Measure(A)
-    return _step(measure, b.bits, x_prev, measure(x_prev), k, eta)[1]
-
-
-class _Measure:
-    """sgn(A x) as int8 for sparse x, from the columns of A on supp(x): O(mk).
-
-    The gathered m x k column block is kept while the support stays the
-    same.  Gathering k columns of the row-major matrix costs about ten times
-    the product itself (0.15 ms against 0.017 ms at m=10000, k=5), and most
-    late steps move the values within a support that has settled.
-    """
-
-    def __init__(self, A: MeasurementMatrix):
-        self.A = A
-        self.supp = None
-        self.cols = None
-
-    def __call__(self, x: SparseUnitVector) -> np.ndarray:
-        supp = x.support()
-        if self.supp is None or not np.array_equal(supp, self.supp):
-            self.supp, self.cols = supp, self.A.entries[:, supp]
-        return sgn(self.cols @ x.values[supp])
-
-
-def _step(
-    measure: _Measure,
-    b: np.ndarray,
-    x: SparseUnitVector,
-    s: np.ndarray,
-    k: int,
-    eta: float,
-):
-    """Correct and descend from iterate x with signs s = sgn(A x), then
-    measure the result: (h, x_next, sgn(A x_next)).
-
-    A step that does not move keeps x and s, so each iterate is measured
-    once; h is returned for the error bound.
-    """
-    h = correction(measure.A, b, s, eta)
-    x_next = _descend(x, h, k)
-    if x_next is x:
-        return h, x, s
-    return h, x_next, measure(x_next)
+    return run_biht(A, b, BIHTConfig(k=k, max_iters=1, eta=eta, init=x_prev)).final
 
 
 def _descend(x_prev: SparseUnitVector, h: np.ndarray, k: int) -> SparseUnitVector:
@@ -173,7 +133,13 @@ def run_biht(
     Mismatch counts are always recorded (against ``b``).  With ``truth``
     given, the sphere-distance error and the per-step deterministic bound
     are recorded as well.  Identical inputs produce identical trajectories.
+
+    Each step corrects the iterate with its signs s = sgn(A x), descends,
+    and measures the result only if it moved, so each iterate is measured
+    once.
     """
+    if len(b) != A.m:
+        raise ValueError(f"sign pattern has length {len(b)}, but A has {A.m} rows")
     if isinstance(config.init, SparseUnitVector):
         x = config.init
     else:
@@ -181,7 +147,7 @@ def run_biht(
 
     track = truth is not None
     measure = _Measure(A)
-    s = measure(x)
+    s = measure(x.values)
     iterates = [x]
     mismatch = [int(np.count_nonzero(b.bits != s))]
     error_ds = [sphere_distance(truth.values, x.values)] if track else None
@@ -189,7 +155,10 @@ def run_biht(
 
     for _ in range(config.max_iters):
         x_prev = x
-        h, x, s = _step(measure, b.bits, x_prev, s, config.k, config.eta)
+        h = correction(A, b.bits, s, config.eta)
+        x = _descend(x_prev, h, config.k)
+        if x is not x_prev:
+            s = measure(x.values)
         iterates.append(x)
         mismatch.append(int(np.count_nonzero(b.bits != s)))
         if track:

@@ -8,16 +8,17 @@ Subcommands:
 * ``theory``    constants, sample complexity, and the error-bound table
 * ``generate``  write a Gaussian matrix or sparse signal to file
 
-Every subcommand is deterministic under ``--seed``.  Flags override the JSON
-config file given with ``--config``, which overrides built-in defaults; a
-config key that is not a setting of the subcommand is a usage error.  Trials
-run one after another; the only parallel layer is the sampler, which spreads
-long requests (a whole measurement matrix, a validator block) over a thread
-pool with one worker per usable CPU and gives the same values as one serial
-pass.  On 2 cores at the acceptance config (n=200 k=5 m=10000, 50 trials,
-T=12) ``run`` took 2.8-3.5 s with default OpenBLAS threading and 1.9-2.6 s
-with ``OPENBLAS_NUM_THREADS=1`` (five runs each, alternating), at 75-76 MB
-peak RSS; the difference is in drawing the matrices, not in the solver.
+Every subcommand is deterministic; all but ``theory``, which draws nothing,
+take ``--seed``.  Flags override the JSON config file given with
+``--config``, which overrides built-in defaults; a config key that is not a
+setting of the subcommand is a usage error.  Trials run one after another;
+the only parallel layer is the sampler, which spreads long requests (a
+whole measurement matrix, a validator block) over a thread pool with one
+worker per usable CPU and gives the same values as one serial pass.  On 2
+cores at the acceptance config (n=200 k=5 m=10000, 50 trials, T=12) ``run``
+took 2.8-3.5 s with default OpenBLAS threading and 1.9-2.6 s with
+``OPENBLAS_NUM_THREADS=1`` (five runs each, alternating), at 75-76 MB peak
+RSS; the difference is in drawing the matrices, not in the solver.
 
 Exit codes: 0 success; 1 I/O failure, a failed validator (``validate``) or a
 per-iteration error bound violated beyond rounding slack (``run``, which then
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -92,7 +92,7 @@ def cmd_run(args) -> int:
             "m": 5000,
             "trials": 25,
             "iters": 15,
-            "eta": math.sqrt(2.0 * math.pi),
+            "eta": raic.DEFAULT_ETA,
             "seed": 0,
         },
     )
@@ -210,13 +210,9 @@ def cmd_theory(args) -> int:
         _load_config(args.config),
         {"epsilon": 0.1, "rho": 0.1, "k": 5, "n": 1000},
     )
-    try:
-        m = theory.sample_complexity(
-            settings["epsilon"], settings["rho"], settings["k"], settings["n"]
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    m = theory.sample_complexity(
+        settings["epsilon"], settings["rho"], settings["k"], settings["n"]
+    )
     u = theory.constants()
     print("name,value")
     for name in ("a", "b", "c", "c1", "c2"):
@@ -258,9 +254,10 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p):
+def _add_common(p, seed=True):
     p.add_argument("--config", help="JSON config file; flags override its entries")
-    p.add_argument("--seed", type=int, help="base seed (default 0)")
+    if seed:
+        p.add_argument("--seed", type=int, help="base seed (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=cmd_validate)
 
     p_theory = sub.add_parser("theory", help="print constants and bound tables")
-    _add_common(p_theory)
+    _add_common(p_theory, seed=False)  # no randomness to seed
     p_theory.add_argument("--epsilon", type=float)
     p_theory.add_argument("--rho", type=float)
     p_theory.add_argument("--k", type=int)

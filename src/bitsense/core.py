@@ -10,6 +10,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -126,12 +127,36 @@ def sgn(x):
     return (a >= 0.0).view(np.int8) * np.int8(2) - np.int8(1)
 
 
+class _Measure:
+    """sgn(A v) as int8 from the columns of A on supp(v): O(mk) for k nonzeros.
+
+    The gathered m x k column block is kept while the support stays the
+    same.  Gathering k columns of the row-major matrix costs about ten times
+    the product itself (0.15 ms against 0.017 ms at m=10000, k=5), and most
+    late solver steps move the values within a support that has settled.
+    A dense v takes A itself, ungathered; a zero v takes no column and
+    measures all +1.
+    """
+
+    def __init__(self, A: MeasurementMatrix):
+        self.A = A
+        self.supp = None
+        self.cols = None
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        supp = np.flatnonzero(v)
+        if self.supp is None or not np.array_equal(supp, self.supp):
+            a = self.A.entries
+            self.supp, self.cols = supp, a if supp.size == a.shape[1] else a[:, supp]
+        return sgn(self.cols @ v[supp])
+
+
 def sign_measure(A: MeasurementMatrix, x) -> SignPattern:
-    """One-bit measurement: the row-wise sign of A @ x."""
+    """One-bit measurement: the row-wise sign of A @ x, over the support of x."""
     v = _as_float_vector(x, "x")
     if v.size != A.n:
         raise ValueError(f"x has length {v.size}, expected {A.n}")
-    return SignPattern(sgn(A.entries @ v))
+    return SignPattern(_Measure(A)(v))
 
 
 def sphere_distance(u, v) -> float:
@@ -167,6 +192,21 @@ def angular_distance(u, v) -> float:
         raise ValueError("angular distance undefined for the zero vector")
     cosine = float(np.dot(a, b)) / (na * nb)
     return float(np.arccos(min(1.0, max(-1.0, cosine))))
+
+
+def _pair_directions(u: np.ndarray, v: np.ndarray):
+    """(e_minus, e_plus, theta) for unit u, v: e_minus = (u - v)/||u - v||,
+    e_plus = (u + v)/||u + v|| and the angle theta = 2 atan2(||u - v||, ||u + v||)
+    between u and v, which unlike arccos of the cosine stays accurate near 0
+    and pi.  Rejects u = +-v, where ||u - v|| or ||u + v|| is below 1e-12.
+    """
+    diff = u - v
+    summ = u + v
+    nd = float(np.linalg.norm(diff))
+    ns = float(np.linalg.norm(summ))
+    if nd < 1e-12 or ns < 1e-12:
+        raise ValueError("u = +-v: projection directions are degenerate")
+    return diff / nd, summ / ns, 2.0 * math.atan2(nd, ns)
 
 
 def random_sparse_unit(n: int, k: int, seed: SeedSpec) -> SparseUnitVector:

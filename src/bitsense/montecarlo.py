@@ -11,8 +11,9 @@ compares an empirical statistic against its known value:
 * conditional tail frequencies of those projections  ->  sub-Gaussian bounds
 
 plus the end-to-end convergence trials, which run the solver on fresh random
-instances (the only trial pipeline; the CLI's ``run`` uses it too), and
-their aggregated per-iteration error.
+instances (the only trial pipeline; the CLI's ``run`` uses it too).  The
+pair directions e- and e+ and their degeneracy rule come from one helper,
+shared with `raic.orthogonal_decompose`.
 
 Mean checks pass at |z| <= 4 (false-failure rate below 1e-4 per assertion);
 tail checks pass when the empirical frequency does not exceed the theoretical
@@ -29,7 +30,7 @@ import numpy as np
 
 from .biht import BIHTConfig, Trajectory, run_biht
 from .core import (
-    angular_distance,
+    _pair_directions,
     gaussian_matrix,
     random_sparse_unit,
     sgn,
@@ -38,7 +39,6 @@ from .core import (
 )
 from .raic import DEFAULT_ETA
 from .rng import SeedSpec, derive_seed, sample_standard_normal
-from .theory import closed_form_bound
 
 # Keeps any single sampled block near 64 MB of float64.
 _CHUNK_ELEMS = 8_000_000
@@ -154,11 +154,8 @@ def projection_expectation(
         raise ValueError("m and trials must be >= 1")
     uu = _unit(u, "u")
     vv = _unit(v, "v")
+    e_minus, e_plus, _ = _pair_directions(uu, vv)
     d_s = sphere_distance(uu, vv)
-    if d_s < 1e-12 or sphere_distance(uu, -vv) < 1e-12:
-        raise ValueError("u = +-v: projection directions are degenerate")
-    e_minus = (uu - vv) / np.linalg.norm(uu - vv)
-    e_plus = (uu + vv) / np.linalg.norm(uu + vv)
 
     proj_minus = np.empty(trials)
     proj_plus = np.empty(trials)
@@ -216,12 +213,8 @@ def tail_frequency_check(
     uu = _unit(u, "u")
     vv = _unit(v, "v")
     n = uu.size
+    e_minus, e_plus, theta = _pair_directions(uu, vv)
     d_s = sphere_distance(uu, vv)
-    theta = angular_distance(uu, vv)
-    if theta < 1e-12 or math.pi - theta < 1e-12:
-        raise ValueError("u = +-v: projection directions are degenerate")
-    e_minus = (uu - vv) / np.linalg.norm(uu - vv)
-    e_plus = (uu + vv) / np.linalg.norm(uu + vv)
     supp = np.flatnonzero(np.abs(uu) + np.abs(vv))
     k = max(int(np.count_nonzero(uu)), int(np.count_nonzero(vv)))
 
@@ -279,18 +272,6 @@ def tail_frequency_check(
     return rows
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
-    """Aggregated per-iteration error of the solver over random instances."""
-
-    t: np.ndarray
-    mean_ds: np.ndarray
-    median_ds: np.ndarray
-    max_ds: np.ndarray
-    bound: np.ndarray
-    errors: np.ndarray  # (trials, T+1) raw sphere distances
-
-
 class ErrorBoundViolation(RuntimeError):
     """An iterate's error exceeded its deterministic bound beyond rounding slack."""
 
@@ -333,30 +314,6 @@ def convergence_trials(
     return [
         _convergence_trial(n, k, m, T, eta, derive_seed(seed, i)) for i in range(trials)
     ]
-
-
-def convergence_experiment(
-    n: int,
-    k: int,
-    m: int,
-    trials: int,
-    T: int,
-    epsilon_ref: float,
-    seed: SeedSpec,
-) -> ConvergenceTable:
-    """Aggregate the error decay of `convergence_trials` against the envelope."""
-    trajectories = convergence_trials(n, k, m, trials, T, seed)
-    errors = np.vstack([traj.error_ds for traj in trajectories])  # (trials, T+1)
-
-    ts = np.arange(T + 1)
-    return ConvergenceTable(
-        t=ts,
-        mean_ds=errors.mean(axis=0),
-        median_ds=np.median(errors, axis=0),
-        max_ds=errors.max(axis=0),
-        bound=np.array([closed_form_bound(epsilon_ref, int(t)) for t in ts]),
-        errors=errors,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ The central object is the correction map
 
     h_A(x, y) = (eta / m) * A^T * (sgn(Ax) - sgn(Ay)) / 2
 
-(`correction`, from the two sign patterns).  A solver step adds it to its
-iterate y, with the observed signs standing in for sgn(Ax), and the step's
-error bound restricts that same vector to supp(x) u supp(y) u J.  A matrix
-approximately inverts the one-bit measurement map when the residual
-||(x - y) - h_{A,J}(x, y)|| stays below a1 sqrt(delta d_S(x, y)) + a2 delta
-uniformly over sparse unit pairs.
+(`correction`, from the two sign patterns).  `h_a` takes both patterns from
+`core.sign_measure`, the one measurement the solver uses too: sgn(Ax) over
+the columns of A on supp(x), O(mk) for k-sparse x.  A solver step adds the
+correction to its iterate y, with the observed signs standing in for
+sgn(Ax), and the step's error bound restricts that same vector to
+supp(x) u supp(y) u J.  A matrix approximately inverts the one-bit
+measurement map when the residual ||(x - y) - h_{A,J}(x, y)|| stays below
+a1 sqrt(delta d_S(x, y)) + a2 delta uniformly over sparse unit pairs.
 
 Checking that uniformly is combinatorially infeasible (the covering-net union
 bound is astronomically large), so `raic_certify` samples pairs instead,
@@ -28,8 +30,9 @@ import numpy as np
 from .core import (
     MeasurementMatrix,
     SparseUnitVector,
+    _pair_directions,
     random_sparse_unit,
-    sgn,
+    sign_measure,
     sphere_distance,
 )
 from .rng import SeedSpec, derive_seed, random_uniform, sample_standard_normal
@@ -75,15 +78,11 @@ def correction(A: MeasurementMatrix, b, s, eta: float = DEFAULT_ETA) -> np.ndarr
 def h_a(A: MeasurementMatrix, x, y, eta: float = DEFAULT_ETA) -> np.ndarray:
     """The correction map h_A(x, y); zero iff sgn(Ax) == sgn(Ay) rowwise.
 
-    Antisymmetric in (x, y).  In expectation over a standard normal A (with
-    the default eta) it equals x - y for unit x, y.
+    x and y are checked and measured by `sign_measure`.  Antisymmetric in
+    (x, y).  In expectation over a standard normal A (with the default eta)
+    it equals x - y for unit x, y.
     """
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    for name, v in (("x", xv), ("y", yv)):
-        if v.shape != (A.n,):
-            raise ValueError(f"{name} must have length {A.n}")
-    return correction(A, sgn(A.entries @ xv), sgn(A.entries @ yv), eta)
+    return correction(A, sign_measure(A, x).bits, sign_measure(A, y).bits, eta)
 
 
 def _restrict(h, x, y, J) -> np.ndarray:
@@ -117,14 +116,7 @@ def orthogonal_decompose(h, u, v):
     for name, w in (("u", uv), ("v", vv)):
         if abs(float(np.linalg.norm(w)) - 1.0) > 1e-6:
             raise ValueError(f"{name} must be a unit vector")
-    diff = uv - vv
-    summ = uv + vv
-    nd = float(np.linalg.norm(diff))
-    ns = float(np.linalg.norm(summ))
-    if nd < 1e-12 or ns < 1e-12:
-        raise ValueError("u = +-v: projection directions are degenerate")
-    e_minus = diff / nd
-    e_plus = summ / ns
+    e_minus, e_plus, _ = _pair_directions(uv, vv)
     c_minus = float(np.dot(e_minus, hv))
     c_plus = float(np.dot(e_plus, hv))
     g = hv - c_minus * e_minus - c_plus * e_plus

@@ -17,7 +17,7 @@ from bitsense.biht import BIHTConfig, run_biht
 from bitsense.core import gaussian_matrix, random_sparse_unit, sign_measure
 from bitsense.montecarlo import (
     band_count_mean,
-    convergence_experiment,
+    convergence_trials,
     mismatch_probability,
     projection_expectation,
 )
@@ -165,13 +165,15 @@ def epsilon_step(eps, value):
 
 
 @pytest.fixture(scope="module")
-def convergence_table():
+def convergence_mean():
+    """Per-iteration mean error over the trials, and the seconds it took."""
     start = time.perf_counter()
-    table = convergence_experiment(200, 5, 10_000, 50, 12, 0.25, SeedSpec(7))
-    return table, time.perf_counter() - start
+    trajectories = convergence_trials(200, 5, 10_000, 50, 12, SeedSpec(7))
+    mean_ds = np.mean([traj.error_ds for traj in trajectories], axis=0)
+    return mean_ds, time.perf_counter() - start
 
 
-def test_criterion_6_monotone_mean_error(convergence_table):
+def test_criterion_6_monotone_mean_error(convergence_mean):
     """(n=200, k=5, m=10000, trials=50, T=12): mean error non-increasing
     from t=1 onward at the stated 1e-6 slack.
 
@@ -182,32 +184,32 @@ def test_criterion_6_monotone_mean_error(convergence_table):
     Carlo statistic and the clause is expected to fail for essentially
     every seed; see the decisions ledger for the measurement.
     """
-    table, elapsed = convergence_table
-    upticks = np.diff(table.mean_ds)[1:]
+    mean_ds, elapsed = convergence_mean
+    upticks = np.diff(mean_ds)[1:]
     worst = float(upticks.max())
     ok = worst <= 1e-6 and elapsed < 120.0
     assert report(
         "6 (monotone mean, slack 1e-6)",
         ok,
-        f"max uptick {worst:.3e} at plateau ~{table.mean_ds[-1]:.1e}, {elapsed:.1f}s",
+        f"max uptick {worst:.3e} at plateau ~{mean_ds[-1]:.1e}, {elapsed:.1f}s",
     )
 
 
-def test_criterion_6_final_error(convergence_table):
-    table, elapsed = convergence_table
-    ok = table.mean_ds[-1] < 0.15 and elapsed < 120.0
+def test_criterion_6_final_error(convergence_mean):
+    mean_ds, elapsed = convergence_mean
+    ok = mean_ds[-1] < 0.15 and elapsed < 120.0
     assert report(
-        "6 (final mean error < 0.15)", ok, f"final mean {table.mean_ds[-1]:.4f}"
+        "6 (final mean error < 0.15)", ok, f"final mean {mean_ds[-1]:.4f}"
     )
 
 
-def test_criterion_6_first_step_contracts(convergence_table):
-    table, _ = convergence_table
-    ok = table.mean_ds[1] < 0.9 * table.mean_ds[0]
+def test_criterion_6_first_step_contracts(convergence_mean):
+    mean_ds, _ = convergence_mean
+    ok = mean_ds[1] < 0.9 * mean_ds[0]
     assert report(
         "6 (first-step contraction)",
         ok,
-        f"mean d_s(1)/d_s(0) = {table.mean_ds[1] / table.mean_ds[0]:.3f}",
+        f"mean d_s(1)/d_s(0) = {mean_ds[1] / mean_ds[0]:.3f}",
     )
 
 

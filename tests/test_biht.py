@@ -84,6 +84,13 @@ class TestStep:
         with pytest.raises(ValueError):
             biht_step(A, SignPattern(np.array([1, -1])), x, x.k)
 
+    def test_step_checks_k_and_eta_as_run_does(self):
+        x, A, b = small_instance()
+        with pytest.raises(ValueError, match="k must be"):
+            biht_step(A, b, x, 0)
+        with pytest.raises(ValueError, match="eta must be"):
+            biht_step(A, b, x, x.k, eta=float("nan"))
+
 
 class TestRun:
     def test_stationary_when_started_at_truth(self):
@@ -139,6 +146,17 @@ class TestRun:
         assert mean[1] < mean[0]
         assert mean[2] < mean[1]
         assert mean[-1] < 0.2
+
+    def test_sign_pattern_of_wrong_length_rejected(self):
+        # Length 1 would broadcast through the mismatch count unnoticed.
+        x, A, _ = small_instance()
+        for length in (1, A.m + 1):
+            b = SignPattern(np.ones(length, dtype=np.int8))
+            expected = f"length {length}, but A has {A.m} rows"
+            with pytest.raises(ValueError, match=expected):
+                run_biht(A, b, BIHTConfig(k=x.k, max_iters=2, init=x))
+            with pytest.raises(ValueError, match=expected):
+                biht_step(A, b, x, x.k)
 
     def test_untracked_run_has_no_error_columns(self):
         x, A, b = small_instance(SeedSpec(49))

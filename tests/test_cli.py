@@ -221,6 +221,15 @@ class TestTheory:
         code = run_cli(["theory", "--epsilon", "1.5"])
         assert code == 2
 
+    def test_seed_is_usage_error(self, tmp_path):
+        # theory draws nothing, so a seed is no setting of it, by flag or config.
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["theory", "--seed", "5"])
+        assert exc.value.code == 2
+        config = tmp_path / "theory.json"
+        config.write_text(json.dumps({"seed": 5}))
+        assert run_cli(["theory", "--config", str(config)]) == 2
+
 
 class TestGenerate:
     def test_matrix_csv(self, tmp_path):

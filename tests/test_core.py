@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitsense.core import (
     MeasurementMatrix,
@@ -67,6 +69,27 @@ class TestSignMeasure:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             sign_measure(MeasurementMatrix(np.eye(3)), np.ones(4))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 200),
+        st.integers(1, 30),
+        st.integers(0, 2**64 - 1),
+        st.sampled_from(["sparse", "dense", "zero"]),
+        st.integers(1, 30),
+    )
+    def test_matches_dense_product(self, m, n, seed, shape, k):
+        # The measurement takes only the columns on supp(x); the reference
+        # takes the whole matrix.  A zero x measures all +1 (sgn(0) = +1).
+        A = gaussian_matrix(m, n, SeedSpec(seed, 0))
+        if shape == "sparse":
+            x = random_sparse_unit(n, min(k, n), SeedSpec(seed, 1)).values
+        elif shape == "dense":
+            x = sample_standard_normal(SeedSpec(seed, 2), n)
+        else:
+            x = np.zeros(n)
+        reference = np.where(A.entries @ x >= 0.0, 1, -1)
+        assert np.array_equal(sign_measure(A, x).bits, reference)
 
 
 class TestSphereDistance:

@@ -5,15 +5,15 @@ import pytest
 
 from bitsense.montecarlo import (
     band_count_mean,
-    convergence_experiment,
+    convergence_trials,
     mismatch_probability,
     projection_expectation,
     run_validator_suite,
     tail_frequency_check,
     write_validator_csv,
 )
+from bitsense.raic import orthogonal_decompose
 from bitsense.rng import SeedSpec
-from bitsense.theory import closed_form_bound
 
 
 def pair_at_angle(theta, n=8):
@@ -111,6 +111,23 @@ class TestProjectionExpectation:
         assert mismatch_probability(u, v, 5000, SeedSpec(561)) == est_whole
 
 
+def test_pair_directions_share_one_degeneracy_rule():
+    # u = +-v is rejected everywhere; a pair 1e-9 apart is accepted
+    # everywhere, though arccos of its cosine (exactly 1.0) reads angle 0.
+    u = np.array([1.0, 0.0, 0.0])
+    close = np.array([1.0, 1e-9, 0.0])
+    for v in (u, -u):
+        with pytest.raises(ValueError, match="degenerate"):
+            orthogonal_decompose(np.ones(3), u, v)
+        with pytest.raises(ValueError, match="degenerate"):
+            projection_expectation(u, v, 10, 5, SeedSpec(1))
+        with pytest.raises(ValueError, match="degenerate"):
+            tail_frequency_check(u, v, 10, 5, 0.2, SeedSpec(1))
+    orthogonal_decompose(np.ones(3), u, close)
+    projection_expectation(u, close, 10, 5, SeedSpec(1))
+    assert len(tail_frequency_check(u, close, 10, 5, 0.2, SeedSpec(1))) == 3
+
+
 class TestTailFrequency:
     def test_huge_threshold_never_exceeded(self):
         u, v = pair_at_angle(1.1, n=10)
@@ -149,31 +166,28 @@ class TestTailFrequency:
             tail_frequency_check(u, v, 10, 10, 0.0, SeedSpec(1))
 
 
+def _errors(trajectories):
+    return np.array([traj.error_ds for traj in trajectories])  # (trials, T+1)
+
+
 @pytest.fixture(scope="module")
-def table():
-    return convergence_experiment(100, 3, 2500, 12, 8, 0.25, SeedSpec(540))
+def errors():
+    return _errors(convergence_trials(100, 3, 2500, 12, 8, SeedSpec(540)))
 
 
 class TestConvergenceExperiment:
-    def test_shapes(self, table):
-        assert table.errors.shape == (12, 9)
-        assert table.t.tolist() == list(range(9))
+    def test_initial_error_near_sqrt_two(self, errors):
+        assert 1.0 <= errors.mean(axis=0)[0] <= 2.0
 
-    def test_initial_error_near_sqrt_two(self, table):
-        assert 1.0 <= table.mean_ds[0] <= 2.0
+    def test_early_iterations_decrease(self, errors):
+        mean_ds = errors.mean(axis=0)
+        assert mean_ds[1] < mean_ds[0]
+        assert mean_ds[2] < mean_ds[1]
+        assert mean_ds[-1] < 0.1
 
-    def test_early_iterations_decrease(self, table):
-        assert table.mean_ds[1] < table.mean_ds[0]
-        assert table.mean_ds[2] < table.mean_ds[1]
-        assert table.mean_ds[-1] < 0.1
-
-    def test_bound_column(self, table):
-        for t in range(9):
-            assert table.bound[t] == closed_form_bound(0.25, t)
-
-    def test_deterministic(self, table):
-        again = convergence_experiment(100, 3, 2500, 12, 8, 0.25, SeedSpec(540))
-        assert np.array_equal(table.errors, again.errors)
+    def test_deterministic(self, errors):
+        again = _errors(convergence_trials(100, 3, 2500, 12, 8, SeedSpec(540)))
+        assert np.array_equal(errors, again)
 
 
 @pytest.fixture(scope="module")

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bitsense.core import gaussian_matrix, random_sparse_unit
+from bitsense.core import gaussian_matrix, random_sparse_unit, sgn
 from bitsense.raic import (
     DEFAULT_ETA,
+    correction,
     h_a,
     h_a_j,
     orthogonal_decompose,
@@ -73,6 +74,23 @@ class TestCorrectionMap:
         A = gaussian_matrix(10, 4, SeedSpec(74))
         with pytest.raises(ValueError):
             h_a(A, np.ones(3), np.ones(4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 200),
+        st.integers(1, 30),
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 30),
+        st.sampled_from([DEFAULT_ETA, 1.0, 0.3]),
+    )
+    def test_equals_correction_of_dense_signs(self, m, n, seed, k, eta):
+        # x is sparse, y dense: the support-restricted measurement and the
+        # whole-matrix product give the same signs, so the same vector.
+        A = gaussian_matrix(m, n, SeedSpec(seed, 0))
+        x = random_sparse_unit(n, min(k, n), SeedSpec(seed, 1)).values
+        y = unit(sample_standard_normal(SeedSpec(seed, 2), n))
+        dense = correction(A, sgn(A.entries @ x), sgn(A.entries @ y), eta)
+        assert np.array_equal(h_a(A, x, y, eta), dense)
 
 
 class TestRestrictedCorrectionMap:
