@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import SeedSpec, derive_seed, random_uniform, sample_standard_normal
+from .rng import (
+    SeedSpec,
+    derive_seed,
+    random_uniform_rows,
+    sample_standard_normal,
+    sample_standard_normal_rows,
+)
 
 UNIT_NORM_TOL = 1e-9
 
@@ -151,12 +157,16 @@ class _Measure:
         return sgn(self.cols @ v[supp])
 
 
+def _length_checked(x, n: int, name: str) -> np.ndarray:
+    v = _as_float_vector(x, name)
+    if v.size != n:
+        raise ValueError(f"{name} has length {v.size}, expected {n}")
+    return v
+
+
 def sign_measure(A: MeasurementMatrix, x) -> SignPattern:
     """One-bit measurement: the row-wise sign of A @ x, over the support of x."""
-    v = _as_float_vector(x, "x")
-    if v.size != A.n:
-        raise ValueError(f"x has length {v.size}, expected {A.n}")
-    return SignPattern(_Measure(A)(v))
+    return SignPattern(_Measure(A)(_length_checked(x, A.n, "x")))
 
 
 def sphere_distance(u, v) -> float:
@@ -209,25 +219,35 @@ def _pair_directions(u: np.ndarray, v: np.ndarray):
     return diff / nd, summ / ns, 2.0 * math.atan2(nd, ns)
 
 
-def random_sparse_unit(n: int, k: int, seed: SeedSpec) -> SparseUnitVector:
-    """Uniformly random k-sparse unit vector.
+def random_sparse_unit_rows(n: int, k: int, seeds) -> np.ndarray:
+    """``random_sparse_unit(n, k, seed).values`` for each seed, as the rows
+    of one ``len(seeds) x n`` array, from one sampler call per stream kind.
 
     The support is uniform over k-subsets of [n] (rank order of i.i.d.
     uniforms); the nonzero values are i.i.d. standard normal, normalized.
     """
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
-    support_seed = derive_seed(seed, 0)
-    value_seed = derive_seed(seed, 1)
-    support = np.argsort(random_uniform(support_seed, n), kind="stable")[:k]
-    vals = sample_standard_normal(value_seed, k)
-    nrm = float(np.linalg.norm(vals))
-    if nrm == 0.0:  # probability zero, but stay total
-        vals = np.ones(k)
-        nrm = float(np.sqrt(k))
-    out = np.zeros(n)
-    out[np.sort(support)] = vals / nrm
-    return SparseUnitVector(out, k)
+    children = [(derive_seed(s, 0), derive_seed(s, 1)) for s in seeds]
+    ranks = random_uniform_rows([c[0] for c in children], n)
+    vals = sample_standard_normal_rows([c[1] for c in children], k)
+    # Row by row: np.linalg.norm of one vector is a BLAS dot, whose rounding
+    # a norm along an axis does not reproduce.
+    norms = np.array([np.linalg.norm(v) for v in vals])
+    dead = norms == 0.0
+    if dead.any():  # probability zero, but stay total
+        vals[dead] = 1.0
+        norms[dead] = math.sqrt(k)
+    supports = np.sort(np.argsort(ranks, axis=1, kind="stable")[:, :k], axis=1)
+    out = np.zeros((len(children), n))
+    np.put_along_axis(out, supports, vals / norms[:, None], axis=1)
+    return out
+
+
+def random_sparse_unit(n: int, k: int, seed: SeedSpec) -> SparseUnitVector:
+    """Uniformly random k-sparse unit vector: `random_sparse_unit_rows` for
+    one seed."""
+    return SparseUnitVector(random_sparse_unit_rows(n, k, (seed,))[0], k)
 
 
 def gaussian_matrix(m: int, n: int, seed: SeedSpec) -> MeasurementMatrix:

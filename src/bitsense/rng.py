@@ -15,14 +15,17 @@ The scheme, fixed for reproducibility:
   (``scipy.special.ndtri``) applied to those uniforms.
 
 Element ``i`` of a stream depends only on the seed and ``i``, so a stream can
-be produced piecewise without changing any value (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11).  The functions below share one
-kernel that fills one chunk of at most 64Ki elements in place, straight into
-the result.  A request longer than one chunk is split into chunks that run
-on a small thread pool (numpy's integer ufuncs and ``ndtri`` release the
-GIL); the split depends only on the request size, and the values are the
-same as those of one serial pass.  The stream definition above is unchanged
-by this; the sha256 known-answer tests pin it.
+be produced piecewise, or many streams side by side, without changing any
+value (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+The functions below share one kernel that fills a 2-D block in place,
+straight into the result, one stream per row and at most 64Ki columns.  The
+``*_rows`` functions draw the same count from many seeds at once, row r
+equal bit for bit to the 1-D stream of seed r; the 1-D functions are a block
+of one row.  A request of more than about 64Ki elements is split over
+columns into pieces that run on a small thread pool (numpy's integer ufuncs
+and ``ndtri`` release the GIL); the split depends only on the request size,
+and the values are the same as those of one serial pass.  The stream
+definition above is unchanged by this; the sha256 known-answer tests pin it.
 
 Nothing here is cryptographic.
 """
@@ -43,7 +46,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 # Elements per kernel call: 512 KB of words, so a chunk and its scratch stay
-# in cache.  Requests of more than one chunk go to the pool.
+# in cache.  Requests of more than one chunk go to the pool.  A chunk is at
+# most this many columns of one row, or fewer columns of several rows.
 _CHUNK = 1 << 16
 # (j + 1) * _GOLDEN mod 2^64: the counter steps within a chunk.
 _STEPS = np.arange(1, _CHUNK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
@@ -99,15 +103,18 @@ def _stream_key(seed: SeedSpec) -> int:
     return splitmix64(seed.base_seed ^ splitmix64(seed.stream_id ^ _MIX2))
 
 
-def _fill(out: np.ndarray, key: int, first: int, stage: int) -> None:
+def _fill(out: np.ndarray, keys: np.ndarray, first: int, stage: int) -> None:
     """Write stream elements ``first, first + 1, ...`` into ``out`` in place.
 
-    ``out`` holds at most one chunk: uint64 for words, float64 otherwise.
-    Element i is word ``splitmix64(key + (i + 1) * _GOLDEN)``, then for
-    floats ``((word >> 11) + 0.5) * 2**-53``, then for normals ``ndtri``.
+    ``out`` is a 2-D block of at most ``_CHUNK`` columns, uint64 for words
+    and float64 otherwise; row r holds the stream keyed by ``keys[r]``.
+    Element i of a stream is word ``splitmix64(key + (i + 1) * _GOLDEN)``,
+    then for floats ``((word >> 11) + 0.5) * 2**-53``, then for normals
+    ``ndtri``.
     """
     z = out.view(np.uint64)
-    np.add(_STEPS[: z.size], np.uint64((key + first * _GOLDEN) & _MASK64), out=z)
+    # uint64 array arithmetic wraps mod 2^64, as the counter walk requires.
+    np.add(_STEPS[: z.shape[1]], (keys + np.uint64(first * _GOLDEN & _MASK64))[:, None], out=z)
     t = np.empty_like(z)
     np.right_shift(z, np.uint64(30), out=t)
     z ^= t
@@ -152,17 +159,22 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _stream(seed: SeedSpec, count: int, offset: int, stage: int) -> np.ndarray:
+def _stream(seeds, count: int, offset: int, stage: int) -> np.ndarray:
+    """Elements ``offset .. offset + count - 1`` of each seed's stream, one
+    row per seed, in a fresh array that owns its memory."""
     if count < 0 or offset < 0:
         raise ValueError("count and offset must be >= 0")
-    out = np.empty(count, dtype=np.uint64 if stage == _WORDS else np.float64)
-    key = _stream_key(seed)
+    keys = np.array([_stream_key(s) for s in seeds], dtype=np.uint64)
+    out = np.empty((keys.size, count), dtype=np.uint64 if stage == _WORDS else np.float64)
+    # Column pieces of about one chunk of elements in all, so each kernel
+    # call stays in cache whatever the number of rows.
+    width = max(1, _CHUNK // max(1, keys.size))
 
     def fill(start: int) -> None:
-        _fill(out[start : start + _CHUNK], key, offset + start, stage)
+        _fill(out[:, start : start + width], keys, offset + start, stage)
 
-    starts = range(0, count, _CHUNK)
-    if count > _CHUNK:
+    starts = range(0, count, width)
+    if len(starts) > 1:
         # Reading every result re-raises any worker's exception here.
         for _ in _executor().map(fill, starts):
             pass
@@ -172,18 +184,24 @@ def _stream(seed: SeedSpec, count: int, offset: int, stage: int) -> np.ndarray:
     return out
 
 
+def _one_stream(seed: SeedSpec, count: int, offset: int, stage: int) -> np.ndarray:
+    out = _stream((seed,), count, offset, stage)
+    out.shape = (count,)  # in place: the array keeps owning its memory
+    return out
+
+
 def random_uint64(seed: SeedSpec, count: int, offset: int = 0) -> np.ndarray:
     """``count`` pseudorandom 64-bit words from the stream named by ``seed``.
 
     ``offset`` skips that many words first, so a stream may be materialized
     in chunks without changing a single value.
     """
-    return _stream(seed, count, offset, _WORDS)
+    return _one_stream(seed, count, offset, _WORDS)
 
 
 def random_uniform(seed: SeedSpec, count: int, offset: int = 0) -> np.ndarray:
     """i.i.d. uniforms on the open interval (0, 1), as float64."""
-    return _stream(seed, count, offset, _UNIFORM)
+    return _one_stream(seed, count, offset, _UNIFORM)
 
 
 def sample_standard_normal(seed: SeedSpec, count: int, offset: int = 0) -> np.ndarray:
@@ -192,4 +210,16 @@ def sample_standard_normal(seed: SeedSpec, count: int, offset: int = 0) -> np.nd
     The transform is fixed (uniform -> ndtri) so the mapping from seed to
     values is stable across platforms and releases of this package.
     """
-    return _stream(seed, count, offset, _NORMAL)
+    return _one_stream(seed, count, offset, _NORMAL)
+
+
+def random_uniform_rows(seeds, count: int) -> np.ndarray:
+    """``random_uniform(seed, count)`` for each seed, as the rows of one
+    ``len(seeds) x count`` array, from one kernel call per column piece."""
+    return _stream(seeds, count, 0, _UNIFORM)
+
+
+def sample_standard_normal_rows(seeds, count: int) -> np.ndarray:
+    """``sample_standard_normal(seed, count)`` for each seed, as the rows of
+    one ``len(seeds) x count`` array."""
+    return _stream(seeds, count, 0, _NORMAL)

@@ -3,12 +3,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bitsense.core import gaussian_matrix, random_sparse_unit, sgn
+from bitsense.core import (
+    SparseUnitVector,
+    gaussian_matrix,
+    random_sparse_unit,
+    sgn,
+    sphere_distance,
+)
 from bitsense.raic import (
     DEFAULT_ETA,
+    PAIR_BLOCK,
+    ROW_BLOCK,
+    _block_residuals,
+    _draw_pairs,
     correction,
     h_a,
     h_a_j,
@@ -16,14 +26,52 @@ from bitsense.raic import (
     raic_bound,
     raic_certify,
     raic_residual,
+    restricted_residual,
 )
-from bitsense.rng import SeedSpec, derive_seed, sample_standard_normal
+from bitsense.rng import SeedSpec, derive_seed, random_uniform, sample_standard_normal
 from bitsense.theory import constants
 from bitsense.thresholding import threshold_set, top_k
+
+# Residuals pass through BLAS products summed in another order than the
+# reference's; they are compared to 1e-12, as the known-answer pins are.
+FLOAT_TOL = 1e-12
 
 
 def unit(v):
     return np.asarray(v, dtype=np.float64) / np.linalg.norm(v)
+
+
+def reference_pair(n, k, seed, pair_id, num_small, max_j, radius):
+    """Pair ``pair_id`` of a certificate, drawn pair by pair from its own
+    seed: (x, y, J)."""
+    pair_seed = derive_seed(seed, pair_id)
+
+    def sparse_unit(s):
+        support = np.argsort(random_uniform(derive_seed(s, 0), n), kind="stable")[:k]
+        vals = sample_standard_normal(derive_seed(s, 1), k)
+        out = np.zeros(n)
+        out[np.sort(support)] = vals / np.linalg.norm(vals)
+        return out
+
+    x = sparse_unit(derive_seed(pair_seed, 0))
+    if pair_id < num_small:
+        noise = sample_standard_normal(derive_seed(pair_seed, 1), k)
+        y = x.copy()
+        y[np.flatnonzero(x)] += (radius / np.linalg.norm(noise)) * noise
+        y = y / np.linalg.norm(y)
+    else:
+        y = sparse_unit(derive_seed(pair_seed, 1))
+    return x, y, reference_index_set(n, max_j, derive_seed(pair_seed, 2))
+
+
+def reference_index_set(n, max_j, seed):
+    """A certificate's J: size uniform on {0..max_j}, indices uniform
+    without replacement, from n + 1 uniforms."""
+    if max_j <= 0:
+        return []
+    u = random_uniform(seed, n + 1)
+    size = min(int(u[0] * (max_j + 1)), max_j)
+    return np.argsort(u[1:], kind="stable")[:size].tolist()
 
 
 class TestCorrectionMap:
@@ -72,8 +120,10 @@ class TestCorrectionMap:
 
     def test_dimension_mismatch(self):
         A = gaussian_matrix(10, 4, SeedSpec(74))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^x has length 3, expected 4$"):
             h_a(A, np.ones(3), np.ones(4))
+        with pytest.raises(ValueError, match="^y has length 3, expected 4$"):
+            h_a(A, np.ones(4), np.ones(3))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -294,7 +344,7 @@ class TestCertify:
         assert lines[0] == "pair_id,d_s,regime,residual,bound,ratio"
         assert len(lines) == 41
         summary = json.loads(json_path.read_text())
-        assert set(summary) == {"delta", "worst_ratio", "n_pairs", "n_violations"}
+        assert set(summary) == {"delta", "worst_ratio", "n_pairs", "n_violations", "delta_hat"}
         assert summary["n_pairs"] == 40
 
     def test_parameter_validation(self):
@@ -310,8 +360,6 @@ class TestCertify:
         # ratio, above 1, at pair 497 in the large regime.  The residual is
         # recomputed here from the definition, one row at a time in long
         # double, over only the kept columns supp(x) u supp(y) u J.
-        from bitsense.raic import _random_index_set
-
         n, k, m = 200, 5, 5000
         base = SeedSpec(97)
         A = gaussian_matrix(m, n, derive_seed(base, 0))
@@ -323,7 +371,7 @@ class TestCertify:
         pair_seed = derive_seed(derive_seed(base, 1), 497)
         x = random_sparse_unit(n, k, derive_seed(pair_seed, 0)).values
         y = random_sparse_unit(n, k, derive_seed(pair_seed, 1)).values
-        J = _random_index_set(n, k, derive_seed(pair_seed, 2))
+        J = reference_index_set(n, k, derive_seed(pair_seed, 2))
         supp_x, supp_y = np.flatnonzero(x).tolist(), np.flatnonzero(y).tolist()
         keep = sorted(set(supp_x) | set(supp_y) | set(J))
         ld = np.longdouble
@@ -348,6 +396,95 @@ class TestCertify:
         assert _ratio(0.0, 0.0) == 0.0
         assert _ratio(0.5, 0.0) == math.inf
         assert _ratio(0.3, 0.6) == 0.5
+
+
+class TestBlockPath:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_pairs=st.integers(1, 3 * PAIR_BLOCK + 1),
+        num_small=st.integers(0, 3 * PAIR_BLOCK + 1),
+        n=st.integers(1, 40),
+        k=st.integers(1, 40),
+        max_j=st.sampled_from([0, 1, 5, 40]),
+        base=st.integers(0, 2**64 - 1),
+    )
+    @example(num_pairs=3 * PAIR_BLOCK + 1, num_small=PAIR_BLOCK + 3, n=30, k=3, max_j=5, base=5)
+    @example(num_pairs=1, num_small=1, n=1, k=1, max_j=0, base=0)
+    def test_block_draws_equal_pair_by_pair_draws(self, num_pairs, num_small, n, k, max_j, base):
+        num_small, k = min(num_small, num_pairs), min(k, n)
+        seed, radius = SeedSpec(base, 3), 1e-4
+        for first in range(0, num_pairs, PAIR_BLOCK):
+            count = min(PAIR_BLOCK, num_pairs - first)
+            X, Y, Js = _draw_pairs(n, k, seed, first, count, num_small, max_j, radius)
+            for i in range(count):
+                x, y, J = reference_pair(n, k, seed, first + i, num_small, max_j, radius)
+                assert X[i].tobytes() == x.tobytes()
+                assert Y[i].tobytes() == y.tobytes()
+                assert Js[i] == J
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 2 * ROW_BLOCK + 100),
+        st.integers(1, 25),
+        st.integers(1, PAIR_BLOCK + 3),
+        st.integers(0, 2**64 - 1),
+    )
+    @example(2 * ROW_BLOCK + 37, 20, PAIR_BLOCK, 1)
+    def test_block_residuals_equal_reference(self, m, n, count, base):
+        # Pairs of sparse, dense, equal and antipodal vectors; J of any size.
+        A = gaussian_matrix(m, n, SeedSpec(base, 0))
+        X = np.array([random_sparse_unit(n, 1 + i % n, SeedSpec(base, 1 + i)).values
+                      for i in range(count)])
+        Y = np.array([unit(sample_standard_normal(SeedSpec(base, 100 + i), n))
+                      for i in range(count)])
+        Y[::4] = X[::4]
+        Y[1::4] = -X[1::4]
+        Js = [list(range(0, n, 1 + i % 3))[: i % 4] for i in range(count)]
+        got = _block_residuals(A, X, Y, Js)
+        for i in range(count):
+            want = restricted_residual(X[i], Y[i], Js[i], h_a(A, X[i], Y[i]))
+            assert got[i] == pytest.approx(want, abs=FLOAT_TOL, rel=0)
+
+    def test_block_residual_rejects_wrong_length(self):
+        A = gaussian_matrix(10, 4, SeedSpec(74))
+        x = SparseUnitVector(unit(np.ones(3)), 3)
+        with pytest.raises(ValueError):
+            raic_residual(A, x, x, [])
+
+    def test_certify_matches_pair_by_pair_reference(self):
+        # Across block edges: pairs, regimes and d_s exactly, residuals to
+        # FLOAT_TOL.
+        n, k, delta, num_pairs, num_small = 30, 4, 0.05, 2 * PAIR_BLOCK + 5, PAIR_BLOCK + 2
+        A = gaussian_matrix(ROW_BLOCK + 77, n, SeedSpec(61))
+        seed = SeedSpec(62)
+        report = raic_certify(A, k, delta, num_pairs, k, seed, num_small=num_small)
+        assert [r.pair_id for r in report.records] == list(range(num_pairs))
+        for r in report.records:
+            x, y, J = reference_pair(n, k, seed, r.pair_id, num_small, k, report.tau / 2)
+            assert r.d_s == sphere_distance(x, y)
+            assert r.regime == ("small" if r.pair_id < num_small else "large")
+            want = restricted_residual(x, y, J, h_a(A, x, y))
+            assert r.residual == pytest.approx(want, abs=FLOAT_TOL, rel=0)
+
+
+class TestDeltaHat:
+    def test_every_ratio_at_delta_hat_is_at_most_one(self, report):
+        u = constants()
+        ratios = [
+            r.residual / raic_bound(report.delta_hat, u.c1, u.c2, r.d_s)
+            for r in report.records
+        ]
+        assert abs(max(ratios) - 1.0) <= 1e-9
+
+    def test_below_delta_exactly_without_violations(self):
+        A = gaussian_matrix(800, 60, SeedSpec(96))
+        outcomes = set()
+        for delta in (1e-4, 1e-3, 0.01, 0.05, 0.2, 0.5):
+            rep = raic_certify(A, 4, delta, 20, 4, SeedSpec(97), num_small=4)
+            assert (rep.delta_hat <= rep.delta) == (rep.n_violations == 0)
+            assert rep.summary()["delta_hat"] == rep.delta_hat
+            outcomes.add(rep.n_violations == 0)
+        assert outcomes == {True, False}
 
 
 class TestSupportMonotonicityOfStep:

@@ -15,7 +15,9 @@ from bitsense.rng import (
     derive_seed,
     random_uint64,
     random_uniform,
+    random_uniform_rows,
     sample_standard_normal,
+    sample_standard_normal_rows,
     splitmix64,
 )
 
@@ -100,6 +102,23 @@ class TestStandardNormal:
             for at in range(0, count, piece)
         ]
         assert np.array_equal(whole, np.concatenate(parts))
+
+    @pytest.mark.parametrize(
+        "rows, one",
+        [
+            (random_uniform_rows, random_uniform),
+            (sample_standard_normal_rows, sample_standard_normal),
+        ],
+    )
+    @pytest.mark.parametrize("count", [0, 1, 201, 65_536 + 3])
+    @pytest.mark.parametrize("num_seeds", [1, 3, 33])
+    def test_row_form_rows_equal_one_dimensional_streams(self, rows, one, count, num_seeds):
+        # Above 64Ki elements in all the row form splits over columns.
+        seeds = [derive_seed(SeedSpec(2718, 5), i) for i in range(num_seeds)]
+        block = rows(seeds, count)
+        assert block.shape == (num_seeds, count)
+        for seed, row in zip(seeds, block):
+            assert row.tobytes() == one(seed, count).tobytes()
 
     def test_concurrent_callers_get_serial_values(self):
         # More calling threads than cores, each sending long requests to the
