@@ -283,10 +283,7 @@ def _draw_pairs(n, k, seed, first, count, num_small, max_j, radius):
         # nonzeros.  Norms row by row, as one vector's norm rounds.
         scale = radius / np.array([np.linalg.norm(v) for v in noise])
         supports = np.nonzero(X[:small])[1].reshape(small, k)
-        np.put_along_axis(
-            Y[:small], supports,
-            np.take_along_axis(X[:small], supports, axis=1) + scale[:, None] * noise, axis=1,
-        )
+        Y[np.arange(small)[:, None], supports] += scale[:, None] * noise
         # The norm over the whole row, as the per-pair draw takes it.
         Y[:small] /= np.array([np.linalg.norm(y) for y in Y[:small]])[:, None]
     if max_j <= 0:
