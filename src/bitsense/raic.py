@@ -22,16 +22,23 @@ values the per-pair seeds give, and one pass over row blocks of A signs all
 of the block's vectors and accumulates all of its corrections while the rows
 are in cache.  Row blocks, not one product with the whole matrix, because
 the whole-matrix product raised the peak RSS of a certificate by 9-15 MB
-(see ROW_BLOCK).  `h_a`, `correction` and `restricted_residual` stay the
+(see ROW_BLOCK).  The products use one BLAS thread, which keeps a
+certificate's run time steady when other work shares the cores (see
+KERNEL_BLAS_THREADS).  `h_a`, `correction` and `restricted_residual` stay the
 reference definition, which the solver uses; `raic_residual` is the block
 kernel on one pair.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -73,6 +80,70 @@ ROWS_ONLY_BELOW = 0.2
 # 512-row block keeps both of its products on the same cache-resident rows.
 PAIR_BLOCK = 32
 ROW_BLOCK = 512
+
+# The block kernel's products run on one BLAS thread.  Each is a fraction of
+# a millisecond of work; split over 2 threads it waits at a barrier per
+# product and keeps the second core spinning, so other work on either core
+# stalls it.  `perfbench/run.py --workload certify`, 2 vCPU, OpenBLAS 0.3.31,
+# ten alternating 20 s runs: one thread gave 2618 pairs/s with an
+# interquartile range of 9% of the median, default threading 3008 pairs/s
+# and 20%; with another process loading one core at a duty cycle that
+# changed every 5-40 s, 2446 pairs/s and 17% against 2118 pairs/s and 45%.
+# One thread also keeps the residuals' last bits independent of the core
+# count: two-thread products round some of them differently.
+KERNEL_BLAS_THREADS = 1
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles,
+    or None where numpy uses another BLAS or the library is not found."""
+    here = Path(np.__file__).resolve().parent
+    for path in sorted([*here.parent.glob("numpy.libs/*openblas*"),
+                        *here.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))  # already loaded: the same library
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_users = 0  # callers inside _kernel_blas_threads
+_blas_saved = 0  # the count to restore when the last one leaves
+
+
+@contextmanager
+def _kernel_blas_threads():
+    """Run the body with KERNEL_BLAS_THREADS BLAS threads, then restore
+    the count.  The count is process-wide, so nested and concurrent users
+    share one setting and the last to leave restores it."""
+    global _blas_users, _blas_saved
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = get()
+            put(KERNEL_BLAS_THREADS)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                put(_blas_saved)
 
 
 def correction(A: MeasurementMatrix, b, s, eta: float = DEFAULT_ETA) -> np.ndarray:
@@ -168,10 +239,11 @@ def _block_residuals(A: MeasurementMatrix, X, Y, Js, eta: float = DEFAULT_ETA) -
     B = X.shape[0]
     P = np.concatenate((X, Y)).T
     H = np.zeros((A.n, B))
-    for start in range(0, A.m, ROW_BLOCK):
-        rows = A.entries[start : start + ROW_BLOCK]
-        S = sgn(rows @ P)
-        H += rows.T @ (0.5 * (S[:, :B] - S[:, B:]))
+    with _kernel_blas_threads():
+        for start in range(0, A.m, ROW_BLOCK):
+            rows = A.entries[start : start + ROW_BLOCK]
+            S = sgn(rows @ P)
+            H += rows.T @ (0.5 * (S[:, :B] - S[:, B:]))
     H *= eta / A.m
     return [restricted_residual(X[i], Y[i], Js[i], H[:, i]) for i in range(B)]
 

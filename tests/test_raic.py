@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,12 +15,15 @@ from bitsense.core import (
     sgn,
     sphere_distance,
 )
+from bitsense import raic
 from bitsense.raic import (
     DEFAULT_ETA,
+    KERNEL_BLAS_THREADS,
     PAIR_BLOCK,
     ROW_BLOCK,
     _block_residuals,
     _draw_pairs,
+    _kernel_blas_threads,
     correction,
     h_a,
     h_a_j,
@@ -465,6 +470,69 @@ class TestBlockPath:
             assert r.regime == ("small" if r.pair_id < num_small else "large")
             want = restricted_residual(x, y, J, h_a(A, x, y))
             assert r.residual == pytest.approx(want, abs=FLOAT_TOL, rel=0)
+
+
+@pytest.mark.skipif(raic._openblas_thread_calls() is None,
+                    reason="numpy's BLAS thread count is not reachable")
+class TestKernelBlasThreads:
+    def test_set_inside_and_restored_after(self):
+        get, put = raic._openblas_thread_calls()
+        before = get()
+        try:
+            put(2)
+            with _kernel_blas_threads():
+                assert get() == KERNEL_BLAS_THREADS
+                with _kernel_blas_threads():
+                    assert get() == KERNEL_BLAS_THREADS
+                assert get() == KERNEL_BLAS_THREADS
+            assert get() == 2
+            with pytest.raises(RuntimeError), _kernel_blas_threads():
+                raise RuntimeError("inside")
+            assert get() == 2
+        finally:
+            put(before)
+
+    def test_concurrent_users_restore_the_count(self):
+        get, put = raic._openblas_thread_calls()
+        before = get()
+        inside = []
+
+        def user():
+            for _ in range(200):
+                with _kernel_blas_threads():
+                    inside.append(get())
+
+        interval = sys.getswitchinterval()
+        threads = [threading.Thread(target=user) for _ in range(8)]
+        try:
+            put(2)
+            sys.setswitchinterval(1e-6)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert inside == [KERNEL_BLAS_THREADS] * (8 * 200)
+            assert get() == 2
+        finally:
+            sys.setswitchinterval(interval)
+            put(before)
+
+    def test_report_does_not_depend_on_the_callers_thread_count(self):
+        get, put = raic._openblas_thread_calls()
+        before = get()
+        # At this size two-thread products round differently from one-thread
+        # ones in some residuals (OpenBLAS 0.3.31).
+        A = gaussian_matrix(2000, 200, SeedSpec(81))
+        reports = []
+        try:
+            for threads in (1, 2):
+                put(threads)
+                reports.append(raic_certify(A, 4, 0.05, PAIR_BLOCK + 8, 4, SeedSpec(82)))
+                assert get() == threads
+        finally:
+            put(before)
+        assert reports[0] == reports[1]
 
 
 class TestDeltaHat:
