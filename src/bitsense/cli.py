@@ -14,11 +14,14 @@ take ``--seed``.  Flags override the JSON config file given with
 setting of the subcommand is a usage error.  Trials run one after another;
 the only parallel layer is the sampler, which spreads long requests (a
 whole measurement matrix, a validator block) over a thread pool with one
-worker per usable CPU and gives the same values as one serial pass.  On 2
-cores at the acceptance config (n=200 k=5 m=10000, 50 trials, T=12) ``run``
-took 2.8-3.5 s with default OpenBLAS threading and 1.9-2.6 s with
-``OPENBLAS_NUM_THREADS=1`` (five runs each, alternating), at 75-76 MB peak
-RSS; the difference is in drawing the matrices, not in the solver.
+worker per usable CPU and gives the same values as one serial pass.
+``run``, ``validate`` and ``raic`` make their BLAS products on one thread,
+whatever ``OPENBLAS_NUM_THREADS`` says: after a product on two OpenBLAS
+threads the idle worker busy-waits on a core, and the next matrix draw
+shares that core with it.  Before this, on 2 cores at the acceptance
+config (n=200 k=5 m=10000, 50 trials, T=12), ``run`` took 2.8-3.5 s with
+default OpenBLAS threading and 1.9-2.6 s with ``OPENBLAS_NUM_THREADS=1``
+(five runs each, alternating), at 75-76 MB peak RSS.
 
 Exit codes: 0 success; 1 I/O failure, a failed validator (``validate``) or a
 per-iteration error bound violated beyond rounding slack (``run``, which then
@@ -175,11 +178,12 @@ def cmd_raic(args) -> int:
 
 def cmd_validate(args) -> int:
     settings = _resolve(args, _load_config(args.config), {"seed": 0})
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    # Validate before creating the output directory: a bad seed leaves no files.
     rows = montecarlo.run_validator_suite(
         SeedSpec(settings["seed"]), break_sgn_zero=args.break_sgn_zero
     )
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     montecarlo.write_validator_csv(out / "validators.csv", rows)
     _write_json(
         out / "validators.json",

@@ -12,6 +12,10 @@ compares an empirical statistic against its known value:
 
 plus the end-to-end convergence trials, which run the solver on fresh random
 instances (the only trial pipeline; the CLI's ``run`` uses it too).  The
+trials and the validator suite each run their BLAS products on one thread
+(`rng._one_blas_thread`), so the sampler's pool is their one parallel layer
+and their results do not depend on the caller's BLAS thread count; the
+validators called one by one keep the caller's threading.  The
 pair directions e- and e+ and their degeneracy rule come from one helper,
 shared with `raic.orthogonal_decompose`.
 
@@ -38,7 +42,7 @@ from .core import (
     sphere_distance,
 )
 from .raic import DEFAULT_ETA
-from .rng import SeedSpec, derive_seed, sample_standard_normal
+from .rng import SeedSpec, _one_blas_thread, derive_seed, sample_standard_normal
 
 # Keeps any single sampled block near 64 MB of float64.
 _CHUNK_ELEMS = 8_000_000
@@ -307,13 +311,16 @@ def convergence_trials(
     Each trial draws its own signal, matrix, and initial point from derived
     seeds, so trials are independent and the whole experiment is
     reproducible.  The deterministic per-iteration bound is checked on every
-    iterate; a violation raises ErrorBoundViolation with diagnostics.
+    iterate; a violation raises ErrorBoundViolation with diagnostics.  The
+    products run on one BLAS thread and the caller's count is restored
+    afterwards, so the results do not depend on it.
     """
     if trials < 1 or T < 1:
         raise ValueError("trials and T (iterations) must be >= 1")
-    return [
-        _convergence_trial(n, k, m, T, eta, derive_seed(seed, i)) for i in range(trials)
-    ]
+    with _one_blas_thread():
+        return [
+            _convergence_trial(n, k, m, T, eta, derive_seed(seed, i)) for i in range(trials)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -361,51 +368,51 @@ def run_validator_suite(
 
     Returns one row per check; a row fails when its mean statistic strays
     past 4 SEs (or a tail frequency exceeds its bound by more than 3 SEs).
+    Like `convergence_trials`, it runs its products on one BLAS thread.
     """
     sign_fn = _broken_sign if break_sgn_zero else None
     rows = []
+    with _one_blas_thread():
+        for label, theta in (("pi_6", math.pi / 6), ("pi_3", math.pi / 3), ("pi_2", math.pi / 2)):
+            u, v = _pair_at_angle(theta)
+            p = theta / math.pi
+            est = mismatch_probability(
+                u, v, mismatch_draws, derive_seed(seed, len(rows)), sign_fn=sign_fn
+            )
+            se = math.sqrt(p * (1.0 - p) / mismatch_draws)
+            rows.append(_mean_row(f"mismatch_theta_{label}", est, p, se))
 
-    for label, theta in (("pi_6", math.pi / 6), ("pi_3", math.pi / 3), ("pi_2", math.pi / 2)):
-        u, v = _pair_at_angle(theta)
-        p = theta / math.pi
-        est = mismatch_probability(
-            u, v, mismatch_draws, derive_seed(seed, len(rows)), sign_fn=sign_fn
+        band = band_count_mean(
+            np.array([1.0, 0.0]), math.pi / 6, 1000, 100, derive_seed(seed, 10)
         )
-        se = math.sqrt(p * (1.0 - p) / mismatch_draws)
-        rows.append(_mean_row(f"mismatch_theta_{label}", est, p, se))
-
-    band = band_count_mean(
-        np.array([1.0, 0.0]), math.pi / 6, 1000, 100, derive_seed(seed, 10)
-    )
-    rows.append(
-        _mean_row(
-            "band_count_beta_pi_6",
-            band.mean,
-            band.expected,
-            band.sample_sd / math.sqrt(band.counts.size),
-        )
-    )
-
-    u = np.zeros(16)
-    v = np.zeros(16)
-    u[0] = 1.0
-    v[1] = 1.0
-    proj = projection_expectation(u, v, 200, projection_trials, derive_seed(seed, 11))
-    rows.append(_mean_row("proj_minus_orthogonal", proj.mean_minus, proj.d_s, proj.se_minus))
-    rows.append(_mean_row("proj_plus_orthogonal", proj.mean_plus, 0.0, proj.se_plus))
-
-    ku = np.zeros(32)
-    kv = np.zeros(32)
-    ku[:3] = (0.6, 0.64, 0.48)
-    kv[2:5] = (0.48, 0.6, 0.64)
-    # t = 0.2 puts the sub-Gaussian bounds in a nontrivial range (roughly
-    # 0.03 for the projections, 0.7 for the residual) at these draws.
-    for row in tail_frequency_check(ku, kv, 500, tail_trials, 0.2, derive_seed(seed, 12)):
-        z = (row.empirical - row.bound) / row.se if row.se > 0 else 0.0
         rows.append(
-            ValidatorRow(row.name, row.empirical, row.bound, row.se, z, row.passed)
+            _mean_row(
+                "band_count_beta_pi_6",
+                band.mean,
+                band.expected,
+                band.sample_sd / math.sqrt(band.counts.size),
+            )
         )
 
+        u = np.zeros(16)
+        v = np.zeros(16)
+        u[0] = 1.0
+        v[1] = 1.0
+        proj = projection_expectation(u, v, 200, projection_trials, derive_seed(seed, 11))
+        rows.append(_mean_row("proj_minus_orthogonal", proj.mean_minus, proj.d_s, proj.se_minus))
+        rows.append(_mean_row("proj_plus_orthogonal", proj.mean_plus, 0.0, proj.se_plus))
+
+        ku = np.zeros(32)
+        kv = np.zeros(32)
+        ku[:3] = (0.6, 0.64, 0.48)
+        kv[2:5] = (0.48, 0.6, 0.64)
+        # t = 0.2 puts the sub-Gaussian bounds in a nontrivial range (roughly
+        # 0.03 for the projections, 0.7 for the residual) at these draws.
+        for row in tail_frequency_check(ku, kv, 500, tail_trials, 0.2, derive_seed(seed, 12)):
+            z = (row.empirical - row.bound) / row.se if row.se > 0 else 0.0
+            rows.append(
+                ValidatorRow(row.name, row.empirical, row.bound, row.se, z, row.passed)
+            )
     return rows
 
 

@@ -27,15 +27,28 @@ and ``ndtri`` release the GIL); the split depends only on the request size,
 and the values are the same as those of one serial pass.  The stream
 definition above is unchanged by this; the sha256 known-answer tests pin it.
 
+The pool is the one parallel layer of the pipelines that interleave
+sampling with BLAS products: `montecarlo.convergence_trials` (``run``),
+`montecarlo.run_validator_suite` (``validate``) and the certifier's block
+kernel run their products on one BLAS thread under `_one_blas_thread`.
+After a product on two OpenBLAS threads the idle worker busy-waits on a
+core for a while, and a draw that follows shares that core with it (see
+`_one_blas_thread` for the measurement).  A bare `biht.run_biht` keeps the
+caller's BLAS threading.
+
 Nothing here is cryptographic.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtri
@@ -157,6 +170,73 @@ def _forget_pool() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles,
+    or None where numpy uses another BLAS or the library is not found."""
+    here = Path(np.__file__).resolve().parent
+    for path in sorted([*here.parent.glob("numpy.libs/*openblas*"),
+                        *here.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))  # already loaded: the same library
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_users = 0  # callers inside _one_blas_thread
+_blas_saved = 0  # the count to restore when the last one leaves
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with one BLAS thread, then restore the caller's count.
+
+    The count is process-wide, so nested and concurrent users share one
+    setting and the last to leave restores it.  Where the count cannot be
+    reached (another BLAS), the body runs at whatever the BLAS uses.
+
+    Why: after a product on two OpenBLAS threads the idle worker busy-waits
+    on a core, and a pool draw that follows shares that core with it.  A
+    10000 x 200 matrix draw on 2 vCPU (OpenBLAS 0.3.31), medians: 33 ms with
+    no product before it, 54 ms right after one two-thread ``A.T @ r``,
+    31 ms after the same product on one thread, 33 ms after the two-thread
+    product and a 0.3 s sleep, and 46 ms with the count set to 1 only around
+    the draw.  So the count is set around the products of a whole pipeline,
+    not around its draws.  The products themselves are small (an m x n
+    matrix-vector product per solver step, 512-row blocks in the certifier),
+    and one thread also keeps their last bits independent of the core count:
+    two-thread products round some results differently.
+    """
+    global _blas_users, _blas_saved
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = get()
+            put(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                put(_blas_saved)
 
 
 def _stream(seeds, count: int, offset: int, stage: int) -> np.ndarray:

@@ -200,6 +200,13 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "FAIL mismatch_theta" in err
 
+    def test_bad_seed_rejected_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(["validate", "--seed", "-1", "--output-dir", str(out)])
+        assert code == 2
+        assert "seed fields must be 64-bit unsigned integers" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTheory:
     def test_table(self, capsys):

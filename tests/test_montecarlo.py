@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import bitsense.montecarlo as mc
+from bitsense import biht
+from bitsense.biht import run_biht
+from bitsense.core import gaussian_matrix, random_sparse_unit, sign_measure
 from bitsense.montecarlo import (
+    ErrorBoundViolation,
     band_count_mean,
     convergence_trials,
     mismatch_probability,
@@ -13,7 +18,7 @@ from bitsense.montecarlo import (
     write_validator_csv,
 )
 from bitsense.raic import orthogonal_decompose
-from bitsense.rng import SeedSpec
+from bitsense.rng import SeedSpec, _openblas_thread_calls, sample_standard_normal
 
 
 def pair_at_angle(theta, n=8):
@@ -229,3 +234,101 @@ class TestValidatorSuite:
         assert lines[0] == "name,estimate,theory,se,z,pass"
         assert len(lines) == 1 + len(rows)
         assert all(line.endswith(",true") for line in lines[1:])
+
+
+def _trial_record(trajectories):
+    return [
+        (traj.mismatch, repr(traj.error_ds), repr(traj.lemma1_rhs),
+         [x.values.tobytes() for x in traj.iterates])
+        for traj in trajectories
+    ]
+
+
+def _small_suite(seed=SeedSpec(571)):
+    return run_validator_suite(seed, mismatch_draws=2000, projection_trials=20, tail_trials=10)
+
+
+@pytest.mark.skipif(_openblas_thread_calls() is None,
+                    reason="numpy's BLAS thread count is not reachable")
+class TestOneBlasThread:
+    """The trial pipeline and the validator suite make their BLAS products on
+    one thread and hand the caller's count back; a bare solver run keeps it."""
+
+    @pytest.fixture
+    def blas_get(self):
+        get, put = _openblas_thread_calls()
+        before = get()
+        put(2)
+        yield get
+        put(before)
+
+    def test_trials_run_on_one_thread(self, blas_get, monkeypatch):
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(blas_get())
+            return run_biht(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "run_biht", recording)
+        convergence_trials(40, 3, 300, 3, 4, SeedSpec(570))
+        assert seen == [1, 1, 1]
+        assert blas_get() == 2
+
+    def test_count_restored_after_error_bound_violation(self, blas_get, monkeypatch):
+        # A zero residual makes every bound 0, below any nonzero error.
+        monkeypatch.setattr(biht, "restricted_residual", lambda *args, **kwargs: 0.0)
+        with pytest.raises(ErrorBoundViolation):
+            convergence_trials(40, 3, 300, 2, 4, SeedSpec(570))
+        assert blas_get() == 2
+
+    def test_suite_runs_on_one_thread(self, blas_get, monkeypatch):
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(blas_get())
+            return sample_standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "sample_standard_normal", recording)
+        _small_suite()
+        assert len(seen) >= 6 and set(seen) == {1}
+        assert blas_get() == 2
+
+    def test_count_restored_when_a_validator_raises(self, blas_get, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("validator")
+
+        monkeypatch.setattr(mc, "tail_frequency_check", failing)
+        with pytest.raises(RuntimeError, match="validator"):
+            _small_suite()
+        assert blas_get() == 2
+
+    def test_bare_solver_keeps_the_callers_count(self, blas_get, monkeypatch):
+        # `run_biht` without sampling around it gains from BLAS threads in its
+        # dense first-step products, so it is left at the caller's count.
+        seen = []
+        correction = biht.correction
+
+        def recording(*args, **kwargs):
+            seen.append(blas_get())
+            return correction(*args, **kwargs)
+
+        monkeypatch.setattr(biht, "correction", recording)
+        A = gaussian_matrix(300, 40, SeedSpec(572))
+        b = sign_measure(A, random_sparse_unit(40, 3, SeedSpec(573)).values)
+        run_biht(A, b, biht.BIHTConfig(k=3, max_iters=4, init=SeedSpec(574)))
+        assert seen and set(seen) == {2}
+
+    def test_results_do_not_depend_on_the_callers_count(self):
+        get, put = _openblas_thread_calls()
+        before = get()
+        trials, suites = [], []
+        try:
+            for threads in (1, 2):
+                put(threads)
+                trials.append(_trial_record(convergence_trials(200, 5, 2000, 3, 6, SeedSpec(575))))
+                suites.append(_small_suite())
+                assert get() == threads
+        finally:
+            put(before)
+        assert trials[0] == trials[1]
+        assert suites[0] == suites[1]

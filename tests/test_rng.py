@@ -2,6 +2,7 @@ import math
 import os
 import signal
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 from bitsense.rng import (
     SeedSpec,
+    _one_blas_thread,
+    _openblas_thread_calls,
     derive_seed,
     random_uint64,
     random_uniform,
@@ -181,3 +184,50 @@ class TestStandardNormal:
     def test_uniforms_strictly_inside_unit_interval(self):
         u = random_uniform(SeedSpec(55), 100_000)
         assert u.min() > 0.0 and u.max() < 1.0
+
+
+@pytest.mark.skipif(_openblas_thread_calls() is None,
+                    reason="numpy's BLAS thread count is not reachable")
+class TestOneBlasThread:
+    def test_set_inside_and_restored_after(self):
+        get, put = _openblas_thread_calls()
+        before = get()
+        try:
+            put(2)
+            with _one_blas_thread():
+                assert get() == 1
+                with _one_blas_thread():
+                    assert get() == 1
+                assert get() == 1
+            assert get() == 2
+            with pytest.raises(RuntimeError), _one_blas_thread():
+                raise RuntimeError("inside")
+            assert get() == 2
+        finally:
+            put(before)
+
+    def test_concurrent_users_restore_the_count(self):
+        get, put = _openblas_thread_calls()
+        before = get()
+        inside = []
+
+        def user():
+            for _ in range(200):
+                with _one_blas_thread():
+                    inside.append(get())
+
+        interval = sys.getswitchinterval()
+        threads = [threading.Thread(target=user) for _ in range(8)]
+        try:
+            put(2)
+            sys.setswitchinterval(1e-6)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert inside == [1] * (8 * 200)
+            assert get() == 2
+        finally:
+            sys.setswitchinterval(interval)
+            put(before)
