@@ -18,10 +18,10 @@ worker per usable CPU and gives the same values as one serial pass.
 ``run``, ``validate`` and ``raic`` make their BLAS products on one thread,
 whatever ``OPENBLAS_NUM_THREADS`` says: after a product on two OpenBLAS
 threads the idle worker busy-waits on a core, and the next matrix draw
-shares that core with it.  Before this, on 2 cores at the acceptance
-config (n=200 k=5 m=10000, 50 trials, T=12), ``run`` took 2.8-3.5 s with
-default OpenBLAS threading and 1.9-2.6 s with ``OPENBLAS_NUM_THREADS=1``
-(five runs each, alternating), at 75-76 MB peak RSS.
+shares that core with it.  On 2 cores at the acceptance config (n=200 k=5
+m=10000, 50 trials, T=12), ``run`` took 2.2-2.6 s with default OpenBLAS
+threading and 2.4-2.5 s with ``OPENBLAS_NUM_THREADS=1``, against 3.3-3.5 s
+when its products used two threads (five alternating runs each).
 
 Exit codes: 0 success; 1 I/O failure, a failed validator (``validate``) or a
 per-iteration error bound violated beyond rounding slack (``run``, which then

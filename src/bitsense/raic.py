@@ -84,17 +84,6 @@ ROWS_ONLY_BELOW = 0.2
 PAIR_BLOCK = 32
 ROW_BLOCK = 512
 
-# The block kernel's products run on one BLAS thread (`rng._one_blas_thread`).
-# Each is a fraction of a millisecond of work; split over 2 threads it waits
-# at a barrier per product and keeps the second core spinning, so other work
-# on either core stalls it.  `perfbench/run.py --workload certify`, 2 vCPU,
-# OpenBLAS 0.3.31, ten alternating 20 s runs: one thread gave 2618 pairs/s
-# with an interquartile range of 9% of the median, default threading 3008
-# pairs/s and 20%; with another process loading one core at a duty cycle
-# that changed every 5-40 s, 2446 pairs/s and 17% against 2118 pairs/s and
-# 45%.
-
-
 def correction(A: MeasurementMatrix, b, s, eta: float = DEFAULT_ETA) -> np.ndarray:
     """(eta / m) A^T (b - s) / 2 for sign patterns b, s over the rows of A.
 
@@ -188,6 +177,14 @@ def _block_residuals(A: MeasurementMatrix, X, Y, Js, eta: float = DEFAULT_ETA) -
     B = X.shape[0]
     P = np.concatenate((X, Y)).T
     H = np.zeros((A.n, B))
+    # Each product is a fraction of a millisecond of work; split over 2 BLAS
+    # threads it waits at a barrier per product and keeps the second core
+    # spinning, so other work on either core stalls it.  `perfbench/run.py
+    # --workload certify`, 2 vCPU, OpenBLAS 0.3.31, ten alternating 20 s
+    # runs: one thread gave 2618 pairs/s with an interquartile range of 9% of
+    # the median, default threading 3008 pairs/s and 20%; with another
+    # process loading one core at a duty cycle that changed every 5-40 s,
+    # 2446 pairs/s and 17% against 2118 pairs/s and 45%.
     with _one_blas_thread():
         for start in range(0, A.m, ROW_BLOCK):
             rows = A.entries[start : start + ROW_BLOCK]

@@ -34,7 +34,8 @@ kernel run their products on one BLAS thread under `_one_blas_thread`.
 After a product on two OpenBLAS threads the idle worker busy-waits on a
 core for a while, and a draw that follows shares that core with it (see
 `_one_blas_thread` for the measurement).  A bare `biht.run_biht` keeps the
-caller's BLAS threading.
+caller's BLAS threading: with no draws around it, its dense first-step
+products gain from a second thread.
 
 Nothing here is cryptographic.
 """
@@ -209,12 +210,12 @@ def _one_blas_thread():
 
     Why: after a product on two OpenBLAS threads the idle worker busy-waits
     on a core, and a pool draw that follows shares that core with it.  A
-    10000 x 200 matrix draw on 2 vCPU (OpenBLAS 0.3.31), medians: 33 ms with
-    no product before it, 54 ms right after one two-thread ``A.T @ r``,
-    31 ms after the same product on one thread, 33 ms after the two-thread
-    product and a 0.3 s sleep, and 46 ms with the count set to 1 only around
-    the draw.  So the count is set around the products of a whole pipeline,
-    not around its draws.  The products themselves are small (an m x n
+    10000 x 200 matrix draw on 2 vCPU (OpenBLAS 0.3.31), medians of 25 in
+    two sets: 30-36 ms with no product before it, 48-60 ms right after one
+    two-thread ``A.T @ r``, 29-32 ms after the same product on one thread,
+    34 ms after the two-thread product and a 0.3 s sleep, and 45 ms with
+    the count set to 1 only around the draw.  So the count is set around
+    the products of a whole pipeline, not around its draws.  The products themselves are small (an m x n
     matrix-vector product per solver step, 512-row blocks in the certifier),
     and one thread also keeps their last bits independent of the core count:
     two-thread products round some results differently.
