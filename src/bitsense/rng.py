@@ -215,10 +215,11 @@ def _one_blas_thread():
     two-thread ``A.T @ r``, 29-32 ms after the same product on one thread,
     34 ms after the two-thread product and a 0.3 s sleep, and 45 ms with
     the count set to 1 only around the draw.  So the count is set around
-    the products of a whole pipeline, not around its draws.  The products themselves are small (an m x n
-    matrix-vector product per solver step, 512-row blocks in the certifier),
-    and one thread also keeps their last bits independent of the core count:
-    two-thread products round some results differently.
+    the products of a whole pipeline, not around its draws.  The products
+    themselves are small (an m x n matrix-vector product per solver step,
+    512-row blocks in the certifier), and one thread also keeps their last
+    bits independent of the core count: two-thread products round some
+    results differently.
     """
     global _blas_users, _blas_saved
     calls = _openblas_thread_calls()
