@@ -18,14 +18,28 @@ count, the step and the bound.
 
 A step costs O(mk + ln) for k-sparse iterates and l mismatched rows, down
 from O(mn).  sgn(Ax) is measured the one way `core.sign_measure` measures
-it, from the k columns of A on supp(x); the solver keeps that column block
-and gathers it again only when the support changes.  The correction is
-non-zero only on the l rows where b and sgn(Ax) differ, so `correction`
-sums over those rows alone while l < m/5 (`raic.ROWS_ONLY_BELOW`, the
-measured break-even against the dense m x n product) and takes the dense
-product above it.  l is about m theta / pi for the angle theta between x and
-the signal, so late steps are cheap and the first, with l near m/2, cost
-what they did.
+it, from the k columns of A on supp(x), which top-k hands over; the solver
+keeps that column block and gathers it again only when the support changes.
+The correction is non-zero only on the l rows where b and sgn(Ax) differ,
+which the mismatch count finds once per iterate; `correction` sums over
+those rows alone while l < m/5 (`raic.ROWS_ONLY_BELOW`, the measured
+break-even against the dense m x n product) and takes the dense product
+above it.  l is about m theta / pi for the angle theta between x and the
+signal, so late steps are cheap and the first, with l near m/2, take the
+dense product.
+
+A step that leaves the iterate in place (h = 0, once sgn(Ax) = b, or a zero
+candidate) is an absorbing fixed point: the signs, hence h and the next
+step, stay the same for good.  The loop stops there and repeats that row for
+the remaining steps, so the record keeps its max_iters + 1 rows, bit for bit
+what running on would give.  On the `solve` benchmark (n=200, k=5, m=10000,
+T=30, seed 1) 5385 of 9000 steps were such fixed points.  A moving step
+there costs about 90 us (2 vCPU, numpy 2.4): the descent (top-k, the sphere
+projection and the iterate's checks) about 32 us, the product with the kept
+block and its signs about 35 us, the rows-only correction about 14 us and
+the mismatch rows about 7 us.  The first step's dense correction (0.5-0.7
+ms) and a gather of five columns (0.15-0.25 ms) are the largest single
+costs.
 """
 
 from __future__ import annotations
@@ -46,7 +60,7 @@ from .core import (
 )
 from .raic import DEFAULT_ETA, correction, restricted_residual
 from .rng import SeedSpec
-from .thresholding import normalize, top_k
+from .thresholding import _top_k, normalize
 
 
 @dataclass(frozen=True)
@@ -55,8 +69,9 @@ class BIHTConfig:
 
     ``init`` is either a SeedSpec (draw the starting point uniformly at
     random from the k-sparse unit sphere) or a SparseUnitVector to start
-    from.  The solver always runs ``max_iters`` steps, as the analysis
-    assumes a fixed iteration count.
+    from.  The record always covers ``max_iters`` steps, as the analysis
+    assumes a fixed iteration count; steps after an absorbing fixed point
+    are filled in, not run.
     """
 
     k: int
@@ -110,16 +125,19 @@ def biht_step(
     return run_biht(A, b, BIHTConfig(k=k, max_iters=1, eta=eta, init=x_prev)).final
 
 
-def _descend(x_prev: SparseUnitVector, h: np.ndarray, k: int) -> SparseUnitVector:
-    """normalize(top_k(x_prev + h, k)), or x_prev itself when h or the candidate is zero."""
+def _descend(x_prev: SparseUnitVector, h: np.ndarray, k: int):
+    """(normalize(top_k(x_prev + h, k)), its support), or (x_prev, None)
+    when h or the candidate is zero."""
     if not h.any():
         # Exact fixed point: the correction is zero and re-projecting the
         # iterate would only churn last-bit rounding.
-        return x_prev
-    candidate = top_k(x_prev.values + h, k)
+        return x_prev, None
+    candidate, keep = _top_k(x_prev.values + h, k)
     if not candidate.any():
-        return x_prev
-    return SparseUnitVector(normalize(candidate), k)
+        return x_prev, None
+    x = SparseUnitVector(normalize(candidate), k)
+    # top_k kept at most k entries; the support is those of them still nonzero.
+    return x, keep[x.values[keep] != 0.0]
 
 
 def run_biht(
@@ -136,7 +154,10 @@ def run_biht(
 
     Each step corrects the iterate with its signs s = sgn(A x), descends,
     and measures the result only if it moved, so each iterate is measured
-    once.
+    once.  The mismatched rows are found once per iterate, for its count
+    and its correction.  A step that does not move is an absorbing fixed
+    point: s, and with it h and every recorded value, stay as they are, so
+    the rest of the record repeats that step's row and the loop stops.
     """
     if len(b) != A.m:
         raise ValueError(f"sign pattern has length {len(b)}, but A has {A.m} rows")
@@ -147,29 +168,37 @@ def run_biht(
 
     track = truth is not None
     measure = _Measure(A)
-    s = measure(x.values)
+    supp = x.support()
+    s = measure(x.values, supp)
+    rows = np.flatnonzero(b.bits != s)
     iterates = [x]
-    mismatch = [int(np.count_nonzero(b.bits != s))]
+    mismatch = [rows.size]
     error_ds = [sphere_distance(truth.values, x.values)] if track else None
     lemma1 = [float("nan")] if track else None
 
-    for _ in range(config.max_iters):
+    for t in range(1, config.max_iters + 1):
         x_prev = x
-        h = correction(A, b.bits, s, config.eta)
-        x = _descend(x_prev, h, config.k)
-        if x is not x_prev:
-            s = measure(x.values)
+        h = correction(A, b.bits, s, config.eta, rows)
+        x, moved = _descend(x_prev, h, config.k)
+        if moved is not None:
+            supp = moved
+            s = measure(x.values, supp)
+            rows = np.flatnonzero(b.bits != s)
         iterates.append(x)
-        mismatch.append(int(np.count_nonzero(b.bits != s)))
+        mismatch.append(rows.size)
         if track:
             error_ds.append(sphere_distance(truth.values, x.values))
             # h is h_A(truth, x_prev) with b in place of sgn(A truth): they
             # agree by construction of the measurement, and this keeps the
             # bound meaningful even if a caller passes a b merely claimed to
             # measure truth.
-            lemma1.append(
-                4.0 * restricted_residual(truth.values, x_prev.values, x.support(), h)
-            )
+            lemma1.append(4.0 * restricted_residual(truth.values, x_prev.values, supp, h))
+        if moved is None:
+            rest = config.max_iters - t
+            for record in (iterates, mismatch, error_ds, lemma1):
+                if record is not None:
+                    record.extend(record[-1:] * rest)
+            break
 
     return Trajectory(
         iterates=iterates, mismatch=mismatch, error_ds=error_ds, lemma1_rhs=lemma1

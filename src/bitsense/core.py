@@ -23,6 +23,7 @@ from .rng import (
     sample_standard_normal,
     sample_standard_normal_rows,
 )
+from .thresholding import smallest_k
 
 UNIT_NORM_TOL = 1e-9
 
@@ -119,18 +120,26 @@ class SignPattern:
         return self.bits.size
 
 
+def _finite_signs(a: np.ndarray) -> np.ndarray:
+    """sgn of a float64 array, as int8 in {-1, +1}; rejects non-finite entries."""
+    if not np.isfinite(a).all():
+        raise ValueError("sgn requires finite input")
+    # Bools are the bytes 0 and 1, so 2 * bit - 1 is the sign, in int8.
+    s = (a >= 0.0).view(np.int8)
+    s += s
+    s -= 1
+    return s
+
+
 def sgn(x):
     """Sign with sgn(0) = +1, elementwise on arrays.
 
     Rejects non-finite input; returns int8 in {-1, +1}.
     """
     a = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(a).all():
-        raise ValueError("sgn requires finite input")
-    if np.isscalar(x) or a.ndim == 0:
-        return 1 if a >= 0.0 else -1
-    # Bools are the bytes 0 and 1, so 2 * bit - 1 is the sign, in int8.
-    return (a >= 0.0).view(np.int8) * np.int8(2) - np.int8(1)
+    if a.ndim == 0:
+        return int(_finite_signs(a.reshape(1))[0])
+    return _finite_signs(a)
 
 
 class _Measure:
@@ -141,7 +150,8 @@ class _Measure:
     the product itself (0.15 ms against 0.017 ms at m=10000, k=5), and most
     late solver steps move the values within a support that has settled.
     A dense v takes A itself, ungathered; a zero v takes no column and
-    measures all +1.
+    measures all +1.  A caller that already has supp(v), as the solver has
+    from top-k, passes it and saves the scan for nonzeros.
     """
 
     def __init__(self, A: MeasurementMatrix):
@@ -149,12 +159,13 @@ class _Measure:
         self.supp = None
         self.cols = None
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        supp = np.flatnonzero(v)
+    def __call__(self, v: np.ndarray, supp: np.ndarray | None = None) -> np.ndarray:
+        if supp is None:
+            supp = np.flatnonzero(v)
         if self.supp is None or not np.array_equal(supp, self.supp):
             a = self.A.entries
             self.supp, self.cols = supp, a if supp.size == a.shape[1] else a[:, supp]
-        return sgn(self.cols @ v[supp])
+        return _finite_signs(self.cols @ v[supp])
 
 
 def _length_checked(x, n: int, name: str) -> np.ndarray:
@@ -238,7 +249,7 @@ def random_sparse_unit_rows(n: int, k: int, seeds) -> np.ndarray:
     if dead.any():  # probability zero, but stay total
         vals[dead] = 1.0
         norms[dead] = math.sqrt(k)
-    supports = np.sort(np.argsort(ranks, axis=1, kind="stable")[:, :k], axis=1)
+    supports = smallest_k(ranks, k)
     out = np.zeros((len(children), n))
     np.put_along_axis(out, supports, vals / norms[:, None], axis=1)
     return out
@@ -320,4 +331,6 @@ def load_matrix_binary(path) -> np.ndarray:
         if payload > 8 * m * n:
             raise ValueError(f"{path}: {payload - 8 * m * n} trailing bytes after {m}x{n}")
         data = np.frombuffer(fh.read(8 * m * n), dtype="<f8")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite entry")
     return data.reshape(m, n).astype(np.float64)

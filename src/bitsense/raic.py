@@ -57,19 +57,26 @@ from .rng import (
     sample_standard_normal_rows,
 )
 from .theory import constants
-from .thresholding import threshold_set
+from .thresholding import _index_array, smallest_k, threshold_set
 
 # Step size the contraction analysis requires; deviating far from it loses
 # the contraction, so treat overrides as experimental.
 DEFAULT_ETA = math.sqrt(2.0 * math.pi)
 
 # `correction` sums over the mismatched rows only while they are fewer than
-# this share of m, and takes the dense product otherwise.  Gathering l rows
-# of the row-major matrix and multiplying costs about as much as the dense
-# m x n product at l = m/5: on 2 vCPU with OpenBLAS 0.3.31 (default
-# threading), A.T @ r took 0.47 ms at m=10000, n=200, and the rows-only
-# product 0.23 ms at l = m/10, 0.47 ms at m/5 and 0.81 ms at 3m/10; at
-# m=5000 the ratios were 0.23, 0.93 and 1.32.
+# this share of m, and takes the dense product otherwise.  Measured on 2
+# vCPU with OpenBLAS 0.3.31, n=200, medians of 15, under both threadings
+# the solver runs at.  Default threading (a bare `run_biht`, the `solve`
+# benchmark): the dense A.T @ r took 0.48-0.55 ms at m=10000, and the
+# rows-only product 0.53 ms at l = m/5 and 0.74-0.79 ms at m/4; at m=5000,
+# 0.21-0.26 ms against 0.23-0.28 ms at m/5.  One BLAS thread (`run`): dense
+# 0.74 ms at m=10000, rows-only 0.54 ms at m/5 and 0.67 ms at m/4; at
+# m=5000, 0.35-0.38 ms against 0.23-0.25 ms at m/5 and 0.30-0.33 ms at
+# m/4.  So the break-even is near m/5 at default threading and near 0.27m
+# on one thread.  The constant stays at m/5: a higher one would slow the
+# default-threading steps in between, and no step of the `solve` benchmark
+# (seed 1, 150 solves) or of the acceptance run (seed 0) has l in
+# [m/5, 0.27m).
 ROWS_ONLY_BELOW = 0.2
 
 # `raic_certify` draws and certifies pairs in blocks of PAIR_BLOCK, and the
@@ -84,7 +91,9 @@ ROWS_ONLY_BELOW = 0.2
 PAIR_BLOCK = 32
 ROW_BLOCK = 512
 
-def correction(A: MeasurementMatrix, b, s, eta: float = DEFAULT_ETA) -> np.ndarray:
+def correction(
+    A: MeasurementMatrix, b, s, eta: float = DEFAULT_ETA, rows: np.ndarray | None = None
+) -> np.ndarray:
     """(eta / m) A^T (b - s) / 2 for sign patterns b, s over the rows of A.
 
     With b = sgn(Ax), s = sgn(Ay) it is h_A(x, y); with b the observed signs
@@ -92,12 +101,15 @@ def correction(A: MeasurementMatrix, b, s, eta: float = DEFAULT_ETA) -> np.ndarr
     b and s differ contribute: while l < ROWS_ONLY_BELOW * m the product
     runs over those rows alone, in O(l n), and over all m rows otherwise.
     When b == s rowwise it is the zero vector, returned without a product.
+    ``rows`` is ``np.flatnonzero(b != s)``, passed by a caller that found
+    the mismatched rows already (the solver counts them at every step).
     """
     bv = np.asarray(b)
     sv = np.asarray(s)
     if bv.shape != (A.m,) or sv.shape != (A.m,):
         raise ValueError(f"sign patterns must have length {A.m}")
-    rows = np.flatnonzero(bv != sv)
+    if rows is None:
+        rows = np.flatnonzero(bv != sv)
     if rows.size == 0:
         return np.zeros(A.n)
     if rows.size >= ROWS_ONLY_BELOW * A.m:
@@ -119,9 +131,8 @@ def h_a(A: MeasurementMatrix, x, y, eta: float = DEFAULT_ETA) -> np.ndarray:
 
 
 def _restrict(h, x, y, J) -> np.ndarray:
-    keep = set(np.flatnonzero(x).tolist())
-    keep.update(np.flatnonzero(y).tolist())
-    keep.update(int(j) for j in J)
+    """h restricted to supp(x) u supp(y) u J."""
+    keep = np.concatenate((np.flatnonzero(x), np.flatnonzero(y), _index_array(J)))
     return threshold_set(h, keep)
 
 
@@ -308,7 +319,11 @@ def _draw_pairs(n, k, seed, first, count, num_small, max_j, radius):
         return X, Y, [[] for _ in range(count)]
     u = random_uniform_rows(j_seeds, n + 1)
     sizes = np.minimum((u[:, 0] * (max_j + 1)).astype(np.int64), max_j)
-    order = np.argsort(u[:, 1:], axis=1, kind="stable")
+    # The max_j smallest ranks, in rank order (index order on ties, as the
+    # stable sort of all the ranks orders them).
+    kept = smallest_k(u[:, 1:], max_j)
+    ranks = np.take_along_axis(u[:, 1:], kept, axis=1)
+    order = np.take_along_axis(kept, np.argsort(ranks, axis=1, kind="stable"), axis=1)
     return X, Y, [order[i, : sizes[i]].tolist() for i in range(count)]
 
 

@@ -276,6 +276,13 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="bad.csv"):
             load_matrix_csv(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_binary_non_finite_entry(self, tmp_path, value):
+        path = tmp_path / "bad.bin"
+        save_matrix_binary(path, np.array([[1.0, value], [3.0, 2.0]]))
+        with pytest.raises(ValueError, match="bad.bin"):
+            load_matrix_binary(path)
+
     def test_vector_roundtrip_as_single_row(self, tmp_path):
         x = random_sparse_unit(12, 3, SeedSpec(33)).values
         path = tmp_path / "sig.csv"

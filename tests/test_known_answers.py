@@ -20,9 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitsense import biht, cli
+from bitsense import biht, cli, core
 from bitsense.biht import BIHTConfig, biht_step, run_biht
-from bitsense.core import SignPattern, gaussian_matrix, random_sparse_unit, sgn
+from bitsense.core import (
+    MeasurementMatrix,
+    SignPattern,
+    gaussian_matrix,
+    random_sparse_unit,
+    sgn,
+)
 from bitsense.raic import ROWS_ONLY_BELOW, correction, raic_certify
 from bitsense.rng import (
     SeedSpec,
@@ -302,6 +308,51 @@ def test_run_matches_repeated_steps(case, truth_seed, T, track):
     assert (traj.lemma1_rhs is None) == (not track)
 
 
+def _rows(traj):
+    """Each record row of a trajectory as bytes: iterate, mismatch, d_s, bound."""
+    track = traj.error_ds is not None
+    return [
+        (
+            x.values.tobytes(),
+            traj.mismatch[t],
+            np.float64(traj.error_ds[t]).tobytes() if track else None,
+            np.float64(traj.lemma1_rhs[t]).tobytes() if track else None,
+        )
+        for t, x in enumerate(traj.iterates)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(), st.integers(0, 2**64 - 1), st.integers(1, 6), st.integers(1, 6), st.booleans())
+def test_run_is_a_prefix_of_a_longer_run_and_absorbs(case, truth_seed, T, d, track):
+    # Stopping at the absorbing fixed point must not change a single bit of
+    # the record: a run of T steps is the first T + 1 rows of a run of
+    # T + d steps, and once a step leaves the iterate in place every later
+    # row repeats that step's row.
+    A, b, x_prev, k, eta = case
+    truth = random_sparse_unit(A.n, k, SeedSpec(truth_seed)) if track else None
+    short, long = (
+        run_biht(A, b, BIHTConfig(k=k, max_iters=steps, eta=eta, init=x_prev), truth=truth)
+        for steps in (T, T + d)
+    )
+    rows = _rows(long)
+    assert _rows(short) == rows[: T + 1]
+    still = [t for t in range(1, T + d + 1) if rows[t][0] == rows[t - 1][0]]
+    if still:
+        assert rows[still[0] + 1 :] == [rows[still[0]]] * (T + d - still[0])
+
+
+def test_run_rejects_nan_in_a_support_column():
+    n, k, m = 20, 3, 100
+    x = random_sparse_unit(n, k, SeedSpec(7))
+    entries = np.array(gaussian_matrix(m, n, SeedSpec(8)).entries)
+    b = SignPattern(sgn(entries @ x.values))
+    entries[m // 2, x.support()[1]] = np.nan
+    A = MeasurementMatrix(entries)
+    with pytest.raises(ValueError, match="finite"):
+        run_biht(A, b, BIHTConfig(k=k, max_iters=3, init=x))
+
+
 class _ProductLog(np.ndarray):
     """A matrix view that records the shape of each matrix product it takes."""
 
@@ -311,6 +362,35 @@ class _ProductLog(np.ndarray):
     def __matmul__(self, other):
         self.log.append(self.shape)
         return np.asarray(self) @ other
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.integers(1, 30),
+    st.integers(0, 2**64 - 1),
+    st.lists(st.lists(st.integers(0, 29), max_size=8), min_size=1, max_size=6),
+)
+def test_measure_keeps_the_block_of_the_current_support(m, n, seed, supports):
+    # Successive supports, given or found, some repeated and some sharing
+    # columns: the kept block must be A[:, supp] bit for bit, and each
+    # product must go through A's entries (here, the product log).
+    A = gaussian_matrix(m, n, SeedSpec(seed))
+    plain = np.array(A.entries)
+    logged = A.entries.view(_ProductLog)
+    logged.log = []
+    object.__setattr__(A, "entries", logged)
+    measure = core._Measure(A)
+    values = sample_standard_normal(SeedSpec(seed, 1), n)
+    for i, chosen in enumerate(supports):
+        supp = np.unique(np.asarray(chosen, dtype=np.intp) % n)
+        v = np.zeros(n)
+        v[supp] = values[supp]
+        s = measure(v) if i % 2 else measure(v, supp)
+        assert np.array_equal(s, sgn(plain[:, supp] @ v[supp]))
+        if supp.size < n:
+            assert np.asarray(measure.cols).tobytes() == plain[:, supp].tobytes()
+        assert len(logged.log) == i + 1 and logged.log[-1] == (m, supp.size)
 
 
 def test_tracked_run_measures_each_iterate_once(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bitsense import core, raic, rng
 from bitsense.core import (
     SparseUnitVector,
     gaussian_matrix,
@@ -427,6 +428,26 @@ class TestBlockPath:
                 assert X[i].tobytes() == x.tobytes()
                 assert Y[i].tobytes() == y.tobytes()
                 assert Js[i] == J
+
+    def test_block_draws_on_tied_ranks_select_as_the_stable_sort(self, monkeypatch):
+        # Ranks rounded down to eighths tie often, at the k-th smallest too,
+        # where the selection must fall back to the stable sort's choice.
+        def coarse(seeds, n):
+            return np.floor(rng.random_uniform_rows(seeds, n) * 8.0) / 8.0
+
+        monkeypatch.setattr(core, "random_uniform_rows", coarse)
+        monkeypatch.setattr(raic, "random_uniform_rows", coarse)
+        n, k, max_j, seed = 30, 4, 6, SeedSpec(9, 3)
+        X, Y, Js = _draw_pairs(n, k, seed, 0, PAIR_BLOCK, 0, max_j, 1e-4)
+        pair_seeds = [derive_seed(seed, p) for p in range(PAIR_BLOCK)]
+        for rows, c in ((X, 0), (Y, 1)):
+            ranks = coarse([derive_seed(derive_seed(s, c), 0) for s in pair_seeds], n)
+            expected = np.sort(np.argsort(ranks, axis=1, kind="stable")[:, :k], axis=1)
+            assert np.array_equal(np.nonzero(rows)[1].reshape(-1, k), expected)
+        u = coarse([derive_seed(s, 2) for s in pair_seeds], n + 1)
+        sizes = np.minimum((u[:, 0] * (max_j + 1)).astype(np.int64), max_j)
+        order = np.argsort(u[:, 1:], axis=1, kind="stable")
+        assert Js == [order[i, : sizes[i]].tolist() for i in range(PAIR_BLOCK)]
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitsense.rng import SeedSpec, derive_seed, random_uniform, sample_standard_normal
-from bitsense.thresholding import normalize, threshold_set, top_k
+from bitsense.thresholding import normalize, smallest_k, threshold_set, top_k
 
 
 def reference_top_k(v, k):
@@ -69,6 +69,50 @@ class TestTopK:
             top_k(np.ones(3), 4)
         with pytest.raises(ValueError):
             top_k(np.ones(3), -1)
+
+
+def stable_smallest(keys, k):
+    """The k-selection of a full stable sort, in index order."""
+    return np.sort(np.argsort(keys, axis=-1, kind="stable")[..., :k], axis=-1)
+
+
+class TestSmallestK:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 12),
+        st.data(),
+    )
+    def test_equals_stable_argsort(self, rows, n, data):
+        # Small integers tie often, at the boundary too; floats rarely do.
+        values = st.integers(-3, 3) if data.draw(st.booleans()) else st.floats(-1e3, 1e3)
+        keys = np.array(
+            data.draw(st.lists(values, min_size=rows * n, max_size=rows * n)), dtype=np.float64
+        ).reshape(rows, n)
+        k = data.draw(st.integers(0, n + 2))
+        expected = stable_smallest(keys, min(k, n))
+        assert np.array_equal(smallest_k(keys, k), expected)
+        assert np.array_equal(smallest_k(keys[0], k), expected[0])
+
+    def test_tie_at_the_boundary_takes_the_lowest_index(self):
+        keys = np.array([[5.0, 1.0, 3.0, 3.0, 0.0], [3.0, 3.0, 3.0, 1.0, 2.0]])
+        assert smallest_k(keys, 3).tolist() == [[1, 2, 4], [0, 3, 4]]
+        assert smallest_k(keys[0], 3).tolist() == [1, 2, 4]
+
+    def test_nan_and_signed_zero(self):
+        keys = np.array([np.nan, -0.0, 0.0, 1.0, np.nan])
+        for k in range(6):
+            assert np.array_equal(smallest_k(keys, k), stable_smallest(keys, k))
+
+    def test_uniform_rows_match_stable_argsort(self):
+        u = np.array([random_uniform(derive_seed(SeedSpec(67), i), 200) for i in range(32)])
+        for k in (1, 5, 200):
+            assert np.array_equal(smallest_k(u, k), stable_smallest(u, k))
+
+    def test_top_k_tie_at_the_boundary(self):
+        v = np.array([0.5, -2.0, 1.0, -1.0, 1.0, 3.0])
+        assert np.array_equal(top_k(v, 3), reference_top_k(v, 3))
+        assert top_k(v, 3).tolist() == [0.0, -2.0, 1.0, 0.0, 0.0, 3.0]
 
 
 class TestThresholdSet:
