@@ -9,19 +9,16 @@ Subcommands:
 * ``generate``  write a Gaussian matrix or sparse signal to file
 
 Every subcommand is deterministic; all but ``theory``, which draws nothing,
-take ``--seed``.  Flags override the JSON config file given with
-``--config``, which overrides built-in defaults; a config key that is not a
-setting of the subcommand is a usage error.  Trials run one after another;
-the only parallel layer is the sampler, which spreads long requests (a
-whole measurement matrix, a validator block) over a thread pool with one
-worker per usable CPU and gives the same values as one serial pass.
-``run``, ``validate`` and ``raic`` make their BLAS products on one thread,
-whatever ``OPENBLAS_NUM_THREADS`` says: after a product on two OpenBLAS
-threads the idle worker busy-waits on a core, and the next matrix draw
-shares that core with it.  On 2 cores at the acceptance config (n=200 k=5
-m=10000, 50 trials, T=12), ``run`` took 2.2-2.6 s with default OpenBLAS
-threading and 2.4-2.5 s with ``OPENBLAS_NUM_THREADS=1``, against 3.3-3.5 s
-when its products used two threads (five alternating runs each).
+take ``--seed``.  Each subcommand's settings and their defaults are one
+table in SETTINGS, from which its flags, its config keys and their types
+come.  Flags override the JSON config file given with ``--config``, which
+overrides the defaults; a config key that is not a setting of the
+subcommand is a usage error.  Trials run one after another; the only
+parallel layer is the sampler, which spreads long requests (a whole
+measurement matrix, a validator block) over a thread pool with one worker
+per usable CPU and gives the same values as one serial pass.  ``run``,
+``validate`` and ``raic`` make their BLAS products on one thread, whatever
+``OPENBLAS_NUM_THREADS`` says (see `rng._one_blas_thread`).
 
 Exit codes: 0 success; 1 I/O failure, a failed validator (``validate``) or a
 per-iteration error bound violated beyond rounding slack (``run``, which then
@@ -41,6 +38,42 @@ from . import biht, core, montecarlo, raic, theory
 from .rng import SeedSpec, derive_seed
 
 
+# Each subcommand's settings and their defaults.  A setting ``name`` is the
+# flag ``--name`` (dashes for underscores) and the config key ``name``; it
+# is a float when its default is a float and an integer otherwise (a None
+# default is the subcommand's own choice, named in its help).
+SETTINGS = {
+    "run": {"n": 200, "k": 5, "m": 5000, "trials": 25, "iters": 15,
+            "eta": raic.DEFAULT_ETA, "seed": 0},
+    "raic": {"n": 200, "k": 5, "m": 5000, "delta": 0.01, "pairs": 500,
+             "small_pairs": None, "max_j": None, "seed": 0},
+    "validate": {"seed": 0},
+    "theory": {"epsilon": 0.1, "rho": 0.1, "k": 5, "n": 1000},  # no randomness to seed
+    "generate": {"n": 200, "k": 5, "m": 5000, "seed": 0},
+}
+
+_HELP = {
+    "n": "signal dimension",
+    "k": "sparsity",
+    "m": "measurement count",
+    "trials": "number of independent trials",
+    "iters": "solver iterations per trial",
+    "eta": "step size; the theory's is sqrt(2 pi)",
+    "seed": "base seed",
+    "delta": "resolution of the certificate",
+    "pairs": "sampled vector pairs",
+    "small_pairs": "pairs forced below the small-distance threshold "
+    "(default: one fifth of pairs)",
+    "max_j": "cap on |J| (default: k; 2k probes the wider restriction)",
+    "epsilon": "target recovery error",
+    "rho": "failure probability",
+}
+
+
+def _kind(default):
+    return float if isinstance(default, float) else int
+
+
 def _load_config(path):
     if path is None:
         return {}
@@ -51,17 +84,19 @@ def _load_config(path):
     return data
 
 
-def _resolve(args, config, defaults):
-    """Merged settings: CLI flag > config file entry > default.
+def _resolve(args):
+    """The subcommand's settings: CLI flag > config file entry > default.
 
     Config entries of float settings take JSON numbers, all others (counts,
     whose default is an int or None) JSON integers; a bool is neither."""
+    defaults = SETTINGS[args.command]
+    config = _load_config(args.config)
     unknown = sorted(set(config) - set(defaults))
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     merged = dict(defaults)
     for key, value in config.items():
-        kind = float if isinstance(defaults[key], float) else int
+        kind = _kind(defaults[key])
         if value is None and defaults[key] is None:
             continue
         if isinstance(value, bool) or not isinstance(value, (int, kind)):
@@ -69,9 +104,8 @@ def _resolve(args, config, defaults):
             raise ValueError(f"config key {key!r} must be {wanted}, got {value!r}")
         merged[key] = kind(value)
     for key in defaults:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            merged[key] = flag_val
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     return merged
 
 
@@ -86,19 +120,7 @@ def _write_json(path, payload):
 
 
 def cmd_run(args) -> int:
-    settings = _resolve(
-        args,
-        _load_config(args.config),
-        {
-            "n": 200,
-            "k": 5,
-            "m": 5000,
-            "trials": 25,
-            "iters": 15,
-            "eta": raic.DEFAULT_ETA,
-            "seed": 0,
-        },
-    )
+    settings = _resolve(args)
     # Sizes are checked and every trial runs before the output directory is
     # made, so a bad size or a violated error bound leaves no files behind.
     trajectories = montecarlo.convergence_trials(
@@ -124,7 +146,7 @@ def cmd_run(args) -> int:
     _write_json(
         out / "summary.json",
         {
-            **{key: settings[key] for key in ("n", "k", "m", "trials", "iters", "eta", "seed")},
+            **settings,
             "final_mean_d_s": float(np.mean(finals)),
             "final_max_d_s": float(np.max(finals)),
             "min_error_bound_slack": worst_slack,
@@ -138,20 +160,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_raic(args) -> int:
-    settings = _resolve(
-        args,
-        _load_config(args.config),
-        {
-            "n": 200,
-            "k": 5,
-            "m": 5000,
-            "delta": 0.01,
-            "pairs": 500,
-            "small_pairs": None,  # certifier default: one fifth of pairs
-            "max_j": None,
-            "seed": 0,
-        },
-    )
+    settings = _resolve(args)
     max_j = settings["max_j"] if settings["max_j"] is not None else settings["k"]
     base = SeedSpec(settings["seed"])
     A = core.gaussian_matrix(settings["m"], settings["n"], derive_seed(base, 0))
@@ -177,7 +186,7 @@ def cmd_raic(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    settings = _resolve(args, _load_config(args.config), {"seed": 0})
+    settings = _resolve(args)
     # Validate before creating the output directory: a bad seed leaves no files.
     rows = montecarlo.run_validator_suite(
         SeedSpec(settings["seed"]), break_sgn_zero=args.break_sgn_zero
@@ -209,11 +218,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    settings = _resolve(
-        args,
-        _load_config(args.config),
-        {"epsilon": 0.1, "rho": 0.1, "k": 5, "n": 1000},
-    )
+    settings = _resolve(args)
     m = theory.sample_complexity(
         settings["epsilon"], settings["rho"], settings["k"], settings["n"]
     )
@@ -237,11 +242,7 @@ def cmd_theory(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    settings = _resolve(
-        args,
-        _load_config(args.config),
-        {"n": 200, "k": 5, "m": 5000, "seed": 0},
-    )
+    settings = _resolve(args)
     base = SeedSpec(settings["seed"])
     if args.what == "matrix":
         data = core.gaussian_matrix(settings["m"], settings["n"], derive_seed(base, 0)).entries
@@ -258,10 +259,14 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, seed=True):
+def _add_settings(sub, command, func, summary):
+    p = sub.add_parser(command, help=summary)
     p.add_argument("--config", help="JSON config file; flags override its entries")
-    if seed:
-        p.add_argument("--seed", type=int, help="base seed (default 0)")
+    for key, default in SETTINGS[command].items():
+        text = _HELP[key] if default is None else f"{_HELP[key]} (default: {default})"
+        p.add_argument("--" + key.replace("_", "-"), type=_kind(default), help=text)
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,57 +276,27 @@ def build_parser() -> argparse.ArgumentParser:
         "certification, Monte Carlo validation, and theory tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out_help = "directory for output files (default: .)"
 
-    p_run = sub.add_parser("run", help="run solver trials and write trajectories")
-    _add_common(p_run)
-    p_run.add_argument("--n", type=int, help="signal dimension")
-    p_run.add_argument("--k", type=int, help="sparsity")
-    p_run.add_argument("--m", type=int, help="measurement count")
-    p_run.add_argument("--trials", type=int, help="number of independent trials")
-    p_run.add_argument("--iters", type=int, help="solver iterations per trial")
-    p_run.add_argument("--eta", type=float, help="step size (default sqrt(2 pi))")
-    p_run.add_argument("--output-dir", default=".", help="directory for output files")
-    p_run.set_defaults(func=cmd_run)
+    p_run = _add_settings(sub, "run", cmd_run, "run solver trials and write trajectories")
+    p_run.add_argument("--output-dir", default=".", help=out_help)
 
-    p_raic = sub.add_parser("raic", help="sampled invertibility certificate")
-    _add_common(p_raic)
-    p_raic.add_argument("--n", type=int)
-    p_raic.add_argument("--k", type=int)
-    p_raic.add_argument("--m", type=int)
-    p_raic.add_argument("--delta", type=float, help="resolution of the certificate")
-    p_raic.add_argument("--pairs", type=int, help="sampled vector pairs")
-    p_raic.add_argument("--small-pairs", dest="small_pairs", type=int,
-                        help="pairs forced below the small-distance threshold")
-    p_raic.add_argument("--max-j", dest="max_j", type=int,
-                        help="cap on |J| (default k; 2k probes the wider restriction)")
-    p_raic.add_argument("--output-dir", default=".")
-    p_raic.set_defaults(func=cmd_raic)
+    p_raic = _add_settings(sub, "raic", cmd_raic, "sampled invertibility certificate")
+    p_raic.add_argument("--output-dir", default=".", help=out_help)
 
-    p_val = sub.add_parser("validate", help="run the Monte Carlo validator battery")
-    _add_common(p_val)
-    p_val.add_argument("--output-dir", default=".")
+    p_val = _add_settings(sub, "validate", cmd_validate, "run the Monte Carlo validator battery")
+    p_val.add_argument("--output-dir", default=".", help=out_help)
     p_val.add_argument("--break-sgn-zero", action="store_true",
                        help="fault injection: corrupt the sign convention so the "
                             "mismatch validators must fail (self-test)")
-    p_val.set_defaults(func=cmd_validate)
 
-    p_theory = sub.add_parser("theory", help="print constants and bound tables")
-    _add_common(p_theory, seed=False)  # no randomness to seed
-    p_theory.add_argument("--epsilon", type=float)
-    p_theory.add_argument("--rho", type=float)
-    p_theory.add_argument("--k", type=int)
-    p_theory.add_argument("--n", type=int)
-    p_theory.set_defaults(func=cmd_theory)
+    _add_settings(sub, "theory", cmd_theory, "print constants and bound tables")
 
-    p_gen = sub.add_parser("generate", help="write a matrix or signal to file")
-    _add_common(p_gen)
+    p_gen = _add_settings(sub, "generate", cmd_generate, "write a matrix or signal to file")
     p_gen.add_argument("--what", choices=("matrix", "signal"), required=True)
     p_gen.add_argument("--out", required=True, help="output path")
-    p_gen.add_argument("--format", choices=("csv", "bin"), default="csv")
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--k", type=int)
-    p_gen.add_argument("--m", type=int)
-    p_gen.set_defaults(func=cmd_generate)
+    p_gen.add_argument("--format", choices=("csv", "bin"), default="csv",
+                       help="file format (default: csv)")
 
     return parser
 

@@ -323,6 +323,8 @@ def load_matrix_binary(path) -> np.ndarray:
         if len(header) != 8:
             raise ValueError(f"{path}: truncated header")
         m, n = (int(d) for d in np.frombuffer(header, dtype="<u4"))
+        if m == 0 or n == 0:
+            raise ValueError(f"{path}: empty matrix ({m}x{n})")
         # Checked before reading, so a corrupt header cannot ask for more
         # memory than the file holds.
         payload = os.fstat(fh.fileno()).st_size - fh.tell()

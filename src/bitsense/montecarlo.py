@@ -12,12 +12,11 @@ compares an empirical statistic against its known value:
 
 plus the end-to-end convergence trials, which run the solver on fresh random
 instances (the only trial pipeline; the CLI's ``run`` uses it too).  The
-trials and the validator suite each run their BLAS products on one thread
-(`rng._one_blas_thread`), so the sampler's pool is their one parallel layer
-and their results do not depend on the caller's BLAS thread count; the
-validators called one by one keep the caller's threading.  The
-pair directions e- and e+ and their degeneracy rule come from one helper,
-shared with `raic.orthogonal_decompose`.
+trials and the validator suite run their BLAS products on one thread (see
+`rng._one_blas_thread`); the validators called one by one keep the caller's
+threading.  The correction map of a stack of sampled matrices is formed in
+one place (`_corrections`) and split along e- and e+ by
+`raic.orthogonal_decompose`.
 
 Mean checks pass at |z| <= 4 (false-failure rate below 1e-4 per assertion);
 tail checks pass when the empirical frequency does not exceed the theoretical
@@ -41,7 +40,7 @@ from .core import (
     sign_measure,
     sphere_distance,
 )
-from .raic import DEFAULT_ETA
+from .raic import DEFAULT_ETA, orthogonal_decompose
 from .rng import SeedSpec, _one_blas_thread, derive_seed, sample_standard_normal
 
 # Keeps any single sampled block near 64 MB of float64.
@@ -71,6 +70,16 @@ def _normal_blocks(seed: SeedSpec, count: int, *shape: int):
         block = sample_standard_normal(seed, take * size, offset=done * size)
         yield block.reshape(take, *shape)
         done += take
+
+
+def _corrections(Z, u, v):
+    """(ell, H) for a stack Z of t sampled m x n matrices and unit u, v:
+    ell[t] counts the rows of Z[t] where sgn(Z[t] u) != sgn(Z[t] v), and
+    H[t] = Z[t]^T (sgn(Z[t] u) - sgn(Z[t] v)) / 2 is (m / eta) h_{Z[t]}(u, v).
+    """
+    S = sgn(Z @ np.stack((u, v), axis=1))
+    r = 0.5 * (S[..., 0].astype(np.float64) - S[..., 1])
+    return np.count_nonzero(r, axis=1), np.einsum("tmi,tm->ti", Z, r)
 
 
 def mismatch_probability(u, v, draws: int, seed: SeedSpec, sign_fn=None) -> float:
@@ -145,20 +154,18 @@ class ProjectionStats:
     d_s: float  # expected value of the minus projection; plus expects 0
 
 
-def projection_expectation(
-    u, v, m: int, trials: int, seed: SeedSpec, eta: float = DEFAULT_ETA
-) -> ProjectionStats:
+def projection_expectation(u, v, m: int, trials: int, seed: SeedSpec) -> ProjectionStats:
     """Means of <e-, h_A(u, v)> and <e+, h_A(u, v)> over fresh matrices.
 
-    For unit u, v the minus projection is an unbiased estimator of
-    ||u - v|| and the plus projection of 0; standard errors are sample SDs
-    over trials divided by sqrt(trials).
+    With eta = sqrt(2 pi) and unit u, v the minus projection is an unbiased
+    estimator of ||u - v|| and the plus projection of 0; standard errors are
+    sample SDs over trials divided by sqrt(trials), so trials must be >= 2.
     """
-    if m < 1 or trials < 1:
-        raise ValueError("m and trials must be >= 1")
+    if m < 1 or trials < 2:
+        raise ValueError("m must be >= 1 and trials >= 2 (one trial has no standard error)")
     uu = _unit(u, "u")
     vv = _unit(v, "v")
-    e_minus, e_plus, _ = _pair_directions(uu, vv)
+    _pair_directions(uu, vv)  # rejects u = +-v before sampling
     d_s = sphere_distance(uu, vv)
 
     proj_minus = np.empty(trials)
@@ -166,9 +173,10 @@ def projection_expectation(
     done = 0
     for Z in _normal_blocks(seed, trials, m, uu.size):
         nt = Z.shape[0]
-        r = 0.5 * (sgn(Z @ uu).astype(np.float64) - sgn(Z @ vv).astype(np.float64))
-        proj_minus[done : done + nt] = (eta / m) * np.einsum("tm,tm->t", r, Z @ e_minus)
-        proj_plus[done : done + nt] = (eta / m) * np.einsum("tm,tm->t", r, Z @ e_plus)
+        _, H = _corrections(Z, uu, vv)
+        proj_minus[done : done + nt], proj_plus[done : done + nt], _ = orthogonal_decompose(
+            (DEFAULT_ETA / m) * H, uu, vv
+        )
         done += nt
     return ProjectionStats(
         mean_minus=float(proj_minus.mean()),
@@ -217,7 +225,7 @@ def tail_frequency_check(
     uu = _unit(u, "u")
     vv = _unit(v, "v")
     n = uu.size
-    e_minus, e_plus, theta = _pair_directions(uu, vv)
+    theta = _pair_directions(uu, vv)[2]
     d_s = sphere_distance(uu, vv)
     supp = np.flatnonzero(np.abs(uu) + np.abs(vv))
     k = max(int(np.count_nonzero(uu)), int(np.count_nonzero(vv)))
@@ -226,18 +234,10 @@ def tail_frequency_check(
     bound_sum = np.zeros(3)
     used = 0
     for Z in _normal_blocks(seed, trials, m, n):
-        r = 0.5 * (sgn(Z @ uu).astype(np.float64) - sgn(Z @ vv).astype(np.float64))
-        ell = np.count_nonzero(r, axis=1).astype(np.float64)
-        x_minus = np.einsum("tm,tm->t", r, Z @ e_minus) / m
-        x_plus = np.einsum("tm,tm->t", r, Z @ e_plus) / m
+        ell, H = _corrections(Z, uu, vv)
+        x_minus, x_plus, g = orthogonal_decompose(H / m, uu, vv)
         # Residual component, restricted to supp(u) u supp(v).
-        h_supp = np.einsum("tmi,tm->ti", Z[:, :, supp], r) / m
-        g_supp = (
-            h_supp
-            - x_minus[:, None] * e_minus[supp]
-            - x_plus[:, None] * e_plus[supp]
-        )
-        g_norm = np.linalg.norm(g_supp, axis=1)
+        g_norm = np.linalg.norm(g[:, supp], axis=1)
 
         live = ell > 0
         lm = ell[live]
@@ -344,7 +344,8 @@ def _broken_sign(a):
 
 
 def _mean_row(name, estimate, theory, se) -> ValidatorRow:
-    z = (estimate - theory) / se if se > 0 else 0.0
+    # With no spread (or a NaN one) to judge by, only an exact hit passes.
+    z = (estimate - theory) / se if se > 0 else (0.0 if estimate == theory else math.inf)
     return ValidatorRow(name, estimate, theory, se, z, abs(z) <= 4.0)
 
 

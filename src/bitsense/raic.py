@@ -22,13 +22,10 @@ values the per-pair seeds give, and one pass over row blocks of A signs all
 of the block's vectors and accumulates all of its corrections while the rows
 are in cache.  Row blocks, not one product with the whole matrix, because
 the whole-matrix product raised the peak RSS of a certificate by 9-15 MB
-(see ROW_BLOCK).  The block products run on one BLAS thread
-(`rng._one_blas_thread`, the context ``run`` and ``validate`` use too),
-which keeps a certificate's run time steady when other work shares the
-cores and its residuals independent of the caller's thread count.  `h_a`,
-`correction` and `restricted_residual` stay the reference definition,
-which the solver uses, at the caller's BLAS threading; `raic_residual` is
-the block kernel on one pair.
+(see ROW_BLOCK).  The block products run on one BLAS thread (see
+`rng._one_blas_thread`).  `h_a`, `correction` and `restricted_residual`
+stay the reference definition, which the solver uses, at the caller's BLAS
+threading; `raic_residual` is the block kernel on one pair.
 """
 
 from __future__ import annotations
@@ -152,6 +149,10 @@ def orthogonal_decompose(h, u, v):
     two directions are orthogonal for unit u, v, giving the Pythagorean
     identity ||h||^2 = c_minus^2 + c_plus^2 + ||g||^2.
 
+    h may also be a stack of vectors, one per row (t x n); then c_minus and
+    c_plus have one entry per row and g is t x n, and row i of each equals,
+    bit for bit, the decomposition of ``h[i]`` alone.
+
     Only unit u, v are accepted; u == +-v leaves a direction undefined.
     """
     hv = np.asarray(h, dtype=np.float64)
@@ -161,9 +162,13 @@ def orthogonal_decompose(h, u, v):
         if abs(float(np.linalg.norm(w)) - 1.0) > 1e-6:
             raise ValueError(f"{name} must be a unit vector")
     e_minus, e_plus, _ = _pair_directions(uv, vv)
-    c_minus = float(np.dot(e_minus, hv))
-    c_plus = float(np.dot(e_plus, hv))
-    g = hv - c_minus * e_minus - c_plus * e_plus
+    # One dot product per row, (1 x n)(n x 1): a matrix-vector product h @ e
+    # would round a row differently from that row's own dot.  [()] makes the
+    # result of one vector a scalar.
+    c_minus, c_plus = (
+        np.matmul(hv[..., None, :], e[:, None])[..., 0, 0][()] for e in (e_minus, e_plus)
+    )
+    g = hv - np.multiply.outer(c_minus, e_minus) - np.multiply.outer(c_plus, e_plus)
     return c_minus, c_plus, g
 
 
@@ -173,7 +178,7 @@ def restricted_residual(x: np.ndarray, y: np.ndarray, J, h: np.ndarray) -> float
     return float(np.linalg.norm((x - y) - _restrict(h, x, y, J)))
 
 
-def _block_residuals(A: MeasurementMatrix, X, Y, Js, eta: float = DEFAULT_ETA) -> list:
+def _block_residuals(A: MeasurementMatrix, X, Y, Js) -> list:
     """``restricted_residual(x, y, J, h_a(A, x, y))`` for the pairs in the
     rows of X and Y, with J from Js, in one pass over row blocks of A.
 
@@ -201,7 +206,7 @@ def _block_residuals(A: MeasurementMatrix, X, Y, Js, eta: float = DEFAULT_ETA) -
             rows = A.entries[start : start + ROW_BLOCK]
             S = sgn(rows @ P)
             H += rows.T @ (0.5 * (S[:, :B] - S[:, B:]))
-    H *= eta / A.m
+    H *= DEFAULT_ETA / A.m
     return [restricted_residual(X[i], Y[i], Js[i], H[:, i]) for i in range(B)]
 
 
@@ -210,10 +215,9 @@ def raic_residual(
     x: SparseUnitVector,
     y: SparseUnitVector,
     J,
-    eta: float = DEFAULT_ETA,
 ) -> float:
     """||(x - y) - h_{A,J}(x, y)||_2: the block kernel on one pair."""
-    return _block_residuals(A, x.values[None], y.values[None], [J], eta)[0]
+    return _block_residuals(A, x.values[None], y.values[None], [J])[0]
 
 
 def raic_bound(delta: float, a1: float, a2: float, d_s: float) -> float:
@@ -335,7 +339,6 @@ def raic_certify(
     max_j: int,
     seed: SeedSpec,
     num_small: int | None = None,
-    eta: float = DEFAULT_ETA,
 ) -> RaicReport:
     """Sample pairs of k-sparse unit vectors and compare residuals to the bound.
 
@@ -352,7 +355,8 @@ def raic_certify(
     would, whatever the block size; its residual agrees with
     `restricted_residual(x, y, J, h_a(A, x, y))` to the last few bits.
 
-    Bound constants are the certified (c1, c2).  The report's ``delta_hat``
+    Bound constants are the certified (c1, c2), which hold at the step size
+    eta = sqrt(2 pi) that the residuals use.  The report's ``delta_hat``
     is the largest delta at which some pair's residual meets its bound: it
     is at most ``delta`` exactly when no ratio exceeds 1.  Every ratio is
     guaranteed to be at most 1 only when m meets the theory's sample
@@ -379,7 +383,7 @@ def raic_certify(
     for first in range(0, num_pairs, PAIR_BLOCK):
         count = min(PAIR_BLOCK, num_pairs - first)
         X, Y, Js = _draw_pairs(A.n, k, seed, first, count, num_small, max_j, tau / 2.0)
-        residuals = _block_residuals(A, X, Y, Js, eta)
+        residuals = _block_residuals(A, X, Y, Js)
         for i, residual in enumerate(residuals):
             d_s = sphere_distance(X[i], Y[i])
             bound = raic_bound(delta, u.c1, u.c2, d_s)

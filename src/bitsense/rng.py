@@ -27,15 +27,9 @@ and ``ndtri`` release the GIL); the split depends only on the request size,
 and the values are the same as those of one serial pass.  The stream
 definition above is unchanged by this; the sha256 known-answer tests pin it.
 
-The pool is the one parallel layer of the pipelines that interleave
-sampling with BLAS products: `montecarlo.convergence_trials` (``run``),
-`montecarlo.run_validator_suite` (``validate``) and the certifier's block
-kernel run their products on one BLAS thread under `_one_blas_thread`.
-After a product on two OpenBLAS threads the idle worker busy-waits on a
-core for a while, and a draw that follows shares that core with it (see
-`_one_blas_thread` for the measurement).  A bare `biht.run_biht` keeps the
-caller's BLAS threading: with no draws around it, its dense first-step
-products gain from a second thread.
+The pool is the one parallel layer of ``run``, ``validate`` and ``raic``,
+whose BLAS products run on one thread under `_one_blas_thread` (the reason
+is measured there).
 
 Nothing here is cryptographic.
 """
@@ -219,7 +213,9 @@ def _one_blas_thread():
     themselves are small (an m x n matrix-vector product per solver step,
     512-row blocks in the certifier), and one thread also keeps their last
     bits independent of the core count: two-thread products round some
-    results differently.
+    results differently.  A bare `biht.run_biht` runs outside it: with no
+    draws around it, its dense first-step products gain from a second
+    thread.
     """
     global _blas_users, _blas_saved
     calls = _openblas_thread_calls()

@@ -280,3 +280,53 @@ class TestGenerate:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+# Arguments a subcommand needs whatever its settings.
+REQUIRED = {"generate": ["--what", "matrix", "--out", "unused.csv"]}
+
+
+def _other_value(default):
+    """A value of the setting's type that is not its default."""
+    if isinstance(default, float):
+        return default / 2.0
+    return 3 if default is None else default + 1
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(command, key) for command, table in cli.SETTINGS.items() for key in table],
+)
+def test_flag_and_config_key_resolve_alike(tmp_path, command, key):
+    value = _other_value(cli.SETTINGS[command][key])
+    parser = cli.build_parser()
+    required = REQUIRED.get(command, [])
+    flag = "--" + key.replace("_", "-")
+    by_flag = cli._resolve(parser.parse_args([command, flag, str(value), *required]))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    by_config = cli._resolve(parser.parse_args([command, "--config", str(config), *required]))
+    assert by_flag == by_config
+    assert by_flag[key] == value and type(by_flag[key]) is type(value)
+
+
+@pytest.mark.parametrize("command", sorted(cli.SETTINGS))
+def test_help_lists_each_setting_and_its_default(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for key, default in cli.SETTINGS[command].items():
+        assert "--" + key.replace("_", "-") in text
+        if default is not None:
+            assert f"(default: {default})" in text
+
+
+def test_summary_holds_the_settings_and_the_results(tmp_path):
+    code = run_cli(["run", "--n", "40", "--k", "2", "--m", "300", "--trials", "2",
+                    "--iters", "3", "--seed", "4", "--output-dir", str(tmp_path)])
+    assert code == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    results = {"final_mean_d_s", "final_max_d_s", "min_error_bound_slack"}
+    assert set(summary) == set(cli.SETTINGS["run"]) | results
+    assert summary["n"] == 40 and summary["eta"] == cli.SETTINGS["run"]["eta"]

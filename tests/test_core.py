@@ -269,6 +269,15 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="tail.bin"):
             load_matrix_binary(path)
 
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_binary_empty_matrix(self, tmp_path, shape):
+        # A header with no rows or no columns and no payload is no matrix,
+        # as an empty CSV file is none.
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"B1CS" + np.array(shape, dtype="<u4").tobytes())
+        with pytest.raises(ValueError, match="empty.bin"):
+            load_matrix_binary(path)
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "abc"])
     def test_csv_bad_entry(self, tmp_path, token):
         path = tmp_path / "bad.csv"

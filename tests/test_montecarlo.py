@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bitsense.montecarlo as mc
 from bitsense import biht
 from bitsense.biht import run_biht
-from bitsense.core import gaussian_matrix, random_sparse_unit, sign_measure
+from bitsense.core import MeasurementMatrix, gaussian_matrix, random_sparse_unit, sign_measure
 from bitsense.montecarlo import (
     ErrorBoundViolation,
     band_count_mean,
@@ -17,8 +19,8 @@ from bitsense.montecarlo import (
     tail_frequency_check,
     write_validator_csv,
 )
-from bitsense.raic import orthogonal_decompose
-from bitsense.rng import SeedSpec, _openblas_thread_calls, sample_standard_normal
+from bitsense.raic import DEFAULT_ETA, h_a, orthogonal_decompose
+from bitsense.rng import SeedSpec, _openblas_thread_calls, derive_seed, sample_standard_normal
 
 
 def pair_at_angle(theta, n=8):
@@ -28,6 +30,25 @@ def pair_at_angle(theta, n=8):
     v[0] = math.cos(theta)
     v[1] = math.sin(theta)
     return u, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(2, 6), st.integers(0, 2**64 - 1))
+def test_corrections_match_the_correction_map(t, m, n, base):
+    # Each matrix of the stack gives its mismatch count and (m / eta) h_A.
+    seed = SeedSpec(base)
+    Z = sample_standard_normal(derive_seed(seed, 0), t * m * n).reshape(t, m, n)
+    u = sample_standard_normal(derive_seed(seed, 1), n)
+    v = sample_standard_normal(derive_seed(seed, 2), n)
+    u /= np.linalg.norm(u)
+    v /= np.linalg.norm(v)
+    ell, H = mc._corrections(Z, u, v)
+    assert ell.shape == (t,) and H.shape == (t, n)
+    for i in range(t):
+        A = MeasurementMatrix(Z[i])
+        assert ell[i] == np.count_nonzero(sign_measure(A, u).bits != sign_measure(A, v).bits)
+        ref = (m / DEFAULT_ETA) * h_a(A, u, v)
+        assert np.linalg.norm(H[i] - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestMismatchProbability:
@@ -100,6 +121,12 @@ class TestProjectionExpectation:
         u = np.array([1.0, 0.0])
         with pytest.raises(ValueError):
             projection_expectation(u, u, 10, 5, SeedSpec(1))
+
+    def test_one_trial_rejected(self):
+        # One trial has no sample SD, so no standard error to judge it by.
+        u, v = pair_at_angle(math.pi / 2)
+        with pytest.raises(ValueError, match="trials"):
+            projection_expectation(u, v, 10, 1, SeedSpec(1))
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         # Sampling is offset-addressed, so materializing the stream in tiny
@@ -217,6 +244,17 @@ class TestValidatorSuite:
             "proj_plus_tail",
             "residual_tail",
         ]
+
+    def test_one_projection_trial_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            run_validator_suite(
+                SeedSpec(0), mismatch_draws=100, projection_trials=1, tail_trials=2
+            )
+
+    @pytest.mark.parametrize("se", [0.0, float("nan")])
+    def test_row_without_spread_passes_only_an_exact_hit(self, se):
+        assert not mc._mean_row("x", 0.5, 0.25, se).passed
+        assert mc._mean_row("x", 0.25, 0.25, se).passed
 
     def test_fault_injection_trips_mismatch_checks(self):
         rows = run_validator_suite(SeedSpec(550), break_sgn_zero=True)

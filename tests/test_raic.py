@@ -235,6 +235,24 @@ class TestOrthogonalDecompose:
         with pytest.raises(ValueError):
             orthogonal_decompose(np.ones(2), np.array([2.0, 0.0]), np.array([0.0, 1.0]))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9), st.integers(2, 40), st.integers(0, 2**64 - 1))
+    def test_rows_decompose_as_single_vectors(self, t, n, base):
+        # A stack of t vectors decomposes row by row, bit for bit.
+        seed = SeedSpec(base)
+        u = unit(sample_standard_normal(derive_seed(seed, 0), n))
+        v = unit(sample_standard_normal(derive_seed(seed, 1), n))
+        H = sample_standard_normal(derive_seed(seed, 2), t * n).reshape(t, n)
+        assume(min(np.linalg.norm(u - v), np.linalg.norm(u + v)) >= 1e-3)
+        c_minus, c_plus, g = orthogonal_decompose(H, u, v)
+        assert c_minus.shape == c_plus.shape == (t,) and g.shape == (t, n)
+        for i in range(t):
+            one_minus, one_plus, one_g = orthogonal_decompose(H[i], u, v)
+            assert c_minus[i] == one_minus and c_plus[i] == one_plus
+            assert np.array_equal(g[i], one_g)
+        # One vector's coefficient is its plain dot with the direction.
+        assert one_minus == float(np.dot(unit(u - v), H[-1]))
+
 
 class TestDecompositionIdentity:
     def test_restricted_map_splits_exactly(self):
