@@ -18,6 +18,8 @@ import numpy as np
 
 from .rng import (
     SeedSpec,
+    _derive_rows,
+    _stream_keys,
     derive_seed,
     random_uniform_rows,
     sample_standard_normal,
@@ -180,6 +182,22 @@ def sign_measure(A: MeasurementMatrix, x) -> SignPattern:
     return SignPattern(_Measure(A)(_length_checked(x, A.n, "x")))
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(a[i], b[i])`` for each row i, bit for bit, in one call: one
+    (1 x n)(n x 1) product per row.  ``b`` may be one vector for all rows,
+    and a single vector gives a 0-d result.  A matrix-vector product, a
+    norm along an axis or ``einsum`` rounds a row differently from that
+    row's own dot.  (One difference: a zero dot of rows of length 1 is
+    +0.0 here, where ``np.dot`` gives -0.0 for a negative product.)"""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(a[i])`` for each row i, bit for bit: the square
+    root of the row's own dot, as `np.linalg.norm` takes it."""
+    return np.sqrt(row_dots(a, a))
+
+
 def sphere_distance(u, v) -> float:
     """Distance between the radial projections of u and v onto the unit sphere.
 
@@ -197,6 +215,17 @@ def sphere_distance(u, v) -> float:
     if na == 0.0 or nb == 0.0:
         return 1.0
     return float(np.linalg.norm(a / na - b / nb))
+
+
+def sphere_distance_rows(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``sphere_distance(U[i], V[i])`` for each row i of two equal-shape
+    2-D arrays, bit for bit."""
+    nu, nv = row_norms(U), row_norms(V)
+    live = (nu != 0.0) & (nv != 0.0)
+    # The conventions for zero vectors: 0 if both rows are zero, else 1.
+    d = ((nu != 0.0) | (nv != 0.0)).astype(np.float64)
+    d[live] = row_norms(U[live] / nu[live, None] - V[live] / nv[live, None])
+    return d
 
 
 def angular_distance(u, v) -> float:
@@ -233,24 +262,29 @@ def _pair_directions(u: np.ndarray, v: np.ndarray):
 def random_sparse_unit_rows(n: int, k: int, seeds) -> np.ndarray:
     """``random_sparse_unit(n, k, seed).values`` for each seed, as the rows
     of one ``len(seeds) x n`` array, from one sampler call per stream kind.
+    ``seeds`` are SeedSpecs, or ``(bases, streams)`` uint64 arrays as
+    `rng._derive_rows` gives them, whose children are derived in one array
+    pass instead of one call per seed.
 
     The support is uniform over k-subsets of [n] (rank order of i.i.d.
     uniforms); the nonzero values are i.i.d. standard normal, normalized.
     """
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
-    children = [(derive_seed(s, 0), derive_seed(s, 1)) for s in seeds]
-    ranks = random_uniform_rows([c[0] for c in children], n)
-    vals = sample_standard_normal_rows([c[1] for c in children], k)
-    # Row by row: np.linalg.norm of one vector is a BLAS dot, whose rounding
-    # a norm along an axis does not reproduce.
-    norms = np.array([np.linalg.norm(v) for v in vals])
+    if isinstance(seeds, tuple) and isinstance(seeds[0], np.ndarray):
+        rank_seeds, value_seeds = (_stream_keys(_derive_rows(seeds, c)) for c in (0, 1))
+    else:
+        rank_seeds = [derive_seed(s, 0) for s in seeds]
+        value_seeds = [derive_seed(s, 1) for s in seeds]
+    ranks = random_uniform_rows(rank_seeds, n)
+    vals = sample_standard_normal_rows(value_seeds, k)
+    norms = row_norms(vals)
     dead = norms == 0.0
     if dead.any():  # probability zero, but stay total
         vals[dead] = 1.0
         norms[dead] = math.sqrt(k)
     supports = smallest_k(ranks, k)
-    out = np.zeros((len(children), n))
+    out = np.zeros((len(vals), n))
     np.put_along_axis(out, supports, vals / norms[:, None], axis=1)
     return out
 

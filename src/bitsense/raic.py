@@ -16,13 +16,22 @@ a1 sqrt(delta d_S(x, y)) + a2 delta uniformly over sparse unit pairs.
 Checking that uniformly is combinatorially infeasible (the covering-net union
 bound is astronomically large), so `raic_certify` samples pairs instead,
 deliberately including pairs closer than tau = delta / b, which uniform
-sampling would never produce.  It works on blocks of PAIR_BLOCK pairs: one
-sampler call per stream kind draws every x, y and J of a block, with the
-values the per-pair seeds give, and one pass over row blocks of A signs all
-of the block's vectors and accumulates all of its corrections while the rows
-are in cache.  Row blocks, not one product with the whole matrix, because
-the whole-matrix product raised the peak RSS of a certificate by 9-15 MB
-(see ROW_BLOCK).  The block products run on one BLAS thread (see
+sampling would never produce.  It works on blocks of PAIR_BLOCK pairs, each
+in numpy passes with no Python loop over its pairs:
+
+* the block's seeds come from array forms of `rng.derive_seed` and the
+  stream keys, one pass per derivation, equal to the per-pair seeds;
+* one sampler call per stream kind draws every x, y and J of the block;
+* one pass over row blocks of A signs all of the block's vectors and
+  accumulates all of its corrections while the rows are in cache (row
+  blocks, not one product with the whole matrix, which raised the peak RSS
+  of a certificate by 9-15 MB; see ROW_BLOCK);
+* one boolean mask restricts every correction to supp(x) u supp(y) u J,
+  and the residuals, d_s, bounds and ratios are array expressions.
+
+Norms are taken as each row's own dot (`core.row_norms`), so every value
+is the one a pair-by-pair computation gives, up to the order of the sums in
+the block products.  The block products run on one BLAS thread (see
 `rng._one_blas_thread`).  `h_a`, `correction` and `restricted_residual`
 stay the reference definition, which the solver uses, at the caller's BLAS
 threading; `raic_residual` is the block kernel on one pair.
@@ -33,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -42,14 +52,17 @@ from .core import (
     _length_checked,
     _pair_directions,
     random_sparse_unit_rows,
+    row_dots,
+    row_norms,
     sgn,
     sign_measure,
-    sphere_distance,
+    sphere_distance_rows,
 )
 from .rng import (
     SeedSpec,
+    _derive_rows,
     _one_blas_thread,
-    derive_seed,
+    _stream_keys,
     random_uniform_rows,
     sample_standard_normal_rows,
 )
@@ -78,14 +91,22 @@ ROWS_ONLY_BELOW = 0.2
 
 # `raic_certify` draws and certifies pairs in blocks of PAIR_BLOCK, and the
 # block kernel reads A in blocks of ROW_BLOCK rows.  Measured at m=5000,
-# n=200, 500 pairs on 2 vCPU with OpenBLAS 0.3.31 (default threading): a
-# certificate took 0.17 s at 16 pairs a block, 0.15 s at 32 and 0.14 s at
-# 64 (medians of 7), against 0.46 s pair by pair.  One whole-matrix product
-# A @ [X Y] per block in place of row blocks took about the same time, but
-# raised the `certify` benchmark's peak RSS from 69 MB to 79 MB (OpenBLAS
-# packing buffers plus the m x 2B result; pair by pair it was 68 MB).  A
-# 512-row block keeps both of its products on the same cache-resident rows.
-PAIR_BLOCK = 32
+# n=200, 500 pairs on 2 vCPU with OpenBLAS 0.3.31, one BLAS thread, medians
+# of 15 certificates in process: with a block's seeds, norms, restriction
+# and records in array passes, a certificate took 187-191 ms at 32 pairs a
+# block, 126-150 ms at 64 and 112-128 ms at 128, against 178-215 ms for
+# the per-pair Python of before at 32 (`BENCH_13.json`).  The `certify`
+# benchmark's peak RSS at 128 is 0.4 MB above that of before, with the
+# block's x and y signed by separate products; one 512 x 256 product of
+# [X; Y] raised it by 1.9 MB.  At 256 pairs 1-4 residuals per certificate
+# moved by up to 2.2e-15, and so did `raic_report.csv`: OpenBLAS rounds a
+# product of more columns differently.  ROW_BLOCK stays 512: at 256
+# `raic_report.csv` changes too, as the corrections then sum in other
+# partial sums.  One whole-matrix product A @ [X Y] per block in place of
+# row blocks took about the same time at 32 pairs, but raised the peak RSS
+# by 10 MB (OpenBLAS packing buffers plus the m x 2B result).  A 512-row
+# block keeps both of its products on the same cache-resident rows.
+PAIR_BLOCK = 128
 ROW_BLOCK = 512
 
 def correction(
@@ -162,12 +183,8 @@ def orthogonal_decompose(h, u, v):
         if abs(float(np.linalg.norm(w)) - 1.0) > 1e-6:
             raise ValueError(f"{name} must be a unit vector")
     e_minus, e_plus, _ = _pair_directions(uv, vv)
-    # One dot product per row, (1 x n)(n x 1): a matrix-vector product h @ e
-    # would round a row differently from that row's own dot.  [()] makes the
-    # result of one vector a scalar.
-    c_minus, c_plus = (
-        np.matmul(hv[..., None, :], e[:, None])[..., 0, 0][()] for e in (e_minus, e_plus)
-    )
+    # One dot product per row; [()] makes the result of one vector a scalar.
+    c_minus, c_plus = (row_dots(hv, e)[()] for e in (e_minus, e_plus))
     g = hv - np.multiply.outer(c_minus, e_minus) - np.multiply.outer(c_plus, e_plus)
     return c_minus, c_plus, g
 
@@ -178,20 +195,30 @@ def restricted_residual(x: np.ndarray, y: np.ndarray, J, h: np.ndarray) -> float
     return float(np.linalg.norm((x - y) - _restrict(h, x, y, J)))
 
 
-def _block_residuals(A: MeasurementMatrix, X, Y, Js) -> list:
+def _block_residuals(A: MeasurementMatrix, X, Y, Js) -> np.ndarray:
     """``restricted_residual(x, y, J, h_a(A, x, y))`` for the pairs in the
-    rows of X and Y, with J from Js, in one pass over row blocks of A.
+    rows of X and Y, with J from Js (one collection of indices per pair),
+    in one pass over row blocks of A.
 
     Each block of ROW_BLOCK rows signs every vector at once,
-    S = sgn(A_rb [X; Y]^T), and adds its share of every correction,
-    A_rb^T (S_x - S_y) / 2, while the rows are in cache.  The sums run in
+    S_x = sgn(A_rb X^T) and S_y = sgn(A_rb Y^T), and adds its share of
+    every correction, A_rb^T (S_x - S_y) / 2, while the rows are in cache.
+    (Two sign products, not one of [X; Y]: half the largest temporary and
+    no copy of the pairs, and the same report bytes.)  The sums run in
     another order than `correction`'s, so a residual may differ from the
-    reference in the last bits.
+    reference in the last bits.  The restriction to supp(x) u supp(y) u J
+    is one boolean mask over the block, and the residual norms are the
+    rows' own dots (`row_norms`), as `restricted_residual` takes them.
     """
     if X.shape[1] != A.n or Y.shape != X.shape:
         raise ValueError(f"pairs must be rows of length {A.n}")
     B = X.shape[0]
-    P = np.concatenate((X, Y)).T
+    keep = (X != 0.0) | (Y != 0.0)
+    sizes = [len(J) for J in Js]
+    cols = np.fromiter(chain.from_iterable(Js), dtype=np.intp, count=sum(sizes))
+    if cols.size and (cols.min() < 0 or cols.max() >= A.n):
+        raise IndexError("coordinate set J out of range")
+    keep[np.repeat(np.arange(B), sizes), cols] = True
     H = np.zeros((A.n, B))
     # Each product is a fraction of a millisecond of work; split over 2 BLAS
     # threads it waits at a barrier per product and keeps the second core
@@ -204,10 +231,10 @@ def _block_residuals(A: MeasurementMatrix, X, Y, Js) -> list:
     with _one_blas_thread():
         for start in range(0, A.m, ROW_BLOCK):
             rows = A.entries[start : start + ROW_BLOCK]
-            S = sgn(rows @ P)
-            H += rows.T @ (0.5 * (S[:, :B] - S[:, B:]))
+            D = sgn(rows @ X.T) - sgn(rows @ Y.T)
+            H += rows.T @ (0.5 * D)
     H *= DEFAULT_ETA / A.m
-    return [restricted_residual(X[i], Y[i], Js[i], H[:, i]) for i in range(B)]
+    return row_norms((X - Y) - np.where(keep, H.T, 0.0))
 
 
 def raic_residual(
@@ -217,14 +244,15 @@ def raic_residual(
     J,
 ) -> float:
     """||(x - y) - h_{A,J}(x, y)||_2: the block kernel on one pair."""
-    return _block_residuals(A, x.values[None], y.values[None], [J])[0]
+    return float(_block_residuals(A, x.values[None], y.values[None], [J])[0])
 
 
-def raic_bound(delta: float, a1: float, a2: float, d_s: float) -> float:
-    """The invertibility bound a1 * sqrt(delta * d_s) + a2 * delta."""
-    if min(delta, a1, a2, d_s) < 0:
+def raic_bound(delta: float, a1: float, a2: float, d_s):
+    """The invertibility bound a1 * sqrt(delta * d_s) + a2 * delta, for one
+    d_s or elementwise over an array of them."""
+    if min(delta, a1, a2, np.min(d_s)) < 0:
         raise ValueError("all arguments must be nonnegative")
-    return a1 * math.sqrt(delta * d_s) + a2 * delta
+    return a1 * np.sqrt(delta * d_s) + a2 * delta
 
 
 @dataclass(frozen=True)
@@ -275,60 +303,66 @@ class RaicReport:
             fh.write("\n")
 
 
-def _ratio(residual: float, bound: float) -> float:
-    if bound > 0.0:
-        return residual / bound
-    return 0.0 if residual == 0.0 else math.inf
+def _ratio(residual, bound):
+    """residual / bound, elementwise; where the bound is 0, 0 for a zero
+    residual and inf otherwise."""
+    r = np.asarray(residual, dtype=np.float64)
+    b = np.asarray(bound, dtype=np.float64)
+    return np.divide(r, b, out=np.where(r == 0.0, 0.0, np.inf), where=b > 0.0)[()]
 
 
-def _delta_hat(residual: float, d_s: float, c1: float, c2: float) -> float:
+def _delta_hat(residual: np.ndarray, d_s: np.ndarray, c1: float, c2: float) -> np.ndarray:
     """The delta at which the bound c1 sqrt(delta d_s) + c2 delta equals the
-    residual: s^2 for the root s >= 0 of c2 s^2 + c1 sqrt(d_s) s - residual,
-    in the form that takes no difference of close numbers."""
-    b = c1 * math.sqrt(d_s)
-    s = 2.0 * residual / (b + math.sqrt(b * b + 4.0 * c2 * residual)) if residual > 0.0 else 0.0
+    residual, elementwise: s^2 for the root s >= 0 of
+    c2 s^2 + c1 sqrt(d_s) s - residual, in the form that takes no
+    difference of close numbers."""
+    b = c1 * np.sqrt(d_s)
+    root = b + np.sqrt(b * b + 4.0 * c2 * residual)
+    s = np.divide(2.0 * residual, root, out=np.zeros_like(root), where=residual > 0.0)
     return s * s
 
 
 def _draw_pairs(n, k, seed, first, count, num_small, max_j, radius):
     """Pairs ``first .. first + count - 1`` of the certificate: X, Y as rows
-    and the index sets J, each value as the per-pair draw from
+    and the index sets J as lists, each value as the per-pair draw from
     ``derive_seed(seed, pair_id)`` makes it.
 
     x comes from child 0.  A pair below ``num_small`` takes y from x by a
     perturbation at ``radius`` within supp(x), with normals from child 1;
     the others draw y from child 1 as x is drawn.  J (child 2) takes its
     size uniform on {0..max_j} from the first of n + 1 uniforms and its
-    indices, without replacement, from the rank order of the rest.
+    indices, without replacement, from the rank order of the rest.  The
+    seeds of the whole block are derived in array passes
+    (`rng._derive_rows`), the same values as ``derive_seed`` per pair.
     """
-    pair_seeds = [derive_seed(seed, p) for p in range(first, first + count)]
-    x_seeds, y_seeds, j_seeds = ([derive_seed(s, c) for s in pair_seeds] for c in range(3))
+    pairs = _derive_rows(seed, np.arange(first, first + count, dtype=np.uint64))
+    x_seeds, y_seeds, j_seeds = (_derive_rows(pairs, c) for c in range(3))
     X = random_sparse_unit_rows(n, k, x_seeds)
     small = min(max(num_small - first, 0), count)
     Y = np.empty_like(X)
     if small < count:
-        Y[small:] = random_sparse_unit_rows(n, k, y_seeds[small:])
+        Y[small:] = random_sparse_unit_rows(n, k, tuple(s[small:] for s in y_seeds))
     if small:
         Y[:small] = X[:small]
-        noise = sample_standard_normal_rows(y_seeds[:small], k)
+        noise = sample_standard_normal_rows(_stream_keys(y_seeds)[:small], k)
         # No normal is 0 (ndtri(u) = 0 only at u = 1/2, which the uniform
         # map never gives), so neither is a noise norm, and every x has k
         # nonzeros.  Norms row by row, as one vector's norm rounds.
-        scale = radius / np.array([np.linalg.norm(v) for v in noise])
+        scale = radius / row_norms(noise)
         supports = np.nonzero(X[:small])[1].reshape(small, k)
         Y[np.arange(small)[:, None], supports] += scale[:, None] * noise
         # The norm over the whole row, as the per-pair draw takes it.
-        Y[:small] /= np.array([np.linalg.norm(y) for y in Y[:small]])[:, None]
+        Y[:small] /= row_norms(Y[:small])[:, None]
     if max_j <= 0:
         return X, Y, [[] for _ in range(count)]
-    u = random_uniform_rows(j_seeds, n + 1)
+    u = random_uniform_rows(_stream_keys(j_seeds), n + 1)
     sizes = np.minimum((u[:, 0] * (max_j + 1)).astype(np.int64), max_j)
     # The max_j smallest ranks, in rank order (index order on ties, as the
     # stable sort of all the ranks orders them).
     kept = smallest_k(u[:, 1:], max_j)
     ranks = np.take_along_axis(u[:, 1:], kept, axis=1)
     order = np.take_along_axis(kept, np.argsort(ranks, axis=1, kind="stable"), axis=1)
-    return X, Y, [order[i, : sizes[i]].tolist() for i in range(count)]
+    return X, Y, [row[:size] for row, size in zip(order.tolist(), sizes.tolist())]
 
 
 def raic_certify(
@@ -352,7 +386,8 @@ def raic_certify(
     Pairs go PAIR_BLOCK at a time through one block draw (`_draw_pairs`)
     and one pass over row blocks of A (`_block_residuals`).  Pair i takes
     its x, y and J from ``derive_seed(seed, i)`` as a pair-by-pair draw
-    would, whatever the block size; its residual agrees with
+    would, whatever the block size, and its d_s is `sphere_distance`'s bit
+    for bit; its residual agrees with
     `restricted_residual(x, y, J, h_a(A, x, y))` to the last few bits.
 
     Bound constants are the certified (c1, c2), which hold at the step size
@@ -379,31 +414,35 @@ def raic_certify(
 
     u = constants()
     tau = delta / u.b
-    records = []
+    d_s = np.empty(num_pairs)
+    residual = np.empty(num_pairs)
     for first in range(0, num_pairs, PAIR_BLOCK):
         count = min(PAIR_BLOCK, num_pairs - first)
         X, Y, Js = _draw_pairs(A.n, k, seed, first, count, num_small, max_j, tau / 2.0)
-        residuals = _block_residuals(A, X, Y, Js)
-        for i, residual in enumerate(residuals):
-            d_s = sphere_distance(X[i], Y[i])
-            bound = raic_bound(delta, u.c1, u.c2, d_s)
-            records.append(
-                RaicSample(
-                    pair_id=first + i,
-                    d_s=d_s,
-                    regime="small" if d_s < tau else "large",
-                    residual=residual,
-                    bound=bound,
-                    ratio=_ratio(residual, bound),
-                )
-            )
-
+        block = slice(first, first + count)
+        residual[block] = _block_residuals(A, X, Y, Js)
+        d_s[block] = sphere_distance_rows(X, Y)
+    bound = raic_bound(delta, u.c1, u.c2, d_s)
+    ratio = _ratio(residual, bound)
+    records = tuple(
+        RaicSample(
+            pair_id=i,
+            d_s=d,
+            regime="small" if d < tau else "large",
+            residual=r,
+            bound=b,
+            ratio=q,
+        )
+        for i, (d, r, b, q) in enumerate(
+            zip(d_s.tolist(), residual.tolist(), bound.tolist(), ratio.tolist())
+        )
+    )
     return RaicReport(
         delta=delta,
         tau=tau,
         samples=num_pairs,
-        records=tuple(records),
-        worst_ratio=max(r.ratio for r in records),
-        n_violations=sum(1 for r in records if r.ratio > 1.0),
-        delta_hat=max(_delta_hat(r.residual, r.d_s, u.c1, u.c2) for r in records),
+        records=records,
+        worst_ratio=float(ratio.max()),
+        n_violations=int(np.count_nonzero(ratio > 1.0)),
+        delta_hat=float(_delta_hat(residual, d_s, u.c1, u.c2).max()),
     )

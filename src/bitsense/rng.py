@@ -111,6 +111,57 @@ def _stream_key(seed: SeedSpec) -> int:
     return splitmix64(seed.base_seed ^ splitmix64(seed.stream_id ^ _MIX2))
 
 
+# The same functions over uint64 arrays, for a block of seeds at once: one
+# array pass in place of a Python call per seed.  On 2 vCPU (numpy 2.4.6),
+# deriving the children of one seed at 128 indices took 29-31 us, against
+# 440-520 us for 128 `derive_seed` calls.  The int functions above stay the
+# definition and the path for single seeds, where an array costs more than
+# it saves (14-18 us a mix for one element, against 0.6-0.8 us).  Array
+# arithmetic wraps mod 2^64 silently; numpy scalar arithmetic warns on the
+# wrap, so every operand here is an array or broadcasts against one.
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """`splitmix64` of each element of the uint64 array ``z``, in place.
+    Returns z."""
+    t = np.empty_like(z)
+    np.right_shift(z, np.uint64(30), out=t)
+    z ^= t
+    z *= np.uint64(_MIX1)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= np.uint64(_MIX2)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
+
+
+def _derive_rows(seeds, index):
+    """`derive_seed` elementwise: the children ``(bases, streams)``, two
+    uint64 arrays, of ``seeds`` (a SeedSpec, or a pair of uint64 arrays of
+    base seeds and stream ids) at ``index`` (an int >= 0, or a uint64
+    array that broadcasts against the seeds)."""
+    if isinstance(seeds, SeedSpec):
+        seeds = (np.array([seeds.base_seed], dtype=np.uint64),
+                 np.array([seeds.stream_id], dtype=np.uint64))
+    bases, streams = seeds
+    if isinstance(index, np.ndarray):
+        step = (index + np.uint64(1)) * np.uint64(_GOLDEN)
+    else:
+        if index < 0:
+            raise ValueError("index must be >= 0")
+        step = np.uint64(((index + 1) * _GOLDEN) & _MASK64)
+    child_bases = _mix(bases + step)
+    return child_bases, _mix(streams ^ child_bases)
+
+
+def _stream_keys(seeds) -> np.ndarray:
+    """`_stream_key` elementwise, for seeds given as ``(bases, streams)``
+    uint64 arrays."""
+    bases, streams = seeds
+    return _mix(bases ^ _mix(streams ^ np.uint64(_MIX2)))
+
+
 def _fill(out: np.ndarray, keys: np.ndarray, first: int, stage: int) -> None:
     """Write stream elements ``first, first + 1, ...`` into ``out`` in place.
 
@@ -123,15 +174,7 @@ def _fill(out: np.ndarray, keys: np.ndarray, first: int, stage: int) -> None:
     z = out.view(np.uint64)
     # uint64 array arithmetic wraps mod 2^64, as the counter walk requires.
     np.add(_STEPS[: z.shape[1]], (keys + np.uint64(first * _GOLDEN & _MASK64))[:, None], out=z)
-    t = np.empty_like(z)
-    np.right_shift(z, np.uint64(30), out=t)
-    z ^= t
-    z *= np.uint64(_MIX1)
-    np.right_shift(z, np.uint64(27), out=t)
-    z ^= t
-    z *= np.uint64(_MIX2)
-    np.right_shift(z, np.uint64(31), out=t)
-    z ^= t
+    _mix(z)
     if stage == _WORDS:
         return
     z >>= np.uint64(11)
@@ -239,10 +282,14 @@ def _one_blas_thread():
 
 def _stream(seeds, count: int, offset: int, stage: int) -> np.ndarray:
     """Elements ``offset .. offset + count - 1`` of each seed's stream, one
-    row per seed, in a fresh array that owns its memory."""
+    row per seed, in a fresh array that owns its memory.  ``seeds`` are
+    SeedSpecs, or their stream keys as a uint64 array (`_stream_keys`)."""
     if count < 0 or offset < 0:
         raise ValueError("count and offset must be >= 0")
-    keys = np.array([_stream_key(s) for s in seeds], dtype=np.uint64)
+    if isinstance(seeds, np.ndarray):
+        keys = seeds
+    else:
+        keys = np.array([_stream_key(s) for s in seeds], dtype=np.uint64)
     out = np.empty((keys.size, count), dtype=np.uint64 if stage == _WORDS else np.float64)
     # Column pieces of about one chunk of elements in all, so each kernel
     # call stays in cache whatever the number of rows.
@@ -293,11 +340,12 @@ def sample_standard_normal(seed: SeedSpec, count: int, offset: int = 0) -> np.nd
 
 def random_uniform_rows(seeds, count: int) -> np.ndarray:
     """``random_uniform(seed, count)`` for each seed, as the rows of one
-    ``len(seeds) x count`` array, from one kernel call per column piece."""
+    ``len(seeds) x count`` array, from one kernel call per column piece.
+    ``seeds`` may also be the seeds' stream keys, as a uint64 array."""
     return _stream(seeds, count, 0, _UNIFORM)
 
 
 def sample_standard_normal_rows(seeds, count: int) -> np.ndarray:
     """``sample_standard_normal(seed, count)`` for each seed, as the rows of
-    one ``len(seeds) x count`` array."""
+    one ``len(seeds) x count`` array; ``seeds`` as for `random_uniform_rows`."""
     return _stream(seeds, count, 0, _NORMAL)

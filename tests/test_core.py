@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitsense.core import (
@@ -14,13 +14,17 @@ from bitsense.core import (
     load_matrix_binary,
     load_matrix_csv,
     random_sparse_unit,
+    random_sparse_unit_rows,
+    row_dots,
+    row_norms,
     save_matrix_binary,
     save_matrix_csv,
     sgn,
     sign_measure,
     sphere_distance,
+    sphere_distance_rows,
 )
-from bitsense.rng import SeedSpec, derive_seed, sample_standard_normal
+from bitsense.rng import SeedSpec, _derive_rows, derive_seed, sample_standard_normal
 
 
 class TestSgn:
@@ -120,6 +124,63 @@ class TestSphereDistance:
         assert sphere_distance(u, u) == 0.0
 
 
+class TestRowDots:
+    """The batched row dot against one vector's own dot and norm, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 64),
+        st.sampled_from([1.0, 1e-150, 1e150]),
+        st.integers(0, 2**64 - 1),
+    )
+    @example(9, 200, 1.0, 3)
+    @example(4, 1, 1e150, 0)
+    def test_rows_equal_single_vectors(self, t, n, scale, base):
+        seed = SeedSpec(base)
+        a = scale * sample_standard_normal(derive_seed(seed, 0), t * n).reshape(t, n)
+        b = scale * sample_standard_normal(derive_seed(seed, 1), t * n).reshape(t, n)
+        a[:, ::3] = 0.0  # rows with zeros, and an all-zero row
+        a[-1] = 0.0
+        e = b[0].copy()
+        dots, norms, against_e = row_dots(a, b), row_norms(a), row_dots(a, e)
+
+        def same(x, y):  # bit for bit, but for the sign of a zero
+            return x.tobytes() == y.tobytes() or x == y == 0.0
+
+        for i in range(t):
+            assert same(dots[i], np.dot(a[i], b[i]))
+            assert norms[i].tobytes() == np.linalg.norm(a[i]).tobytes()
+            assert same(against_e[i], np.dot(a[i], e))
+        # One vector gives a 0-d result, the same value.
+        assert row_dots(a[0], e).shape == ()
+        assert row_dots(a[0], e).tobytes() == against_e[0].tobytes()
+
+    def test_every_length_up_to_n(self):
+        for n in range(1, 201):
+            a = sample_standard_normal(SeedSpec(5, n), 3 * n).reshape(3, n)
+            for scale in (1.0, 1e-150, 1e150):
+                rows = scale * a
+                norms = row_norms(rows)
+                assert [x.tobytes() for x in norms] == [
+                    np.linalg.norm(r).tobytes() for r in rows
+                ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 30), st.integers(0, 2**64 - 1))
+    def test_sphere_distance_rows_equal_single_pairs(self, t, n, base):
+        seed = SeedSpec(base)
+        U = sample_standard_normal(derive_seed(seed, 0), t * n).reshape(t, n)
+        V = sample_standard_normal(derive_seed(seed, 1), t * n).reshape(t, n)
+        V[::2, ::2] = 0.0
+        U[1::3] = 0.0  # one or both rows zero: the conventions
+        V[2::4] = 0.0
+        V[-1] = -3.0 * U[-1]
+        d = sphere_distance_rows(U, V)
+        for i in range(t):
+            assert d[i] == sphere_distance(U[i], V[i])
+
+
 class TestAngularDistance:
     def test_self_angle_zero(self):
         u = np.array([3.0, 4.0])
@@ -166,6 +227,19 @@ class TestRandomSparseUnit:
         means = draws.mean(axis=0)
         ses = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
         assert np.all(np.abs(means) <= 4.0 * ses)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 20), st.integers(0, 2**64 - 1))
+    def test_rows_from_seed_arrays_equal_single_draws(self, n, k, count, base):
+        # Seeds as uint64 arrays (children derived in array passes), seeds
+        # as SeedSpecs, and one draw at a time give the same rows.
+        k = min(k, n)
+        ids = np.arange(count, dtype=np.uint64)
+        seeds = [derive_seed(SeedSpec(base, 2), i) for i in range(count)]
+        rows = random_sparse_unit_rows(n, k, _derive_rows(SeedSpec(base, 2), ids))
+        assert rows.tobytes() == random_sparse_unit_rows(n, k, seeds).tobytes()
+        for seed, row in zip(seeds, rows):
+            assert row.tobytes() == random_sparse_unit(n, k, seed).values.tobytes()
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):

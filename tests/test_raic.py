@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bitsense import core, raic, rng
 from bitsense.core import (
+    MeasurementMatrix,
     SparseUnitVector,
     gaussian_matrix,
     random_sparse_unit,
@@ -510,6 +511,90 @@ class TestBlockPath:
             assert r.regime == ("small" if r.pair_id < num_small else "large")
             want = restricted_residual(x, y, J, h_a(A, x, y))
             assert r.residual == pytest.approx(want, abs=FLOAT_TOL, rel=0)
+
+
+def assert_matches_reference(A, report, k, seed, num_small, max_j):
+    """Every record against the pair-by-pair reference: pair ids, d_s and
+    regimes exactly, residuals to FLOAT_TOL, bounds and ratios from those."""
+    u = constants()
+    assert [r.pair_id for r in report.records] == list(range(report.samples))
+    for r in report.records:
+        x, y, J = reference_pair(A.n, k, seed, r.pair_id, num_small, max_j, report.tau / 2)
+        assert r.d_s == sphere_distance(x, y)
+        assert r.regime == ("small" if r.d_s < report.tau else "large")
+        if r.pair_id < num_small:
+            assert r.regime == "small"
+        want = restricted_residual(x, y, J, h_a(A, x, y))
+        assert r.residual == pytest.approx(want, abs=FLOAT_TOL, rel=0)
+        assert r.bound == raic_bound(report.delta, u.c1, u.c2, r.d_s)
+        assert r.ratio == r.residual / r.bound
+
+
+class TestCertifyMetamorphic:
+    """Identities a certificate keeps under changes that must not matter."""
+
+    N, K, DELTA = 30, 4, 0.05
+
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        return gaussian_matrix(ROW_BLOCK + 77, self.N, SeedSpec(63))
+
+    @pytest.mark.parametrize("block", [1, 7, 32, 64, 128])
+    def test_any_pair_block_gives_the_same_certificate(self, matrix, block, monkeypatch):
+        # Draws, d_s and regimes bit for bit; residuals to FLOAT_TOL.  Pair
+        # counts end a block short, on a block edge, and one past it.
+        seed = SeedSpec(64)
+        for num_pairs in (block + 1, 2 * block, 150):
+            num_small = num_pairs // 3
+            want = raic_certify(matrix, self.K, self.DELTA, num_pairs, self.K, seed,
+                                num_small=num_small)
+            monkeypatch.setattr(raic, "PAIR_BLOCK", block)
+            got = raic_certify(matrix, self.K, self.DELTA, num_pairs, self.K, seed,
+                               num_small=num_small)
+            monkeypatch.undo()
+            for g, w in zip(got.records, want.records, strict=True):
+                assert (g.pair_id, g.d_s, g.regime) == (w.pair_id, w.d_s, w.regime)
+                assert g.residual == pytest.approx(w.residual, abs=FLOAT_TOL, rel=0)
+            whole = _draw_pairs(self.N, self.K, seed, 0, num_pairs, num_small, self.K, 1e-4)
+            parts = [
+                _draw_pairs(self.N, self.K, seed, first, min(block, num_pairs - first),
+                            num_small, self.K, 1e-4)
+                for first in range(0, num_pairs, block)
+            ]
+            assert np.concatenate([p[0] for p in parts]).tobytes() == whole[0].tobytes()
+            assert np.concatenate([p[1] for p in parts]).tobytes() == whole[1].tobytes()
+            assert [J for p in parts for J in p[2]] == whole[2]
+
+    def test_negated_matrix_gives_the_same_records(self, matrix):
+        # sgn(-A v) = -sgn(A v) off exact zeros, so h_{-A} = h_A.
+        seed = SeedSpec(65)
+        negated = MeasurementMatrix(-matrix.entries)
+        for num_pairs, max_j in ((PAIR_BLOCK + 9, self.K), (40, 2 * self.K)):
+            report = raic_certify(matrix, self.K, self.DELTA, num_pairs, max_j, seed)
+            again = raic_certify(negated, self.K, self.DELTA, num_pairs, max_j, seed)
+            assert again.records == report.records
+            assert again == report
+
+    @pytest.mark.parametrize(
+        "num_pairs, num_small, max_j",
+        [
+            (40, 8, 0),  # no J
+            (40, 8, 30),  # max_j = n
+            (40, 8, 45),  # max_j > n
+            (40, 0, 4),  # no small pairs
+            (40, 40, 4),  # only small pairs
+            (1, 0, 4),  # one pair, large
+            (1, 1, 4),  # one pair, small
+            (PAIR_BLOCK + 1, PAIR_BLOCK, 4),  # a last block of one small pair
+            (PAIR_BLOCK + 1, 3, 4),  # a last block of one large pair
+        ],
+    )
+    def test_edge_configs_match_the_reference(self, matrix, num_pairs, num_small, max_j):
+        seed = SeedSpec(66)
+        report = raic_certify(matrix, self.K, self.DELTA, num_pairs, max_j, seed,
+                              num_small=num_small)
+        assert report.samples == len(report.records) == num_pairs
+        assert_matches_reference(matrix, report, self.K, seed, num_small, max_j)
 
 
 @pytest.mark.skipif(_openblas_thread_calls() is None,

@@ -8,13 +8,19 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitsense.rng import (
+    _GOLDEN,
+    _MASK64,
     SeedSpec,
+    _derive_rows,
+    _mix,
     _one_blas_thread,
     _openblas_thread_calls,
+    _stream_key,
+    _stream_keys,
     derive_seed,
     random_uint64,
     random_uniform,
@@ -52,6 +58,77 @@ class TestSeedDerivation:
     def test_splitmix_is_bijection_locally(self):
         outs = {splitmix64(z) for z in range(4096)}
         assert len(outs) == 4096
+
+
+U64 = st.integers(0, _MASK64)
+# The index whose counter step (index + 1) * _GOLDEN wraps to exactly 0.
+WRAP_TO_ZERO = _MASK64
+
+
+def u64(values):
+    return np.array(values, dtype=np.uint64)
+
+
+class TestArraySeedDerivation:
+    """The uint64-array forms against the int functions, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(U64, U64, U64), min_size=1, max_size=20))
+    @example([(_MASK64, _MASK64, 0)])
+    @example([(_MASK64, _MASK64, WRAP_TO_ZERO), (0, 0, 0), (_MASK64, 0, 1)])
+    @example([(0, _MASK64, 2**63), (1, 1, _MASK64 // _GOLDEN + 1)])
+    def test_array_forms_equal_the_int_functions(self, triples):
+        bases, streams, indices = (u64(col) for col in zip(*triples))
+        assert _mix(bases.copy()).tolist() == [splitmix64(b) for b, _, _ in triples]
+        child_bases, child_streams = _derive_rows((bases, streams), indices)
+        children = [derive_seed(SeedSpec(b, s), i) for b, s, i in triples]
+        assert child_bases.tolist() == [c.base_seed for c in children]
+        assert child_streams.tolist() == [c.stream_id for c in children]
+        assert _stream_keys((child_bases, child_streams)).tolist() == [
+            _stream_key(c) for c in children
+        ]
+        # The inputs are left as they were.
+        assert bases.tolist() == [b for b, _, _ in triples]
+
+    @settings(max_examples=60, deadline=None)
+    @given(U64, U64, st.integers(0, 2**40), st.integers(1, 40), st.integers(0, 3))
+    @example(_MASK64, _MASK64, 0, 1, 0)
+    def test_block_children_equal_derive_seed(self, base, stream, first, count, child):
+        # The certifier's chain: pair ids of one seed, then a child of each.
+        seed = SeedSpec(base, stream)
+        ids = np.arange(first, first + count, dtype=np.uint64)
+        got = _derive_rows(_derive_rows(seed, ids), child)
+        want = [derive_seed(derive_seed(seed, p), child) for p in range(first, first + count)]
+        assert got[0].tolist() == [w.base_seed for w in want]
+        assert got[1].tolist() == [w.stream_id for w in want]
+
+    def test_int_index_on_a_seed_spec(self):
+        seed = SeedSpec(_MASK64, _MASK64)
+        for index in (0, 1, WRAP_TO_ZERO, 2**70):
+            bases, streams = _derive_rows(seed, index)
+            child = derive_seed(seed, index)
+            assert (int(bases[0]), int(streams[0])) == (child.base_seed, child.stream_id)
+        with pytest.raises(ValueError):
+            _derive_rows(seed, -1)
+
+    @pytest.mark.parametrize(
+        "rows, one",
+        [
+            (random_uniform_rows, random_uniform),
+            (sample_standard_normal_rows, sample_standard_normal),
+        ],
+    )
+    @pytest.mark.parametrize("count", [0, 1, 201, 65_536 + 3])
+    def test_rows_from_a_key_array_equal_one_dimensional_streams(self, rows, one, count):
+        seeds = [derive_seed(SeedSpec(_MASK64, 5), i) for i in range(33)] + [
+            SeedSpec(_MASK64, _MASK64), SeedSpec(0, 0)
+        ]
+        keys = _stream_keys((u64([s.base_seed for s in seeds]), u64([s.stream_id for s in seeds])))
+        block = rows(keys, count)
+        assert block.shape == (len(seeds), count)
+        assert block.tobytes() == rows(seeds, count).tobytes()
+        for seed, row in zip(seeds, block):
+            assert row.tobytes() == one(seed, count).tobytes()
 
 
 class TestStandardNormal:
