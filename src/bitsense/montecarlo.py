@@ -18,6 +18,14 @@ threading.  The correction map of a stack of sampled matrices is formed in
 one place (`_corrections`) and split along e- and e+ by
 `raic.orthogonal_decompose`.
 
+The validators of a pair (u, v) draw only the columns they read, from the
+first to the last on which u or v is nonzero (`_read_columns`); the other
+columns of each sampled row stay exact zeros (`_normal_blocks`).  Those
+columns met u and v only as products with zeros, so every value that is read
+comes out bit for bit as from full rows.  On the default battery this draws
+2.6M normals in place of 15.4M.  `band_count_mean` takes each row's norm
+and draws full rows.
+
 Mean checks pass at |z| <= 4 (false-failure rate below 1e-4 per assertion);
 tail checks pass when the empirical frequency does not exceed the theoretical
 bound by more than three binomial standard errors.  Every validator is
@@ -41,10 +49,12 @@ from .core import (
     sphere_distance,
 )
 from .raic import DEFAULT_ETA, orthogonal_decompose
-from .rng import SeedSpec, _one_blas_thread, derive_seed, sample_standard_normal
+from .rng import SeedSpec, _one_blas_thread, derive_seed, sample_standard_normal_columns
 
-# Keeps any single sampled block near 64 MB of float64.
-_CHUNK_ELEMS = 8_000_000
+# Keeps any single sampled block near 8 MB of float64.  On the default
+# battery (2 vCPU) 1M elements ran as fast as 2M and 4M, at a peak RSS of
+# 74 MB against 82 and 97 MB; 0.5M ran about 20% slower.
+_CHUNK_ELEMS = 1_000_000
 
 # Deterministic slack allowed on the per-iteration error bound before a
 # convergence run aborts; the bound is exact in real arithmetic.
@@ -59,15 +69,38 @@ def _unit(v, name):
     return a / nrm
 
 
-def _normal_blocks(seed: SeedSpec, count: int, *shape: int):
+def _read_columns(u, v) -> tuple[int, int]:
+    """(c0, c1): the span from the first to the last column on which u or v
+    is nonzero, the columns of a sampled row that products with them read."""
+    supp = np.flatnonzero(np.abs(u) + np.abs(v))
+    return int(supp[0]), int(supp[-1]) + 1
+
+
+def _normal_blocks(seed: SeedSpec, count: int, *shape: int, columns=None):
     """Yield (take, *shape) standard-normal blocks, ``count`` items (rows or
-    whole trial matrices) in all, bit-identical to one-shot sampling."""
+    whole trial matrices) in all, bit-identical to one-shot sampling in the
+    columns [c0, c1) = ``columns`` of the last axis (all when None) and 0 in
+    the others, which are not drawn.
+
+    A skipped column enters a product with a vector that is 0 there as
+    0 * 0 in place of z * 0; both are a zero, so every product that reads
+    only the drawn columns comes out bit for bit as from full rows.  The
+    blocks share one buffer, whose skipped columns are zeroed once: a block
+    is valid until the next one is drawn.
+    """
+    n = shape[-1]
+    c0, c1 = (0, n) if columns is None else columns
     size = math.prod(shape)
+    rows = size // n  # sampled rows per item
     per = max(1, _CHUNK_ELEMS // size)
+    buf = (np.empty if c1 - c0 == n else np.zeros)((min(per, count) * rows, n))
     done = 0
     while done < count:
         take = min(per, count - done)
-        block = sample_standard_normal(seed, take * size, offset=done * size)
+        block = buf[: take * rows]
+        sample_standard_normal_columns(
+            seed, n, take * rows, (c0, c1), first_row=done * rows, out=block[:, c0:c1]
+        )
         yield block.reshape(take, *shape)
         done += take
 
@@ -95,7 +128,7 @@ def mismatch_probability(u, v, draws: int, seed: SeedSpec, sign_fn=None) -> floa
     vv = _unit(v, "v")
     s = sgn if sign_fn is None else sign_fn
     hits = 0
-    for block in _normal_blocks(seed, draws, uu.size):
+    for block in _normal_blocks(seed, draws, uu.size, columns=_read_columns(uu, vv)):
         hits += int(np.count_nonzero(s(block @ uu) != s(block @ vv)))
     return hits / draws
 
@@ -171,7 +204,7 @@ def projection_expectation(u, v, m: int, trials: int, seed: SeedSpec) -> Project
     proj_minus = np.empty(trials)
     proj_plus = np.empty(trials)
     done = 0
-    for Z in _normal_blocks(seed, trials, m, uu.size):
+    for Z in _normal_blocks(seed, trials, m, uu.size, columns=_read_columns(uu, vv)):
         nt = Z.shape[0]
         _, H = _corrections(Z, uu, vv)
         proj_minus[done : done + nt], proj_plus[done : done + nt], _ = orthogonal_decompose(
@@ -230,29 +263,37 @@ def tail_frequency_check(
     supp = np.flatnonzero(np.abs(uu) + np.abs(vv))
     k = max(int(np.count_nonzero(uu)), int(np.count_nonzero(vv)))
 
-    exceed = np.zeros(3, dtype=np.int64)
-    bound_sum = np.zeros(3)
-    used = 0
-    for Z in _normal_blocks(seed, trials, m, n):
-        ell, H = _corrections(Z, uu, vv)
-        x_minus, x_plus, g = orthogonal_decompose(H / m, uu, vv)
+    # Per-trial statistics first, then every count and bound from them at
+    # once, so that no sum depends on how the trials were blocked.
+    ell = np.empty(trials, dtype=np.int64)
+    x_minus = np.empty(trials)
+    x_plus = np.empty(trials)
+    g_norm = np.empty(trials)
+    done = 0
+    for Z in _normal_blocks(seed, trials, m, n, columns=_read_columns(uu, vv)):
+        nt = Z.shape[0]
+        ell[done : done + nt], H = _corrections(Z, uu, vv)
+        x_minus[done : done + nt], x_plus[done : done + nt], g = orthogonal_decompose(
+            H / m, uu, vv
+        )
         # Residual component, restricted to supp(u) u supp(v).
-        g_norm = np.linalg.norm(g[:, supp], axis=1)
+        g_norm[done : done + nt] = np.linalg.norm(g[:, supp], axis=1)
+        done += nt
 
-        live = ell > 0
-        lm = ell[live]
-        target = math.sqrt(math.pi / 2.0) * (lm / m) * (d_s / theta)
-        dev = lm * t_param / m
-        exceed[0] += int(np.count_nonzero(np.abs(x_minus[live] - target) >= dev))
-        exceed[1] += int(np.count_nonzero(np.abs(x_plus[live]) >= dev))
-        g_thresh = 2.0 * np.sqrt(2.0 * k * lm) / m + dev
-        exceed[2] += int(np.count_nonzero(g_norm[live] >= g_thresh))
-        half = np.minimum(1.0, 2.0 * np.exp(-0.5 * lm * t_param**2))
-        eighth = np.minimum(1.0, 2.0 * np.exp(-0.125 * lm * t_param**2))
-        bound_sum[0] += float(half.sum())
-        bound_sum[1] += float(half.sum())
-        bound_sum[2] += float(eighth.sum())
-        used += int(np.count_nonzero(live))
+    live = ell > 0
+    lm = ell[live]
+    target = math.sqrt(math.pi / 2.0) * (lm / m) * (d_s / theta)
+    dev = lm * t_param / m
+    g_thresh = 2.0 * np.sqrt(2.0 * k * lm) / m + dev
+    exceed = (
+        int(np.count_nonzero(np.abs(x_minus[live] - target) >= dev)),
+        int(np.count_nonzero(np.abs(x_plus[live]) >= dev)),
+        int(np.count_nonzero(g_norm[live] >= g_thresh)),
+    )
+    half = float(np.minimum(1.0, 2.0 * np.exp(-0.5 * lm * t_param**2)).sum())
+    eighth = float(np.minimum(1.0, 2.0 * np.exp(-0.125 * lm * t_param**2)).sum())
+    bound_sum = (half, half, eighth)
+    used = int(np.count_nonzero(live))
 
     rows = []
     names = ("proj_minus_tail", "proj_plus_tail", "residual_tail")

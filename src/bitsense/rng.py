@@ -21,11 +21,22 @@ The functions below share one kernel that fills a 2-D block in place,
 straight into the result, one stream per row and at most 64Ki columns.  The
 ``*_rows`` functions draw the same count from many seeds at once, row r
 equal bit for bit to the 1-D stream of seed r; the 1-D functions are a block
-of one row.  A request of more than about 64Ki elements is split over
-columns into pieces that run on a small thread pool (numpy's integer ufuncs
-and ``ndtri`` release the GIL); the split depends only on the request size,
-and the values are the same as those of one serial pass.  The stream
-definition above is unchanged by this; the sha256 known-answer tests pin it.
+of one row.
+
+Row-keyed addressing: element i's counter is ``key + (i + 1) * G`` with G
+the odd constant above, so the stream read from element j on is itself the
+stream keyed ``key + j * G`` (mod 2^64).  Laid out row-major in rows of n,
+row r of a stream is the stream keyed ``key + r * n * G``, and
+`sample_standard_normal_columns` draws columns [c0, c1) of a block of rows
+as those row streams read from element c0, never drawing the other columns.
+
+A request of more than about 64Ki elements is split into pieces that run on
+a small thread pool (numpy's integer ufuncs and ``ndtri`` release the GIL):
+over columns while it has at most 64Ki rows, and into row tiles when it is
+taller or fills a few columns of a wider block.  The split depends only on
+the request's shape and where it is written, and the values are the same as
+those of one serial pass.  The stream definition above is unchanged by this; the sha256
+known-answer tests pin it.
 
 The pool is the one parallel layer of ``run``, ``validate`` and ``raic``,
 whose BLAS products run on one thread under `_one_blas_thread` (the reason
@@ -280,32 +291,54 @@ def _one_blas_thread():
                 put(_blas_saved)
 
 
-def _stream(seeds, count: int, offset: int, stage: int) -> np.ndarray:
+def _stream(
+    seeds, count: int, offset: int, stage: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Elements ``offset .. offset + count - 1`` of each seed's stream, one
-    row per seed, in a fresh array that owns its memory.  ``seeds`` are
-    SeedSpecs, or their stream keys as a uint64 array (`_stream_keys`)."""
+    row per seed, in a fresh array that owns its memory, or written into
+    ``out`` (``len(seeds) x count``, of any strides) and returned.
+    ``seeds`` are SeedSpecs, or their stream keys as a uint64 array
+    (`_stream_keys`)."""
     if count < 0 or offset < 0:
         raise ValueError("count and offset must be >= 0")
     if isinstance(seeds, np.ndarray):
         keys = seeds
     else:
         keys = np.array([_stream_key(s) for s in seeds], dtype=np.uint64)
-    out = np.empty((keys.size, count), dtype=np.uint64 if stage == _WORDS else np.float64)
-    # Column pieces of about one chunk of elements in all, so each kernel
-    # call stays in cache whatever the number of rows.
-    width = max(1, _CHUNK // max(1, keys.size))
+    rows = keys.size
+    if out is None:
+        out = np.empty((rows, count), dtype=np.uint64 if stage == _WORDS else np.float64)
+    if rows <= _CHUNK and out.flags.c_contiguous:
+        # Column pieces over all rows, of about one chunk of elements in all,
+        # so each kernel call stays in cache whatever the number of rows.
+        height, width = max(1, rows), max(1, _CHUNK // max(1, rows))
+    else:
+        # Row tiles of at most one chunk.  A column piece of a tall block, or
+        # of a few columns of a wider one, would stride through all of it.
+        width = min(max(1, count), _CHUNK)
+        height = _CHUNK // width
 
-    def fill(start: int) -> None:
-        _fill(out[:, start : start + width], keys, offset + start, stage)
+    def fill(at) -> None:
+        r, c = at
+        dst = out[r : r + height, c : c + width]
+        if dst.flags.c_contiguous:
+            _fill(dst, keys[r : r + height], offset + c, stage)
+        else:
+            # A few columns of a wider block: the kernel's dozen passes run
+            # on a contiguous piece in cache, and one pass copies it out.
+            # Run on the strided block itself they took twice as long.
+            piece = np.empty(dst.shape, dtype=dst.dtype)
+            _fill(piece, keys[r : r + height], offset + c, stage)
+            dst[...] = piece
 
-    starts = range(0, count, width)
-    if len(starts) > 1:
+    pieces = [(r, c) for r in range(0, rows, height) for c in range(0, count, width)]
+    if len(pieces) > 1:
         # Reading every result re-raises any worker's exception here.
-        for _ in _executor().map(fill, starts):
+        for _ in _executor().map(fill, pieces):
             pass
     else:
-        for start in starts:
-            fill(start)
+        for piece in pieces:
+            fill(piece)
     return out
 
 
@@ -349,3 +382,30 @@ def sample_standard_normal_rows(seeds, count: int) -> np.ndarray:
     """``sample_standard_normal(seed, count)`` for each seed, as the rows of
     one ``len(seeds) x count`` array; ``seeds`` as for `random_uniform_rows`."""
     return _stream(seeds, count, 0, _NORMAL)
+
+
+def sample_standard_normal_columns(
+    seed: SeedSpec, n: int, rows: int, columns: tuple[int, int], first_row: int = 0,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Columns ``c0 .. c1 - 1`` (``columns = (c0, c1)``) of rows
+    ``first_row .. first_row + rows - 1`` of ``seed``'s normals laid out
+    row-major in rows of ``n``: bit for bit
+    ``sample_standard_normal(seed, rows * n, first_row * n).reshape(rows, n)[:, c0:c1]``,
+    drawn without the other columns.  Written into ``out``
+    (``rows x (c1 - c0)``, of any strides) when given, else into a fresh
+    array.
+
+    Row i is the stream keyed ``key + (first_row + i) * n * G`` (mod 2^64,
+    ``key`` the seed's stream key, G = 0x9E3779B97F4A7C15), read from
+    element c0 on: its element j is element ``(first_row + i) * n + j`` of
+    the seed's stream.
+    """
+    c0, c1 = columns
+    if not 0 <= c0 <= c1 <= n or rows < 0 or first_row < 0:
+        raise ValueError("need 0 <= c0 <= c1 <= n, rows >= 0 and first_row >= 0")
+    step = n * _GOLDEN & _MASK64
+    keys = np.arange(rows, dtype=np.uint64)
+    keys *= np.uint64(step)
+    keys += np.uint64((_stream_key(seed) + first_row * step) & _MASK64)
+    return _stream(keys, c1 - c0, c0, _NORMAL, out)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitsense.biht import BIHTConfig, biht_step, run_biht, write_trajectory_csv
 from bitsense.core import (
@@ -10,9 +12,10 @@ from bitsense.core import (
     SparseUnitVector,
     gaussian_matrix,
     random_sparse_unit,
+    sgn,
     sign_measure,
 )
-from bitsense.rng import SeedSpec, derive_seed
+from bitsense.rng import SeedSpec, derive_seed, sample_standard_normal
 
 
 def small_instance(seed=SeedSpec(40), n=60, k=3, m=1200):
@@ -163,6 +166,66 @@ class TestRun:
         traj = run_biht(A, b, BIHTConfig(k=x.k, max_iters=3, init=x))
         assert traj.error_ds is None and traj.lemma1_rhs is None
         assert len(traj.mismatch) == 4
+
+
+@st.composite
+def planted_runs(draw):
+    """A small instance (A, b, config, truth) with b measured from the truth,
+    or, for one draw in four, random signs with the truth still tracked."""
+    n = draw(st.integers(2, 40))
+    k = draw(st.integers(1, min(n, 6)))
+    m = draw(st.integers(1, 400))
+    seed = SeedSpec(draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 2**64 - 1)))
+    truth = random_sparse_unit(n, k, derive_seed(seed, 0))
+    A = gaussian_matrix(m, n, derive_seed(seed, 1))
+    if draw(st.integers(0, 3)):
+        b = sign_measure(A, truth.values)
+    else:
+        b = SignPattern(sgn(sample_standard_normal(derive_seed(seed, 2), m)))
+    eta = draw(st.sampled_from([math.sqrt(2.0 * math.pi), 1.0, 0.3]))
+    config = BIHTConfig(k=k, max_iters=draw(st.integers(1, 8)), eta=eta,
+                        init=derive_seed(seed, 3))
+    return A, b, config, truth
+
+
+class TestMetamorphic:
+    """Identities of the solver that hold at every size: any index slip in
+    the column cache or the rows-only correction breaks one of them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted_runs())
+    def test_negated_problem_gives_the_same_trajectory(self, case):
+        A, b, config, truth = case
+        flipped = run_biht(MeasurementMatrix(-A.entries), SignPattern(-b.bits), config,
+                           truth=truth)
+        traj = run_biht(A, b, config, truth=truth)
+        assert [x.values.tobytes() for x in flipped.iterates] == [
+            x.values.tobytes() for x in traj.iterates
+        ]
+        assert flipped.mismatch == traj.mismatch
+        assert np.array_equal(flipped.error_ds, traj.error_ds)
+        assert np.array_equal(flipped.lemma1_rhs, traj.lemma1_rhs, equal_nan=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted_runs(), st.integers(0, 2**32 - 1))
+    def test_row_permutation_keeps_the_record(self, case, perm_seed):
+        # The products sum the rows in another order, so only the floats
+        # move, within the known-answer tolerance.
+        A, b, config, truth = case
+        perm = np.random.default_rng(perm_seed).permutation(A.m)
+        moved = run_biht(MeasurementMatrix(A.entries[perm]), SignPattern(b.bits[perm]), config,
+                         truth=truth)
+        traj = run_biht(A, b, config, truth=truth)
+        assert moved.mismatch == traj.mismatch
+        np.testing.assert_allclose(moved.error_ds, traj.error_ds, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(moved.lemma1_rhs, traj.lemma1_rhs, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted_runs(), st.integers(-60, 60))
+    def test_truth_scaled_by_a_power_of_two_gives_the_same_signs(self, case, j):
+        A, _, _, truth = case
+        scaled = sign_measure(A, 2.0**j * truth.values)
+        assert scaled.bits.tobytes() == sign_measure(A, truth.values).bits.tobytes()
 
 
 class TestTrajectoryCsv:

@@ -198,6 +198,23 @@ def test_small_raic_certify():
         assert record.residual == pytest.approx(residual, abs=FLOAT_TOL, rel=0)
 
 
+# bitsense validate --seed S: the sha256 of validators.csv.  Every estimate,
+# bound and standard error is printed with repr, so a change to any sampled
+# value or to the order of any sum shows here.
+VALIDATORS_CSV = {
+    0: "be8ffc65a864939e60729dbcad7bae4dd12a0151ee5f65d111a38596b7337f91",
+    5: "4ede326b756e536b34965e2f49c20c5aadc557ee7b86715a315ab8cf4940ed23",
+}
+
+
+@pytest.mark.parametrize("seed", list(VALIDATORS_CSV))
+def test_validate_csv_digest(seed, tmp_path):
+    code = cli.main(["validate", "--seed", str(seed), "--output-dir", str(tmp_path)])
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "validators.csv").read_bytes()).hexdigest()
+    assert digest == VALIDATORS_CSV[seed]
+
+
 def _reference_correction(A, b, x, eta):
     """(eta/2m) A^T (b - sgn(Ax)) as the kernel computes it: over the rows
     where b and sgn(Ax) differ while they are fewer than ROWS_ONLY_BELOW * m,

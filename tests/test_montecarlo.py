@@ -20,7 +20,13 @@ from bitsense.montecarlo import (
     write_validator_csv,
 )
 from bitsense.raic import DEFAULT_ETA, h_a, orthogonal_decompose
-from bitsense.rng import SeedSpec, _openblas_thread_calls, derive_seed, sample_standard_normal
+from bitsense.rng import (
+    SeedSpec,
+    _openblas_thread_calls,
+    derive_seed,
+    sample_standard_normal,
+    sample_standard_normal_columns,
+)
 
 
 def pair_at_angle(theta, n=8):
@@ -198,6 +204,64 @@ class TestTailFrequency:
             tail_frequency_check(u, v, 10, 10, 0.0, SeedSpec(1))
 
 
+@pytest.mark.parametrize(
+    "shape, columns, chunk",
+    [((8,), (0, 2), 64), ((8,), (3, 8), 1000), ((5, 6), (1, 4), 64),
+     ((5, 6), (2, 3), 95), ((5, 6), None, 512), ((4,), None, 4)],
+)
+def test_normal_blocks_draw_the_read_columns_of_one_stream(shape, columns, chunk, monkeypatch):
+    # Every block holds the one-shot stream in the read columns and exact
+    # zeros in the others, whatever the block size.
+    monkeypatch.setattr(mc, "_CHUNK_ELEMS", chunk)
+    seed, count = SeedSpec(590, 2), 23
+    n = shape[-1]
+    c0, c1 = (0, n) if columns is None else columns
+    whole = sample_standard_normal(seed, count * math.prod(shape)).reshape(count, *shape)
+    blocks = np.concatenate(
+        [b.copy() for b in mc._normal_blocks(seed, count, *shape, columns=columns)]
+    )
+    assert blocks.shape == whole.shape
+    assert np.array_equal(blocks[..., c0:c1].view(np.uint64), whole[..., c0:c1].view(np.uint64))
+    assert not blocks[..., :c0].any() and not blocks[..., c1:].any()
+
+
+class TestBlockSize:
+    """The tail and band validators give `==` results however the trials are
+    blocked: one trial's matrix per block, a few, or fewer rows than one."""
+
+    # t = 0.7 keeps the bounds 2 exp(-ell t^2 / 2) and 2 exp(-ell t^2 / 8)
+    # below their clip at 1, so their float sums depend on the order.
+    M, TRIALS, T = 60, 40, 0.7
+
+    @pytest.fixture(params=["64", "512", "one trial", "seven trials and one"])
+    def chunk(self, request, monkeypatch):
+        def patch(trial_size):
+            sizes = {"64": 64, "512": 512, "one trial": trial_size,
+                     "seven trials and one": 7 * trial_size + 1}
+            monkeypatch.setattr(mc, "_CHUNK_ELEMS", sizes[request.param])
+
+        return patch
+
+    def test_tail_rows_do_not_depend_on_the_block_size(self, chunk):
+        u = np.zeros(10)
+        v = np.zeros(10)
+        u[1:4] = (0.6, 0.64, 0.48)
+        v[3:6] = (0.48, 0.6, 0.64)
+        whole = tail_frequency_check(u, v, self.M, self.TRIALS, self.T, SeedSpec(591))
+        chunk(self.M * u.size)
+        assert tail_frequency_check(u, v, self.M, self.TRIALS, self.T, SeedSpec(591)) == whole
+
+    def test_band_counts_do_not_depend_on_the_block_size(self, chunk):
+        u = np.array([1.0, 0.3])
+        whole = band_count_mean(u, math.pi / 6, self.M, self.TRIALS, SeedSpec(592))
+        chunk(self.M * u.size)
+        band = band_count_mean(u, math.pi / 6, self.M, self.TRIALS, SeedSpec(592))
+        assert (band.mean, band.sample_sd, band.expected) == (
+            whole.mean, whole.sample_sd, whole.expected
+        )
+        assert np.array_equal(band.counts, whole.counts)
+
+
 def _errors(trajectories):
     return np.array([traj.error_ds for traj in trajectories])  # (trials, T+1)
 
@@ -324,9 +388,9 @@ class TestOneBlasThread:
 
         def recording(*args, **kwargs):
             seen.append(blas_get())
-            return sample_standard_normal(*args, **kwargs)
+            return sample_standard_normal_columns(*args, **kwargs)
 
-        monkeypatch.setattr(mc, "sample_standard_normal", recording)
+        monkeypatch.setattr(mc, "sample_standard_normal_columns", recording)
         _small_suite()
         assert len(seen) >= 6 and set(seen) == {1}
         assert blas_get() == 2

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bitsense.rng as rng
 from bitsense.rng import (
+    _CHUNK,
     _GOLDEN,
     _MASK64,
     SeedSpec,
@@ -26,6 +28,7 @@ from bitsense.rng import (
     random_uniform,
     random_uniform_rows,
     sample_standard_normal,
+    sample_standard_normal_columns,
     sample_standard_normal_rows,
     splitmix64,
 )
@@ -129,6 +132,93 @@ class TestArraySeedDerivation:
         assert block.tobytes() == rows(seeds, count).tobytes()
         for seed, row in zip(seeds, block):
             assert row.tobytes() == one(seed, count).tobytes()
+
+
+class TestColumnBlocks:
+    """Columns [c0, c1) of a row-major block of one stream, drawn alone,
+    against a slice of the one-shot stream, bit for bit."""
+
+    @staticmethod
+    def one_shot(seed, n, rows, columns, first_row):
+        whole = sample_standard_normal(seed, rows * n, offset=first_row * n)
+        return whole.reshape(rows, n)[:, columns[0] : columns[1]]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        U64, U64, st.integers(1, 40), st.integers(0, 60), st.integers(0, 2**70),
+        st.data(),
+    )
+    @example(_MASK64, _MASK64, 1, 3, WRAP_TO_ZERO, None)
+    @example(_MASK64, _MASK64, 7, 5, 2**64 // 7 - 1, None)
+    @example(_MASK64, 0, 40, 60, 2**70, None)
+    def test_columns_equal_a_slice_of_the_stream(self, base, stream, n, rows, first_row, data):
+        # first_row * n runs past 2^64, where the counter wraps.
+        if data is None:
+            columns = (n // 2, n)
+        else:
+            c0 = data.draw(st.integers(0, n))
+            columns = (c0, data.draw(st.integers(c0, n)))
+        seed = SeedSpec(base, stream)
+        want = self.one_shot(seed, n, rows, columns, first_row).tobytes()
+        got = sample_standard_normal_columns(seed, n, rows, columns, first_row)
+        assert got.shape == (rows, columns[1] - columns[0])
+        assert got.tobytes() == want
+        # Into columns of a wider block: only those columns are written.
+        block = np.full((rows, n + 2), 7.0)
+        view = block[:, columns[0] + 1 : columns[1] + 1]
+        assert sample_standard_normal_columns(seed, n, rows, columns, first_row, out=view) is view
+        assert view.tobytes() == want
+        assert (block[:, : columns[0] + 1] == 7.0).all()
+        assert (block[:, columns[1] + 1 :] == 7.0).all()
+
+    @pytest.mark.parametrize("columns", [(0, 3), (1, 3), (2, 2)])
+    def test_tall_request_in_row_tiles(self, columns):
+        # More than 64Ki rows: the draw splits into row tiles, and every row
+        # is that row's 1-D stream.
+        seed, n, rows, first_row = SeedSpec(_MASK64, 17), 3, _CHUNK + 5, 11
+        got = sample_standard_normal_columns(seed, n, rows, columns, first_row)
+        assert got.tobytes() == self.one_shot(seed, n, rows, columns, first_row).tobytes()
+        height = _CHUNK // max(1, columns[1] - columns[0])
+        for i in (0, height - 1, height, rows - 1):
+            row = sample_standard_normal(seed, n, offset=(first_row + i) * n)
+            assert got[i].tobytes() == row[columns[0] : columns[1]].tobytes()
+
+    @pytest.mark.parametrize("rows, one", [
+        (random_uniform_rows, random_uniform),
+        (sample_standard_normal_rows, sample_standard_normal),
+    ])
+    def test_tall_row_form_rows_equal_one_dimensional_streams(self, rows, one):
+        seeds = _derive_rows(SeedSpec(_MASK64, 3), np.arange(_CHUNK + 7, dtype=np.uint64))
+        keys = _stream_keys(seeds)
+        count = 3
+        block = rows(keys, count)
+        height = _CHUNK // count
+        for i in (0, height - 1, height, 2 * height, _CHUNK - 1, _CHUNK, _CHUNK + 6):
+            seed = SeedSpec(int(seeds[0][i]), int(seeds[1][i]))
+            assert block[i].tobytes() == one(seed, count).tobytes()
+
+    @pytest.mark.parametrize("count", [0, 1, 5, 16, 17, 40])
+    @pytest.mark.parametrize("rows", [1, 16, 17, 37])
+    def test_every_split_gives_the_same_values(self, rows, count, monkeypatch):
+        # With 16-element chunks the same requests take every branch of the
+        # split: one piece, column pieces, row tiles of whole rows, and row
+        # tiles of one row cut into columns.
+        seed = SeedSpec(_MASK64, 9)
+        want = sample_standard_normal_columns(seed, count + 3, rows, (2, count + 2), 5)
+        monkeypatch.setattr(rng, "_CHUNK", 16)
+        got = sample_standard_normal_columns(seed, count + 3, rows, (2, count + 2), 5)
+        assert got.tobytes() == want.tobytes()
+        block = np.zeros((rows, count + 4))
+        sample_standard_normal_columns(
+            seed, count + 3, rows, (2, count + 2), 5, out=block[:, 1 : count + 1]
+        )
+        assert block[:, 1 : count + 1].tobytes() == want.tobytes()
+
+    def test_bad_columns_rejected(self):
+        for columns, rows, first_row in (((2, 1), 1, 0), ((0, 4), 1, 0), ((-1, 2), 1, 0),
+                                         ((0, 1), -1, 0), ((0, 1), 1, -1)):
+            with pytest.raises(ValueError):
+                sample_standard_normal_columns(SeedSpec(1), 3, rows, columns, first_row)
 
 
 class TestStandardNormal:
