@@ -24,7 +24,7 @@ columns of each sampled row stay exact zeros (`_normal_blocks`).  Those
 columns met u and v only as products with zeros, so every value that is read
 comes out bit for bit as from full rows.  On the default battery this draws
 2.6M normals in place of 15.4M.  `band_count_mean` takes each row's norm
-and draws full rows.
+and draws full rows, as one flat stream.
 
 Mean checks pass at |z| <= 4 (false-failure rate below 1e-4 per assertion);
 tail checks pass when the empirical frequency does not exceed the theoretical
@@ -69,10 +69,14 @@ def _unit(v, name):
     return a / nrm
 
 
-def _read_columns(u, v) -> tuple[int, int]:
-    """(c0, c1): the span from the first to the last column on which u or v
-    is nonzero, the columns of a sampled row that products with them read."""
-    supp = np.flatnonzero(np.abs(u) + np.abs(v))
+def _support(u, v) -> np.ndarray:
+    """The columns on which u or v is nonzero."""
+    return np.flatnonzero(np.abs(u) + np.abs(v))
+
+
+def _read_columns(supp) -> tuple[int, int]:
+    """(c0, c1): the span from the first to the last column of the support
+    ``supp``, the columns of a sampled row that products with u and v read."""
     return int(supp[0]), int(supp[-1]) + 1
 
 
@@ -85,22 +89,24 @@ def _normal_blocks(seed: SeedSpec, count: int, *shape: int, columns=None):
     A skipped column enters a product with a vector that is 0 there as
     0 * 0 in place of z * 0; both are a zero, so every product that reads
     only the drawn columns comes out bit for bit as from full rows.  The
-    blocks share one buffer, whose skipped columns are zeroed once: a block
-    is valid until the next one is drawn.
+    drawn columns are copied into one buffer, whose skipped columns are
+    zeroed once: a block is valid until the next one is drawn.
     """
     n = shape[-1]
     c0, c1 = (0, n) if columns is None else columns
     size = math.prod(shape)
     rows = size // n  # sampled rows per item
     per = max(1, _CHUNK_ELEMS // size)
-    buf = (np.empty if c1 - c0 == n else np.zeros)((min(per, count) * rows, n))
+    buf = None if c1 - c0 == n else np.zeros((min(per, count) * rows, n))
     done = 0
     while done < count:
         take = min(per, count - done)
-        block = buf[: take * rows]
-        sample_standard_normal_columns(
-            seed, n, take * rows, (c0, c1), first_row=done * rows, out=block[:, c0:c1]
-        )
+        drawn = sample_standard_normal_columns(seed, n, take * rows, (c0, c1), done * rows)
+        if buf is None:
+            block = drawn
+        else:
+            block = buf[: take * rows]
+            block[:, c0:c1] = drawn
         yield block.reshape(take, *shape)
         done += take
 
@@ -128,7 +134,7 @@ def mismatch_probability(u, v, draws: int, seed: SeedSpec, sign_fn=None) -> floa
     vv = _unit(v, "v")
     s = sgn if sign_fn is None else sign_fn
     hits = 0
-    for block in _normal_blocks(seed, draws, uu.size, columns=_read_columns(uu, vv)):
+    for block in _normal_blocks(seed, draws, uu.size, columns=_read_columns(_support(uu, vv))):
         hits += int(np.count_nonzero(s(block @ uu) != s(block @ vv)))
     return hits / draws
 
@@ -204,7 +210,7 @@ def projection_expectation(u, v, m: int, trials: int, seed: SeedSpec) -> Project
     proj_minus = np.empty(trials)
     proj_plus = np.empty(trials)
     done = 0
-    for Z in _normal_blocks(seed, trials, m, uu.size, columns=_read_columns(uu, vv)):
+    for Z in _normal_blocks(seed, trials, m, uu.size, columns=_read_columns(_support(uu, vv))):
         nt = Z.shape[0]
         _, H = _corrections(Z, uu, vv)
         proj_minus[done : done + nt], proj_plus[done : done + nt], _ = orthogonal_decompose(
@@ -260,7 +266,7 @@ def tail_frequency_check(
     n = uu.size
     theta = _pair_directions(uu, vv)[2]
     d_s = sphere_distance(uu, vv)
-    supp = np.flatnonzero(np.abs(uu) + np.abs(vv))
+    supp = _support(uu, vv)
     k = max(int(np.count_nonzero(uu)), int(np.count_nonzero(vv)))
 
     # Per-trial statistics first, then every count and bound from them at
@@ -270,7 +276,7 @@ def tail_frequency_check(
     x_plus = np.empty(trials)
     g_norm = np.empty(trials)
     done = 0
-    for Z in _normal_blocks(seed, trials, m, n, columns=_read_columns(uu, vv)):
+    for Z in _normal_blocks(seed, trials, m, n, columns=_read_columns(supp)):
         nt = Z.shape[0]
         ell[done : done + nt], H = _corrections(Z, uu, vv)
         x_minus[done : done + nt], x_plus[done : done + nt], g = orthogonal_decompose(

@@ -30,13 +30,12 @@ row r of a stream is the stream keyed ``key + r * n * G``, and
 `sample_standard_normal_columns` draws columns [c0, c1) of a block of rows
 as those row streams read from element c0, never drawing the other columns.
 
-A request of more than about 64Ki elements is split into pieces that run on
-a small thread pool (numpy's integer ufuncs and ``ndtri`` release the GIL):
-over columns while it has at most 64Ki rows, and into row tiles when it is
-taller or fills a few columns of a wider block.  The split depends only on
-the request's shape and where it is written, and the values are the same as
-those of one serial pass.  The stream definition above is unchanged by this; the sha256
-known-answer tests pin it.
+A request of more than about 64Ki elements is split into contiguous row
+tiles of at most 64Ki elements that run on a small thread pool (numpy's
+integer ufuncs and ``ndtri`` release the GIL).  The split depends only on the
+request's shape, and the values are the same as those of one serial pass.
+The stream definition above is unchanged by this; the sha256 known-answer
+tests pin it.
 
 The pool is the one parallel layer of ``run``, ``validate`` and ``raic``,
 whose BLAS products run on one thread under `_one_blas_thread` (the reason
@@ -291,14 +290,10 @@ def _one_blas_thread():
                 put(_blas_saved)
 
 
-def _stream(
-    seeds, count: int, offset: int, stage: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def _stream(seeds, count: int, offset: int, stage: int) -> np.ndarray:
     """Elements ``offset .. offset + count - 1`` of each seed's stream, one
-    row per seed, in a fresh array that owns its memory, or written into
-    ``out`` (``len(seeds) x count``, of any strides) and returned.
-    ``seeds`` are SeedSpecs, or their stream keys as a uint64 array
-    (`_stream_keys`)."""
+    row per seed, in a fresh array that owns its memory.  ``seeds`` are
+    SeedSpecs, or their stream keys as a uint64 array (`_stream_keys`)."""
     if count < 0 or offset < 0:
         raise ValueError("count and offset must be >= 0")
     if isinstance(seeds, np.ndarray):
@@ -306,30 +301,15 @@ def _stream(
     else:
         keys = np.array([_stream_key(s) for s in seeds], dtype=np.uint64)
     rows = keys.size
-    if out is None:
-        out = np.empty((rows, count), dtype=np.uint64 if stage == _WORDS else np.float64)
-    if rows <= _CHUNK and out.flags.c_contiguous:
-        # Column pieces over all rows, of about one chunk of elements in all,
-        # so each kernel call stays in cache whatever the number of rows.
-        height, width = max(1, rows), max(1, _CHUNK // max(1, rows))
-    else:
-        # Row tiles of at most one chunk.  A column piece of a tall block, or
-        # of a few columns of a wider one, would stride through all of it.
-        width = min(max(1, count), _CHUNK)
-        height = _CHUNK // width
+    out = np.empty((rows, count), dtype=np.uint64 if stage == _WORDS else np.float64)
+    # Contiguous row tiles of at most one chunk: whole rows while a row fits
+    # in a chunk, else one row cut into chunks.
+    width = min(max(1, count), _CHUNK)
+    height = max(1, _CHUNK // width)
 
     def fill(at) -> None:
         r, c = at
-        dst = out[r : r + height, c : c + width]
-        if dst.flags.c_contiguous:
-            _fill(dst, keys[r : r + height], offset + c, stage)
-        else:
-            # A few columns of a wider block: the kernel's dozen passes run
-            # on a contiguous piece in cache, and one pass copies it out.
-            # Run on the strided block itself they took twice as long.
-            piece = np.empty(dst.shape, dtype=dst.dtype)
-            _fill(piece, keys[r : r + height], offset + c, stage)
-            dst[...] = piece
+        _fill(out[r : r + height, c : c + width], keys[r : r + height], offset + c, stage)
 
     pieces = [(r, c) for r in range(0, rows, height) for c in range(0, count, width)]
     if len(pieces) > 1:
@@ -373,7 +353,7 @@ def sample_standard_normal(seed: SeedSpec, count: int, offset: int = 0) -> np.nd
 
 def random_uniform_rows(seeds, count: int) -> np.ndarray:
     """``random_uniform(seed, count)`` for each seed, as the rows of one
-    ``len(seeds) x count`` array, from one kernel call per column piece.
+    ``len(seeds) x count`` array, from one kernel call per row tile.
     ``seeds`` may also be the seeds' stream keys, as a uint64 array."""
     return _stream(seeds, count, 0, _UNIFORM)
 
@@ -385,27 +365,29 @@ def sample_standard_normal_rows(seeds, count: int) -> np.ndarray:
 
 
 def sample_standard_normal_columns(
-    seed: SeedSpec, n: int, rows: int, columns: tuple[int, int], first_row: int = 0,
-    out: np.ndarray | None = None,
+    seed: SeedSpec, n: int, rows: int, columns: tuple[int, int], first_row: int = 0
 ) -> np.ndarray:
     """Columns ``c0 .. c1 - 1`` (``columns = (c0, c1)``) of rows
     ``first_row .. first_row + rows - 1`` of ``seed``'s normals laid out
     row-major in rows of ``n``: bit for bit
     ``sample_standard_normal(seed, rows * n, first_row * n).reshape(rows, n)[:, c0:c1]``,
-    drawn without the other columns.  Written into ``out``
-    (``rows x (c1 - c0)``, of any strides) when given, else into a fresh
-    array.
+    drawn without the other columns, in a fresh array.
 
     Row i is the stream keyed ``key + (first_row + i) * n * G`` (mod 2^64,
     ``key`` the seed's stream key, G = 0x9E3779B97F4A7C15), read from
     element c0 on: its element j is element ``(first_row + i) * n + j`` of
-    the seed's stream.
+    the seed's stream.  A request for all n columns draws the seed's
+    stream from element ``first_row * n`` on, as one key.
     """
     c0, c1 = columns
     if not 0 <= c0 <= c1 <= n or rows < 0 or first_row < 0:
         raise ValueError("need 0 <= c0 <= c1 <= n, rows >= 0 and first_row >= 0")
+    if c1 - c0 == n:
+        out = _stream((seed,), rows * n, first_row * n, _NORMAL)
+        out.shape = (rows, n)
+        return out
     step = n * _GOLDEN & _MASK64
     keys = np.arange(rows, dtype=np.uint64)
     keys *= np.uint64(step)
     keys += np.uint64((_stream_key(seed) + first_row * step) & _MASK64)
-    return _stream(keys, c1 - c0, c0, _NORMAL, out)
+    return _stream(keys, c1 - c0, c0, _NORMAL)

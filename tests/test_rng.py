@@ -163,18 +163,12 @@ class TestColumnBlocks:
         got = sample_standard_normal_columns(seed, n, rows, columns, first_row)
         assert got.shape == (rows, columns[1] - columns[0])
         assert got.tobytes() == want
-        # Into columns of a wider block: only those columns are written.
-        block = np.full((rows, n + 2), 7.0)
-        view = block[:, columns[0] + 1 : columns[1] + 1]
-        assert sample_standard_normal_columns(seed, n, rows, columns, first_row, out=view) is view
-        assert view.tobytes() == want
-        assert (block[:, : columns[0] + 1] == 7.0).all()
-        assert (block[:, columns[1] + 1 :] == 7.0).all()
 
     @pytest.mark.parametrize("columns", [(0, 3), (1, 3), (2, 2)])
     def test_tall_request_in_row_tiles(self, columns):
-        # More than 64Ki rows: the draw splits into row tiles, and every row
-        # is that row's 1-D stream.
+        # More than 64Ki rows: the draw splits into row tiles (of the flat
+        # stream when it takes all columns), and every row is that row's 1-D
+        # stream.
         seed, n, rows, first_row = SeedSpec(_MASK64, 17), 3, _CHUNK + 5, 11
         got = sample_standard_normal_columns(seed, n, rows, columns, first_row)
         assert got.tobytes() == self.one_shot(seed, n, rows, columns, first_row).tobytes()
@@ -200,19 +194,14 @@ class TestColumnBlocks:
     @pytest.mark.parametrize("count", [0, 1, 5, 16, 17, 40])
     @pytest.mark.parametrize("rows", [1, 16, 17, 37])
     def test_every_split_gives_the_same_values(self, rows, count, monkeypatch):
-        # With 16-element chunks the same requests take every branch of the
-        # split: one piece, column pieces, row tiles of whole rows, and row
-        # tiles of one row cut into columns.
+        # With 16-element chunks the same requests take every form of the
+        # split: one piece, row tiles of whole rows, and row tiles of one row
+        # cut into columns.
         seed = SeedSpec(_MASK64, 9)
         want = sample_standard_normal_columns(seed, count + 3, rows, (2, count + 2), 5)
         monkeypatch.setattr(rng, "_CHUNK", 16)
         got = sample_standard_normal_columns(seed, count + 3, rows, (2, count + 2), 5)
         assert got.tobytes() == want.tobytes()
-        block = np.zeros((rows, count + 4))
-        sample_standard_normal_columns(
-            seed, count + 3, rows, (2, count + 2), 5, out=block[:, 1 : count + 1]
-        )
-        assert block[:, 1 : count + 1].tobytes() == want.tobytes()
 
     def test_bad_columns_rejected(self):
         for columns, rows, first_row in (((2, 1), 1, 0), ((0, 4), 1, 0), ((-1, 2), 1, 0),
