@@ -318,27 +318,6 @@ def save_matrix_csv(path, entries: np.ndarray) -> None:
             fh.write("\n")
 
 
-def load_matrix_csv(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                try:
-                    rows.append([float(tok) for tok in line.split(",")])
-                except ValueError as exc:
-                    raise ValueError(f"{path}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{path}: empty matrix file")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"{path}: ragged rows")
-    data = np.asarray(rows, dtype=np.float64)
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"{path}: non-finite entry")
-    return data
-
-
 def save_matrix_binary(path, entries: np.ndarray) -> None:
     a = np.atleast_2d(np.asarray(entries, dtype=np.float64))
     m, n = a.shape

@@ -19,12 +19,17 @@ one place (`_corrections`) and split along e- and e+ by
 `raic.orthogonal_decompose`.
 
 The validators of a pair (u, v) draw only the columns they read, from the
-first to the last on which u or v is nonzero (`_read_columns`); the other
-columns of each sampled row stay exact zeros (`_normal_blocks`).  Those
-columns met u and v only as products with zeros, so every value that is read
-comes out bit for bit as from full rows.  On the default battery this draws
-2.6M normals in place of 15.4M.  `band_count_mean` takes each row's norm
-and draws full rows, as one flat stream.
+first to the last on which u or v is nonzero (`_read_columns`), and run
+their kernels on those columns alone: the sign products take u and v cut to
+the same span.  The columns left out met u and v only as products with
+zeros, so the signs, the mismatch counts and the correction map's entries
+come out bit for bit as from full rows.  On the default battery this draws
+2.6M normals in place of 15.4M.  The one sum that would move is the split
+along e- and e+, whose row dots over the span's 2-5 entries would round in
+another order than over n; so `_corrections` hands back its stack of
+corrections scattered into zero rows of full width, and the split runs on
+those as before.  `band_count_mean` takes each row's norm and draws full
+rows, as one flat stream.
 
 Mean checks pass at |z| <= 4 (false-failure rate below 1e-4 per assertion);
 tail checks pass when the empirical frequency does not exceed the theoretical
@@ -81,44 +86,37 @@ def _read_columns(supp) -> tuple[int, int]:
 
 
 def _normal_blocks(seed: SeedSpec, count: int, *shape: int, columns=None):
-    """Yield (take, *shape) standard-normal blocks, ``count`` items (rows or
-    whole trial matrices) in all, bit-identical to one-shot sampling in the
-    columns [c0, c1) = ``columns`` of the last axis (all when None) and 0 in
-    the others, which are not drawn.
-
-    A skipped column enters a product with a vector that is 0 there as
-    0 * 0 in place of z * 0; both are a zero, so every product that reads
-    only the drawn columns comes out bit for bit as from full rows.  The
-    drawn columns are copied into one buffer, whose skipped columns are
-    zeroed once: a block is valid until the next one is drawn.
+    """Yield standard-normal blocks of ``count`` items (rows or whole trial
+    matrices) in all, each a fresh ``(take, *shape[:-1], c1 - c0)`` array:
+    bit for bit the columns [c0, c1) = ``columns`` of the last axis (all
+    when None) of one-shot sampling of ``(count, *shape)``, drawn without
+    the other columns.  A block holds about ``_CHUNK_ELEMS`` elements of
+    full width.
     """
     n = shape[-1]
     c0, c1 = (0, n) if columns is None else columns
     size = math.prod(shape)
     rows = size // n  # sampled rows per item
     per = max(1, _CHUNK_ELEMS // size)
-    buf = None if c1 - c0 == n else np.zeros((min(per, count) * rows, n))
-    done = 0
-    while done < count:
+    for done in range(0, count, per):
         take = min(per, count - done)
         drawn = sample_standard_normal_columns(seed, n, take * rows, (c0, c1), done * rows)
-        if buf is None:
-            block = drawn
-        else:
-            block = buf[: take * rows]
-            block[:, c0:c1] = drawn
-        yield block.reshape(take, *shape)
-        done += take
+        yield drawn.reshape(take, *shape[:-1], c1 - c0)
 
 
-def _corrections(Z, u, v):
-    """(ell, H) for a stack Z of t sampled m x n matrices and unit u, v:
-    ell[t] counts the rows of Z[t] where sgn(Z[t] u) != sgn(Z[t] v), and
-    H[t] = Z[t]^T (sgn(Z[t] u) - sgn(Z[t] v)) / 2 is (m / eta) h_{Z[t]}(u, v).
+def _corrections(Z, u, v, c0=0):
+    """(ell, H) for a stack Z of t sampled m x n matrices and unit u, v, where
+    Z holds only the columns [c0, c0 + w) of each matrix (w = Z.shape[-1])
+    and u, v are zero outside them: ell[t] counts the rows of Z[t] where
+    sgn(Z[t] u) != sgn(Z[t] v), and H[t] = Z[t]^T (sgn(Z[t] u) - sgn(Z[t] v)) / 2
+    is (m / eta) h_{Z[t]}(u, v), a t x n array that is 0 outside [c0, c0 + w).
     """
-    S = sgn(Z @ np.stack((u, v), axis=1))
+    w = Z.shape[-1]
+    S = sgn(Z @ np.stack((u[c0 : c0 + w], v[c0 : c0 + w]), axis=1))
     r = 0.5 * (S[..., 0].astype(np.float64) - S[..., 1])
-    return np.count_nonzero(r, axis=1), np.einsum("tmi,tm->ti", Z, r)
+    H = np.zeros((Z.shape[0], u.size))
+    H[:, c0 : c0 + w] = np.einsum("tmi,tm->ti", Z, r)
+    return np.count_nonzero(r, axis=1), H
 
 
 def mismatch_probability(u, v, draws: int, seed: SeedSpec, sign_fn=None) -> float:
@@ -133,9 +131,11 @@ def mismatch_probability(u, v, draws: int, seed: SeedSpec, sign_fn=None) -> floa
     uu = _unit(u, "u")
     vv = _unit(v, "v")
     s = sgn if sign_fn is None else sign_fn
+    c0, c1 = _read_columns(_support(uu, vv))
+    uc, vc = uu[c0:c1], vv[c0:c1]
     hits = 0
-    for block in _normal_blocks(seed, draws, uu.size, columns=_read_columns(_support(uu, vv))):
-        hits += int(np.count_nonzero(s(block @ uu) != s(block @ vv)))
+    for block in _normal_blocks(seed, draws, uu.size, columns=(c0, c1)):
+        hits += int(np.count_nonzero(s(block @ uc) != s(block @ vc)))
     return hits / draws
 
 
@@ -209,10 +209,11 @@ def projection_expectation(u, v, m: int, trials: int, seed: SeedSpec) -> Project
 
     proj_minus = np.empty(trials)
     proj_plus = np.empty(trials)
+    columns = _read_columns(_support(uu, vv))
     done = 0
-    for Z in _normal_blocks(seed, trials, m, uu.size, columns=_read_columns(_support(uu, vv))):
+    for Z in _normal_blocks(seed, trials, m, uu.size, columns=columns):
         nt = Z.shape[0]
-        _, H = _corrections(Z, uu, vv)
+        _, H = _corrections(Z, uu, vv, columns[0])
         proj_minus[done : done + nt], proj_plus[done : done + nt], _ = orthogonal_decompose(
             (DEFAULT_ETA / m) * H, uu, vv
         )
@@ -275,10 +276,11 @@ def tail_frequency_check(
     x_minus = np.empty(trials)
     x_plus = np.empty(trials)
     g_norm = np.empty(trials)
+    columns = _read_columns(supp)
     done = 0
-    for Z in _normal_blocks(seed, trials, m, n, columns=_read_columns(supp)):
+    for Z in _normal_blocks(seed, trials, m, n, columns=columns):
         nt = Z.shape[0]
-        ell[done : done + nt], H = _corrections(Z, uu, vv)
+        ell[done : done + nt], H = _corrections(Z, uu, vv, columns[0])
         x_minus[done : done + nt], x_plus[done : done + nt], g = orthogonal_decompose(
             H / m, uu, vv
         )

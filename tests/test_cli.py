@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bitsense import biht, cli
-from bitsense.core import load_matrix_binary, load_matrix_csv
 from bitsense.theory import epsilon_recurrence, sample_complexity
 
 
@@ -246,7 +245,7 @@ class TestGenerate:
              "--seed", "9", "--out", str(out)]
         )
         assert code == 0
-        assert load_matrix_csv(out).shape == (6, 4)
+        assert np.loadtxt(out, delimiter=",", ndmin=2).shape == (6, 4)
 
     def test_signal_binary(self, tmp_path):
         out = tmp_path / "sig.bin"
@@ -255,8 +254,11 @@ class TestGenerate:
              "--k", "4", "--seed", "9", "--out", str(out)]
         )
         assert code == 0
-        sig = load_matrix_binary(out)
-        assert sig.shape == (1, 30)
+        raw = out.read_bytes()  # magic, u32 m, u32 n, then m * n float64
+        assert raw[:4] == b"B1CS"
+        assert np.frombuffer(raw[4:12], dtype="<u4").tolist() == [1, 30]
+        sig = np.frombuffer(raw[12:], dtype="<f8")
+        assert sig.size == 30
         assert np.count_nonzero(sig) <= 4
         assert abs(np.linalg.norm(sig) - 1.0) <= 1e-9
 

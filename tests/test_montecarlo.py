@@ -210,19 +210,58 @@ class TestTailFrequency:
      ((5, 6), (2, 3), 95), ((5, 6), None, 512), ((4,), None, 4)],
 )
 def test_normal_blocks_draw_the_read_columns_of_one_stream(shape, columns, chunk, monkeypatch):
-    # Every block holds the one-shot stream in the read columns and exact
-    # zeros in the others, whatever the block size.
+    # Every block holds the one-shot stream's read columns and no others,
+    # whatever the block size.
     monkeypatch.setattr(mc, "_CHUNK_ELEMS", chunk)
     seed, count = SeedSpec(590, 2), 23
     n = shape[-1]
     c0, c1 = (0, n) if columns is None else columns
     whole = sample_standard_normal(seed, count * math.prod(shape)).reshape(count, *shape)
-    blocks = np.concatenate(
-        [b.copy() for b in mc._normal_blocks(seed, count, *shape, columns=columns)]
-    )
-    assert blocks.shape == whole.shape
-    assert np.array_equal(blocks[..., c0:c1].view(np.uint64), whole[..., c0:c1].view(np.uint64))
-    assert not blocks[..., :c0].any() and not blocks[..., c1:].any()
+    parts = list(mc._normal_blocks(seed, count, *shape, columns=columns))
+    assert all(b.shape[1:] == (*shape[:-1], c1 - c0) for b in parts)
+    blocks = np.concatenate(parts)
+    assert blocks.shape == whole[..., c0:c1].shape
+    assert np.array_equal(blocks.view(np.uint64), whole[..., c0:c1].view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "u_at, v_at, n",
+    [({0: 0.6, 1: 0.8}, {1: 1.0}, 4),  # the span starts at column 0
+     ({2: 1.0}, {2: 0.28, 3: 0.96}, 6),  # c0 > 0, the span ends before n
+     ({1: 1.0}, {1: 0.6, 4: 0.8}, 8)],  # columns 2 and 3 inside the span are 0
+)
+def test_validators_match_zero_filled_full_rows(u_at, v_at, n, monkeypatch):
+    # The validators run on the read columns only; fed full rows that hold
+    # the same stream there and zeros elsewhere, as sample_standard_normal
+    # gives them, they return == statistics.
+    u = np.zeros(n)
+    v = np.zeros(n)
+    u[list(u_at)] = list(u_at.values())
+    v[list(v_at)] = list(v_at.values())
+    supp = np.flatnonzero(np.abs(u) + np.abs(v))
+    c0, c1 = supp[0], supp[-1] + 1
+    m, trials, seed = 30, 12, SeedSpec(591)
+
+    def results():
+        return (
+            mismatch_probability(u, v, 500, seed),
+            projection_expectation(u, v, m, trials, seed),
+            tail_frequency_check(u, v, m, trials, 0.7, seed),
+        )
+
+    narrow = results()
+
+    def zero_filled(seed, count, *shape, columns):
+        assert columns == (0, n)
+        whole = sample_standard_normal(seed, count * math.prod(shape)).reshape(count, *shape)
+        whole[..., :c0] = 0.0
+        whole[..., c1:] = 0.0
+        yield whole
+
+    monkeypatch.setattr(mc, "_read_columns", lambda supp: (0, n))
+    monkeypatch.setattr(mc, "_normal_blocks", zero_filled)
+    assert results() == narrow
+    assert 0 < narrow[0] < 1 and narrow[2][0].used_draws > 0
 
 
 class TestBlockSize:
@@ -428,7 +467,7 @@ class TestOneBlasThread:
             for threads in (1, 2):
                 put(threads)
                 trials.append(_trial_record(convergence_trials(200, 5, 2000, 3, 6, SeedSpec(575))))
-                suites.append(_small_suite())
+                suites.append((_small_suite(), run_validator_suite(SeedSpec(0))))
                 assert get() == threads
         finally:
             put(before)
