@@ -19,7 +19,7 @@ count, the step and the bound.
 A step costs O(mk + ln) for k-sparse iterates and l mismatched rows, down
 from O(mn).  sgn(Ax) is measured the one way `core.sign_measure` measures
 it, from the k columns of A on supp(x), which top-k hands over; the solver
-keeps that column block and gathers it again only when the support changes.
+keeps that column block and reads it again only when the support changes.
 The correction is non-zero only on the l rows where b and sgn(Ax) differ,
 which the mismatch count finds once per iterate; `correction` sums over
 those rows alone while l < m/5 (`raic.ROWS_ONLY_BELOW`, the measured
@@ -27,6 +27,13 @@ break-even against the dense m x n product) and takes the dense product
 above it.  l is about m theta / pi for the angle theta between x and the
 signal, so late steps are cheap and the first, with l near m/2, take the
 dense product.
+
+Those are the solver's only reads of A: the columns on a support
+(``A.columns``) and the mismatched rows (``A.rows``).  So it runs the same
+on a `core.MeasurementMatrix`, which answers them by indexing, and on a
+`core.LazyGaussianMatrix`, which draws only what they ask for; the
+convergence trials use the latter, and their records are bit for bit
+those of the whole matrix.
 
 A step that leaves the iterate in place (h = 0, once sgn(Ax) = b, or a zero
 candidate) is an absorbing fixed point: the signs, hence h and the next
@@ -51,6 +58,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (
+    LazyGaussianMatrix,
     MeasurementMatrix,
     SignPattern,
     SparseUnitVector,
@@ -141,7 +149,7 @@ def _descend(x_prev: SparseUnitVector, h: np.ndarray, k: int):
 
 
 def run_biht(
-    A: MeasurementMatrix,
+    A: MeasurementMatrix | LazyGaussianMatrix,
     b: SignPattern,
     config: BIHTConfig,
     truth: Optional[SparseUnitVector] = None,

@@ -6,6 +6,12 @@ Conventions fixed here and relied on everywhere else:
 * Sphere distance is the Euclidean distance between radial projections,
   extended to zero vectors (0 if both zero, 1 if exactly one is zero).
 * Sparse vectors are stored dense; sparsity is an invariant, not a layout.
+* The solver reads a measurement matrix through two calls only: `columns`,
+  the m x k block on a support, and `rows`, an m x n array that holds the
+  rows where the signs disagree.  `MeasurementMatrix` answers them by
+  indexing; `LazyGaussianMatrix`, the matrix of a convergence trial, draws
+  what they ask for from the sampler, bit for bit the entries of
+  `gaussian_matrix`.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .rng import (
     derive_seed,
     random_uniform_rows,
     sample_standard_normal,
+    sample_standard_normal_block,
     sample_standard_normal_rows,
 )
 from .thresholding import smallest_k
@@ -101,6 +108,63 @@ class MeasurementMatrix:
     def n(self) -> int:
         return self.entries.shape[1]
 
+    def columns(self, cols: np.ndarray) -> np.ndarray:
+        """The m x |cols| block A[:, cols], for ascending column indices;
+        A itself, ungathered, for all n of them."""
+        a = self.entries
+        return a if cols.size == a.shape[1] else a[:, cols]
+
+    def rows(self, rows: np.ndarray) -> np.ndarray:
+        """An m x n array that holds A's entries on the rows ``rows``: here
+        A itself, which holds them all."""
+        return self.entries
+
+
+class LazyGaussianMatrix:
+    """``gaussian_matrix(m, n, seed)``, drawn where it is read.
+
+    It answers the solver's two reads by drawing from the sampler
+    (`rng.sample_standard_normal_block`), which addresses entry (i, j) as
+    element i * n + j of the seed's stream:
+
+    * `columns`: the m x k block on a support, drawn as that block; the
+      m x n layout is never touched for it.
+    * `rows`: the rows where the signs disagree, drawn into a zero-filled
+      m x n array that keeps them for later reads.  The correction's
+      residual r is 0 on every row it does not ask for, and a row never
+      drawn holds zeros, so ``A.T @ r`` over the whole array keeps its bits.
+
+    A solver run reads only part of the matrix: at n=200, k=5, m=10000 and
+    T=12, a trial drew about half of the rows (the first step's mismatched
+    rows, about m/2, and a few more later) and about ten distinct columns,
+    some of them more than once.  Every
+    entry it hands out is ``gaussian_matrix(m, n, seed).entries`` at that
+    place, bit for bit.  ``drawn`` counts the normals drawn so far.
+    """
+
+    def __init__(self, m: int, n: int, seed: SeedSpec):
+        if m < 1 or n < 1:
+            raise ValueError("need m >= 1 and n >= 1")
+        self.m, self.n, self.seed = m, n, seed
+        self.drawn = 0
+        self._entries = np.zeros((m, n))
+        self._has_row = np.zeros(m, dtype=bool)
+
+    def columns(self, cols: np.ndarray) -> np.ndarray:
+        """The m x |cols| block A[:, cols], drawn as that block."""
+        self.drawn += self.m * cols.size
+        return sample_standard_normal_block(self.seed, self.n, range(self.m), cols)
+
+    def rows(self, rows: np.ndarray) -> np.ndarray:
+        """The m x n array of the rows drawn so far, with ``rows`` among
+        them, and zeros on the rows never drawn."""
+        new = rows[~self._has_row[rows]]
+        if new.size:
+            sample_standard_normal_block(self.seed, self.n, new, range(self.n), into=self._entries)
+            self._has_row[new] = True
+            self.drawn += new.size * self.n
+        return self._entries
+
 
 @dataclass(frozen=True)
 class SignPattern:
@@ -147,16 +211,18 @@ def sgn(x):
 class _Measure:
     """sgn(A v) as int8 from the columns of A on supp(v): O(mk) for k nonzeros.
 
-    The gathered m x k column block is kept while the support stays the
-    same.  Gathering k columns of the row-major matrix costs about ten times
-    the product itself (0.15 ms against 0.017 ms at m=10000, k=5), and most
-    late solver steps move the values within a support that has settled.
-    A dense v takes A itself, ungathered; a zero v takes no column and
-    measures all +1.  A caller that already has supp(v), as the solver has
-    from top-k, passes it and saves the scan for nonzeros.
+    The m x k column block (``A.columns``) is kept while the support stays
+    the same.  Gathering k columns of the row-major matrix costs about ten
+    times the product itself (0.15 ms against 0.017 ms at m=10000, k=5),
+    drawing them about a hundred times, and most late solver steps move the
+    values within a support that has settled.  A dense v takes all n
+    columns, which a `MeasurementMatrix` hands over as A itself,
+    ungathered; a zero v takes no column and measures all +1.  A caller
+    that already has supp(v), as the solver has from top-k, passes it and
+    saves the scan for nonzeros.
     """
 
-    def __init__(self, A: MeasurementMatrix):
+    def __init__(self, A: MeasurementMatrix | LazyGaussianMatrix):
         self.A = A
         self.supp = None
         self.cols = None
@@ -165,8 +231,7 @@ class _Measure:
         if supp is None:
             supp = np.flatnonzero(v)
         if self.supp is None or not np.array_equal(supp, self.supp):
-            a = self.A.entries
-            self.supp, self.cols = supp, a if supp.size == a.shape[1] else a[:, supp]
+            self.supp, self.cols = supp, self.A.columns(supp)
         return _finite_signs(self.cols @ v[supp])
 
 
@@ -177,7 +242,7 @@ def _length_checked(x, n: int, name: str) -> np.ndarray:
     return v
 
 
-def sign_measure(A: MeasurementMatrix, x) -> SignPattern:
+def sign_measure(A: MeasurementMatrix | LazyGaussianMatrix, x) -> SignPattern:
     """One-bit measurement: the row-wise sign of A @ x, over the support of x."""
     return SignPattern(_Measure(A)(_length_checked(x, A.n, "x")))
 

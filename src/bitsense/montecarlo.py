@@ -11,7 +11,13 @@ compares an empirical statistic against its known value:
 * conditional tail frequencies of those projections  ->  sub-Gaussian bounds
 
 plus the end-to-end convergence trials, which run the solver on fresh random
-instances (the only trial pipeline; the CLI's ``run`` uses it too).  The
+instances (the only trial pipeline; the CLI's ``run`` uses it too).  A
+trial's matrix is a `core.LazyGaussianMatrix`: the solver reads only the
+columns on its supports and the rows where the signs disagree, and only
+those are drawn, each entry the one ``gaussian_matrix`` would hold, so the
+records keep their bits.  At the acceptance config (n=200, k=5, m=10000,
+T=12) a trial draws about 60% of the m n normals, most of them for the
+first step's rows.  The
 trials and the validator suite run their BLAS products on one thread (see
 `rng._one_blas_thread`); the validators called one by one keep the caller's
 threading.  The correction map of a stack of sampled matrices is formed in
@@ -46,15 +52,15 @@ import numpy as np
 
 from .biht import BIHTConfig, Trajectory, run_biht
 from .core import (
+    LazyGaussianMatrix,
     _pair_directions,
-    gaussian_matrix,
     random_sparse_unit,
     sgn,
     sign_measure,
     sphere_distance,
 )
 from .raic import DEFAULT_ETA, orthogonal_decompose
-from .rng import SeedSpec, _one_blas_thread, derive_seed, sample_standard_normal_columns
+from .rng import SeedSpec, _one_blas_thread, derive_seed, sample_standard_normal_block
 
 # Keeps any single sampled block near 8 MB of float64.  On the default
 # battery (2 vCPU) 1M elements ran as fast as 2M and 4M, at a peak RSS of
@@ -100,7 +106,9 @@ def _normal_blocks(seed: SeedSpec, count: int, *shape: int, columns=None):
     per = max(1, _CHUNK_ELEMS // size)
     for done in range(0, count, per):
         take = min(per, count - done)
-        drawn = sample_standard_normal_columns(seed, n, take * rows, (c0, c1), done * rows)
+        drawn = sample_standard_normal_block(
+            seed, n, range(done * rows, (done + take) * rows), range(c0, c1)
+        )
         yield drawn.reshape(take, *shape[:-1], c1 - c0)
 
 
@@ -331,7 +339,7 @@ class ErrorBoundViolation(RuntimeError):
 
 def _convergence_trial(n, k, m, T, eta, trial_seed) -> Trajectory:
     x = random_sparse_unit(n, k, derive_seed(trial_seed, 0))
-    A = gaussian_matrix(m, n, derive_seed(trial_seed, 1))
+    A = LazyGaussianMatrix(m, n, derive_seed(trial_seed, 1))
     b = sign_measure(A, x.values)
     config = BIHTConfig(k=k, max_iters=T, eta=eta, init=derive_seed(trial_seed, 2))
     traj = run_biht(A, b, config, truth=x)

@@ -47,6 +47,7 @@ from itertools import chain
 import numpy as np
 
 from .core import (
+    LazyGaussianMatrix,
     MeasurementMatrix,
     SparseUnitVector,
     _length_checked,
@@ -110,17 +111,23 @@ PAIR_BLOCK = 128
 ROW_BLOCK = 512
 
 def correction(
-    A: MeasurementMatrix, b, s, eta: float = DEFAULT_ETA, rows: np.ndarray | None = None
+    A: MeasurementMatrix | LazyGaussianMatrix,
+    b,
+    s,
+    eta: float = DEFAULT_ETA,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """(eta / m) A^T (b - s) / 2 for sign patterns b, s over the rows of A.
 
     With b = sgn(Ax), s = sgn(Ay) it is h_A(x, y); with b the observed signs
     it is what a solver step adds to its iterate y.  Only the l rows where
-    b and s differ contribute: while l < ROWS_ONLY_BELOW * m the product
-    runs over those rows alone, in O(l n), and over all m rows otherwise.
-    When b == s rowwise it is the zero vector, returned without a product.
-    ``rows`` is ``np.flatnonzero(b != s)``, passed by a caller that found
-    the mismatched rows already (the solver counts them at every step).
+    b and s differ contribute, and only those are read (``A.rows``): while
+    l < ROWS_ONLY_BELOW * m the product runs over those rows alone, in
+    O(l n), and over all m rows otherwise, where the rows it did not ask
+    for meet zeros in r.  When b == s rowwise it is the zero vector,
+    returned without a product.  ``rows`` is ``np.flatnonzero(b != s)``,
+    passed by a caller that found the mismatched rows already (the solver
+    counts them at every step).
     """
     bv = np.asarray(b)
     sv = np.asarray(s)
@@ -130,10 +137,11 @@ def correction(
         rows = np.flatnonzero(bv != sv)
     if rows.size == 0:
         return np.zeros(A.n)
+    a = A.rows(rows)
     if rows.size >= ROWS_ONLY_BELOW * A.m:
         rows = slice(None)  # all rows, as views: no gather
     r = 0.5 * (bv[rows].astype(np.float64) - sv[rows])
-    return (eta / A.m) * (A.entries[rows].T @ r)
+    return (eta / A.m) * (a[rows].T @ r)
 
 
 def h_a(A: MeasurementMatrix, x, y, eta: float = DEFAULT_ETA) -> np.ndarray:

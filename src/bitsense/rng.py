@@ -26,9 +26,12 @@ of one row.
 Row-keyed addressing: element i's counter is ``key + (i + 1) * G`` with G
 the odd constant above, so the stream read from element j on is itself the
 stream keyed ``key + j * G`` (mod 2^64).  Laid out row-major in rows of n,
-row r of a stream is the stream keyed ``key + r * n * G``, and
-`sample_standard_normal_columns` draws columns [c0, c1) of a block of rows
-as those row streams read from element c0, never drawing the other columns.
+row r of a stream is the stream keyed ``key + r * n * G``, and its entry
+in column c is at counter ``key + r * n * G + (c + 1) * G``.
+`sample_standard_normal_block` draws any rows by any columns of such a
+matrix that way, never drawing the other entries: the validators take
+contiguous columns of contiguous rows, and the convergence trials the
+columns on a support and the rows where the signs disagree.
 
 A request of more than about 64Ki elements is split into contiguous row
 tiles of at most 64Ki elements that run on a small thread pool (numpy's
@@ -49,6 +52,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -172,18 +176,28 @@ def _stream_keys(seeds) -> np.ndarray:
     return _mix(bases ^ _mix(streams ^ np.uint64(_MIX2)))
 
 
-def _fill(out: np.ndarray, keys: np.ndarray, first: int, stage: int) -> None:
-    """Write stream elements ``first, first + 1, ...`` into ``out`` in place.
+def _fill(out: np.ndarray, keys: np.ndarray, steps: np.ndarray, stage: int) -> None:
+    """Write stream elements into ``out`` in place.
 
-    ``out`` is a 2-D block of at most ``_CHUNK`` columns, uint64 for words
-    and float64 otherwise; row r holds the stream keyed by ``keys[r]``.
-    Element i of a stream is word ``splitmix64(key + (i + 1) * _GOLDEN)``,
-    then for floats ``((word >> 11) + 0.5) * 2**-53``, then for normals
-    ``ndtri``.
+    ``out`` is a 2-D block, uint64 for words and float64 otherwise; entry
+    (r, c) is the element whose counter is ``keys[r] + steps[c]`` (mod 2^64).
+    Element i of the stream keyed ``key`` has the counter
+    ``key + (i + 1) * _GOLDEN``, and its word is ``splitmix64`` of it, then
+    for floats ``((word >> 11) + 0.5) * 2**-53``, then for normals ``ndtri``.
     """
     z = out.view(np.uint64)
     # uint64 array arithmetic wraps mod 2^64, as the counter walk requires.
-    np.add(_STEPS[: z.shape[1]], (keys + np.uint64(first * _GOLDEN & _MASK64))[:, None], out=z)
+    height, width = z.shape
+    if height > 256 * width:
+        # A tall, narrow block, such as the m x k columns on a support: one
+        # strided pass per column, since a broadcast add runs an inner loop
+        # of ``width`` elements per row.  On 2 vCPU (numpy 2.4.6), medians
+        # of 300: 65 against 119 us at 10000 x 5, even at 2000 x 8, and
+        # 20 against 12 us at 500 x 8.
+        for c in range(width):
+            np.add(keys, steps[c], out=z[:, c])
+    else:
+        np.add(steps, keys[:, None], out=z)
     _mix(z)
     if stage == _WORDS:
         return
@@ -196,15 +210,20 @@ def _fill(out: np.ndarray, keys: np.ndarray, first: int, stage: int) -> None:
         ndtri(out, out=out)
 
 
+def _worker_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _executor() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
-            try:
-                workers = len(os.sched_getaffinity(0))
-            except AttributeError:  # no affinity call on this platform
-                workers = os.cpu_count() or 1
-            _pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="bitsense-rng")
+            _pool = ThreadPoolExecutor(
+                max_workers=_worker_count(), thread_name_prefix="bitsense-rng"
+            )
         return _pool
 
 
@@ -290,10 +309,18 @@ def _one_blas_thread():
                 put(_blas_saved)
 
 
-def _stream(seeds, count: int, offset: int, stage: int) -> np.ndarray:
+def _stream(seeds, count: int, offset: int, stage: int, steps=None, into=None) -> np.ndarray:
     """Elements ``offset .. offset + count - 1`` of each seed's stream, one
     row per seed, in a fresh array that owns its memory.  ``seeds`` are
-    SeedSpecs, or their stream keys as a uint64 array (`_stream_keys`)."""
+    SeedSpecs, or their stream keys as a uint64 array (`_stream_keys`).
+
+    With ``steps``, an array of ``count`` uint64 counter steps (and
+    ``offset`` 0), column c holds the element at counter ``key + steps[c]``
+    rather than ``key + (offset + c + 1) * _GOLDEN``: columns that need not
+    be contiguous.  With ``into = (dest, where)``, row r goes to
+    ``dest[where[r]]`` one tile at a time, rather than to a fresh array,
+    and dest is returned.
+    """
     if count < 0 or offset < 0:
         raise ValueError("count and offset must be >= 0")
     if isinstance(seeds, np.ndarray):
@@ -301,7 +328,8 @@ def _stream(seeds, count: int, offset: int, stage: int) -> np.ndarray:
     else:
         keys = np.array([_stream_key(s) for s in seeds], dtype=np.uint64)
     rows = keys.size
-    out = np.empty((rows, count), dtype=np.uint64 if stage == _WORDS else np.float64)
+    dtype = np.uint64 if stage == _WORDS else np.float64
+    out = np.empty((rows, count), dtype=dtype) if into is None else into[0]
     # Contiguous row tiles of at most one chunk: whole rows while a row fits
     # in a chunk, else one row cut into chunks.
     width = min(max(1, count), _CHUNK)
@@ -309,9 +337,30 @@ def _stream(seeds, count: int, offset: int, stage: int) -> np.ndarray:
 
     def fill(at) -> None:
         r, c = at
-        _fill(out[r : r + height, c : c + width], keys[r : r + height], offset + c, stage)
+        tile_keys = keys[r : r + height]
+        if steps is None:
+            tile_keys = tile_keys + np.uint64((offset + c) * _GOLDEN & _MASK64)
+            tile_steps = _STEPS[: min(width, count - c)]
+        else:
+            tile_steps = steps[c : c + width]
+        if into is None:
+            _fill(out[r : r + height, c : c + width], tile_keys, tile_steps, stage)
+            return
+        scratch = free.get()
+        tile = scratch[: tile_keys.size, : tile_steps.size]
+        _fill(tile, tile_keys, tile_steps, stage)
+        out[into[1][r : r + height], c : c + width] = tile
+        free.put(scratch)
 
     pieces = [(r, c) for r in range(0, rows, height) for c in range(0, count, width)]
+    if into is not None:
+        # The tiles are drawn in scratch blocks made here, one per worker and
+        # handed from task to task.  Blocks made on the pool's threads stay
+        # in those threads' malloc arenas after the call: 2-3 MB more peak
+        # RSS over a `run` at the acceptance config.
+        free = queue.SimpleQueue()
+        for _ in range(min(len(pieces), _worker_count())):
+            free.put(np.empty((height, width), dtype=dtype))
     if len(pieces) > 1:
         # Reading every result re-raises any worker's exception here.
         for _ in _executor().map(fill, pieces):
@@ -364,30 +413,49 @@ def sample_standard_normal_rows(seeds, count: int) -> np.ndarray:
     return _stream(seeds, count, 0, _NORMAL)
 
 
-def sample_standard_normal_columns(
-    seed: SeedSpec, n: int, rows: int, columns: tuple[int, int], first_row: int = 0
-) -> np.ndarray:
-    """Columns ``c0 .. c1 - 1`` (``columns = (c0, c1)``) of rows
-    ``first_row .. first_row + rows - 1`` of ``seed``'s normals laid out
-    row-major in rows of ``n``: bit for bit
-    ``sample_standard_normal(seed, rows * n, first_row * n).reshape(rows, n)[:, c0:c1]``,
-    drawn without the other columns, in a fresh array.
+def sample_standard_normal_block(seed: SeedSpec, n: int, rows, columns, into=None) -> np.ndarray:
+    """Rows ``rows`` by columns ``columns`` of ``seed``'s normals laid out
+    row-major in rows of ``n``, drawn without the other entries: bit for bit
+    ``sample_standard_normal(seed, (max(rows) + 1) * n).reshape(-1, n)[np.ix_(rows, columns)]``.
+    ``rows`` and ``columns`` are each a ``range`` of step 1 or an array of
+    indices, the columns in [0, n).
 
-    Row i is the stream keyed ``key + (first_row + i) * n * G`` (mod 2^64,
-    ``key`` the seed's stream key, G = 0x9E3779B97F4A7C15), read from
-    element c0 on: its element j is element ``(first_row + i) * n + j`` of
-    the seed's stream.  A request for all n columns draws the seed's
-    stream from element ``first_row * n`` on, as one key.
+    Entry (i, j) is element ``i * n + j`` of the seed's stream: row i is the
+    stream keyed ``key + i * n * G`` (mod 2^64, ``key`` the seed's stream
+    key, G = 0x9E3779B97F4A7C15), and entry j of that row its element j.  A
+    range of rows with all n columns is the seed's stream from element
+    ``rows.start * n`` on, drawn as one key.
+
+    The block is a fresh array.  With ``into``, an array of
+    ``len(columns)`` columns, row r of the block is written to
+    ``into[rows[r]]`` instead, one tile of at most 64Ki elements at a time,
+    so that no temporary of the whole block is made, and ``into`` is
+    returned.
     """
-    c0, c1 = columns
-    if not 0 <= c0 <= c1 <= n or rows < 0 or first_row < 0:
-        raise ValueError("need 0 <= c0 <= c1 <= n, rows >= 0 and first_row >= 0")
-    if c1 - c0 == n:
-        out = _stream((seed,), rows * n, first_row * n, _NORMAL)
-        out.shape = (rows, n)
-        return out
+    if isinstance(columns, range):
+        if columns.step != 1 or not 0 <= columns.start <= columns.stop <= n:
+            raise ValueError(f"need a range of columns within [0, {n}]")
+        width, offset, steps = len(columns), columns.start, None
+    else:
+        columns = np.asarray(columns, dtype=np.intp)
+        if columns.ndim != 1 or columns.size and not 0 <= columns.min() <= columns.max() < n:
+            raise ValueError(f"need an array of columns in [0, {n})")
+        width, offset = columns.size, 0
+        steps = (columns.astype(np.uint64) + 1) * np.uint64(_GOLDEN)
     step = n * _GOLDEN & _MASK64
-    keys = np.arange(rows, dtype=np.uint64)
-    keys *= np.uint64(step)
-    keys += np.uint64((_stream_key(seed) + first_row * step) & _MASK64)
-    return _stream(keys, c1 - c0, c0, _NORMAL)
+    if isinstance(rows, range):
+        if rows.step != 1 or not 0 <= rows.start <= rows.stop:
+            raise ValueError("need a range of rows from 0 on")
+        if steps is None and width == n and into is None:
+            out = _stream((seed,), len(rows) * n, rows.start * n, _NORMAL)
+            out.shape = (len(rows), n)
+            return out
+        keys = np.arange(len(rows), dtype=np.uint64)
+        keys *= np.uint64(step)
+        keys += np.uint64((_stream_key(seed) + rows.start * step) & _MASK64)
+    else:
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.ndim != 1 or rows.size and rows.min() < 0:
+            raise ValueError("need an array of rows >= 0")
+        keys = rows.astype(np.uint64) * np.uint64(step) + np.uint64(_stream_key(seed))
+    return _stream(keys, width, offset, _NORMAL, steps, None if into is None else (into, rows))

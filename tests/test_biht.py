@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bitsense.biht import BIHTConfig, biht_step, run_biht, write_trajectory_csv
 from bitsense.core import (
+    LazyGaussianMatrix,
     MeasurementMatrix,
     SignPattern,
     SparseUnitVector,
@@ -16,6 +17,7 @@ from bitsense.core import (
     sgn,
     sign_measure,
 )
+from bitsense.raic import ROWS_ONLY_BELOW
 from bitsense.rng import SeedSpec, derive_seed, sample_standard_normal
 
 
@@ -264,6 +266,101 @@ class TestMetamorphic:
         A, _, _, truth = case
         scaled = sign_measure(A, 2.0**j * truth.values)
         assert scaled.bits.tobytes() == sign_measure(A, truth.values).bits.tobytes()
+
+
+class RecordingMatrix(LazyGaussianMatrix):
+    """A LazyGaussianMatrix that keeps a copy of every column block it hands
+    out, and the size of every row read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.column_reads = []
+        self.row_reads = []
+
+    def columns(self, cols):
+        block = super().columns(cols)
+        self.column_reads.append((cols.copy(), block.copy()))
+        return block
+
+    def rows(self, rows):
+        self.row_reads.append(rows.size)
+        return super().rows(rows)
+
+
+def assert_same_record(got, want):
+    """Two trajectories equal bit for bit."""
+    assert [x.values.tobytes() for x in got.iterates] == [
+        x.values.tobytes() for x in want.iterates
+    ]
+    assert got.mismatch == want.mismatch
+    for g, w in ((got.error_ds, want.error_ds), (got.lemma1_rhs, want.lemma1_rhs)):
+        assert np.array(g).tobytes() == np.array(w).tobytes()
+
+
+def assert_drawn_from(lazy, A):
+    """Every entry ``lazy`` drew is A's at that place, bit for bit; the rows
+    it never drew are zero, and ``drawn`` counts what it drew."""
+    for cols, block in lazy.column_reads:
+        assert block.tobytes() == A.entries[:, cols].tobytes()
+    has = lazy._has_row
+    assert lazy._entries[has].tobytes() == A.entries[has].tobytes()
+    assert not lazy._entries[~has].any()
+    widths = sum(cols.size for cols, _ in lazy.column_reads)
+    assert lazy.drawn == A.m * widths + A.n * int(has.sum())
+
+
+def lazy_and_whole(n, k, m, seed, measured=True):
+    """(lazy, A, truth, b): one matrix drawn on read and as a whole, the
+    truth, and signs measured by the lazy matrix or random."""
+    truth = random_sparse_unit(n, k, derive_seed(seed, 0))
+    lazy = RecordingMatrix(m, n, derive_seed(seed, 1))
+    A = gaussian_matrix(m, n, derive_seed(seed, 1))
+    if measured:
+        b = sign_measure(lazy, truth.values)
+        assert b.bits.tobytes() == sign_measure(A, truth.values).bits.tobytes()
+    else:
+        b = SignPattern(sgn(sample_standard_normal(derive_seed(seed, 2), m)))
+    return lazy, A, truth, b
+
+
+class TestDrawnOnRead:
+    """The solver on a matrix drawn where it is read keeps the record of the
+    whole matrix bit for bit, and reads only the whole matrix's entries."""
+
+    @pytest.mark.parametrize("n, k, m, T, seed, stops", [
+        (60, 3, 1200, 20, 700, True),  # a dense step, rows-only steps, a fixed point
+        (60, 3, 1200, 20, 704, False),  # a dense step, then rows-only steps to T
+        (4, 4, 300, 10, 701, True),  # k = n: every support takes every column
+        (8, 8, 200, 10, 702, False),
+        (200, 5, 3000, 12, 701, True),  # the first step's rows span several tiles
+    ])
+    def test_run_keeps_the_record_of_the_whole_matrix(self, n, k, m, T, seed, stops):
+        lazy, A, truth, b = lazy_and_whole(n, k, m, SeedSpec(seed))
+        config = BIHTConfig(k=k, max_iters=T, init=derive_seed(SeedSpec(seed), 3))
+        traj = run_biht(lazy, b, config, truth=truth)
+        assert_same_record(traj, run_biht(A, b, config, truth=truth))
+        assert_drawn_from(lazy, A)
+        # Each case takes the steps it is listed for.
+        dense = [size >= ROWS_ONLY_BELOW * m for size in lazy.row_reads]
+        assert dense[0] and len(dense) > 1 and not any(dense[1:])
+        assert (traj.iterates[-1] is traj.iterates[-2]) == stops
+        if k == n:
+            assert all(cols.size == n for cols, _ in lazy.column_reads)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_small_runs_keep_the_record_of_the_whole_matrix(self, data):
+        n = data.draw(st.integers(1, 40))
+        k = data.draw(st.integers(1, min(n, 6)))
+        m = data.draw(st.integers(1, 400))
+        seed = SeedSpec(data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(0, 2**64 - 1)))
+        lazy, A, truth, b = lazy_and_whole(n, k, m, seed, measured=data.draw(st.booleans()))
+        eta = data.draw(st.sampled_from([math.sqrt(2.0 * math.pi), 1.0, 0.3]))
+        config = BIHTConfig(k=k, max_iters=data.draw(st.integers(1, 8)), eta=eta,
+                            init=derive_seed(seed, 3))
+        assert_same_record(run_biht(lazy, b, config, truth=truth),
+                           run_biht(A, b, config, truth=truth))
+        assert_drawn_from(lazy, A)
 
 
 class TestTrajectoryCsv:

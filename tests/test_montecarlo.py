@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import bitsense.montecarlo as mc
 from bitsense import biht
-from bitsense.biht import run_biht
+from bitsense.biht import BIHTConfig, run_biht
 from bitsense.core import MeasurementMatrix, gaussian_matrix, random_sparse_unit, sign_measure
 from bitsense.montecarlo import (
     ErrorBoundViolation,
@@ -25,7 +25,7 @@ from bitsense.rng import (
     _openblas_thread_calls,
     derive_seed,
     sample_standard_normal,
-    sample_standard_normal_columns,
+    sample_standard_normal_block,
 )
 
 
@@ -325,6 +325,44 @@ class TestConvergenceExperiment:
         assert np.array_equal(errors, again)
 
 
+class TestTrialDrawsOnRead:
+    @pytest.mark.parametrize("n, k, m, T", [(60, 3, 1200, 20), (6, 6, 300, 8)])
+    def test_trial_keeps_the_record_of_the_whole_matrix(self, n, k, m, T):
+        # The trial's pipeline on gaussian_matrix's matrix, bit for bit.
+        for i in range(3):
+            seed = derive_seed(SeedSpec(575), i)
+            got = mc._convergence_trial(n, k, m, T, DEFAULT_ETA, seed)
+            truth = random_sparse_unit(n, k, derive_seed(seed, 0))
+            A = gaussian_matrix(m, n, derive_seed(seed, 1))
+            config = BIHTConfig(k=k, max_iters=T, init=derive_seed(seed, 2))
+            want = run_biht(A, sign_measure(A, truth.values), config, truth=truth)
+            assert [x.values.tobytes() for x in got.iterates] == [
+                x.values.tobytes() for x in want.iterates
+            ]
+            assert got.mismatch == want.mismatch
+            assert np.array(got.error_ds).tobytes() == np.array(want.error_ds).tobytes()
+            assert np.array(got.lemma1_rhs).tobytes() == np.array(want.lemma1_rhs).tobytes()
+
+    def test_trials_draw_part_of_their_matrices(self, monkeypatch):
+        # The acceptance config, 10 trials at seed 0: the matrices' own
+        # records add up to 58.6% of the 10 m n normals (50.3% of the rows,
+        # and the columns of each support).  A trial that drew its whole
+        # matrix would read 100% or more.
+        made = []
+
+        class Kept(mc.LazyGaussianMatrix):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(mc, "LazyGaussianMatrix", Kept)
+        n, m, trials = 200, 10000, 10
+        convergence_trials(n, 5, m, trials, 12, SeedSpec(0))
+        assert len(made) == trials
+        share = sum(A.drawn for A in made) / (trials * m * n)
+        assert share <= 0.65
+
+
 @pytest.fixture(scope="module")
 def rows():
     return run_validator_suite(SeedSpec(550))
@@ -427,9 +465,9 @@ class TestOneBlasThread:
 
         def recording(*args, **kwargs):
             seen.append(blas_get())
-            return sample_standard_normal_columns(*args, **kwargs)
+            return sample_standard_normal_block(*args, **kwargs)
 
-        monkeypatch.setattr(mc, "sample_standard_normal_columns", recording)
+        monkeypatch.setattr(mc, "sample_standard_normal_block", recording)
         _small_suite()
         assert len(seen) >= 6 and set(seen) == {1}
         assert blas_get() == 2

@@ -565,6 +565,20 @@ class TestCertifyMetamorphic:
             assert np.concatenate([p[1] for p in parts]).tobytes() == whole[1].tobytes()
             assert [J for p in parts for J in p[2]] == whole[2]
 
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    def test_any_row_block_gives_the_same_certificate(self, matrix, block, monkeypatch):
+        # The corrections sum their row blocks in another order, so only the
+        # residuals move, within FLOAT_TOL; d_s and regimes come from the
+        # draws alone.  m = ROW_BLOCK + 77 ends every block size short of a
+        # whole block.
+        seed = SeedSpec(67)
+        want = raic_certify(matrix, self.K, self.DELTA, 60, self.K, seed, num_small=20)
+        monkeypatch.setattr(raic, "ROW_BLOCK", block)
+        got = raic_certify(matrix, self.K, self.DELTA, 60, self.K, seed, num_small=20)
+        for g, w in zip(got.records, want.records, strict=True):
+            assert (g.pair_id, g.d_s, g.regime) == (w.pair_id, w.d_s, w.regime)
+            assert g.residual == pytest.approx(w.residual, abs=FLOAT_TOL, rel=0)
+
     def test_negated_matrix_gives_the_same_records(self, matrix):
         # sgn(-A v) = -sgn(A v) off exact zeros, so h_{-A} = h_A.
         seed = SeedSpec(65)

@@ -28,7 +28,7 @@ from bitsense.rng import (
     random_uniform,
     random_uniform_rows,
     sample_standard_normal,
-    sample_standard_normal_columns,
+    sample_standard_normal_block,
     sample_standard_normal_rows,
     splitmix64,
 )
@@ -134,6 +134,13 @@ class TestArraySeedDerivation:
             assert row.tobytes() == one(seed, count).tobytes()
 
 
+def sample_standard_normal_columns(seed, n, rows, columns, first_row=0):
+    """Columns [c0, c1) of rows first_row .. first_row + rows - 1."""
+    return sample_standard_normal_block(
+        seed, n, range(first_row, first_row + rows), range(*columns)
+    )
+
+
 class TestColumnBlocks:
     """Columns [c0, c1) of a row-major block of one stream, drawn alone,
     against a slice of the one-shot stream, bit for bit."""
@@ -208,6 +215,61 @@ class TestColumnBlocks:
                                          ((0, 1), -1, 0), ((0, 1), 1, -1)):
             with pytest.raises(ValueError):
                 sample_standard_normal_columns(SeedSpec(1), 3, rows, columns, first_row)
+
+
+class TestBlocks:
+    """Any rows by any columns of a row-major matrix of one stream, drawn
+    alone, against the same entries of the whole matrix, bit for bit."""
+
+    @staticmethod
+    def whole(seed, n, rows):
+        return sample_standard_normal(seed, rows * n).reshape(rows, n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(U64, U64, st.integers(1, 30), st.integers(1, 50), st.data())
+    def test_rows_by_columns_equal_the_whole_matrix(self, base, stream, n, m, data):
+        # Index arrays in any order, with repeats, or ranges, on either axis.
+        seed = SeedSpec(base, stream)
+        indices = st.lists(st.integers(0, m - 1), max_size=2 * m)
+        rows = data.draw(st.one_of(indices.map(np.array), st.builds(range, st.integers(0, m),
+                                                                     st.just(m))))
+        cols = data.draw(st.one_of(st.lists(st.integers(0, n - 1), max_size=2 * n).map(np.array),
+                                   st.builds(range, st.integers(0, n), st.just(n))))
+        want = self.whole(seed, n, m)[np.ix_(np.asarray(rows, dtype=np.intp),
+                                             np.asarray(cols, dtype=np.intp))]
+        got = sample_standard_normal_block(seed, n, rows, cols)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cols", [[2, 0, 1], [1, 1, 2], [0, 1, 2]])
+    def test_n_columns_of_a_range_of_rows(self, cols):
+        # n columns of contiguous rows: the flat stream only for range(n).
+        seed = SeedSpec(_MASK64, 6)
+        got = sample_standard_normal_block(seed, 3, range(2, 9), np.array(cols))
+        assert got.tobytes() == self.whole(seed, 3, 9)[2:, cols].tobytes()
+
+    @pytest.mark.parametrize("chunk", [16, 40, _CHUNK])
+    def test_rows_into_an_array_in_tiles(self, chunk, monkeypatch):
+        # 16-element chunks put two 7-column rows in a tile and cut a
+        # 53-column row in four, 40-element ones five rows and two; the rows
+        # land where they belong and nothing else is written.
+        seed = SeedSpec(_MASK64, 5)
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
+        for n in (7, 53):
+            whole = self.whole(seed, n, 90)
+            rows = np.array([3, 4, 17, 88, 0, 41, 42, 43, 60])
+            into = np.full((90, n), -1.0)
+            assert sample_standard_normal_block(seed, n, rows, range(n), into=into) is into
+            assert into[rows].tobytes() == whole[rows].tobytes()
+            rest = np.setdiff1d(np.arange(90), rows)
+            assert (into[rest] == -1.0).all()
+
+    def test_bad_indices_rejected(self):
+        for rows, cols in ((np.array([0]), np.array([3])), (np.array([0]), np.array([-1])),
+                           (np.array([-1]), range(3)), (np.zeros((1, 1), int), range(3)),
+                           (range(0, 4, 2), range(3)), (range(0, 1), range(0, 3, 2))):
+            with pytest.raises(ValueError):
+                sample_standard_normal_block(SeedSpec(1), 3, rows, cols)
 
 
 class TestStandardNormal:
