@@ -17,7 +17,6 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +64,7 @@ class SparseUnitVector:
         if int(np.count_nonzero(v)) > self.k:
             raise ValueError("more than k nonzero entries")
         nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > UNIT_NORM_TOL:
+        if not abs(nrm - 1.0) <= UNIT_NORM_TOL:  # a NaN norm fails too
             raise ValueError(f"norm {nrm} deviates from 1 by more than {UNIT_NORM_TOL}")
         v = v.copy()
         v.setflags(write=False)
@@ -173,12 +172,13 @@ class SignPattern:
     bits: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.bits, dtype=np.int8)
+        b = np.asarray(self.bits)
         if b.ndim != 1:
             raise ValueError("bits must be one-dimensional")
-        if not np.all(np.abs(b) == 1):
+        # Checked before the cast to int8, which takes 1.5 or 257 to 1.
+        if b.dtype.kind not in "biuf" or np.count_nonzero(np.abs(b) == 1) != b.size:
             raise ValueError("entries must be -1 or +1")
-        b = b.copy()
+        b = b.astype(np.int8)
         b.setflags(write=False)
         object.__setattr__(self, "bits", b)
 
@@ -390,27 +390,3 @@ def save_matrix_binary(path, entries: np.ndarray) -> None:
         fh.write(MATRIX_MAGIC)
         fh.write(np.array([m, n], dtype="<u4").tobytes())
         fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-
-
-def load_matrix_binary(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MATRIX_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        header = fh.read(8)
-        if len(header) != 8:
-            raise ValueError(f"{path}: truncated header")
-        m, n = (int(d) for d in np.frombuffer(header, dtype="<u4"))
-        if m == 0 or n == 0:
-            raise ValueError(f"{path}: empty matrix ({m}x{n})")
-        # Checked before reading, so a corrupt header cannot ask for more
-        # memory than the file holds.
-        payload = os.fstat(fh.fileno()).st_size - fh.tell()
-        if payload < 8 * m * n:
-            raise ValueError(f"{path}: truncated payload ({payload} bytes for {m}x{n})")
-        if payload > 8 * m * n:
-            raise ValueError(f"{path}: {payload - 8 * m * n} trailing bytes after {m}x{n}")
-        data = np.frombuffer(fh.read(8 * m * n), dtype="<f8")
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"{path}: non-finite entry")
-    return data.reshape(m, n).astype(np.float64)

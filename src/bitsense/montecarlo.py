@@ -91,25 +91,31 @@ def _read_columns(supp) -> tuple[int, int]:
     return int(supp[0]), int(supp[-1]) + 1
 
 
-def _normal_blocks(seed: SeedSpec, count: int, *shape: int, columns=None):
-    """Yield standard-normal blocks of ``count`` items (rows or whole trial
-    matrices) in all, each a fresh ``(take, *shape[:-1], c1 - c0)`` array:
-    bit for bit the columns [c0, c1) = ``columns`` of the last axis (all
-    when None) of one-shot sampling of ``(count, *shape)``, drawn without
-    the other columns.  A block holds about ``_CHUNK_ELEMS`` elements of
-    full width.
+def _map_normal_blocks(stat, seed: SeedSpec, count: int, *shape: int, columns=None):
+    """``stat`` over standard-normal blocks of ``count`` items (rows or whole
+    trial matrices) in all, its results joined along the items.
+
+    Each block is a fresh ``(take, *shape[:-1], c1 - c0)`` array: bit for
+    bit the columns [c0, c1) = ``columns`` of the last axis (all when None)
+    of one-shot sampling of ``(count, *shape)``, drawn without the other
+    columns.  A block holds about ``_CHUNK_ELEMS`` elements of full width.
+    ``stat`` maps a block to a tuple of arrays with one entry per item of
+    the block; the result is the tuple of those arrays joined over the
+    blocks, so it does not depend on how the items were blocked.
     """
     n = shape[-1]
     c0, c1 = (0, n) if columns is None else columns
     size = math.prod(shape)
     rows = size // n  # sampled rows per item
     per = max(1, _CHUNK_ELEMS // size)
+    parts = []
     for done in range(0, count, per):
         take = min(per, count - done)
         drawn = sample_standard_normal_block(
             seed, n, range(done * rows, (done + take) * rows), range(c0, c1)
         )
-        yield drawn.reshape(take, *shape[:-1], c1 - c0)
+        parts.append(stat(drawn.reshape(take, *shape[:-1], c1 - c0)))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _corrections(Z, u, v, c0=0):
@@ -141,10 +147,12 @@ def mismatch_probability(u, v, draws: int, seed: SeedSpec, sign_fn=None) -> floa
     s = sgn if sign_fn is None else sign_fn
     c0, c1 = _read_columns(_support(uu, vv))
     uc, vc = uu[c0:c1], vv[c0:c1]
-    hits = 0
-    for block in _normal_blocks(seed, draws, uu.size, columns=(c0, c1)):
-        hits += int(np.count_nonzero(s(block @ uc) != s(block @ vc)))
-    return hits / draws
+
+    def mismatched(block):
+        return (s(block @ uc) != s(block @ vc),)
+
+    (hits,) = _map_normal_blocks(mismatched, seed, draws, uu.size, columns=(c0, c1))
+    return int(np.count_nonzero(hits)) / draws
 
 
 @dataclass(frozen=True)
@@ -175,12 +183,11 @@ def band_count_mean(
     uu = _unit(u, "u")
     # The band theta in [pi/2 - beta, pi/2 + beta] is |cos(theta)| <= sin(beta).
     sin_beta = math.sin(beta)
-    flags = np.empty(trials * m, dtype=bool)
-    done = 0
-    for block in _normal_blocks(seed, trials * m, uu.size):
-        cosines = (block @ uu) / np.linalg.norm(block, axis=1)
-        flags[done : done + block.shape[0]] = np.abs(cosines) <= sin_beta
-        done += block.shape[0]
+
+    def in_band(block):
+        return (np.abs((block @ uu) / np.linalg.norm(block, axis=1)) <= sin_beta,)
+
+    (flags,) = _map_normal_blocks(in_band, seed, trials * m, uu.size)
     counts = flags.reshape(trials, m).sum(axis=1).astype(np.float64)
     return BandCountStats(
         mean=float(counts.mean()),
@@ -215,17 +222,15 @@ def projection_expectation(u, v, m: int, trials: int, seed: SeedSpec) -> Project
     _pair_directions(uu, vv)  # rejects u = +-v before sampling
     d_s = sphere_distance(uu, vv)
 
-    proj_minus = np.empty(trials)
-    proj_plus = np.empty(trials)
     columns = _read_columns(_support(uu, vv))
-    done = 0
-    for Z in _normal_blocks(seed, trials, m, uu.size, columns=columns):
-        nt = Z.shape[0]
+
+    def projections(Z):
         _, H = _corrections(Z, uu, vv, columns[0])
-        proj_minus[done : done + nt], proj_plus[done : done + nt], _ = orthogonal_decompose(
-            (DEFAULT_ETA / m) * H, uu, vv
-        )
-        done += nt
+        return orthogonal_decompose((DEFAULT_ETA / m) * H, uu, vv)[:2]
+
+    proj_minus, proj_plus = _map_normal_blocks(
+        projections, seed, trials, m, uu.size, columns=columns
+    )
     return ProjectionStats(
         mean_minus=float(proj_minus.mean()),
         mean_plus=float(proj_plus.mean()),
@@ -272,7 +277,6 @@ def tail_frequency_check(
         raise ValueError("m and trials must be >= 1")
     uu = _unit(u, "u")
     vv = _unit(v, "v")
-    n = uu.size
     theta = _pair_directions(uu, vv)[2]
     d_s = sphere_distance(uu, vv)
     supp = _support(uu, vv)
@@ -280,21 +284,17 @@ def tail_frequency_check(
 
     # Per-trial statistics first, then every count and bound from them at
     # once, so that no sum depends on how the trials were blocked.
-    ell = np.empty(trials, dtype=np.int64)
-    x_minus = np.empty(trials)
-    x_plus = np.empty(trials)
-    g_norm = np.empty(trials)
     columns = _read_columns(supp)
-    done = 0
-    for Z in _normal_blocks(seed, trials, m, n, columns=columns):
-        nt = Z.shape[0]
-        ell[done : done + nt], H = _corrections(Z, uu, vv, columns[0])
-        x_minus[done : done + nt], x_plus[done : done + nt], g = orthogonal_decompose(
-            H / m, uu, vv
-        )
+
+    def statistics(Z):
+        ell, H = _corrections(Z, uu, vv, columns[0])
+        x_minus, x_plus, g = orthogonal_decompose(H / m, uu, vv)
         # Residual component, restricted to supp(u) u supp(v).
-        g_norm[done : done + nt] = np.linalg.norm(g[:, supp], axis=1)
-        done += nt
+        return ell, x_minus, x_plus, np.linalg.norm(g[:, supp], axis=1)
+
+    ell, x_minus, x_plus, g_norm = _map_normal_blocks(
+        statistics, seed, trials, m, uu.size, columns=columns
+    )
 
     live = ell > 0
     lm = ell[live]
@@ -406,28 +406,23 @@ def _mean_row(name, estimate, theory, se) -> ValidatorRow:
     return ValidatorRow(name, estimate, theory, se, z, abs(z) <= 4.0)
 
 
-def _pair_at_angle(theta: float, n: int = 8):
-    u = np.zeros(n)
-    v = np.zeros(n)
+def _pair_at_angle(theta: float):
+    u = np.zeros(8)
+    v = np.zeros(8)
     u[0] = 1.0
     v[0] = math.cos(theta)
     v[1] = math.sin(theta)
     return u, v
 
 
-def run_validator_suite(
-    seed: SeedSpec,
-    mismatch_draws: int = 100_000,
-    projection_trials: int = 2_000,
-    tail_trials: int = 400,
-    break_sgn_zero: bool = False,
-) -> list[ValidatorRow]:
+def run_validator_suite(seed: SeedSpec, break_sgn_zero: bool = False) -> list[ValidatorRow]:
     """The standard battery: mismatch rates, band counts, projections, tails.
 
     Returns one row per check; a row fails when its mean statistic strays
     past 4 SEs (or a tail frequency exceeds its bound by more than 3 SEs).
     Like `convergence_trials`, it runs its products on one BLAS thread.
     """
+    mismatch_draws = 100_000
     sign_fn = _broken_sign if break_sgn_zero else None
     rows = []
     with _one_blas_thread():
@@ -456,7 +451,7 @@ def run_validator_suite(
         v = np.zeros(16)
         u[0] = 1.0
         v[1] = 1.0
-        proj = projection_expectation(u, v, 200, projection_trials, derive_seed(seed, 11))
+        proj = projection_expectation(u, v, 200, 2_000, derive_seed(seed, 11))
         rows.append(_mean_row("proj_minus_orthogonal", proj.mean_minus, proj.d_s, proj.se_minus))
         rows.append(_mean_row("proj_plus_orthogonal", proj.mean_plus, 0.0, proj.se_plus))
 
@@ -466,7 +461,7 @@ def run_validator_suite(
         kv[2:5] = (0.48, 0.6, 0.64)
         # t = 0.2 puts the sub-Gaussian bounds in a nontrivial range (roughly
         # 0.03 for the projections, 0.7 for the residual) at these draws.
-        for row in tail_frequency_check(ku, kv, 500, tail_trials, 0.2, derive_seed(seed, 12)):
+        for row in tail_frequency_check(ku, kv, 500, 400, 0.2, derive_seed(seed, 12)):
             z = (row.empirical - row.bound) / row.se if row.se > 0 else 0.0
             rows.append(
                 ValidatorRow(row.name, row.empirical, row.bound, row.se, z, row.passed)

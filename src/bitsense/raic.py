@@ -144,16 +144,17 @@ def correction(
     return (eta / A.m) * (a[rows].T @ r)
 
 
-def h_a(A: MeasurementMatrix, x, y, eta: float = DEFAULT_ETA) -> np.ndarray:
-    """The correction map h_A(x, y); zero iff sgn(Ax) == sgn(Ay) rowwise.
+def h_a(A: MeasurementMatrix, x, y) -> np.ndarray:
+    """The correction map h_A(x, y) at eta = sqrt(2 pi); zero iff
+    sgn(Ax) == sgn(Ay) rowwise.
 
     x and y are measured by `sign_measure`.  Antisymmetric in (x, y).  In
-    expectation over a standard normal A (with the default eta) it equals
-    x - y for unit x, y.
+    expectation over a standard normal A it equals x - y for unit x, y,
+    which holds at this eta only.
     """
     xv = _length_checked(x, A.n, "x")
     yv = _length_checked(y, A.n, "y")
-    return correction(A, sign_measure(A, xv).bits, sign_measure(A, yv).bits, eta)
+    return correction(A, sign_measure(A, xv).bits, sign_measure(A, yv).bits)
 
 
 def _restrict(h, x, y, J) -> np.ndarray:
@@ -162,11 +163,11 @@ def _restrict(h, x, y, J) -> np.ndarray:
     return threshold_set(h, keep)
 
 
-def h_a_j(A: MeasurementMatrix, x, y, J, eta: float = DEFAULT_ETA) -> np.ndarray:
+def h_a_j(A: MeasurementMatrix, x, y, J) -> np.ndarray:
     """h_A(x, y) restricted to supp(x) u supp(y) u J."""
     xv = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
-    return _restrict(h_a(A, xv, yv, eta), xv, yv, J)
+    return _restrict(h_a(A, xv, yv), xv, yv, J)
 
 
 def orthogonal_decompose(h, u, v):
@@ -413,6 +414,9 @@ def raic_certify(
         raise ValueError("num_pairs must be >= 1")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
+    # k before max_j: the CLI's max_j defaults to k.
+    if not (1 <= k <= A.n):
+        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k} with n={A.n}")
     if max_j < 0:
         raise ValueError("max_j must be >= 0")
     if num_small is None:

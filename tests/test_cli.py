@@ -174,6 +174,17 @@ class TestRaic:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", ["-1", "41"])
+    def test_k_outside_one_to_n_is_blamed_on_k(self, tmp_path, capsys, k):
+        # max_j defaults to k, so a bad k must be caught before max_j is.
+        out = tmp_path / "out"
+        code = run_cli(["raic", "--n", "40", "--m", "200", "--k", k, "--output-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"k must satisfy 1 <= k <= n, got k={k} with n=40" in err
+        assert "max_j" not in err
+        assert not out.exists()
+
     def test_zero_pairs_rejected(self, tmp_path, capsys):
         code = run_cli(
             ["raic", "--pairs", "0", "--output-dir", str(tmp_path)]

@@ -11,7 +11,6 @@ from bitsense.core import (
     SparseUnitVector,
     angular_distance,
     gaussian_matrix,
-    load_matrix_binary,
     random_sparse_unit,
     random_sparse_unit_rows,
     row_dots,
@@ -256,9 +255,40 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             SparseUnitVector(np.array([1.0, 1.0, 0.0]), 2)
 
+    def test_sparse_unit_vector_rejects_a_nan_norm(self):
+        with pytest.raises(ValueError, match="norm nan"):
+            SparseUnitVector(np.array([math.nan, 0.0, 0.0]), 1)
+
     def test_sign_pattern_rejects_zero(self):
         with pytest.raises(ValueError):
             SignPattern(np.array([1, 0, -1]))
+
+    @pytest.mark.parametrize(
+        "bits",
+        [[1.5, -1], np.array([257, -1]), [1.9, -1.2], [math.nan, 1],
+         np.array([255, 1], dtype=np.uint8), np.array([1j, -1])],
+    )
+    def test_sign_pattern_checks_values_before_the_cast(self, bits):
+        # A cast to int8 first would take each of these to a valid pattern.
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            SignPattern(bits)
+
+    @pytest.mark.parametrize(
+        "bits", [[1, -1], [1.0, -1.0], np.array([1, -1], dtype=np.int8)]
+    )
+    def test_sign_pattern_accepts_exact_signs(self, bits):
+        pattern = SignPattern(bits)
+        assert pattern.bits.dtype == np.int8
+        assert pattern.bits.tolist() == np.asarray(bits, dtype=np.int8).tolist()
+        assert not pattern.bits.flags.writeable
+
+    def test_sign_pattern_copies_int8_signs(self):
+        # sign_measure hands over the int8 signs it made; later writes to
+        # them do not reach the pattern.
+        signs = np.array([1, -1, 1], dtype=np.int8)
+        pattern = SignPattern(signs)
+        signs[0] = -1
+        assert pattern.bits.tolist() == [1, -1, 1]
 
     def test_matrix_shape_validation(self):
         with pytest.raises(ValueError):
@@ -324,42 +354,6 @@ class TestFileFormats:
         assert raw[:4] == b"B1CS"
         assert np.frombuffer(raw[4:12], dtype="<u4").tolist() == [2, 3]
         assert len(raw) == 12 + 2 * 3 * 8
-
-    def test_binary_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOPE" + bytes(16))
-        with pytest.raises(ValueError):
-            load_matrix_binary(path)
-
-    def test_binary_oversized_header(self, tmp_path):
-        # Claims 100000 x 100000 doubles (80 GB); rejected before any read.
-        path = tmp_path / "huge.bin"
-        path.write_bytes(b"B1CS" + np.array([100000, 100000], dtype="<u4").tobytes() + bytes(16))
-        with pytest.raises(ValueError, match="huge.bin"):
-            load_matrix_binary(path)
-
-    def test_binary_trailing_bytes(self, tmp_path):
-        path = tmp_path / "tail.bin"
-        save_matrix_binary(path, np.ones((2, 3)))
-        path.write_bytes(path.read_bytes() + bytes(8))
-        with pytest.raises(ValueError, match="tail.bin"):
-            load_matrix_binary(path)
-
-    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
-    def test_binary_empty_matrix(self, tmp_path, shape):
-        # A header with no rows or no columns and no payload is no matrix,
-        # as an empty CSV file is none.
-        path = tmp_path / "empty.bin"
-        path.write_bytes(b"B1CS" + np.array(shape, dtype="<u4").tobytes())
-        with pytest.raises(ValueError, match="empty.bin"):
-            load_matrix_binary(path)
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    def test_binary_non_finite_entry(self, tmp_path, value):
-        path = tmp_path / "bad.bin"
-        save_matrix_binary(path, np.array([[1.0, value], [3.0, 2.0]]))
-        with pytest.raises(ValueError, match="bad.bin"):
-            load_matrix_binary(path)
 
     def test_vector_roundtrip_as_single_row(self, tmp_path):
         x = random_sparse_unit(12, 3, SeedSpec(33)).values

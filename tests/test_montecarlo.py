@@ -217,10 +217,17 @@ def test_normal_blocks_draw_the_read_columns_of_one_stream(shape, columns, chunk
     n = shape[-1]
     c0, c1 = (0, n) if columns is None else columns
     whole = sample_standard_normal(seed, count * math.prod(shape)).reshape(count, *shape)
-    parts = list(mc._normal_blocks(seed, count, *shape, columns=columns))
-    assert all(b.shape[1:] == (*shape[:-1], c1 - c0) for b in parts)
-    blocks = np.concatenate(parts)
+    shapes = []
+
+    def stat(block):
+        shapes.append(block.shape)
+        return block, block[:, 0].copy()
+
+    blocks, firsts = mc._map_normal_blocks(stat, seed, count, *shape, columns=columns)
+    assert all(s[1:] == (*shape[:-1], c1 - c0) for s in shapes)
+    assert sum(s[0] for s in shapes) == count
     assert blocks.shape == whole[..., c0:c1].shape
+    assert np.array_equal(firsts, blocks[:, 0])
     assert np.array_equal(blocks.view(np.uint64), whole[..., c0:c1].view(np.uint64))
 
 
@@ -251,22 +258,22 @@ def test_validators_match_zero_filled_full_rows(u_at, v_at, n, monkeypatch):
 
     narrow = results()
 
-    def zero_filled(seed, count, *shape, columns):
-        assert columns == (0, n)
-        whole = sample_standard_normal(seed, count * math.prod(shape)).reshape(count, *shape)
-        whole[..., :c0] = 0.0
-        whole[..., c1:] = 0.0
-        yield whole
+    def zero_filled(seed, width, rows, columns):
+        assert (width, columns) == (n, range(n))
+        whole = sample_standard_normal(seed, len(rows) * n, offset=rows.start * n).reshape(-1, n)
+        whole[:, :c0] = 0.0
+        whole[:, c1:] = 0.0
+        return whole
 
     monkeypatch.setattr(mc, "_read_columns", lambda supp: (0, n))
-    monkeypatch.setattr(mc, "_normal_blocks", zero_filled)
+    monkeypatch.setattr(mc, "sample_standard_normal_block", zero_filled)
     assert results() == narrow
     assert 0 < narrow[0] < 1 and narrow[2][0].used_draws > 0
 
 
 class TestBlockSize:
-    """The tail and band validators give `==` results however the trials are
-    blocked: one trial's matrix per block, a few, or fewer rows than one."""
+    """The validators give `==` results however their items are blocked:
+    one trial's matrix per block, a few, or fewer rows than one."""
 
     # t = 0.7 keeps the bounds 2 exp(-ell t^2 / 2) and 2 exp(-ell t^2 / 8)
     # below their clip at 1, so their float sums depend on the order.
@@ -299,6 +306,18 @@ class TestBlockSize:
             whole.mean, whole.sample_sd, whole.expected
         )
         assert np.array_equal(band.counts, whole.counts)
+
+    def test_projections_do_not_depend_on_the_block_size(self, chunk):
+        u, v = pair_at_angle(1.1, n=6)
+        whole = projection_expectation(u, v, self.M, self.TRIALS, SeedSpec(593))
+        chunk(self.M * u.size)
+        assert projection_expectation(u, v, self.M, self.TRIALS, SeedSpec(593)) == whole
+
+    def test_mismatch_rate_does_not_depend_on_the_block_size(self, chunk):
+        u, v = pair_at_angle(0.9, n=6)
+        whole = mismatch_probability(u, v, self.M * self.TRIALS, SeedSpec(594))
+        chunk(u.size)
+        assert mismatch_probability(u, v, self.M * self.TRIALS, SeedSpec(594)) == whole
 
 
 def _errors(trajectories):
@@ -386,12 +405,6 @@ class TestValidatorSuite:
             "residual_tail",
         ]
 
-    def test_one_projection_trial_rejected(self):
-        with pytest.raises(ValueError, match="trials"):
-            run_validator_suite(
-                SeedSpec(0), mismatch_draws=100, projection_trials=1, tail_trials=2
-            )
-
     @pytest.mark.parametrize("se", [0.0, float("nan")])
     def test_row_without_spread_passes_only_an_exact_hit(self, se):
         assert not mc._mean_row("x", 0.5, 0.25, se).passed
@@ -421,10 +434,6 @@ def _trial_record(trajectories):
          [x.values.tobytes() for x in traj.iterates])
         for traj in trajectories
     ]
-
-
-def _small_suite(seed=SeedSpec(571)):
-    return run_validator_suite(seed, mismatch_draws=2000, projection_trials=20, tail_trials=10)
 
 
 @pytest.mark.skipif(_openblas_thread_calls() is None,
@@ -468,7 +477,7 @@ class TestOneBlasThread:
             return sample_standard_normal_block(*args, **kwargs)
 
         monkeypatch.setattr(mc, "sample_standard_normal_block", recording)
-        _small_suite()
+        run_validator_suite(SeedSpec(571))
         assert len(seen) >= 6 and set(seen) == {1}
         assert blas_get() == 2
 
@@ -478,7 +487,7 @@ class TestOneBlasThread:
 
         monkeypatch.setattr(mc, "tail_frequency_check", failing)
         with pytest.raises(RuntimeError, match="validator"):
-            _small_suite()
+            run_validator_suite(SeedSpec(571))
         assert blas_get() == 2
 
     def test_bare_solver_keeps_the_callers_count(self, blas_get, monkeypatch):
@@ -505,7 +514,7 @@ class TestOneBlasThread:
             for threads in (1, 2):
                 put(threads)
                 trials.append(_trial_record(convergence_trials(200, 5, 2000, 3, 6, SeedSpec(575))))
-                suites.append((_small_suite(), run_validator_suite(SeedSpec(0))))
+                suites.append([run_validator_suite(SeedSpec(s)) for s in (571, 0)])
                 assert get() == threads
         finally:
             put(before)

@@ -134,13 +134,6 @@ class TestArraySeedDerivation:
             assert row.tobytes() == one(seed, count).tobytes()
 
 
-def sample_standard_normal_columns(seed, n, rows, columns, first_row=0):
-    """Columns [c0, c1) of rows first_row .. first_row + rows - 1."""
-    return sample_standard_normal_block(
-        seed, n, range(first_row, first_row + rows), range(*columns)
-    )
-
-
 class TestColumnBlocks:
     """Columns [c0, c1) of a row-major block of one stream, drawn alone,
     against a slice of the one-shot stream, bit for bit."""
@@ -167,7 +160,9 @@ class TestColumnBlocks:
             columns = (c0, data.draw(st.integers(c0, n)))
         seed = SeedSpec(base, stream)
         want = self.one_shot(seed, n, rows, columns, first_row).tobytes()
-        got = sample_standard_normal_columns(seed, n, rows, columns, first_row)
+        got = sample_standard_normal_block(
+            seed, n, range(first_row, first_row + rows), range(*columns)
+        )
         assert got.shape == (rows, columns[1] - columns[0])
         assert got.tobytes() == want
 
@@ -177,7 +172,9 @@ class TestColumnBlocks:
         # stream when it takes all columns), and every row is that row's 1-D
         # stream.
         seed, n, rows, first_row = SeedSpec(_MASK64, 17), 3, _CHUNK + 5, 11
-        got = sample_standard_normal_columns(seed, n, rows, columns, first_row)
+        got = sample_standard_normal_block(
+            seed, n, range(first_row, first_row + rows), range(*columns)
+        )
         assert got.tobytes() == self.one_shot(seed, n, rows, columns, first_row).tobytes()
         height = _CHUNK // max(1, columns[1] - columns[0])
         for i in (0, height - 1, height, rows - 1):
@@ -205,16 +202,19 @@ class TestColumnBlocks:
         # split: one piece, row tiles of whole rows, and row tiles of one row
         # cut into columns.
         seed = SeedSpec(_MASK64, 9)
-        want = sample_standard_normal_columns(seed, count + 3, rows, (2, count + 2), 5)
+        rows, columns = range(5, 5 + rows), range(2, count + 2)
+        want = sample_standard_normal_block(seed, count + 3, rows, columns)
         monkeypatch.setattr(rng, "_CHUNK", 16)
-        got = sample_standard_normal_columns(seed, count + 3, rows, (2, count + 2), 5)
+        got = sample_standard_normal_block(seed, count + 3, rows, columns)
         assert got.tobytes() == want.tobytes()
 
     def test_bad_columns_rejected(self):
         for columns, rows, first_row in (((2, 1), 1, 0), ((0, 4), 1, 0), ((-1, 2), 1, 0),
                                          ((0, 1), -1, 0), ((0, 1), 1, -1)):
             with pytest.raises(ValueError):
-                sample_standard_normal_columns(SeedSpec(1), 3, rows, columns, first_row)
+                sample_standard_normal_block(
+                    SeedSpec(1), 3, range(first_row, first_row + rows), range(*columns)
+                )
 
 
 class TestBlocks:
