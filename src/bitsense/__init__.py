@@ -1,12 +1,11 @@
 """One-bit compressed sensing: normalized iterative hard thresholding,
 invertibility certification, convergence theory, and Monte Carlo validation."""
 
-from .biht import BIHTConfig, Trajectory, biht_step, run_biht
+from .biht import BIHTConfig, Trajectory, run_biht
 from .core import (
     MeasurementMatrix,
     SignPattern,
     SparseUnitVector,
-    angular_distance,
     gaussian_matrix,
     random_sparse_unit,
     sgn,
@@ -19,11 +18,9 @@ from .raic import (
     RaicSample,
     correction,
     h_a,
-    h_a_j,
     orthogonal_decompose,
     raic_bound,
     raic_certify,
-    raic_residual,
 )
 from .rng import SeedSpec, derive_seed, sample_standard_normal
 from .theory import (
@@ -52,8 +49,6 @@ __all__ = [
     "SparseUnitVector",
     "Trajectory",
     "UniversalConstants",
-    "angular_distance",
-    "biht_step",
     "closed_form_bound",
     "constants",
     "contraction_condition_holds",
@@ -62,14 +57,12 @@ __all__ = [
     "epsilon_recurrence",
     "gaussian_matrix",
     "h_a",
-    "h_a_j",
     "nested_sqrt",
     "nested_sqrt_limit",
     "normalize",
     "orthogonal_decompose",
     "raic_bound",
     "raic_certify",
-    "raic_residual",
     "random_sparse_unit",
     "recurrence_fixed_point",
     "run_biht",

@@ -12,9 +12,9 @@ The recorded per-iteration upper bound (`lemma1_rhs`) restricts that same h:
 
 which holds deterministically at every iteration; a violation beyond rounding
 slack always indicates an implementation bug, never bad luck.  The step is
-written once, in `run_biht`'s loop; `biht_step` is one iteration of it.  The
-loop measures each iterate once and shares its signs between the mismatch
-count, the step and the bound.
+written once, in `run_biht`'s loop; one iteration of it is a run with
+``max_iters=1``.  The loop measures each iterate once and shares its signs
+between the mismatch count, the step and the bound.
 
 A step costs O(mk + ln) for k-sparse iterates and l mismatched rows, down
 from O(mn).  sgn(Ax) is measured the one way `core.sign_measure` measures
@@ -116,23 +116,6 @@ class Trajectory:
         return self.iterates[-1]
 
 
-def biht_step(
-    A: MeasurementMatrix,
-    b: SignPattern,
-    x_prev: SparseUnitVector,
-    k: int,
-    eta: float = DEFAULT_ETA,
-) -> SparseUnitVector:
-    """One solver step: one iteration of `run_biht` from x_prev.
-
-    A fixed point whenever sgn(A x_prev) == b.  If thresholding yields the
-    exact zero vector (a probability-zero event under Gaussian measurements)
-    the previous iterate is kept, since the sphere projection is undefined
-    at the origin.  ``k`` and ``eta`` are checked as `BIHTConfig` checks them.
-    """
-    return run_biht(A, b, BIHTConfig(k=k, max_iters=1, eta=eta, init=x_prev)).final
-
-
 def _descend(x_prev: SparseUnitVector, h: np.ndarray, k: int):
     """(normalize(top_k(x_prev + h, k)), its support), or (x_prev, None)
     when h or the candidate is zero."""
@@ -166,6 +149,8 @@ def run_biht(
     and its correction.  A step that does not move is an absorbing fixed
     point: s, and with it h and every recorded value, stay as they are, so
     the rest of the record repeats that step's row and the loop stops.
+    A step that overflows float64, which a huge ``eta`` causes, raises a
+    ValueError that names ``eta``.
     """
     if len(b) != A.m:
         raise ValueError(f"sign pattern has length {len(b)}, but A has {A.m} rows")
@@ -184,29 +169,41 @@ def run_biht(
     error_ds = [sphere_distance(truth.values, x.values)] if track else None
     lemma1 = [float("nan")] if track else None
 
-    for t in range(1, config.max_iters + 1):
-        x_prev = x
-        h = correction(A, b.bits, s, config.eta, rows)
-        x, moved = _descend(x_prev, h, config.k)
-        if moved is not None:
-            supp = moved
-            s = measure(x.values, supp)
-            rows = np.flatnonzero(b.bits != s)
-        iterates.append(x)
-        mismatch.append(rows.size)
-        if track:
-            error_ds.append(sphere_distance(truth.values, x.values))
-            # h is h_A(truth, x_prev) with b in place of sgn(A truth): they
-            # agree by construction of the measurement, and this keeps the
-            # bound meaningful even if a caller passes a b merely claimed to
-            # measure truth.
-            lemma1.append(4.0 * restricted_residual(truth.values, x_prev.values, supp, h))
-        if moved is None:
-            rest = config.max_iters - t
-            for record in (iterates, mismatch, error_ds, lemma1):
-                if record is not None:
-                    record.extend(record[-1:] * rest)
-            break
+    # A step grows with eta, and at an eta near 1e155 (n=40, m=500) the
+    # candidate's norm overflows.  Such a step raises here rather than
+    # leaving an iterate of norm 0.  The context is entered once a run, not
+    # once a step: entering it costs about 2 us (numpy 2.4), some 2% of a
+    # moving step.
+    try:
+        with np.errstate(over="raise"):
+            for t in range(1, config.max_iters + 1):
+                x_prev = x
+                h = correction(A, b.bits, s, config.eta, rows)
+                x, moved = _descend(x_prev, h, config.k)
+                if moved is not None:
+                    supp = moved
+                    s = measure(x.values, supp)
+                    rows = np.flatnonzero(b.bits != s)
+                iterates.append(x)
+                mismatch.append(rows.size)
+                if track:
+                    error_ds.append(sphere_distance(truth.values, x.values))
+                    # h is h_A(truth, x_prev) with b in place of sgn(A truth):
+                    # they agree by construction of the measurement, and this
+                    # keeps the bound meaningful even if a caller passes a b
+                    # merely claimed to measure truth.
+                    residual = restricted_residual(truth.values, x_prev.values, supp, h)
+                    lemma1.append(4.0 * residual)
+                if moved is None:
+                    rest = config.max_iters - t
+                    for record in (iterates, mismatch, error_ds, lemma1):
+                        if record is not None:
+                            record.extend(record[-1:] * rest)
+                    break
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"eta={config.eta!r} is too large: a step overflows ({exc})"
+        ) from None
 
     return Trajectory(
         iterates=iterates, mismatch=mismatch, error_ds=error_ds, lemma1_rhs=lemma1

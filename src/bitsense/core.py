@@ -293,22 +293,6 @@ def sphere_distance_rows(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return d
 
 
-def angular_distance(u, v) -> float:
-    """Angle between u and v in [0, pi].
-
-    The cosine is clamped to [-1, 1] before arccos; floating-point overshoot
-    at (anti)parallel vectors would otherwise leave the arccos domain.
-    """
-    a = _as_float_vector(u, "u")
-    b = _as_float_vector(v, "v")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("angular distance undefined for the zero vector")
-    cosine = float(np.dot(a, b)) / (na * nb)
-    return float(np.arccos(min(1.0, max(-1.0, cosine))))
-
-
 def _pair_directions(u: np.ndarray, v: np.ndarray):
     """(e_minus, e_plus, theta) for unit u, v: e_minus = (u - v)/||u - v||,
     e_plus = (u + v)/||u + v|| and the angle theta = 2 atan2(||u - v||, ||u + v||)

@@ -136,9 +136,9 @@ def _corrections(Z, u, v, c0=0):
 def mismatch_probability(u, v, draws: int, seed: SeedSpec, sign_fn=None) -> float:
     """Fraction of Gaussian rows whose signs differ between u and v.
 
-    Converges to angular_distance(u, v) / pi.  ``sign_fn`` is a fault
-    injection hook for the CLI self-test; leave it at None for the real
-    sign convention.
+    Converges to theta / pi, theta the angle between u and v.  ``sign_fn``
+    is a fault injection hook for the CLI self-test; leave it at None for
+    the real sign convention.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")

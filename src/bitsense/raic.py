@@ -9,8 +9,9 @@ The central object is the correction map
 the columns of A on supp(x), O(mk) for k-sparse x.  A solver step adds the
 correction to its iterate y, with the observed signs standing in for
 sgn(Ax), and the step's error bound restricts that same vector to
-supp(x) u supp(y) u J.  A matrix approximately inverts the one-bit
-measurement map when the residual ||(x - y) - h_{A,J}(x, y)|| stays below
+supp(x) u supp(y) u J, which gives h_{A,J}(x, y).  A matrix approximately
+inverts the one-bit measurement map when the residual
+||(x - y) - h_{A,J}(x, y)|| (`restricted_residual` of h_A) stays below
 a1 sqrt(delta d_S(x, y)) + a2 delta uniformly over sparse unit pairs.
 
 Checking that uniformly is combinatorially infeasible (the covering-net union
@@ -34,7 +35,7 @@ is the one a pair-by-pair computation gives, up to the order of the sums in
 the block products.  The block products run on one BLAS thread (see
 `rng._one_blas_thread`).  `h_a`, `correction` and `restricted_residual`
 stay the reference definition, which the solver uses, at the caller's BLAS
-threading; `raic_residual` is the block kernel on one pair.
+threading.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ import numpy as np
 from .core import (
     LazyGaussianMatrix,
     MeasurementMatrix,
-    SparseUnitVector,
     _length_checked,
     _pair_directions,
     random_sparse_unit_rows,
@@ -163,13 +163,6 @@ def _restrict(h, x, y, J) -> np.ndarray:
     return threshold_set(h, keep)
 
 
-def h_a_j(A: MeasurementMatrix, x, y, J) -> np.ndarray:
-    """h_A(x, y) restricted to supp(x) u supp(y) u J."""
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    return _restrict(h_a(A, xv, yv), xv, yv, J)
-
-
 def orthogonal_decompose(h, u, v):
     """Split h into components along (u-v), (u+v), and an orthogonal remainder.
 
@@ -244,16 +237,6 @@ def _block_residuals(A: MeasurementMatrix, X, Y, Js) -> np.ndarray:
             H += rows.T @ (0.5 * D)
     H *= DEFAULT_ETA / A.m
     return row_norms((X - Y) - np.where(keep, H.T, 0.0))
-
-
-def raic_residual(
-    A: MeasurementMatrix,
-    x: SparseUnitVector,
-    y: SparseUnitVector,
-    J,
-) -> float:
-    """||(x - y) - h_{A,J}(x, y)||_2: the block kernel on one pair."""
-    return float(_block_residuals(A, x.values[None], y.values[None], [J])[0])
 
 
 def raic_bound(delta: float, a1: float, a2: float, d_s):

@@ -56,16 +56,25 @@ def top_k(v, k: int) -> np.ndarray:
     a = np.asarray(v, dtype=np.float64)
     if a.ndim != 1:
         raise ValueError("v must be one-dimensional")
+    # bool is an int, and a float k would reach the selection as an index.
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not (0 <= k <= a.size):
         raise ValueError(f"k={k} outside [0, {a.size}]")
     return _top_k(a, k)[0]
 
 
 def _index_array(J) -> np.ndarray:
-    """The indices in J (an index array or any iterable of integers) as intp."""
-    if isinstance(J, np.ndarray):
-        return J.astype(np.intp, copy=False)
-    return np.fromiter(J, dtype=np.intp)
+    """The indices in J (an index array or any iterable of integers) as intp.
+
+    Anything else is rejected, not cast: floats would be truncated to
+    indices and a boolean mask read as the indices 0 and 1.
+    """
+    idx = J if isinstance(J, np.ndarray) else np.array(list(J))
+    # An empty list arrives as float64, and holds no index to reject.
+    if idx.ndim != 1 or (idx.dtype.kind not in "iu" and idx.size):
+        raise ValueError(f"J must be integer indices, not {idx.dtype} {idx.shape}")
+    return idx.astype(np.intp, copy=False)
 
 
 def threshold_set(v, J) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bitsense.biht import BIHTConfig, biht_step, run_biht, write_trajectory_csv
+from bitsense.biht import BIHTConfig, run_biht, write_trajectory_csv
 from bitsense.core import (
     LazyGaussianMatrix,
     MeasurementMatrix,
@@ -17,7 +18,7 @@ from bitsense.core import (
     sgn,
     sign_measure,
 )
-from bitsense.raic import ROWS_ONLY_BELOW
+from bitsense.raic import DEFAULT_ETA, ROWS_ONLY_BELOW
 from bitsense.rng import SeedSpec, derive_seed, sample_standard_normal
 
 
@@ -27,6 +28,11 @@ def small_instance(seed=SeedSpec(40), n=60, k=3, m=1200):
     A = gaussian_matrix(m, n, derive_seed(base, 1))
     b = sign_measure(A, x.values)
     return x, A, b
+
+
+def one_step(A, b, x_prev, k, eta=DEFAULT_ETA):
+    """One iteration of `run_biht` from x_prev."""
+    return run_biht(A, b, BIHTConfig(k=k, max_iters=1, eta=eta, init=x_prev)).final
 
 
 class TestConfig:
@@ -46,7 +52,7 @@ class TestStep:
     def test_fixed_point_when_signs_agree(self):
         x, A, _ = small_instance()
         b = sign_measure(A, x.values)
-        out = biht_step(A, b, x, x.k)
+        out = one_step(A, b, x, x.k)
         assert np.array_equal(out.values, x.values)
 
     def test_hand_computed_single_step(self):
@@ -56,7 +62,7 @@ class TestStep:
         A = MeasurementMatrix(np.eye(2))
         b = SignPattern(np.array([1, -1]))
         x_prev = SparseUnitVector(np.array([1.0, 0.0]), 1)
-        out = biht_step(A, b, x_prev, 1)
+        out = one_step(A, b, x_prev, 1)
         assert np.allclose(out.values, [0.0, -1.0], atol=1e-15)
 
     def test_hand_computed_single_step_k2(self):
@@ -67,13 +73,13 @@ class TestStep:
         x_prev = SparseUnitVector(np.array([1.0, 0.0]), 2)
         eta = math.sqrt(2 * math.pi)
         nrm = math.sqrt(1.0 + math.pi / 2.0)
-        out = biht_step(A, b, x_prev, 2)
+        out = one_step(A, b, x_prev, 2)
         assert np.allclose(out.values, [1.0 / nrm, -(eta / 2.0) / nrm], atol=1e-14)
 
     def test_output_sparse_and_unit(self):
         x, A, b = small_instance(SeedSpec(41))
         start = random_sparse_unit(A.n, x.k, SeedSpec(90))
-        out = biht_step(A, b, start, x.k)
+        out = one_step(A, b, start, x.k)
         assert np.count_nonzero(out.values) <= x.k
         assert abs(np.linalg.norm(out.values) - 1.0) <= 1e-9
 
@@ -82,20 +88,20 @@ class TestStep:
         A = MeasurementMatrix(np.eye(2))
         b = SignPattern(np.array([-1, 1]))
         x_prev = SparseUnitVector(np.array([1.0, 0.0]), 1)
-        out = biht_step(A, b, x_prev, 1, eta=2.0)
+        out = one_step(A, b, x_prev, 1, eta=2.0)
         assert np.array_equal(out.values, x_prev.values)
 
     def test_dimension_mismatch(self):
         x, A, b = small_instance()
         with pytest.raises(ValueError):
-            biht_step(A, SignPattern(np.array([1, -1])), x, x.k)
+            one_step(A, SignPattern(np.array([1, -1])), x, x.k)
 
     def test_step_checks_k_and_eta_as_run_does(self):
         x, A, b = small_instance()
         with pytest.raises(ValueError, match="k must be"):
-            biht_step(A, b, x, 0)
+            one_step(A, b, x, 0)
         with pytest.raises(ValueError, match="eta must be"):
-            biht_step(A, b, x, x.k, eta=float("nan"))
+            one_step(A, b, x, x.k, eta=float("nan"))
 
 
 class TestRun:
@@ -161,8 +167,15 @@ class TestRun:
             expected = f"length {length}, but A has {A.m} rows"
             with pytest.raises(ValueError, match=expected):
                 run_biht(A, b, BIHTConfig(k=x.k, max_iters=2, init=x))
-            with pytest.raises(ValueError, match=expected):
-                biht_step(A, b, x, x.k)
+
+    @pytest.mark.parametrize("eta", [1e160, 1e308])
+    def test_overflowing_step_blames_eta(self, eta):
+        # The candidate's norm overflows; it used to warn and then fail the
+        # unit-norm check of an iterate that had become zero.
+        x, A, b = small_instance()
+        config = BIHTConfig(k=x.k, max_iters=5, eta=eta, init=SeedSpec(3))
+        with pytest.raises(ValueError, match=re.escape(f"eta={eta!r} is too large")):
+            run_biht(A, b, config, truth=x)
 
     def test_untracked_run_has_no_error_columns(self):
         x, A, b = small_instance(SeedSpec(49))

@@ -79,6 +79,14 @@ class TestRun:
         assert "eta must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_eta_rejected_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(["run", "--n", "40", "--k", "3", "--m", "500", "--trials", "2",
+                        "--iters", "5", "--eta", "1e308", "--output-dir", str(out)])
+        assert code == 2
+        assert "eta=1e+308 is too large" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"itres": 2}))

@@ -9,7 +9,7 @@ from bitsense.core import (
     MeasurementMatrix,
     SignPattern,
     SparseUnitVector,
-    angular_distance,
+    _pair_directions,
     gaussian_matrix,
     random_sparse_unit,
     random_sparse_unit_rows,
@@ -180,26 +180,14 @@ class TestRowDots:
 
 
 class TestAngularDistance:
-    def test_self_angle_zero(self):
-        u = np.array([3.0, 4.0])
-        assert angular_distance(u, u) == 0.0
-
-    def test_right_angle(self):
-        assert angular_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == (
-            pytest.approx(math.pi / 2, abs=1e-12)
-        )
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            angular_distance(np.zeros(2), np.ones(2))
-
     def test_relation_to_sphere_distance(self):
-        # theta == arccos(1 - d_S^2 / 2) and d_S^2 == 2 (1 - cos theta).
+        # theta == arccos(1 - d_S^2 / 2) and d_S^2 == 2 (1 - cos theta),
+        # with theta the angle `_pair_directions` takes by atan2.
         seed = SeedSpec(21)
         for i in range(100):
             u = gaussian_matrix(1, 5, derive_seed(seed, 2 * i)).entries[0]
             v = gaussian_matrix(1, 5, derive_seed(seed, 2 * i + 1)).entries[0]
-            theta = angular_distance(u, v)
+            _, _, theta = _pair_directions(u / np.linalg.norm(u), v / np.linalg.norm(v))
             d = sphere_distance(u, v)
             assert abs(theta - math.acos(1.0 - d * d / 2.0)) <= 1e-10
             assert abs(d * d - 2.0 * (1.0 - math.cos(theta))) <= 1e-10

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitsense import biht, cli, core
-from bitsense.biht import BIHTConfig, biht_step, run_biht
+from bitsense.biht import BIHTConfig, run_biht
 from bitsense.core import (
     MeasurementMatrix,
     SignPattern,
@@ -240,6 +240,11 @@ def _reference_step(A, b, x_prev, k, eta):
     return normalize(candidate)
 
 
+def _one_step(A, b, x_prev, k, eta):
+    """One iteration of `run_biht` from x_prev."""
+    return run_biht(A, b, BIHTConfig(k=k, max_iters=1, eta=eta, init=x_prev)).final
+
+
 @st.composite
 def instances(draw):
     n = draw(st.integers(1, 40))
@@ -263,7 +268,7 @@ def test_kernel_and_step_match_reference_formula(case):
     A, b, x_prev, k, eta = case
     h, _ = _reference_correction(A, b, x_prev.values, eta)
     assert np.array_equal(correction(A, b.bits, sgn(A.entries @ x_prev.values), eta), h)
-    out = biht_step(A, b, x_prev, k, eta)
+    out = _one_step(A, b, x_prev, k, eta)
     assert np.array_equal(out.values, _reference_step(A, b, x_prev, k, eta))
 
 
@@ -271,7 +276,7 @@ def test_kernel_and_step_match_reference_formula(case):
 @given(instances())
 def test_step_returns_k_sparse_unit_vector(case):
     A, b, x_prev, k, eta = case
-    out = biht_step(A, b, x_prev, k, eta)
+    out = _one_step(A, b, x_prev, k, eta)
     assert np.count_nonzero(out.values) <= k
     assert abs(np.linalg.norm(out.values) - 1.0) <= 1e-12
 
@@ -319,7 +324,7 @@ def test_run_matches_repeated_steps(case, truth_seed, T, track):
         if t == T:
             break
         nxt = traj.iterates[t + 1]
-        assert np.array_equal(nxt.values, biht_step(A, b, x, k, eta).values)
+        assert np.array_equal(nxt.values, _one_step(A, b, x, k, eta).values)
         if track:
             assert traj.lemma1_rhs[t + 1] == _reference_bound(A, b, truth, x, nxt, eta)
     assert (traj.lemma1_rhs is None) == (not track)

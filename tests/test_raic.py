@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from bitsense import core, raic, rng
 from bitsense.core import (
     MeasurementMatrix,
-    SparseUnitVector,
     gaussian_matrix,
     random_sparse_unit,
     sgn,
@@ -23,11 +22,9 @@ from bitsense.raic import (
     _draw_pairs,
     correction,
     h_a,
-    h_a_j,
     orthogonal_decompose,
     raic_bound,
     raic_certify,
-    raic_residual,
     restricted_residual,
 )
 from bitsense.rng import (
@@ -47,6 +44,11 @@ FLOAT_TOL = 1e-12
 
 def unit(v):
     return np.asarray(v, dtype=np.float64) / np.linalg.norm(v)
+
+
+def restricted_map(A, x, y, J):
+    """h_A(x, y) restricted to supp(x) u supp(y) u J: h_{A,J}(x, y)."""
+    return threshold_set(h_a(A, x, y), {*np.flatnonzero(x), *np.flatnonzero(y), *J})
 
 
 def reference_pair(n, k, seed, pair_id, num_small, max_j, radius):
@@ -155,14 +157,14 @@ class TestRestrictedCorrectionMap:
         A = gaussian_matrix(40, 8, SeedSpec(75))
         x = random_sparse_unit(8, 3, SeedSpec(76)).values
         y = random_sparse_unit(8, 3, SeedSpec(77)).values
-        full = h_a_j(A, x, y, range(8))
+        full = restricted_map(A, x, y, range(8))
         assert np.array_equal(full, h_a(A, x, y))
 
     def test_empty_j_restricts_to_supports(self):
         A = gaussian_matrix(40, 8, SeedSpec(78))
         x = random_sparse_unit(8, 2, SeedSpec(79))
         y = random_sparse_unit(8, 2, SeedSpec(80))
-        out = h_a_j(A, x.values, y.values, set())
+        out = restricted_map(A, x.values, y.values, set())
         supp = set(x.support()) | set(y.support())
         required = threshold_set(h_a(A, x.values, y.values), supp)
         assert np.array_equal(out, required)
@@ -172,7 +174,7 @@ class TestRestrictedCorrectionMap:
         A = gaussian_matrix(40, 8, SeedSpec(81))
         x = random_sparse_unit(8, 3, SeedSpec(82)).values
         y = random_sparse_unit(8, 3, SeedSpec(83)).values
-        assert np.linalg.norm(h_a_j(A, x, y, {0})) <= np.linalg.norm(h_a(A, x, y))
+        assert np.linalg.norm(restricted_map(A, x, y, {0})) <= np.linalg.norm(h_a(A, x, y))
 
 
 class TestOrthogonalDecompose:
@@ -269,7 +271,7 @@ class TestDecompositionIdentity:
             e_minus = unit(x.values - y.values)
             e_plus = unit(x.values + y.values)
             expected = c_minus * e_minus + c_plus * e_plus + threshold_set(g, S)
-            got = h_a_j(A, x.values, y.values, J)
+            got = restricted_map(A, x.values, y.values, J)
             assert np.max(np.abs(got - expected)) <= 1e-10
 
 
@@ -277,22 +279,24 @@ class TestResidualAndBound:
     def test_residual_zero_at_equal_points(self):
         A = gaussian_matrix(30, 10, SeedSpec(88))
         x = random_sparse_unit(10, 3, SeedSpec(89))
-        assert raic_residual(A, x, x, set()) == 0.0
+        h = h_a(A, x.values, x.values)
+        assert restricted_residual(x.values, x.values, set(), h) == 0.0
 
     def test_residual_symmetric_in_pair(self):
         A = gaussian_matrix(30, 10, SeedSpec(90))
         x = random_sparse_unit(10, 3, SeedSpec(91))
         y = random_sparse_unit(10, 3, SeedSpec(92))
-        assert raic_residual(A, x, y, {1}) == pytest.approx(
-            raic_residual(A, y, x, {1}), abs=1e-12
-        )
+        xy = restricted_residual(x.values, y.values, {1}, h_a(A, x.values, y.values))
+        yx = restricted_residual(y.values, x.values, {1}, h_a(A, y.values, x.values))
+        assert xy == pytest.approx(yx, abs=1e-12)
 
     def test_residual_at_antipode_matches_direct_formula(self):
         A = gaussian_matrix(30, 10, SeedSpec(93))
         x = random_sparse_unit(10, 3, SeedSpec(94))
-        neg = type(x)(-x.values, x.k)
-        direct = np.linalg.norm(2.0 * x.values - h_a_j(A, x.values, -x.values, set()))
-        assert raic_residual(A, x, neg, set()) == pytest.approx(direct, abs=1e-12)
+        h = h_a(A, x.values, -x.values)
+        direct = np.linalg.norm(2.0 * x.values - threshold_set(h, x.support()))
+        got = restricted_residual(x.values, -x.values, set(), h)
+        assert got == pytest.approx(direct, abs=1e-12)
 
     def test_bound_formula(self):
         assert raic_bound(0.3, 2.0, 5.0, 0.0) == pytest.approx(1.5, abs=1e-15)
@@ -492,9 +496,9 @@ class TestBlockPath:
 
     def test_block_residual_rejects_wrong_length(self):
         A = gaussian_matrix(10, 4, SeedSpec(74))
-        x = SparseUnitVector(unit(np.ones(3)), 3)
+        x = unit(np.ones(3))[None]
         with pytest.raises(ValueError):
-            raic_residual(A, x, x, [])
+            _block_residuals(A, x, x, [[]])
 
     def test_certify_matches_pair_by_pair_reference(self):
         # Across block edges: pairs, regimes and d_s exactly, residuals to

@@ -70,6 +70,12 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k(np.ones(3), -1)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+    def test_non_integer_k_rejected(self, k):
+        # 2.5 used to reach the selection and fail there with an IndexError.
+        with pytest.raises(ValueError, match="k must be an integer"):
+            top_k(np.arange(5.0), k)
+
 
 def stable_smallest(keys, k):
     """The k-selection of a full stable sort, in index order."""
@@ -139,6 +145,27 @@ class TestThresholdSet:
             threshold_set(np.ones(3), {3})
         with pytest.raises(IndexError):
             threshold_set(np.ones(3), {-1})
+
+    @pytest.mark.parametrize(
+        "J",
+        [
+            np.array([1.5, 3.9]),  # was truncated to {1, 3}
+            [1.5],  # was truncated to {1}
+            [True, False, True, False, True],  # was read as {0, 1}
+            np.array([True, False, True, False, True]),
+            np.array([[0, 1]]),
+        ],
+    )
+    def test_non_integer_index_set_rejected(self, J):
+        with pytest.raises(ValueError, match="J must be integer indices"):
+            threshold_set(np.arange(5.0), J)
+
+    @pytest.mark.parametrize(
+        "J", [[], set(), np.array([]), np.array([4, 0], dtype=np.uint64), [np.int64(4), 0]]
+    )
+    def test_integer_index_sets_accepted(self, J):
+        kept = threshold_set(np.arange(1.0, 6.0), J)
+        assert np.flatnonzero(kept).tolist() == sorted(int(j) for j in J)
 
     def test_pythagorean_split(self):
         # For nested supports S2 within S1:
