@@ -24,6 +24,7 @@ import numpy as np
 from .rng import (
     SeedSpec,
     _derive_rows,
+    _stream_key,
     _stream_keys,
     derive_seed,
     random_uniform_rows,
@@ -35,7 +36,17 @@ from .thresholding import smallest_k
 
 UNIT_NORM_TOL = 1e-9
 
+# The most float64 entries one array can hold: its byte count is an intp.
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8
+
 MATRIX_MAGIC = b"B1CS"
+
+
+def _check_shape(m: int, n: int) -> None:
+    if m < 1 or n < 1:
+        raise ValueError("need m >= 1 and n >= 1")
+    if m * n > _MAX_ENTRIES:
+        raise ValueError(f"m={m} by n={n} is more entries than an array can hold")
 
 
 def _as_float_vector(x, name="vector") -> np.ndarray:
@@ -142,8 +153,7 @@ class LazyGaussianMatrix:
     """
 
     def __init__(self, m: int, n: int, seed: SeedSpec):
-        if m < 1 or n < 1:
-            raise ValueError("need m >= 1 and n >= 1")
+        _check_shape(m, n)
         self.m, self.n, self.seed = m, n, seed
         self.drawn = 0
         self._entries = np.zeros((m, n))
@@ -320,13 +330,15 @@ def random_sparse_unit_rows(n: int, k: int, seeds) -> np.ndarray:
     """
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
+    if n > _MAX_ENTRIES:
+        raise ValueError(f"n={n} is more entries than an array can hold")
     if isinstance(seeds, tuple) and isinstance(seeds[0], np.ndarray):
-        rank_seeds, value_seeds = (_stream_keys(_derive_rows(seeds, c)) for c in (0, 1))
-    else:
-        rank_seeds = [derive_seed(s, 0) for s in seeds]
-        value_seeds = [derive_seed(s, 1) for s in seeds]
-    ranks = random_uniform_rows(rank_seeds, n)
-    vals = sample_standard_normal_rows(value_seeds, k)
+        rank_keys, value_keys = (_stream_keys(_derive_rows(seeds, c)) for c in (0, 1))
+    else:  # the int functions: for one seed, cheaper than an array pass
+        rank_keys, value_keys = (np.array([_stream_key(derive_seed(s, c)) for s in seeds],
+                                          dtype=np.uint64) for c in (0, 1))
+    ranks = random_uniform_rows(rank_keys, n)
+    vals = sample_standard_normal_rows(value_keys, k)
     norms = row_norms(vals)
     dead = norms == 0.0
     if dead.any():  # probability zero, but stay total
@@ -346,8 +358,7 @@ def random_sparse_unit(n: int, k: int, seed: SeedSpec) -> SparseUnitVector:
 
 def gaussian_matrix(m: int, n: int, seed: SeedSpec) -> MeasurementMatrix:
     """An m x n matrix with i.i.d. standard normal entries, row-major."""
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
+    _check_shape(m, n)
     entries = sample_standard_normal(seed, m * n)
     entries.shape = (m, n)  # in place: the array keeps owning its memory
     entries.setflags(write=False)

@@ -35,7 +35,7 @@ along e- and e+, whose row dots over the span's 2-5 entries would round in
 another order than over n; so `_corrections` hands back its stack of
 corrections scattered into zero rows of full width, and the split runs on
 those as before.  `band_count_mean` takes each row's norm and draws full
-rows, as one flat stream.
+rows, each from its own key like any block.
 
 Mean checks pass at |z| <= 4 (false-failure rate below 1e-4 per assertion);
 tail checks pass when the empirical frequency does not exceed the theoretical
@@ -373,7 +373,7 @@ def convergence_trials(
     afterwards, so the results do not depend on it.
     """
     if trials < 1 or T < 1:
-        raise ValueError("trials and T (iterations) must be >= 1")
+        raise ValueError(f"trials and T (iters) must be >= 1, got trials={trials}, T={T}")
     with _one_blas_thread():
         return [
             _convergence_trial(n, k, m, T, eta, derive_seed(seed, i)) for i in range(trials)

@@ -337,9 +337,9 @@ def _draw_pairs(n, k, seed, first, count, num_small, max_j, radius):
     if small:
         Y[:small] = X[:small]
         noise = sample_standard_normal_rows(_stream_keys(y_seeds)[:small], k)
-        # No normal is 0 (ndtri(u) = 0 only at u = 1/2, which the uniform
-        # map never gives), so neither is a noise norm, and every x has k
-        # nonzeros.  Norms row by row, as one vector's norm rounds.
+        # A normal is 0 only at the uniform 1/2, one word in 2**53: a zero
+        # noise norm, or a zero among x's values (the reshape below raises),
+        # is not handled.  Norms row by row, as one vector's norm rounds.
         scale = radius / row_norms(noise)
         supports = np.nonzero(X[:small])[1].reshape(small, k)
         Y[np.arange(small)[:, None], supports] += scale[:, None] * noise
@@ -394,7 +394,7 @@ def raic_certify(
     Deterministic given ``seed``.
     """
     if num_pairs < 1:
-        raise ValueError("num_pairs must be >= 1")
+        raise ValueError(f"num_pairs (pairs) must be >= 1, got {num_pairs}")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     # k before max_j: the CLI's max_j defaults to k.
@@ -405,7 +405,7 @@ def raic_certify(
     if num_small is None:
         num_small = num_pairs // 5
     if not (0 <= num_small <= num_pairs):
-        raise ValueError("num_small must satisfy 0 <= num_small <= num_pairs")
+        raise ValueError(f"num_small (small_pairs) must be in 0..num_pairs, got {num_small}")
 
     u = constants()
     tau = delta / u.b

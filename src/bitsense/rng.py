@@ -9,29 +9,32 @@ The scheme, fixed for reproducibility:
 * 64-bit state mixing is SplitMix64 (Steele, Lea & Flood): the counter walks
   in steps of the odd constant 0x9E3779B97F4A7C15 and each state is passed
   through the standard two-round multiply/xor-shift avalanche.
-* Uniform doubles are ``((word >> 11) + 0.5) * 2**-53``, which lies strictly
-  inside (0, 1).
+* Uniform doubles are ``(min(word >> 11, 2**53 - 2) + 0.5) * 2**-53``,
+  strictly inside (0, 1): the min gives the one word that would round to
+  1.0 the value of the word below it.
 * Standard normals are produced by the inverse-CDF transform
-  (``scipy.special.ndtri``) applied to those uniforms.
+  (``scipy.special.ndtri``) applied to those uniforms; the uniform 1/2 gives 0.0.
 
 Element ``i`` of a stream depends only on the seed and ``i``, so a stream can
 be produced piecewise, or many streams side by side, without changing any
 value (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
-The functions below share one kernel that fills a 2-D block in place,
-straight into the result, one stream per row and at most 64Ki columns.  The
-``*_rows`` functions draw the same count from many seeds at once, row r
-equal bit for bit to the 1-D stream of seed r; the 1-D functions are a block
-of one row.
+There is one path: a uint64 array of stream keys (`_stream_key`,
+`_stream_keys`) goes in, float64 uniforms (`random_uniform_rows`) or normals
+(`sample_standard_normal_rows`) come out, one row per key, from one kernel
+that fills a 2-D block in place, straight into the result.
+`sample_standard_normal` is a block of one row, and
+`sample_standard_normal_block` a block of row keys.
 
 Row-keyed addressing: element i's counter is ``key + (i + 1) * G`` with G
 the odd constant above, so the stream read from element j on is itself the
-stream keyed ``key + j * G`` (mod 2^64).  Laid out row-major in rows of n,
-row r of a stream is the stream keyed ``key + r * n * G``, and its entry
-in column c is at counter ``key + r * n * G + (c + 1) * G``.
+stream keyed ``key + j * G`` (mod 2^64): an offset into a stream is a
+change of key.  Laid out row-major in rows of n, row r of a stream is the
+stream keyed ``key + r * n * G``, and its entry in column c is at counter
+``key + r * n * G + (c + 1) * G``.
 `sample_standard_normal_block` draws any rows by any columns of such a
-matrix that way, never drawing the other entries: the validators take
-contiguous columns of contiguous rows, and the convergence trials the
-columns on a support and the rows where the signs disagree.
+matrix that way, one key per row, never drawing the other entries: the
+validators take contiguous columns of contiguous rows, and the convergence
+trials the columns on a support and the rows where the signs disagree.
 
 A request of more than about 64Ki elements is split into contiguous row
 tiles of at most 64Ki elements that run on a small thread pool (numpy's
@@ -73,8 +76,6 @@ _MIX2 = 0x94D049BB133111EB
 _CHUNK = 1 << 16
 # (j + 1) * _GOLDEN mod 2^64: the counter steps within a chunk.
 _STEPS = np.arange(1, _CHUNK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-
-_WORDS, _UNIFORM, _NORMAL = range(3)
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -176,14 +177,14 @@ def _stream_keys(seeds) -> np.ndarray:
     return _mix(bases ^ _mix(streams ^ np.uint64(_MIX2)))
 
 
-def _fill(out: np.ndarray, keys: np.ndarray, steps: np.ndarray, stage: int) -> None:
-    """Write stream elements into ``out`` in place.
+def _fill(out: np.ndarray, keys: np.ndarray, steps: np.ndarray, normal: bool) -> None:
+    """Write stream elements into the float64 block ``out`` in place.
 
-    ``out`` is a 2-D block, uint64 for words and float64 otherwise; entry
-    (r, c) is the element whose counter is ``keys[r] + steps[c]`` (mod 2^64).
-    Element i of the stream keyed ``key`` has the counter
-    ``key + (i + 1) * _GOLDEN``, and its word is ``splitmix64`` of it, then
-    for floats ``((word >> 11) + 0.5) * 2**-53``, then for normals ``ndtri``.
+    Entry (r, c) is the element whose counter is ``keys[r] + steps[c]``
+    (mod 2^64).  Element i of the stream keyed ``key`` has the counter
+    ``key + (i + 1) * _GOLDEN``; its word is ``splitmix64`` of it, its
+    uniform ``((min(word >> 11, 2**53 - 2)) + 0.5) * 2**-53`` and, with
+    ``normal``, its normal ``ndtri`` of that.
     """
     z = out.view(np.uint64)
     # uint64 array arithmetic wraps mod 2^64, as the counter walk requires.
@@ -199,14 +200,15 @@ def _fill(out: np.ndarray, keys: np.ndarray, steps: np.ndarray, stage: int) -> N
     else:
         np.add(steps, keys[:, None], out=z)
     _mix(z)
-    if stage == _WORDS:
-        return
     z >>= np.uint64(11)
+    # 2**53 - 1 + 0.5 rounds to 2**53 (a uniform of 1.0, a normal of +inf),
+    # 2**53 - 2 + 0.5 to 2**53 - 2: this changes only the top word.
+    np.minimum(z, np.uint64(2**53 - 2), out=z)
     # z < 2**53, so the cast to float64 is exact: the same value as
     # z.astype(float64) + 0.5.
     np.add(z, 0.5, out=out)
     out *= 2.0**-53
-    if stage == _NORMAL:
+    if normal:
         ndtri(out, out=out)
 
 
@@ -309,27 +311,21 @@ def _one_blas_thread():
                 put(_blas_saved)
 
 
-def _stream(seeds, count: int, offset: int, stage: int, steps=None, into=None) -> np.ndarray:
-    """Elements ``offset .. offset + count - 1`` of each seed's stream, one
-    row per seed, in a fresh array that owns its memory.  ``seeds`` are
-    SeedSpecs, or their stream keys as a uint64 array (`_stream_keys`).
+def _stream(keys: np.ndarray, count: int, normal: bool, steps=None, into=None) -> np.ndarray:
+    """Elements ``0 .. count - 1`` of the stream of each key in the uint64
+    array ``keys``, uniforms or, with ``normal``, normals, one row per key,
+    in a fresh float64 array that owns its memory.
 
-    With ``steps``, an array of ``count`` uint64 counter steps (and
-    ``offset`` 0), column c holds the element at counter ``key + steps[c]``
-    rather than ``key + (offset + c + 1) * _GOLDEN``: columns that need not
-    be contiguous.  With ``into = (dest, where)``, row r goes to
-    ``dest[where[r]]`` one tile at a time, rather than to a fresh array,
-    and dest is returned.
+    With ``steps``, an array of ``count`` uint64 counter steps, column c
+    holds the element at counter ``key + steps[c]`` rather than
+    ``key + (c + 1) * _GOLDEN``: columns that need not be contiguous.  With
+    ``into = (dest, where)``, row r goes to ``dest[where[r]]`` one tile at a
+    time, rather than to a fresh array, and dest is returned.
     """
-    if count < 0 or offset < 0:
-        raise ValueError("count and offset must be >= 0")
-    if isinstance(seeds, np.ndarray):
-        keys = seeds
-    else:
-        keys = np.array([_stream_key(s) for s in seeds], dtype=np.uint64)
+    if count < 0:
+        raise ValueError("count must be >= 0")
     rows = keys.size
-    dtype = np.uint64 if stage == _WORDS else np.float64
-    out = np.empty((rows, count), dtype=dtype) if into is None else into[0]
+    out = np.empty((rows, count)) if into is None else into[0]
     # Contiguous row tiles of at most one chunk: whole rows while a row fits
     # in a chunk, else one row cut into chunks.
     width = min(max(1, count), _CHUNK)
@@ -339,16 +335,16 @@ def _stream(seeds, count: int, offset: int, stage: int, steps=None, into=None) -
         r, c = at
         tile_keys = keys[r : r + height]
         if steps is None:
-            tile_keys = tile_keys + np.uint64((offset + c) * _GOLDEN & _MASK64)
+            tile_keys = tile_keys + np.uint64(c * _GOLDEN & _MASK64)
             tile_steps = _STEPS[: min(width, count - c)]
         else:
             tile_steps = steps[c : c + width]
         if into is None:
-            _fill(out[r : r + height, c : c + width], tile_keys, tile_steps, stage)
+            _fill(out[r : r + height, c : c + width], tile_keys, tile_steps, normal)
             return
         scratch = free.get()
         tile = scratch[: tile_keys.size, : tile_steps.size]
-        _fill(tile, tile_keys, tile_steps, stage)
+        _fill(tile, tile_keys, tile_steps, normal)
         out[into[1][r : r + height], c : c + width] = tile
         free.put(scratch)
 
@@ -360,7 +356,7 @@ def _stream(seeds, count: int, offset: int, stage: int, steps=None, into=None) -
         # RSS over a `run` at the acceptance config.
         free = queue.SimpleQueue()
         for _ in range(min(len(pieces), _worker_count())):
-            free.put(np.empty((height, width), dtype=dtype))
+            free.put(np.empty((height, width)))
     if len(pieces) > 1:
         # Reading every result re-raises any worker's exception here.
         for _ in _executor().map(fill, pieces):
@@ -371,46 +367,32 @@ def _stream(seeds, count: int, offset: int, stage: int, steps=None, into=None) -
     return out
 
 
-def _one_stream(seed: SeedSpec, count: int, offset: int, stage: int) -> np.ndarray:
-    out = _stream((seed,), count, offset, stage)
-    out.shape = (count,)  # in place: the array keeps owning its memory
-    return out
-
-
-def random_uint64(seed: SeedSpec, count: int, offset: int = 0) -> np.ndarray:
-    """``count`` pseudorandom 64-bit words from the stream named by ``seed``.
-
-    ``offset`` skips that many words first, so a stream may be materialized
-    in chunks without changing a single value.
-    """
-    return _one_stream(seed, count, offset, _WORDS)
-
-
-def random_uniform(seed: SeedSpec, count: int, offset: int = 0) -> np.ndarray:
-    """i.i.d. uniforms on the open interval (0, 1), as float64."""
-    return _one_stream(seed, count, offset, _UNIFORM)
-
-
 def sample_standard_normal(seed: SeedSpec, count: int, offset: int = 0) -> np.ndarray:
-    """i.i.d. standard normal draws via the inverse-CDF transform.
+    """i.i.d. standard normal draws via the inverse-CDF transform: elements
+    ``offset .. offset + count - 1`` of ``seed``'s stream, the stream keyed
+    ``_stream_key(seed) + offset * G`` (mod 2^64).
 
     The transform is fixed (uniform -> ndtri) so the mapping from seed to
     values is stable across platforms and releases of this package.
     """
-    return _one_stream(seed, count, offset, _NORMAL)
+    if offset < 0:
+        raise ValueError("offset must be >= 0")
+    key = (_stream_key(seed) + offset * _GOLDEN) & _MASK64
+    out = _stream(np.array([key], dtype=np.uint64), count, True)
+    out.shape = (count,)  # in place: the array keeps owning its memory
+    return out
 
 
-def random_uniform_rows(seeds, count: int) -> np.ndarray:
-    """``random_uniform(seed, count)`` for each seed, as the rows of one
-    ``len(seeds) x count`` array, from one kernel call per row tile.
-    ``seeds`` may also be the seeds' stream keys, as a uint64 array."""
-    return _stream(seeds, count, 0, _UNIFORM)
+def random_uniform_rows(keys: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` uniforms of the stream of each key in the uint64
+    array ``keys``, one row per key."""
+    return _stream(keys, count, False)
 
 
-def sample_standard_normal_rows(seeds, count: int) -> np.ndarray:
-    """``sample_standard_normal(seed, count)`` for each seed, as the rows of
-    one ``len(seeds) x count`` array; ``seeds`` as for `random_uniform_rows`."""
-    return _stream(seeds, count, 0, _NORMAL)
+def sample_standard_normal_rows(keys: np.ndarray, count: int) -> np.ndarray:
+    """``ndtri`` of `random_uniform_rows`: the row of the key
+    ``_stream_key(seed)`` is ``sample_standard_normal(seed, count)``."""
+    return _stream(keys, count, True)
 
 
 def sample_standard_normal_block(seed: SeedSpec, n: int, rows, columns, into=None) -> np.ndarray:
@@ -422,9 +404,9 @@ def sample_standard_normal_block(seed: SeedSpec, n: int, rows, columns, into=Non
 
     Entry (i, j) is element ``i * n + j`` of the seed's stream: row i is the
     stream keyed ``key + i * n * G`` (mod 2^64, ``key`` the seed's stream
-    key, G = 0x9E3779B97F4A7C15), and entry j of that row its element j.  A
-    range of rows with all n columns is the seed's stream from element
-    ``rows.start * n`` on, drawn as one key.
+    key, G = 0x9E3779B97F4A7C15), and entry j of that row its element j.
+    Each row is drawn from its own key; a range of columns from c0 on
+    starts each row's key at ``key + (i * n + c0) * G``.
 
     The block is a fresh array.  With ``into``, an array of
     ``len(columns)`` columns, row r of the block is written to
@@ -435,27 +417,24 @@ def sample_standard_normal_block(seed: SeedSpec, n: int, rows, columns, into=Non
     if isinstance(columns, range):
         if columns.step != 1 or not 0 <= columns.start <= columns.stop <= n:
             raise ValueError(f"need a range of columns within [0, {n}]")
-        width, offset, steps = len(columns), columns.start, None
+        width, first, steps = len(columns), columns.start, None
     else:
         columns = np.asarray(columns, dtype=np.intp)
         if columns.ndim != 1 or columns.size and not 0 <= columns.min() <= columns.max() < n:
             raise ValueError(f"need an array of columns in [0, {n})")
-        width, offset = columns.size, 0
+        width, first = columns.size, 0
         steps = (columns.astype(np.uint64) + 1) * np.uint64(_GOLDEN)
+    key = _stream_key(seed) + first * _GOLDEN
     step = n * _GOLDEN & _MASK64
     if isinstance(rows, range):
         if rows.step != 1 or not 0 <= rows.start <= rows.stop:
             raise ValueError("need a range of rows from 0 on")
-        if steps is None and width == n and into is None:
-            out = _stream((seed,), len(rows) * n, rows.start * n, _NORMAL)
-            out.shape = (len(rows), n)
-            return out
         keys = np.arange(len(rows), dtype=np.uint64)
         keys *= np.uint64(step)
-        keys += np.uint64((_stream_key(seed) + rows.start * step) & _MASK64)
+        keys += np.uint64((key + rows.start * step) & _MASK64)
     else:
         rows = np.asarray(rows, dtype=np.intp)
         if rows.ndim != 1 or rows.size and rows.min() < 0:
             raise ValueError("need an array of rows >= 0")
-        keys = rows.astype(np.uint64) * np.uint64(step) + np.uint64(_stream_key(seed))
-    return _stream(keys, width, offset, _NORMAL, steps, None if into is None else (into, rows))
+        keys = rows.astype(np.uint64) * np.uint64(step) + np.uint64(key & _MASK64)
+    return _stream(keys, width, True, steps, None if into is None else (into, rows))

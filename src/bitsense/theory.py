@@ -65,7 +65,8 @@ def sample_complexity(epsilon: float, rho: float, k: int, n: int) -> int:
 
     Evaluates (4bck/eps) log(en/k) + (2bck/eps) log(12bc/eps)
     + (bc/eps) log(a/rho) and rounds up.  Monotone increasing in 1/epsilon,
-    k, and 1/rho.
+    k, and 1/rho.  An epsilon or rho so small that the count overflows
+    float64 (epsilon of about 1e-305 at k=5) is a ValueError.
     """
     _check_unit_interval("epsilon", epsilon)
     _check_unit_interval("rho", rho)
@@ -78,6 +79,8 @@ def sample_complexity(epsilon: float, rho: float, k: int, n: int) -> int:
         + (2.0 * bc * k / epsilon) * math.log(12.0 * bc / epsilon)
         + (bc / epsilon) * math.log(u.a / rho)
     )
+    if not math.isfinite(total):
+        raise ValueError(f"the count overflows float64 at epsilon={epsilon!r}, rho={rho!r}")
     return int(math.ceil(total))
 
 

@@ -246,6 +246,14 @@ class TestTheory:
         code = run_cli(["theory", "--epsilon", "1.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("epsilon", ["1e-305", "5e-324"])
+    def test_overflowing_sample_complexity_exits_2(self, capsys, epsilon):
+        code = run_cli(["theory", "--epsilon", epsilon])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "epsilon" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_seed_is_usage_error(self, tmp_path):
         # theory draws nothing, so a seed is no setting of it, by flag or config.
         with pytest.raises(SystemExit) as exc:

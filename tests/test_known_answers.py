@@ -31,10 +31,13 @@ from bitsense.core import (
 )
 from bitsense.raic import ROWS_ONLY_BELOW, correction, raic_certify
 from bitsense.rng import (
+    _GOLDEN,
+    _MASK64,
     SeedSpec,
+    _mix,
+    _stream_key,
     derive_seed,
-    random_uint64,
-    random_uniform,
+    random_uniform_rows,
     sample_standard_normal,
     splitmix64,
 )
@@ -101,11 +104,28 @@ STREAMS = {
 }
 
 
+def _key_at(seed, offset):
+    """The key of ``seed``'s stream read from element ``offset`` on."""
+    return np.array([(_stream_key(seed) + offset * _GOLDEN) & _MASK64], dtype=np.uint64)
+
+
+def _words(seed, count, offset):
+    """Words ``offset .. offset + count - 1`` of ``seed``'s stream: the
+    avalanche of the counters ``key + (offset + i + 1) * G``."""
+    return _mix(_key_at(seed, offset) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
+
+
+def _uniforms(seed, count, offset):
+    return random_uniform_rows(_key_at(seed, offset), count)[0]
+
+
 @pytest.mark.parametrize("seed, offset", list(STREAMS))
 def test_stream_words(seed, offset):
     words, uniforms, normals = STREAMS[(seed, offset)]
-    assert [int(w) for w in random_uint64(seed, 3, offset)] == list(words)
-    assert [float(u) for u in random_uniform(seed, 3, offset)] == [
+    assert [int(w) for w in _words(seed, 3, offset)] == list(words)
+    assert [splitmix64((_stream_key(seed) + (offset + i + 1) * _GOLDEN) & _MASK64)
+            for i in range(3)] == list(words)
+    assert [float(u) for u in _uniforms(seed, 3, offset)] == [
         float.fromhex(h) for h in uniforms
     ]
     assert [float(z) for z in sample_standard_normal(seed, 3, offset)] == [
@@ -140,8 +160,8 @@ def _sha256(a, dtype):
 @pytest.mark.parametrize("count, offset", list(SPANS))
 def test_stream_span_digests(count, offset):
     words, uniforms, normals = SPANS[(count, offset)]
-    assert _sha256(random_uint64(SPAN_SEED, count, offset), "<u8") == words
-    assert _sha256(random_uniform(SPAN_SEED, count, offset), "<f8") == uniforms
+    assert _sha256(_words(SPAN_SEED, count, offset), "<u8") == words
+    assert _sha256(_uniforms(SPAN_SEED, count, offset), "<f8") == uniforms
     assert _sha256(sample_standard_normal(SPAN_SEED, count, offset), "<f8") == normals
 
 
@@ -293,7 +313,7 @@ def test_correction_agrees_with_dense_formula_across_crossover(m, n, seed, below
     # The number of mismatched rows is drawn on the chosen side of the
     # rows-only crossover.
     crossover = int(np.ceil(ROWS_ONLY_BELOW * m))
-    u = random_uniform(SeedSpec(seed), m + 1)
+    u = _uniforms(SeedSpec(seed), m + 1, 0)
     ell = int(u[0] * crossover) if below else crossover + int(u[0] * (m + 1 - crossover))
     A = gaussian_matrix(m, n, SeedSpec(seed, 1))
     s = sgn(sample_standard_normal(SeedSpec(seed, 2), m))

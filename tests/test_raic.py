@@ -30,8 +30,9 @@ from bitsense.raic import (
 from bitsense.rng import (
     SeedSpec,
     _openblas_thread_calls,
+    _stream_key,
     derive_seed,
-    random_uniform,
+    random_uniform_rows,
     sample_standard_normal,
 )
 from bitsense.theory import constants
@@ -46,6 +47,15 @@ def unit(v):
     return np.asarray(v, dtype=np.float64) / np.linalg.norm(v)
 
 
+def uniforms(seed, count):
+    """The first ``count`` uniforms of ``seed``'s stream."""
+    return random_uniform_rows(keys_of([seed]), count)[0]
+
+
+def keys_of(seeds):
+    return np.array([_stream_key(s) for s in seeds], dtype=np.uint64)
+
+
 def restricted_map(A, x, y, J):
     """h_A(x, y) restricted to supp(x) u supp(y) u J: h_{A,J}(x, y)."""
     return threshold_set(h_a(A, x, y), {*np.flatnonzero(x), *np.flatnonzero(y), *J})
@@ -57,7 +67,7 @@ def reference_pair(n, k, seed, pair_id, num_small, max_j, radius):
     pair_seed = derive_seed(seed, pair_id)
 
     def sparse_unit(s):
-        support = np.argsort(random_uniform(derive_seed(s, 0), n), kind="stable")[:k]
+        support = np.argsort(uniforms(derive_seed(s, 0), n), kind="stable")[:k]
         vals = sample_standard_normal(derive_seed(s, 1), k)
         out = np.zeros(n)
         out[np.sort(support)] = vals / np.linalg.norm(vals)
@@ -79,7 +89,7 @@ def reference_index_set(n, max_j, seed):
     without replacement, from n + 1 uniforms."""
     if max_j <= 0:
         return []
-    u = random_uniform(seed, n + 1)
+    u = uniforms(seed, n + 1)
     size = min(int(u[0] * (max_j + 1)), max_j)
     return np.argsort(u[1:], kind="stable")[:size].tolist()
 
@@ -454,8 +464,8 @@ class TestBlockPath:
     def test_block_draws_on_tied_ranks_select_as_the_stable_sort(self, monkeypatch):
         # Ranks rounded down to eighths tie often, at the k-th smallest too,
         # where the selection must fall back to the stable sort's choice.
-        def coarse(seeds, n):
-            return np.floor(rng.random_uniform_rows(seeds, n) * 8.0) / 8.0
+        def coarse(keys, n):
+            return np.floor(rng.random_uniform_rows(keys, n) * 8.0) / 8.0
 
         monkeypatch.setattr(core, "random_uniform_rows", coarse)
         monkeypatch.setattr(raic, "random_uniform_rows", coarse)
@@ -463,10 +473,10 @@ class TestBlockPath:
         X, Y, Js = _draw_pairs(n, k, seed, 0, PAIR_BLOCK, 0, max_j, 1e-4)
         pair_seeds = [derive_seed(seed, p) for p in range(PAIR_BLOCK)]
         for rows, c in ((X, 0), (Y, 1)):
-            ranks = coarse([derive_seed(derive_seed(s, c), 0) for s in pair_seeds], n)
+            ranks = coarse(keys_of([derive_seed(derive_seed(s, c), 0) for s in pair_seeds]), n)
             expected = np.sort(np.argsort(ranks, axis=1, kind="stable")[:, :k], axis=1)
             assert np.array_equal(np.nonzero(rows)[1].reshape(-1, k), expected)
-        u = coarse([derive_seed(s, 2) for s in pair_seeds], n + 1)
+        u = coarse(keys_of([derive_seed(s, 2) for s in pair_seeds]), n + 1)
         sizes = np.minimum((u[:, 0] * (max_j + 1)).astype(np.int64), max_j)
         order = np.argsort(u[:, 1:], axis=1, kind="stable")
         assert Js == [order[i, : sizes[i]].tolist() for i in range(PAIR_BLOCK)]

@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 import bitsense.rng as rng
 from bitsense.rng import (
     _CHUNK,
     _GOLDEN,
     _MASK64,
+    _MIX1,
+    _MIX2,
     SeedSpec,
     _derive_rows,
     _mix,
@@ -24,8 +27,6 @@ from bitsense.rng import (
     _stream_key,
     _stream_keys,
     derive_seed,
-    random_uint64,
-    random_uniform,
     random_uniform_rows,
     sample_standard_normal,
     sample_standard_normal_block,
@@ -72,6 +73,16 @@ def u64(values):
     return np.array(values, dtype=np.uint64)
 
 
+def keys_of(seeds):
+    """The stream keys of SeedSpecs, by the int functions."""
+    return u64([_stream_key(s) for s in seeds])
+
+
+def normals_of(rows, block):
+    """The normals of a block that ``rows`` drew: ndtri of its uniforms."""
+    return ndtri(block) if rows is random_uniform_rows else block
+
+
 class TestArraySeedDerivation:
     """The uint64-array forms against the int functions, bit for bit."""
 
@@ -114,24 +125,20 @@ class TestArraySeedDerivation:
         with pytest.raises(ValueError):
             _derive_rows(seed, -1)
 
-    @pytest.mark.parametrize(
-        "rows, one",
-        [
-            (random_uniform_rows, random_uniform),
-            (sample_standard_normal_rows, sample_standard_normal),
-        ],
-    )
+    @pytest.mark.parametrize("rows", [random_uniform_rows, sample_standard_normal_rows])
     @pytest.mark.parametrize("count", [0, 1, 201, 65_536 + 3])
-    def test_rows_from_a_key_array_equal_one_dimensional_streams(self, rows, one, count):
+    def test_rows_from_a_key_array_equal_one_dimensional_streams(self, rows, count):
         seeds = [derive_seed(SeedSpec(_MASK64, 5), i) for i in range(33)] + [
             SeedSpec(_MASK64, _MASK64), SeedSpec(0, 0)
         ]
         keys = _stream_keys((u64([s.base_seed for s in seeds]), u64([s.stream_id for s in seeds])))
+        assert keys.tolist() == keys_of(seeds).tolist()
         block = rows(keys, count)
         assert block.shape == (len(seeds), count)
-        assert block.tobytes() == rows(seeds, count).tobytes()
-        for seed, row in zip(seeds, block):
-            assert row.tobytes() == one(seed, count).tobytes()
+        normals = normals_of(rows, block)
+        assert normals.tobytes() == sample_standard_normal_rows(keys, count).tobytes()
+        for seed, row in zip(seeds, normals):
+            assert row.tobytes() == sample_standard_normal(seed, count).tobytes()
 
 
 class TestColumnBlocks:
@@ -168,9 +175,8 @@ class TestColumnBlocks:
 
     @pytest.mark.parametrize("columns", [(0, 3), (1, 3), (2, 2)])
     def test_tall_request_in_row_tiles(self, columns):
-        # More than 64Ki rows: the draw splits into row tiles (of the flat
-        # stream when it takes all columns), and every row is that row's 1-D
-        # stream.
+        # More than 64Ki rows: the draw splits into row tiles, and every row
+        # is that row's 1-D stream.
         seed, n, rows, first_row = SeedSpec(_MASK64, 17), 3, _CHUNK + 5, 11
         got = sample_standard_normal_block(
             seed, n, range(first_row, first_row + rows), range(*columns)
@@ -181,19 +187,17 @@ class TestColumnBlocks:
             row = sample_standard_normal(seed, n, offset=(first_row + i) * n)
             assert got[i].tobytes() == row[columns[0] : columns[1]].tobytes()
 
-    @pytest.mark.parametrize("rows, one", [
-        (random_uniform_rows, random_uniform),
-        (sample_standard_normal_rows, sample_standard_normal),
-    ])
-    def test_tall_row_form_rows_equal_one_dimensional_streams(self, rows, one):
+    @pytest.mark.parametrize("rows", [random_uniform_rows, sample_standard_normal_rows])
+    def test_tall_row_form_rows_equal_one_dimensional_streams(self, rows):
         seeds = _derive_rows(SeedSpec(_MASK64, 3), np.arange(_CHUNK + 7, dtype=np.uint64))
         keys = _stream_keys(seeds)
         count = 3
-        block = rows(keys, count)
+        normals = normals_of(rows, rows(keys, count))
+        assert normals.tobytes() == sample_standard_normal_rows(keys, count).tobytes()
         height = _CHUNK // count
         for i in (0, height - 1, height, 2 * height, _CHUNK - 1, _CHUNK, _CHUNK + 6):
             seed = SeedSpec(int(seeds[0][i]), int(seeds[1][i]))
-            assert block[i].tobytes() == one(seed, count).tobytes()
+            assert normals[i].tobytes() == sample_standard_normal(seed, count).tobytes()
 
     @pytest.mark.parametrize("count", [0, 1, 5, 16, 17, 40])
     @pytest.mark.parametrize("rows", [1, 16, 17, 37])
@@ -243,7 +247,7 @@ class TestBlocks:
 
     @pytest.mark.parametrize("cols", [[2, 0, 1], [1, 1, 2], [0, 1, 2]])
     def test_n_columns_of_a_range_of_rows(self, cols):
-        # n columns of contiguous rows: the flat stream only for range(n).
+        # n columns of contiguous rows, as an array, in and out of order.
         seed = SeedSpec(_MASK64, 6)
         got = sample_standard_normal_block(seed, 3, range(2, 9), np.array(cols))
         assert got.tobytes() == self.whole(seed, 3, 9)[2:, cols].tobytes()
@@ -311,35 +315,31 @@ class TestStandardNormal:
         whole = sample_standard_normal(s, at - offset, offset=offset)
         assert np.array_equal(np.concatenate([np.empty(0)] + parts), whole)
 
-    @pytest.mark.parametrize("sample", [random_uint64, random_uniform, sample_standard_normal])
-    def test_long_request_matches_short_requests(self, sample):
+    def test_long_request_matches_short_requests(self):
         # One request spanning many 64Ki-element chunks against requests of
         # at most one chunk each, at consecutive offsets.
         s = SeedSpec(31337, 9)
         offset, count, piece = 12_345, 5 * 65_536 + 1_001, 65_536
-        whole = sample(s, count, offset=offset)
+        whole = sample_standard_normal(s, count, offset=offset)
         parts = [
-            sample(s, min(piece, count - at), offset=offset + at)
+            sample_standard_normal(s, min(piece, count - at), offset=offset + at)
             for at in range(0, count, piece)
         ]
         assert np.array_equal(whole, np.concatenate(parts))
 
-    @pytest.mark.parametrize(
-        "rows, one",
-        [
-            (random_uniform_rows, random_uniform),
-            (sample_standard_normal_rows, sample_standard_normal),
-        ],
-    )
+    @pytest.mark.parametrize("rows", [random_uniform_rows, sample_standard_normal_rows])
     @pytest.mark.parametrize("count", [0, 1, 201, 65_536 + 3])
     @pytest.mark.parametrize("num_seeds", [1, 3, 33])
-    def test_row_form_rows_equal_one_dimensional_streams(self, rows, one, count, num_seeds):
+    def test_row_form_rows_equal_one_dimensional_streams(self, rows, count, num_seeds):
         # Above 64Ki elements in all the row form splits over columns.
         seeds = [derive_seed(SeedSpec(2718, 5), i) for i in range(num_seeds)]
-        block = rows(seeds, count)
+        keys = keys_of(seeds)
+        block = rows(keys, count)
         assert block.shape == (num_seeds, count)
-        for seed, row in zip(seeds, block):
-            assert row.tobytes() == one(seed, count).tobytes()
+        normals = normals_of(rows, block)
+        assert normals.tobytes() == sample_standard_normal_rows(keys, count).tobytes()
+        for seed, row in zip(seeds, normals):
+            assert row.tobytes() == sample_standard_normal(seed, count).tobytes()
 
     def test_concurrent_callers_get_serial_values(self):
         # More calling threads than cores, each sending long requests to the
@@ -400,8 +400,74 @@ class TestStandardNormal:
         assert not np.array_equal(a, b)
 
     def test_uniforms_strictly_inside_unit_interval(self):
-        u = random_uniform(SeedSpec(55), 100_000)
+        u = random_uniform_rows(keys_of([SeedSpec(55)]), 100_000)
         assert u.min() > 0.0 and u.max() < 1.0
+
+
+def _unshift(y, s):
+    """x with ``x ^ (x >> s) == y``."""
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def unmix(w):
+    """The counter whose `splitmix64` is ``w``."""
+    z = _unshift(w, 31)
+    z = z * pow(_MIX2, -1, 2**64) & _MASK64
+    z = _unshift(z, 27)
+    z = z * pow(_MIX1, -1, 2**64) & _MASK64
+    return _unshift(z, 30)
+
+
+def seed_keyed(key):
+    """A SeedSpec whose stream key is ``key``."""
+    return SeedSpec(unmix(key) ^ splitmix64(_MIX2), 0)
+
+
+class TestUniformMap:
+    """Words built by inverting SplitMix64: the stream keyed
+    ``unmix(w) - G`` has the word w as its element 0."""
+
+    @staticmethod
+    def keyed_to(word):
+        return u64([(unmix(word) - _GOLDEN) & _MASK64])
+
+    def test_unmix_inverts_splitmix(self):
+        for w in (0, 1, _MASK64, 0x0123456789ABCDEF, 2**63):
+            assert splitmix64(unmix(w)) == w
+        assert _stream_key(seed_keyed(12345)) == 12345
+
+    @pytest.mark.parametrize("low", [0, 0x7FF])
+    def test_top_word_maps_below_one(self, low):
+        # Top 53 bits all ones: ((2**53 - 1) + 0.5) * 2**-53 rounds to 1.0,
+        # whose normal is +inf.  It takes the value of the word below it.
+        keys = self.keyed_to(_MASK64 ^ 0x7FF | low)
+        top = 1.0 - 2.0**-52
+        assert random_uniform_rows(keys, 1)[0, 0] == top
+        assert random_uniform_rows(self.keyed_to((2**53 - 2) << 11), 1)[0, 0] == top
+        normal = sample_standard_normal_rows(keys, 1)[0, 0]
+        assert math.isfinite(normal) and normal == ndtri(top)
+
+    def test_top_word_in_a_block(self):
+        # Entry (3, 2) of a 4-column block is at counter key + 15 G.
+        n, at = 4, unmix(_MASK64)
+        seed = seed_keyed((at - 15 * _GOLDEN) & _MASK64)
+        whole = sample_standard_normal_block(seed, n, range(5), range(n))
+        assert np.isfinite(whole).all() and whole[3, 2] == ndtri(1.0 - 2.0**-52)
+        part = sample_standard_normal_block(seed, n, np.array([3, 1]), np.array([2, 0]))
+        assert part.tobytes() == whole[np.ix_([3, 1], [2, 0])].tobytes()
+        assert sample_standard_normal(seed, 20)[14] == whole[3, 2]
+
+    def test_half_gives_a_zero_normal(self):
+        keys = self.keyed_to(2**52 << 11)
+        assert random_uniform_rows(keys, 1)[0, 0] == 0.5
+        assert sample_standard_normal_rows(keys, 1)[0, 0] == 0.0
+
+    def test_lowest_word_above_zero(self):
+        keys = self.keyed_to(0x7FF)
+        assert random_uniform_rows(keys, 1)[0, 0] == 2.0**-54
 
 
 @pytest.mark.skipif(_openblas_thread_calls() is None,

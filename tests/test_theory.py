@@ -70,6 +70,16 @@ class TestSampleComplexity:
         with pytest.raises(ValueError):
             sample_complexity(0.1, 0.1, 100, 100)
 
+    @pytest.mark.parametrize("epsilon, rho", [(1e-305, 0.1), (5e-324, 0.1), (0.1, 5e-324)])
+    def test_overflowing_count_rejected(self, epsilon, rho):
+        # The count is inf in float64; int(ceil(inf)) raised OverflowError.
+        with pytest.raises(ValueError, match="epsilon") as exc:
+            sample_complexity(epsilon, rho, 5, 1000)
+        assert repr(epsilon) in str(exc.value) and "rho" in str(exc.value)
+
+    def test_smallest_epsilon_that_fits(self):
+        assert sample_complexity(1e-300, 0.1, 5, 1000) > 10**305
+
 
 class TestRecurrence:
     def test_starts_at_two(self):

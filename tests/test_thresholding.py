@@ -3,8 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitsense.rng import SeedSpec, derive_seed, random_uniform, sample_standard_normal
+from bitsense.rng import (
+    SeedSpec,
+    _stream_key,
+    derive_seed,
+    random_uniform_rows,
+    sample_standard_normal,
+)
 from bitsense.thresholding import normalize, smallest_k, threshold_set, top_k
+
+
+def uniforms(seeds, count):
+    """The first ``count`` uniforms of each seed's stream, one row each."""
+    return random_uniform_rows(np.array([_stream_key(s) for s in seeds], dtype=np.uint64), count)
 
 
 def reference_top_k(v, k):
@@ -37,7 +48,7 @@ class TestTopK:
             vals = sample_standard_normal(derive_seed(seed, i), 12)
             # quantize to force frequent magnitude ties
             vals = np.round(vals)
-            k = int(random_uniform(derive_seed(seed, 1000 + i), 1)[0] * 13)
+            k = int(uniforms([derive_seed(seed, 1000 + i)], 1)[0, 0] * 13)
             assert np.array_equal(top_k(vals, k), reference_top_k(vals, k))
 
     def test_idempotent(self):
@@ -111,7 +122,7 @@ class TestSmallestK:
             assert np.array_equal(smallest_k(keys, k), stable_smallest(keys, k))
 
     def test_uniform_rows_match_stable_argsort(self):
-        u = np.array([random_uniform(derive_seed(SeedSpec(67), i), 200) for i in range(32)])
+        u = uniforms([derive_seed(SeedSpec(67), i) for i in range(32)], 200)
         for k in (1, 5, 200):
             assert np.array_equal(smallest_k(u, k), stable_smallest(u, k))
 
