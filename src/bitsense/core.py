@@ -318,15 +318,30 @@ def _pair_directions(u: np.ndarray, v: np.ndarray):
     return diff / nd, summ / ns, 2.0 * math.atan2(nd, ns)
 
 
-def random_sparse_unit_rows(n: int, k: int, seeds) -> np.ndarray:
+def _live_row_norms(vals: np.ndarray) -> np.ndarray:
+    """`row_norms` of ``vals``, with each all-zero row first set to ones in
+    place (norm sqrt(width)), so that every row has a direction.  A row of
+    normals is all zero with probability zero, but the draws stay total."""
+    norms = row_norms(vals)
+    dead = norms == 0.0
+    if dead.any():
+        vals[dead] = 1.0
+        norms[dead] = math.sqrt(vals.shape[1])
+    return norms
+
+
+def random_sparse_unit_rows(n: int, k: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     """``random_sparse_unit(n, k, seed).values`` for each seed, as the rows
-    of one ``len(seeds) x n`` array, from one sampler call per stream kind.
-    ``seeds`` are SeedSpecs, or ``(bases, streams)`` uint64 arrays as
-    `rng._derive_rows` gives them, whose children are derived in one array
-    pass instead of one call per seed.
+    of one ``len(seeds) x n`` array, from one sampler call per stream kind,
+    and each row's support: a ``len(seeds) x k`` array of its columns,
+    ascending.  ``seeds`` are SeedSpecs, or ``(bases, streams)`` uint64
+    arrays as `rng._derive_rows` gives them, whose children are derived in
+    one array pass instead of one call per seed.
 
     The support is uniform over k-subsets of [n] (rank order of i.i.d.
     uniforms); the nonzero values are i.i.d. standard normal, normalized.
+    A value may be exactly 0.0 (the normal of the uniform 1/2), so the
+    support is the drawn one, not the row's nonzero columns.
     """
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
@@ -339,21 +354,17 @@ def random_sparse_unit_rows(n: int, k: int, seeds) -> np.ndarray:
                                           dtype=np.uint64) for c in (0, 1))
     ranks = random_uniform_rows(rank_keys, n)
     vals = sample_standard_normal_rows(value_keys, k)
-    norms = row_norms(vals)
-    dead = norms == 0.0
-    if dead.any():  # probability zero, but stay total
-        vals[dead] = 1.0
-        norms[dead] = math.sqrt(k)
-    supports = smallest_k(ranks, k)
+    norms = _live_row_norms(vals)
+    supports = smallest_k(ranks, k)  # ascending in each row
     out = np.zeros((len(vals), n))
     np.put_along_axis(out, supports, vals / norms[:, None], axis=1)
-    return out
+    return out, supports
 
 
 def random_sparse_unit(n: int, k: int, seed: SeedSpec) -> SparseUnitVector:
     """Uniformly random k-sparse unit vector: `random_sparse_unit_rows` for
     one seed."""
-    return SparseUnitVector(random_sparse_unit_rows(n, k, (seed,))[0], k)
+    return SparseUnitVector(random_sparse_unit_rows(n, k, (seed,))[0][0], k)
 
 
 def gaussian_matrix(m: int, n: int, seed: SeedSpec) -> MeasurementMatrix:

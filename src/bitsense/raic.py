@@ -33,9 +33,13 @@ in numpy passes with no Python loop over its pairs:
 Norms are taken as each row's own dot (`core.row_norms`), so every value
 is the one a pair-by-pair computation gives, up to the order of the sums in
 the block products.  The block products run on one BLAS thread (see
-`rng._one_blas_thread`).  `h_a`, `correction` and `restricted_residual`
-stay the reference definition, which the solver uses, at the caller's BLAS
-threading.
+`rng._one_blas_thread`), and the blocks themselves side by side on the
+sampler's thread pool (`rng._map`), results in pair order.  A block's draw,
+residuals and d_s depend only on the seed, its first pair and A, so the
+report has the same bytes at any pool size; the bounds, ratios,
+``delta_hat`` and records are formed once every block has returned.
+`h_a`, `correction` and `restricted_residual` stay the reference
+definition, which the solver uses, at the caller's BLAS threading.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .core import (
     LazyGaussianMatrix,
     MeasurementMatrix,
     _length_checked,
+    _live_row_norms,
     _pair_directions,
     random_sparse_unit_rows,
     row_dots,
@@ -62,6 +67,7 @@ from .core import (
 from .rng import (
     SeedSpec,
     _derive_rows,
+    _map,
     _one_blas_thread,
     _stream_keys,
     random_uniform_rows,
@@ -329,20 +335,20 @@ def _draw_pairs(n, k, seed, first, count, num_small, max_j, radius):
     """
     pairs = _derive_rows(seed, np.arange(first, first + count, dtype=np.uint64))
     x_seeds, y_seeds, j_seeds = (_derive_rows(pairs, c) for c in range(3))
-    X = random_sparse_unit_rows(n, k, x_seeds)
+    X, supports = random_sparse_unit_rows(n, k, x_seeds)
     small = min(max(num_small - first, 0), count)
     Y = np.empty_like(X)
     if small < count:
-        Y[small:] = random_sparse_unit_rows(n, k, tuple(s[small:] for s in y_seeds))
+        Y[small:] = random_sparse_unit_rows(n, k, tuple(s[small:] for s in y_seeds))[0]
     if small:
         Y[:small] = X[:small]
         noise = sample_standard_normal_rows(_stream_keys(y_seeds)[:small], k)
-        # A normal is 0 only at the uniform 1/2, one word in 2**53: a zero
-        # noise norm, or a zero among x's values (the reshape below raises),
-        # is not handled.  Norms row by row, as one vector's norm rounds.
-        scale = radius / row_norms(noise)
-        supports = np.nonzero(X[:small])[1].reshape(small, k)
-        Y[np.arange(small)[:, None], supports] += scale[:, None] * noise
+        # Norms row by row, as one vector's norm rounds; a zero noise row
+        # (each normal is 0 at the uniform 1/2) becomes a row of ones.  The
+        # noise lands on x's drawn support, ascending: the nonzero columns
+        # of x, but also a column whose drawn value is 0.
+        scale = radius / _live_row_norms(noise)
+        Y[np.arange(small)[:, None], supports[:small]] += scale[:, None] * noise
         # The norm over the whole row, as the per-pair draw takes it.
         Y[:small] /= row_norms(Y[:small])[:, None]
     if max_j <= 0:
@@ -376,7 +382,9 @@ def raic_certify(
     restriction the solver's error analysis relies on).
 
     Pairs go PAIR_BLOCK at a time through one block draw (`_draw_pairs`)
-    and one pass over row blocks of A (`_block_residuals`).  Pair i takes
+    and one pass over row blocks of A (`_block_residuals`); the blocks run
+    on the sampler's thread pool, under one BLAS thread, and the records
+    are formed after the last has returned.  Pair i takes
     its x, y and J from ``derive_seed(seed, i)`` as a pair-by-pair draw
     would, whatever the block size, and its d_s is `sphere_distance`'s bit
     for bit; its residual agrees with
@@ -409,14 +417,15 @@ def raic_certify(
 
     u = constants()
     tau = delta / u.b
-    d_s = np.empty(num_pairs)
-    residual = np.empty(num_pairs)
-    for first in range(0, num_pairs, PAIR_BLOCK):
+
+    def certify_block(first):
         count = min(PAIR_BLOCK, num_pairs - first)
         X, Y, Js = _draw_pairs(A.n, k, seed, first, count, num_small, max_j, tau / 2.0)
-        block = slice(first, first + count)
-        residual[block] = _block_residuals(A, X, Y, Js)
-        d_s[block] = sphere_distance_rows(X, Y)
+        return _block_residuals(A, X, Y, Js), sphere_distance_rows(X, Y)
+
+    with _one_blas_thread():
+        blocks = _map(certify_block, range(0, num_pairs, PAIR_BLOCK))
+    residual, d_s = (np.concatenate(parts) for parts in zip(*blocks))
     bound = raic_bound(delta, u.c1, u.c2, d_s)
     ratio = _ratio(residual, bound)
     records = tuple(

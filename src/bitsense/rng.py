@@ -45,7 +45,10 @@ tests pin it.
 
 The pool is the one parallel layer of ``run``, ``validate`` and ``raic``,
 whose BLAS products run on one thread under `_one_blas_thread` (the reason
-is measured there).
+is measured there).  Work goes to it through one helper, `_map`: the
+sampler's tiles, and the certifier's pair blocks (`raic.raic_certify`).  A
+request made on a pool thread, such as a pair block's draws, runs its tiles
+serially in that thread, so that no pool task ever waits on the pool.
 
 Nothing here is cryptographic.
 """
@@ -79,6 +82,8 @@ _STEPS = np.arange(1, _CHUNK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
+# Set on the pool's own threads (the executor's initializer).
+_on_pool = threading.local()
 
 
 @dataclass(frozen=True)
@@ -219,14 +224,34 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+def _mark_pool_thread() -> None:
+    _on_pool.worker = True
+
+
 def _executor() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(
-                max_workers=_worker_count(), thread_name_prefix="bitsense-rng"
+                max_workers=_worker_count(), thread_name_prefix="bitsense-rng",
+                initializer=_mark_pool_thread,
             )
         return _pool
+
+
+def _map(fn, items) -> list:
+    """``[fn(item) for item in items]``, run on the pool when that can help.
+
+    Called on one of the pool's own threads, or with fewer than two items,
+    it runs serially in the calling thread: a pool task that waited on the
+    pool could wait for ever, once every worker is busy with such tasks.
+    Otherwise the items go to the pool and the results come back in item
+    order; reading them re-raises the first worker's exception here.
+    """
+    items = list(items)
+    if len(items) < 2 or getattr(_on_pool, "worker", False):
+        return [fn(item) for item in items]
+    return list(_executor().map(fn, items))
 
 
 def _forget_pool() -> None:
@@ -321,6 +346,10 @@ def _stream(keys: np.ndarray, count: int, normal: bool, steps=None, into=None) -
     ``key + (c + 1) * _GOLDEN``: columns that need not be contiguous.  With
     ``into = (dest, where)``, row r goes to ``dest[where[r]]`` one tile at a
     time, rather than to a fresh array, and dest is returned.
+
+    The tiles run on the pool (`_map`), or one after another in the calling
+    thread when it is one of the pool's own, as in the certifier's pair
+    blocks: the same tiles and values either way.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -357,13 +386,7 @@ def _stream(keys: np.ndarray, count: int, normal: bool, steps=None, into=None) -
         free = queue.SimpleQueue()
         for _ in range(min(len(pieces), _worker_count())):
             free.put(np.empty((height, width)))
-    if len(pieces) > 1:
-        # Reading every result re-raises any worker's exception here.
-        for _ in _executor().map(fill, pieces):
-            pass
-    else:
-        for piece in pieces:
-            fill(piece)
+    _map(fill, pieces)
     return out
 
 

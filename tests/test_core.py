@@ -222,8 +222,12 @@ class TestRandomSparseUnit:
         k = min(k, n)
         ids = np.arange(count, dtype=np.uint64)
         seeds = [derive_seed(SeedSpec(base, 2), i) for i in range(count)]
-        rows = random_sparse_unit_rows(n, k, _derive_rows(SeedSpec(base, 2), ids))
-        assert rows.tobytes() == random_sparse_unit_rows(n, k, seeds).tobytes()
+        rows, supports = random_sparse_unit_rows(n, k, _derive_rows(SeedSpec(base, 2), ids))
+        again, same_supports = random_sparse_unit_rows(n, k, seeds)
+        assert rows.tobytes() == again.tobytes()
+        assert np.array_equal(supports, same_supports)
+        # No drawn value is 0 here, so the supports are the nonzero columns.
+        assert np.array_equal(supports, np.nonzero(rows)[1].reshape(count, k))
         for seed, row in zip(seeds, rows):
             assert row.tobytes() == random_sparse_unit(n, k, seed).values.tobytes()
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitsense import biht, cli, core
+from bitsense import biht, cli, core, rng
 from bitsense.biht import BIHTConfig, run_biht
 from bitsense.core import (
     MeasurementMatrix,
@@ -233,6 +233,90 @@ def test_validate_csv_digest(seed, tmp_path):
     assert code == 0
     digest = hashlib.sha256((tmp_path / "validators.csv").read_bytes()).hexdigest()
     assert digest == VALIDATORS_CSV[seed]
+
+
+# The sha256 of each output file of a `run` and three `raic`s at sizes that
+# cross their blocks.  The `run` has four trials, each with its own matrix,
+# and a dense first step.  "500 pairs" is the `certify` benchmark's
+# certificate at seed 7: four pair blocks (PAIR_BLOCK = 128) over m = 5000.
+# "three pair blocks" has m above one ROW_BLOCK (512).  In "tiles in a
+# block" each pair block's rank and J draws (128 x n and 128 x (n + 1)
+# uniforms) cross one 64Ki-element sampler tile, so the blocks, on the
+# sampler's pool, draw their tiles serially.  Like the `validators.csv`
+# pins, these depend in the last bits on OpenBLAS's one-thread kernels: the
+# products run under `rng._one_blas_thread`.
+OUTPUT_DIGESTS = {
+    "run": (
+        ["run", "--n", "60", "--k", "3", "--m", "2000", "--trials", "4", "--iters", "8"],
+        {
+            "trajectory.csv": "c45625cd7773f8fe6eb587ad6ba6740724cd042a4d9247b6c145bedd95566404",
+            "summary.json": "b68ec6521c73d278b1587a3f5763a4aa23032e2aa1df3dd0fbc1fc242f0695e8",
+        },
+    ),
+    "500 pairs": (
+        ["raic", "--pairs", "500", "--small-pairs", "100", "--seed", "7"],
+        {
+            "raic_report.csv": "d594076f5f429ed33ded9cc0673e8b85141019f0387248f861f00bf43cfe2edf",
+            "raic_summary.json": "a46dcaf4bc7fdee41990184870ee5a8181afcdafdaeb810231648e33041a6591",
+        },
+    ),
+    "three pair blocks": (
+        ["raic", "--n", "60", "--k", "3", "--m", "1000", "--pairs", "300", "--small-pairs", "60"],
+        {
+            "raic_report.csv": "d96d26f61a9ce9ca724b5a8f56d3321afcb5dc15458220225eabaa6cfebee39b",
+            "raic_summary.json": "fe1c2b2bfa4b7a9fa9648fae1d09227ec17a2fa680a922a9aa573be1e43fe727",
+        },
+    ),
+    "tiles in a block": (
+        ["raic", "--n", "520", "--k", "3", "--m", "600", "--pairs", "260", "--small-pairs", "60"],
+        {
+            "raic_report.csv": "7facf003cc866cc91ddcac76fe11a30071bca8c57370b442844f7070a81384ab",
+            "raic_summary.json": "64f283baae20d627e3a4f8821cc83f6b0e240a352a949597b36dc5d6e54c9714",
+        },
+    ),
+}
+RAIC_PINS = [name for name, (args, _) in OUTPUT_DIGESTS.items() if args[0] == "raic"]
+
+
+def _output_digests(name, out_dir):
+    args, _ = OUTPUT_DIGESTS[name]
+    assert cli.main([*args, "--output-dir", str(out_dir)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+
+
+@pytest.mark.parametrize("name", list(OUTPUT_DIGESTS))
+def test_output_digests(name, tmp_path):
+    assert _output_digests(name, tmp_path) == OUTPUT_DIGESTS[name][1]
+
+
+@pytest.fixture(params=[1, 2], ids=lambda w: f"{w}-worker pool")
+def pool_size(request, monkeypatch):
+    """A fresh sampler pool of ``request.param`` workers for the test, and
+    a fresh default one after it."""
+    monkeypatch.setattr(rng, "_worker_count", lambda: request.param)
+    rng._forget_pool()
+    yield request.param
+    monkeypatch.undo()
+    rng._forget_pool()
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2], ids=lambda t: f"caller BLAS {t}")
+@pytest.mark.parametrize("name", RAIC_PINS)
+def test_certificate_digests_at_each_pool_size_and_blas_count(name, blas_threads, pool_size,
+                                                             tmp_path):
+    # The pair blocks run on the pool, so neither its size nor the caller's
+    # BLAS thread count may move a bit of the certificate.
+    calls = rng._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS thread count is not reachable")
+    get, put = calls
+    before = get()
+    try:
+        put(blas_threads)
+        assert _output_digests(name, tmp_path) == OUTPUT_DIGESTS[name][1]
+        assert get() == blas_threads
+    finally:
+        put(before)
 
 
 def _reference_correction(A, b, x, eta):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -481,6 +484,59 @@ class TestBlockPath:
         order = np.argsort(u[:, 1:], axis=1, kind="stable")
         assert Js == [order[i, : sizes[i]].tolist() for i in range(PAIR_BLOCK)]
 
+    # The sampler gives the normal 0.0 for the uniform 1/2, one word in 2^53;
+    # these draws put such zeros where the pair draw reads them.
+    N, K, PAIRS, SMALL, RADIUS = 30, 4, 12, 6, 1e-4
+
+    def zeroed(self, where):
+        """`rng.sample_standard_normal_rows` with the entries at ``where``
+        of each result set to 0.0."""
+        def draw(keys, count):
+            out = rng.sample_standard_normal_rows(keys, count)
+            out[where] = 0.0
+            return out
+        return draw
+
+    def test_a_zero_among_xs_values_keeps_its_column(self, monkeypatch):
+        # Pair 0 is small: its perturbation must still land on all of x's
+        # drawn support, the zero's column too.  Pair SMALL, the first
+        # large one, gets a zero in y.  No other row may move.
+        seed = SeedSpec(9, 4)
+        X0, Y0, J0 = _draw_pairs(self.N, self.K, seed, 0, self.PAIRS, self.SMALL, self.K,
+                                 self.RADIUS)
+        monkeypatch.setattr(core, "sample_standard_normal_rows", self.zeroed((0, 1)))
+        X, Y, Js = _draw_pairs(self.N, self.K, seed, 0, self.PAIRS, self.SMALL, self.K,
+                               self.RADIUS)
+        support = np.flatnonzero(X0[0])
+        assert np.count_nonzero(X[0]) == self.K - 1
+        assert set(np.flatnonzero(X[0])) < set(support)
+        assert np.array_equal(np.flatnonzero(Y[0]), support)
+        assert np.isfinite(Y[0]).all() and abs(np.linalg.norm(Y[0]) - 1.0) <= 1e-12
+        assert sphere_distance(X[0], Y[0]) < 2.0 * self.RADIUS
+        assert np.count_nonzero(Y[self.SMALL]) == self.K - 1
+        assert X[1:].tobytes() == X0[1:].tobytes()
+        others = np.arange(1, self.PAIRS) != self.SMALL
+        assert Y[1:][others].tobytes() == Y0[1:][others].tobytes()
+        assert Js == J0
+        A = gaussian_matrix(200, self.N, SeedSpec(9, 5))
+        report = raic_certify(A, self.K, 0.05, self.PAIRS, self.K, seed, num_small=self.SMALL)
+        assert np.isfinite([r.residual for r in report.records]).all()
+
+    def test_a_zero_noise_row_perturbs_along_the_ones(self, monkeypatch):
+        # All k noise normals 0: the noise becomes a row of ones, as a dead
+        # row of values does in `random_sparse_unit_rows`.
+        seed = SeedSpec(9, 6)
+        X0, Y0, _ = _draw_pairs(self.N, self.K, seed, 0, self.PAIRS, self.SMALL, self.K,
+                                self.RADIUS)
+        monkeypatch.setattr(raic, "sample_standard_normal_rows", self.zeroed(0))
+        X, Y, _ = _draw_pairs(self.N, self.K, seed, 0, self.PAIRS, self.SMALL, self.K,
+                              self.RADIUS)
+        y = X0[0].copy()
+        y[np.flatnonzero(y)] += self.RADIUS / math.sqrt(self.K)
+        assert Y[0].tobytes() == (y / np.linalg.norm(y)).tobytes()
+        assert X.tobytes() == X0.tobytes()
+        assert Y[1:].tobytes() == Y0[1:].tobytes()
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.integers(1, 2 * ROW_BLOCK + 100),
@@ -642,6 +698,35 @@ class TestKernelBlasThreads:
         finally:
             put(before)
         assert reports[0] == reports[1]
+
+
+class TestPairBlocksOnThePool:
+    def test_concurrent_certificates_on_a_wide_pool(self, monkeypatch):
+        # More workers than cores and more callers than workers, each
+        # certificate three pair blocks wide, with frequent thread switches:
+        # every caller must get the serial certificate.
+        A = gaussian_matrix(ROW_BLOCK + 88, 40, SeedSpec(83))
+        seeds = [SeedSpec(84, i) for i in range(5)]
+
+        def certify(seed):
+            return raic_certify(A, 3, 0.05, 2 * PAIR_BLOCK + 9, 3, seed)
+
+        monkeypatch.setattr(rng, "_worker_count", lambda: 1)
+        rng._forget_pool()
+        want = [certify(s) for s in seeds]
+        monkeypatch.setattr(rng, "_worker_count", lambda: 2 * os.cpu_count() + 1)
+        rng._forget_pool()
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            with ThreadPoolExecutor(max_workers=len(seeds)) as callers:
+                futures = [callers.submit(certify, s) for s in seeds]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+            monkeypatch.undo()
+            rng._forget_pool()
+        assert got == want
 
 
 class TestDeltaHat:

@@ -35,6 +35,29 @@ from bitsense.rng import (
 )
 
 
+def in_forked_child(body, what, seconds=30.0):
+    """Run ``body()`` in a forked child and fail unless it returns True
+    within ``seconds``; a child that hangs is killed."""
+    pid = os.fork()
+    if pid == 0:
+        ok = False
+        try:
+            ok = bool(body())
+        finally:
+            os._exit(0 if ok else 3)
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.02)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail(f"{what} did not finish in {seconds} s")
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
 class TestSeedDerivation:
     def test_distinct_streams(self):
         s = SeedSpec(12345, 6)
@@ -362,21 +385,32 @@ class TestStandardNormal:
         # The child inherits the pool object but not its threads; a long
         # request there must still complete.
         parent = sample_standard_normal(SeedSpec(8), 300_000)
-        pid = os.fork()
-        if pid == 0:
-            child = sample_standard_normal(SeedSpec(8), 300_000)
-            os._exit(0 if np.array_equal(child, parent) else 3)
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            time.sleep(0.02)
-        else:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("sampling in a forked child did not finish")
-        assert os.waitstatus_to_exitcode(status) == 0
+        in_forked_child(lambda: np.array_equal(sample_standard_normal(SeedSpec(8), 300_000), parent),
+                        "sampling in a forked child")
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_long_request_from_a_pool_task(self):
+        # Both workers of a two-thread pool busy at once, each with a task
+        # that draws three 64Ki tiles: were those tiles sent to the pool,
+        # each task would wait for a worker that never comes free.  Run in
+        # a child, which can be killed if it hangs.
+        count = 2 * _CHUNK + 7
+        seeds = [SeedSpec(4243, i) for i in range(2)]
+        expected = [sample_standard_normal(s, count) for s in seeds]
+
+        def draw_from_busy_pool():
+            rng._worker_count = lambda: 2
+            rng._forget_pool()
+            both_busy = threading.Barrier(2)
+
+            def task(seed):
+                both_busy.wait(timeout=10.0)
+                return sample_standard_normal(seed, count)
+
+            got = rng._map(task, seeds)
+            return all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
+
+        in_forked_child(draw_from_busy_pool, "a long draw from a pool task")
 
     def test_mean_within_clt_bound(self):
         draws = sample_standard_normal(SeedSpec(123), 1_000_000)
