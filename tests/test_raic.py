@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -711,10 +710,11 @@ class TestPairBlocksOnThePool:
         def certify(seed):
             return raic_certify(A, 3, 0.05, 2 * PAIR_BLOCK + 9, 3, seed)
 
+        wide = 2 * rng._worker_count() + 1
         monkeypatch.setattr(rng, "_worker_count", lambda: 1)
         rng._forget_pool()
         want = [certify(s) for s in seeds]
-        monkeypatch.setattr(rng, "_worker_count", lambda: 2 * os.cpu_count() + 1)
+        monkeypatch.setattr(rng, "_worker_count", lambda: wide)
         rng._forget_pool()
         interval = sys.getswitchinterval()
         try:
