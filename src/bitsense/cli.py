@@ -13,12 +13,13 @@ take ``--seed``.  Each subcommand's settings and their defaults are one
 table in SETTINGS, from which its flags, its config keys and their types
 come.  Flags override the JSON config file given with ``--config``, which
 overrides the defaults; a config key that is not a setting of the
-subcommand is a usage error.  Trials run one after another; the only
-parallel layer is the sampler, which spreads long requests (a whole
-measurement matrix, a validator block) over a thread pool with one worker
-per usable CPU and gives the same values as one serial pass.  ``run``,
-``validate`` and ``raic`` make their BLAS products on one thread, whatever
-``OPENBLAS_NUM_THREADS`` says (see `rng._one_blas_thread`).
+subcommand is a usage error.  One thread pool, with one worker per usable
+CPU, has three users: the sampler's tiles of a long request (a whole
+measurement matrix, a validator block), the certifier's pair blocks
+(``raic``) and the six validators of ``validate``.  ``run``'s trials run
+one after another.  The outputs have the same bytes at any pool size.
+``run``, ``validate`` and ``raic`` make their BLAS products on one thread,
+whatever ``OPENBLAS_NUM_THREADS`` says (see `rng._one_blas_thread`).
 
 Exit codes: 0 success; 1 I/O failure, a failed validator (``validate``) or a
 per-iteration error bound violated beyond rounding slack (``run``, which then

@@ -45,10 +45,12 @@ tests pin it.
 
 The pool is the one parallel layer of ``run``, ``validate`` and ``raic``,
 whose BLAS products run on one thread under `_one_blas_thread` (the reason
-is measured there).  Work goes to it through one helper, `_map`: the
-sampler's tiles, and the certifier's pair blocks (`raic.raic_certify`).  A
-request made on a pool thread, such as a pair block's draws, runs its tiles
-serially in that thread, so that no pool task ever waits on the pool.
+is measured there).  Work goes to it through one helper, `_map`, from
+three users: the sampler's tiles, the certifier's pair blocks
+(`raic.raic_certify`) and the validators of the battery
+(`montecarlo.run_validator_suite`).  A request made on a pool thread, such
+as a pair block's or a validator's draws, runs its tiles serially in that
+thread, so that no pool task ever waits on the pool.
 
 Nothing here is cryptographic.
 """

@@ -235,6 +235,16 @@ def test_validate_csv_digest(seed, tmp_path):
     assert digest == VALIDATORS_CSV[seed]
 
 
+# bitsense validate --seed 0 --break-sgn-zero: the sha256 of validators.csv.
+# The three mismatch rows fail, so the command exits 1.
+BROKEN_SGN_ZERO_CSV = "6a27610b8d729f67281ee8c537c37a3eed4d00bf5f56c713ef296730dd353335"
+VALIDATE_PINS = {
+    "seed 0": (["--seed", "0"], 0, VALIDATORS_CSV[0]),
+    "seed 5": (["--seed", "5"], 0, VALIDATORS_CSV[5]),
+    "seed 0 broken sgn": (["--seed", "0", "--break-sgn-zero"], 1, BROKEN_SGN_ZERO_CSV),
+}
+
+
 # The sha256 of each output file of a `run` and three `raic`s at sizes that
 # cross their blocks.  The `run` has four trials, each with its own matrix,
 # and a dense first step.  "500 pairs" is the `certify` benchmark's
@@ -314,6 +324,27 @@ def test_certificate_digests_at_each_pool_size_and_blas_count(name, blas_threads
     try:
         put(blas_threads)
         assert _output_digests(name, tmp_path) == OUTPUT_DIGESTS[name][1]
+        assert get() == blas_threads
+    finally:
+        put(before)
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2], ids=lambda t: f"caller BLAS {t}")
+@pytest.mark.parametrize("pin", list(VALIDATE_PINS))
+def test_validate_digests_at_each_pool_size_and_blas_count(pin, blas_threads, pool_size,
+                                                           tmp_path):
+    # The validators run side by side on the pool, so neither its size nor
+    # the caller's BLAS thread count may move a bit of their rows or order.
+    calls = rng._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS thread count is not reachable")
+    get, put = calls
+    args, code, digest = VALIDATE_PINS[pin]
+    before = get()
+    try:
+        put(blas_threads)
+        assert cli.main(["validate", *args, "--output-dir", str(tmp_path)]) == code
+        assert hashlib.sha256((tmp_path / "validators.csv").read_bytes()).hexdigest() == digest
         assert get() == blas_threads
     finally:
         put(before)

@@ -1,4 +1,7 @@
+import hashlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bitsense.montecarlo as mc
-from bitsense import biht
+from bitsense import biht, rng
 from bitsense.biht import BIHTConfig, run_biht
 from bitsense.core import MeasurementMatrix, gaussian_matrix, random_sparse_unit, sign_measure
 from bitsense.montecarlo import (
@@ -426,6 +429,59 @@ class TestValidatorSuite:
         assert lines[0] == "name,estimate,theory,se,z,pass"
         assert len(lines) == 1 + len(rows)
         assert all(line.endswith(",true") for line in lines[1:])
+
+    def test_concurrent_suites_on_a_wide_pool(self, monkeypatch):
+        # More workers than cores and more callers than workers, each suite
+        # six jobs wide, with frequent thread switches: every caller must
+        # get the rows of a one-worker pool.
+        seeds = [SeedSpec(551, i) for i in range(5)]
+        wide = 2 * rng._worker_count() + 1
+        monkeypatch.setattr(rng, "_worker_count", lambda: 1)
+        rng._forget_pool()
+        want = [run_validator_suite(s) for s in seeds]
+        monkeypatch.setattr(rng, "_worker_count", lambda: wide)
+        rng._forget_pool()
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            with ThreadPoolExecutor(max_workers=len(seeds)) as callers:
+                futures = [callers.submit(run_validator_suite, s) for s in seeds]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+            monkeypatch.undo()
+            rng._forget_pool()
+        assert got == want
+
+    @pytest.mark.skipif(_openblas_thread_calls() is None,
+                        reason="numpy's BLAS thread count is not reachable")
+    def test_a_later_job_that_raises_reaches_the_caller(self, monkeypatch, tmp_path):
+        # The pi/3 mismatch job is submitted fifth of six, behind the tails
+        # and the projection, so its error comes back while others may run.
+        get, put = _openblas_thread_calls()
+        before = get()
+        failing_seed = derive_seed(SeedSpec(0), 1)
+
+        def failing(u, v, draws, seed, sign_fn=None):
+            if seed == failing_seed:
+                raise RuntimeError("mismatch job")
+            return mismatch_probability(u, v, draws, seed, sign_fn=sign_fn)
+
+        try:
+            put(2)
+            monkeypatch.setattr(mc, "mismatch_probability", failing)
+            with pytest.raises(RuntimeError, match="mismatch job"):
+                run_validator_suite(SeedSpec(0))
+            assert get() == 2
+            monkeypatch.undo()
+            path = tmp_path / "validators.csv"
+            write_validator_csv(path, run_validator_suite(SeedSpec(0)))
+        finally:
+            put(before)
+        # The `validate --seed 0` pin of test_known_answers.VALIDATORS_CSV.
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "be8ffc65a864939e60729dbcad7bae4dd12a0151ee5f65d111a38596b7337f91"
+        )
 
 
 def _trial_record(trajectories):
