@@ -208,21 +208,3 @@ def run_biht(
     return Trajectory(
         iterates=iterates, mismatch=mismatch, error_ds=error_ds, lemma1_rhs=lemma1
     )
-
-
-def write_trajectory_csv(path, trajectories) -> None:
-    """One row per (trial, iteration): trial,iter,d_s,mismatch_L,lemma1_rhs.
-
-    Missing diagnostics (no truth supplied, or the t=0 bound) are written
-    as ``nan`` so the column layout is fixed.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write("trial,iter,d_s,mismatch_L,lemma1_rhs\n")
-        for trial, traj in enumerate(trajectories):
-            steps = len(traj.iterates)
-            for t in range(steps):
-                d_s = traj.error_ds[t] if traj.error_ds is not None else float("nan")
-                rhs = traj.lemma1_rhs[t] if traj.lemma1_rhs is not None else float("nan")
-                fh.write(
-                    f"{trial},{t},{float(d_s)!r},{traj.mismatch[t]},{float(rhs)!r}\n"
-                )

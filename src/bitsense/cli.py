@@ -21,6 +21,9 @@ one after another.  The outputs have the same bytes at any pool size.
 ``run``, ``validate`` and ``raic`` make their BLAS products on one thread,
 whatever ``OPENBLAS_NUM_THREADS`` says (see `rng._one_blas_thread`).
 
+The library modules return data; this module writes every file the package
+writes, through `_write_csv`, `_write_json` and `generate`'s binary layout.
+
 Exit codes: 0 success; 1 I/O failure, a failed validator (``validate``) or a
 per-iteration error bound violated beyond rounding slack (``run``, which then
 writes nothing); 2 usage error, including sizes ``run`` cannot use.
@@ -35,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import biht, core, montecarlo, raic, theory
+from . import core, montecarlo, raic, theory
 from .rng import SeedSpec, derive_seed
 
 
@@ -110,6 +113,28 @@ def _resolve(args):
     return merged
 
 
+# CSV: comma-separated, LF line ends, floats by repr (so they read back to
+# the same float64), bools as true/false.  JSON: sorted keys, two-space
+# indent, a final newline.
+
+
+def _cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, float):  # np.float64 too
+        return repr(float(value))
+    return str(value)
+
+
+def _write_csv(path, header, rows):
+    """One line per row, after the ``header`` line unless it is None."""
+    with open(path, "w", newline="") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
 def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -135,7 +160,16 @@ def cmd_run(args) -> int:
     )
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    biht.write_trajectory_csv(out / "trajectory.csv", trajectories)
+    # One row per (trial, iteration); the bound at t = 0 is nan.
+    _write_csv(
+        out / "trajectory.csv",
+        ("trial", "iter", "d_s", "mismatch_L", "lemma1_rhs"),
+        (
+            (trial, t, traj.error_ds[t], traj.mismatch[t], traj.lemma1_rhs[t])
+            for trial, traj in enumerate(trajectories)
+            for t in range(len(traj.iterates))
+        ),
+    )
     finals = [traj.error_ds[-1] for traj in trajectories]
     worst_slack = min(
         (
@@ -177,8 +211,21 @@ def cmd_raic(args) -> int:
     )
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report.to_csv(out / "raic_report.csv")
-    report.to_json(out / "raic_summary.json")
+    _write_csv(
+        out / "raic_report.csv",
+        ("pair_id", "d_s", "regime", "residual", "bound", "ratio"),
+        ((r.pair_id, r.d_s, r.regime, r.residual, r.bound, r.ratio) for r in report.records),
+    )
+    _write_json(
+        out / "raic_summary.json",
+        {
+            "delta": report.delta,
+            "worst_ratio": report.worst_ratio,
+            "n_pairs": report.samples,
+            "n_violations": report.n_violations,
+            "delta_hat": report.delta_hat,
+        },
+    )
     return 0
 
 
@@ -194,7 +241,11 @@ def cmd_validate(args) -> int:
     )
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    montecarlo.write_validator_csv(out / "validators.csv", rows)
+    _write_csv(
+        out / "validators.csv",
+        ("name", "estimate", "theory", "se", "z", "pass"),
+        ((r.name, r.estimate, r.theory, r.se, r.z, r.passed) for r in rows),
+    )
     _write_json(
         out / "validators.json",
         {
@@ -242,8 +293,20 @@ def cmd_theory(args) -> int:
 # generate
 
 
+# The binary layout, little-endian: b"B1CS" | u32 rows | u32 columns | the
+# float64 entries, row-major.  A signal is one row.
+
+
 def cmd_generate(args) -> int:
     settings = _resolve(args)
+    if args.format == "bin":
+        # Checked before the draw, which at such a size is 32 GiB or more.
+        for key in ("m", "n") if args.what == "matrix" else ("n",):
+            if settings[key] >= 2**32:
+                raise ValueError(
+                    f"{key}={settings[key]} is too large for --format bin, "
+                    "whose header holds it as a u32"
+                )
     base = SeedSpec(settings["seed"])
     if args.what == "matrix":
         data = core.gaussian_matrix(settings["m"], settings["n"], derive_seed(base, 0)).entries
@@ -251,9 +314,12 @@ def cmd_generate(args) -> int:
         data = core.random_sparse_unit(settings["n"], settings["k"], derive_seed(base, 1)).values
         data = data.reshape(1, -1)
     if args.format == "csv":
-        core.save_matrix_csv(args.out, data)
+        _write_csv(args.out, None, data.tolist())
     else:
-        core.save_matrix_binary(args.out, data)
+        with open(args.out, "wb") as fh:
+            fh.write(b"B1CS")
+            fh.write(np.array(data.shape, dtype="<u4").tobytes())
+            fh.write(data.astype("<f8").tobytes())
     return 0
 
 

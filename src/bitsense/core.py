@@ -39,8 +39,6 @@ UNIT_NORM_TOL = 1e-9
 # The most float64 entries one array can hold: its byte count is an intp.
 _MAX_ENTRIES = np.iinfo(np.intp).max // 8
 
-MATRIX_MAGIC = b"B1CS"
-
 
 def _check_shape(m: int, n: int) -> None:
     if m < 1 or n < 1:
@@ -374,25 +372,3 @@ def gaussian_matrix(m: int, n: int, seed: SeedSpec) -> MeasurementMatrix:
     entries.shape = (m, n)  # in place: the array keeps owning its memory
     entries.setflags(write=False)
     return MeasurementMatrix(entries)
-
-
-# ---------------------------------------------------------------------------
-# File formats: CSV (one row per line) and the little-endian binary layout
-# magic "B1CS" | u32 m | u32 n | m*n float64 (row-major).
-
-
-def save_matrix_csv(path, entries: np.ndarray) -> None:
-    a = np.atleast_2d(np.asarray(entries, dtype=np.float64))
-    with open(path, "w", newline="") as fh:
-        for row in a:
-            fh.write(",".join(repr(float(x)) for x in row))
-            fh.write("\n")
-
-
-def save_matrix_binary(path, entries: np.ndarray) -> None:
-    a = np.atleast_2d(np.asarray(entries, dtype=np.float64))
-    m, n = a.shape
-    with open(path, "wb") as fh:
-        fh.write(MATRIX_MAGIC)
-        fh.write(np.array([m, n], dtype="<u4").tobytes())
-        fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())

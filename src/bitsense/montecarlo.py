@@ -487,13 +487,3 @@ def run_validator_suite(seed: SeedSpec, break_sgn_zero: bool = False) -> list[Va
     with _one_blas_thread():
         parts = dict(zip(submitted, _map(lambda j: jobs[j](), submitted)))
     return [row for j in range(len(jobs)) for row in parts[j]]
-
-
-def write_validator_csv(path, rows: list[ValidatorRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("name,estimate,theory,se,z,pass\n")
-        for r in rows:
-            fh.write(
-                f"{r.name},{float(r.estimate)!r},{float(r.theory)!r},"
-                f"{float(r.se)!r},{float(r.z)!r},{'true' if r.passed else 'false'}\n"
-            )

@@ -44,7 +44,6 @@ definition, which the solver uses, at the caller's BLAS threading.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -217,6 +216,7 @@ def _block_residuals(A: MeasurementMatrix, X, Y, Js) -> np.ndarray:
     reference in the last bits.  The restriction to supp(x) u supp(y) u J
     is one boolean mask over the block, and the residual norms are the
     rows' own dots (`row_norms`), as `restricted_residual` takes them.
+    The products run at the caller's BLAS threading.
     """
     if X.shape[1] != A.n or Y.shape != X.shape:
         raise ValueError(f"pairs must be rows of length {A.n}")
@@ -228,19 +228,10 @@ def _block_residuals(A: MeasurementMatrix, X, Y, Js) -> np.ndarray:
         raise IndexError("coordinate set J out of range")
     keep[np.repeat(np.arange(B), sizes), cols] = True
     H = np.zeros((A.n, B))
-    # Each product is a fraction of a millisecond of work; split over 2 BLAS
-    # threads it waits at a barrier per product and keeps the second core
-    # spinning, so other work on either core stalls it.  `perfbench/run.py
-    # --workload certify`, 2 vCPU, OpenBLAS 0.3.31, ten alternating 20 s
-    # runs: one thread gave 2618 pairs/s with an interquartile range of 9% of
-    # the median, default threading 3008 pairs/s and 20%; with another
-    # process loading one core at a duty cycle that changed every 5-40 s,
-    # 2446 pairs/s and 17% against 2118 pairs/s and 45%.
-    with _one_blas_thread():
-        for start in range(0, A.m, ROW_BLOCK):
-            rows = A.entries[start : start + ROW_BLOCK]
-            D = sgn(rows @ X.T) - sgn(rows @ Y.T)
-            H += rows.T @ (0.5 * D)
+    for start in range(0, A.m, ROW_BLOCK):
+        rows = A.entries[start : start + ROW_BLOCK]
+        D = sgn(rows @ X.T) - sgn(rows @ Y.T)
+        H += rows.T @ (0.5 * D)
     H *= DEFAULT_ETA / A.m
     return row_norms((X - Y) - np.where(keep, H.T, 0.0))
 
@@ -276,29 +267,6 @@ class RaicReport:
     # The largest delta at which some pair meets its bound with equality:
     # every ratio is at most 1 at delta_hat, and some pair's is 1.
     delta_hat: float
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("pair_id,d_s,regime,residual,bound,ratio\n")
-            for r in self.records:
-                fh.write(
-                    f"{r.pair_id},{float(r.d_s)!r},{r.regime},"
-                    f"{float(r.residual)!r},{float(r.bound)!r},{float(r.ratio)!r}\n"
-                )
-
-    def summary(self) -> dict:
-        return {
-            "delta": self.delta,
-            "worst_ratio": self.worst_ratio,
-            "n_pairs": self.samples,
-            "n_violations": self.n_violations,
-            "delta_hat": self.delta_hat,
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
 
 def _ratio(residual, bound):
@@ -423,6 +391,15 @@ def raic_certify(
         X, Y, Js = _draw_pairs(A.n, k, seed, first, count, num_small, max_j, tau / 2.0)
         return _block_residuals(A, X, Y, Js), sphere_distance_rows(X, Y)
 
+    # The blocks' products run on one BLAS thread.  Each is a fraction of a
+    # millisecond of work; split over 2 BLAS threads it waits at a barrier
+    # per product and keeps the second core spinning, so other work on
+    # either core stalls it.  `perfbench/run.py --workload certify`, 2 vCPU,
+    # OpenBLAS 0.3.31, ten alternating 20 s runs: one thread gave 2618
+    # pairs/s with an interquartile range of 9% of the median, default
+    # threading 3008 pairs/s and 20%; with another process loading one core
+    # at a duty cycle that changed every 5-40 s, 2446 pairs/s and 17%
+    # against 2118 pairs/s and 45%.
     with _one_blas_thread():
         blocks = _map(certify_block, range(0, num_pairs, PAIR_BLOCK))
     residual, d_s = (np.concatenate(parts) for parts in zip(*blocks))

@@ -392,18 +392,14 @@ def _stream(keys: np.ndarray, count: int, normal: bool, steps=None, into=None) -
     return out
 
 
-def sample_standard_normal(seed: SeedSpec, count: int, offset: int = 0) -> np.ndarray:
-    """i.i.d. standard normal draws via the inverse-CDF transform: elements
-    ``offset .. offset + count - 1`` of ``seed``'s stream, the stream keyed
-    ``_stream_key(seed) + offset * G`` (mod 2^64).
+def sample_standard_normal(seed: SeedSpec, count: int) -> np.ndarray:
+    """i.i.d. standard normal draws via the inverse-CDF transform: the first
+    ``count`` elements of ``seed``'s stream.
 
     The transform is fixed (uniform -> ndtri) so the mapping from seed to
     values is stable across platforms and releases of this package.
     """
-    if offset < 0:
-        raise ValueError("offset must be >= 0")
-    key = (_stream_key(seed) + offset * _GOLDEN) & _MASK64
-    out = _stream(np.array([key], dtype=np.uint64), count, True)
+    out = _stream(np.array([_stream_key(seed)], dtype=np.uint64), count, True)
     out.shape = (count,)  # in place: the array keeps owning its memory
     return out
 

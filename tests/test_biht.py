@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bitsense.biht import BIHTConfig, run_biht, write_trajectory_csv
+from bitsense import cli
+from bitsense.biht import BIHTConfig, run_biht
 from bitsense.core import (
     LazyGaussianMatrix,
     MeasurementMatrix,
@@ -18,6 +19,7 @@ from bitsense.core import (
     sgn,
     sign_measure,
 )
+from bitsense.montecarlo import convergence_trials
 from bitsense.raic import DEFAULT_ETA, ROWS_ONLY_BELOW
 from bitsense.rng import SeedSpec, derive_seed, sample_standard_normal
 
@@ -378,14 +380,12 @@ class TestDrawnOnRead:
 
 class TestTrajectoryCsv:
     def test_layout(self, tmp_path):
-        x, A, b = small_instance(SeedSpec(50), n=40, k=2, m=400)
-        trajs = [
-            run_biht(A, b, BIHTConfig(k=2, max_iters=3, init=derive_seed(SeedSpec(51), i)), truth=x)
-            for i in range(2)
-        ]
-        path = tmp_path / "trajectory.csv"
-        write_trajectory_csv(path, trajs)
-        lines = path.read_text().splitlines()
+        # `bitsense run`'s trajectory.csv against the trials it writes.
+        code = cli.main(["run", "--n", "40", "--k", "2", "--m", "400", "--trials", "2",
+                         "--iters", "3", "--seed", "50", "--output-dir", str(tmp_path)])
+        assert code == 0
+        trajs = convergence_trials(40, 2, 400, 2, 3, SeedSpec(50))
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "trial,iter,d_s,mismatch_L,lemma1_rhs"
         assert len(lines) == 1 + 2 * 4
         first = lines[1].split(",")

@@ -310,6 +310,32 @@ class TestGenerate:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("what, key, sizes", [
+        ("matrix", "m", ["--m", str(2**32), "--n", "1"]),
+        ("matrix", "n", ["--m", "1", "--n", str(2**32)]),
+        ("signal", "n", ["--n", str(2**32), "--k", "1"]),
+    ])
+    def test_binary_refuses_a_size_its_header_cannot_hold(self, tmp_path, capsys, what, key,
+                                                          sizes):
+        # The header holds m and n as u32.  Refused before the draw of 2^32
+        # normals (32 GiB), naming the setting, with no file written.
+        out = tmp_path / "big.bin"
+        code = run_cli(["generate", "--what", what, "--format", "bin", *sizes, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert f"{key}={2**32} " in capsys.readouterr().err
+
+
+def test_write_csv_formats_each_cell(tmp_path):
+    # Floats by repr, np.float64 too; bools, np.bool_ too, as true/false;
+    # anything else by str.  LF line ends, and no header line for None.
+    out = tmp_path / "t.csv"
+    rows = [(np.float64(0.1), np.bool_(True)), (1 / 3, False), (7, "x"), (np.int64(-2), None)]
+    cli._write_csv(out, ("a", "b"), rows)
+    assert out.read_bytes() == b"a,b\n0.1,true\n0.3333333333333333,false\n7,x\n-2,None\n"
+    cli._write_csv(out, None, [[-0.0, float("nan"), float("inf")]])
+    assert out.read_bytes() == b"-0.0,nan,inf\n"
+
 
 # Arguments a subcommand needs whatever its settings.
 REQUIRED = {"generate": ["--what", "matrix", "--out", "unused.csv"]}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bitsense import cli
 from bitsense.core import (
     MeasurementMatrix,
     SignPattern,
@@ -15,8 +16,6 @@ from bitsense.core import (
     random_sparse_unit_rows,
     row_dots,
     row_norms,
-    save_matrix_binary,
-    save_matrix_csv,
     sgn,
     sign_measure,
     sphere_distance,
@@ -323,17 +322,25 @@ class TestDomainTypes:
             x.values[0] = 5.0
 
 
+def generate(path, what, fmt, *sizes):
+    """``bitsense generate`` into ``path``; its exit code."""
+    return cli.main(["generate", "--what", what, "--format", fmt, "--out", str(path), *sizes])
+
+
 class TestFileFormats:
+    """The files `bitsense generate` writes read back to the arrays it draws:
+    the matrix from the seed's child 0, the signal from its child 1."""
+
     def test_csv_roundtrip(self, tmp_path):
-        a = gaussian_matrix(7, 4, SeedSpec(31)).entries
+        a = gaussian_matrix(7, 4, derive_seed(SeedSpec(31), 0)).entries
         path = tmp_path / "mat.csv"
-        save_matrix_csv(path, a)
+        assert generate(path, "matrix", "csv", "--m", "7", "--n", "4", "--seed", "31") == 0
         assert np.array_equal(np.loadtxt(path, delimiter=","), a)
 
     def test_binary_roundtrip(self, tmp_path):
-        a = gaussian_matrix(5, 9, SeedSpec(32)).entries
+        a = gaussian_matrix(5, 9, derive_seed(SeedSpec(32), 0)).entries
         path = tmp_path / "mat.bin"
-        save_matrix_binary(path, a)
+        assert generate(path, "matrix", "bin", "--m", "5", "--n", "9", "--seed", "32") == 0
         raw = path.read_bytes()
         assert raw[:4] == b"B1CS"
         m, n = np.frombuffer(raw[4:12], dtype="<u4")
@@ -341,14 +348,14 @@ class TestFileFormats:
 
     def test_binary_header(self, tmp_path):
         path = tmp_path / "mat.bin"
-        save_matrix_binary(path, np.ones((2, 3)))
+        assert generate(path, "matrix", "bin", "--m", "2", "--n", "3") == 0
         raw = path.read_bytes()
         assert raw[:4] == b"B1CS"
         assert np.frombuffer(raw[4:12], dtype="<u4").tolist() == [2, 3]
         assert len(raw) == 12 + 2 * 3 * 8
 
     def test_vector_roundtrip_as_single_row(self, tmp_path):
-        x = random_sparse_unit(12, 3, SeedSpec(33)).values
+        x = random_sparse_unit(12, 3, derive_seed(SeedSpec(33), 1)).values
         path = tmp_path / "sig.csv"
-        save_matrix_csv(path, x.reshape(1, -1))
+        assert generate(path, "signal", "csv", "--n", "12", "--k", "3", "--seed", "33") == 0
         assert np.array_equal(np.loadtxt(path, delimiter=",", ndmin=2)[0], x)

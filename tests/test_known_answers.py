@@ -39,6 +39,7 @@ from bitsense.rng import (
     derive_seed,
     random_uniform_rows,
     sample_standard_normal,
+    sample_standard_normal_rows,
     splitmix64,
 )
 from bitsense.thresholding import normalize, threshold_set, top_k
@@ -119,6 +120,10 @@ def _uniforms(seed, count, offset):
     return random_uniform_rows(_key_at(seed, offset), count)[0]
 
 
+def _normals(seed, count, offset):
+    return sample_standard_normal_rows(_key_at(seed, offset), count)[0]
+
+
 @pytest.mark.parametrize("seed, offset", list(STREAMS))
 def test_stream_words(seed, offset):
     words, uniforms, normals = STREAMS[(seed, offset)]
@@ -128,7 +133,7 @@ def test_stream_words(seed, offset):
     assert [float(u) for u in _uniforms(seed, 3, offset)] == [
         float.fromhex(h) for h in uniforms
     ]
-    assert [float(z) for z in sample_standard_normal(seed, 3, offset)] == [
+    assert [float(z) for z in _normals(seed, 3, offset)] == [
         float.fromhex(h) for h in normals
     ]
 
@@ -162,7 +167,7 @@ def test_stream_span_digests(count, offset):
     words, uniforms, normals = SPANS[(count, offset)]
     assert _sha256(_words(SPAN_SEED, count, offset), "<u8") == words
     assert _sha256(_uniforms(SPAN_SEED, count, offset), "<f8") == uniforms
-    assert _sha256(sample_standard_normal(SPAN_SEED, count, offset), "<f8") == normals
+    assert _sha256(_normals(SPAN_SEED, count, offset), "<f8") == normals
 
 
 # bitsense run --n 50 --k 3 --m 600 --trials 2 --iters 4 --seed 11
@@ -297,6 +302,25 @@ def _output_digests(name, out_dir):
 @pytest.mark.parametrize("name", list(OUTPUT_DIGESTS))
 def test_output_digests(name, tmp_path):
     assert _output_digests(name, tmp_path) == OUTPUT_DIGESTS[name][1]
+
+
+# bitsense generate --m 9 --n 13 --k 4 --seed 3 --what W --format F: the
+# sha256 of the file written.  m != n, so a transposed matrix shows; the
+# signal is one CSV row or a 1 x 13 binary block.
+GENERATE_DIGESTS = {
+    ("matrix", "csv"): "8295567964256478e9332954d1f58419f8354c58626b6599f272f6ff885494c8",
+    ("matrix", "bin"): "6c79a93880587be71a6abcab1f040f4b3bcf26aa2ff36266e86adcc2ba98191b",
+    ("signal", "csv"): "e83dc534676729094b2527f4145352dd560b23b30e5fe6766fe5590d6e0e53cd",
+    ("signal", "bin"): "717ad8d56d5351c10a1570e617ac0018d5dfb8b7501eebc6f4b72bba9205dd94",
+}
+
+
+@pytest.mark.parametrize("what, fmt", list(GENERATE_DIGESTS))
+def test_generate_digests(what, fmt, tmp_path):
+    out = tmp_path / f"{what}.{fmt}"
+    args = ["generate", "--m", "9", "--n", "13", "--k", "4", "--seed", "3"]
+    assert cli.main([*args, "--what", what, "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATE_DIGESTS[(what, fmt)]
 
 
 @pytest.fixture(params=[1, 2], ids=lambda w: f"{w}-worker pool")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bitsense.montecarlo as mc
-from bitsense import biht, rng
+from bitsense import biht, cli, rng
 from bitsense.biht import BIHTConfig, run_biht
 from bitsense.core import MeasurementMatrix, gaussian_matrix, random_sparse_unit, sign_measure
 from bitsense.montecarlo import (
@@ -20,15 +20,18 @@ from bitsense.montecarlo import (
     projection_expectation,
     run_validator_suite,
     tail_frequency_check,
-    write_validator_csv,
 )
 from bitsense.raic import DEFAULT_ETA, h_a, orthogonal_decompose
 from bitsense.rng import (
+    _GOLDEN,
+    _MASK64,
     SeedSpec,
     _openblas_thread_calls,
+    _stream_key,
     derive_seed,
     sample_standard_normal,
     sample_standard_normal_block,
+    sample_standard_normal_rows,
 )
 
 
@@ -263,7 +266,10 @@ def test_validators_match_zero_filled_full_rows(u_at, v_at, n, monkeypatch):
 
     def zero_filled(seed, width, rows, columns):
         assert (width, columns) == (n, range(n))
-        whole = sample_standard_normal(seed, len(rows) * n, offset=rows.start * n).reshape(-1, n)
+        # Rows rows.start.. of the stream: the stream keyed key + rows.start * n * G.
+        key = (_stream_key(seed) + rows.start * n * _GOLDEN) & _MASK64
+        whole = sample_standard_normal_rows(np.array([key], dtype=np.uint64), len(rows) * n)
+        whole = whole.reshape(-1, n)
         whole[:, :c0] = 0.0
         whole[:, c1:] = 0.0
         return whole
@@ -423,9 +429,9 @@ class TestValidatorSuite:
         }
 
     def test_csv_layout(self, rows, tmp_path):
-        path = tmp_path / "validators.csv"
-        write_validator_csv(path, rows)
-        lines = path.read_text().splitlines()
+        # `bitsense validate --seed 550` writes the rows of the fixture.
+        assert cli.main(["validate", "--seed", "550", "--output-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "validators.csv").read_text().splitlines()
         assert lines[0] == "name,estimate,theory,se,z,pass"
         assert len(lines) == 1 + len(rows)
         assert all(line.endswith(",true") for line in lines[1:])
@@ -474,8 +480,8 @@ class TestValidatorSuite:
                 run_validator_suite(SeedSpec(0))
             assert get() == 2
             monkeypatch.undo()
+            assert cli.main(["validate", "--seed", "0", "--output-dir", str(tmp_path)]) == 0
             path = tmp_path / "validators.csv"
-            write_validator_csv(path, run_validator_suite(SeedSpec(0)))
         finally:
             put(before)
         # The `validate --seed 0` pin of test_known_answers.VALIDATORS_CSV.

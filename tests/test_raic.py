@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bitsense import core, raic, rng
+from bitsense import cli, core, raic, rng
 from bitsense.core import (
     MeasurementMatrix,
     gaussian_matrix,
@@ -376,17 +376,27 @@ class TestCertify:
         again = raic_certify(A, 4, 0.05, 40, 4, SeedSpec(97), num_small=8)
         assert again.records == report.records
 
-    def test_emission(self, report, tmp_path):
-        csv_path = tmp_path / "raic.csv"
-        json_path = tmp_path / "raic.json"
-        report.to_csv(csv_path)
-        report.to_json(json_path)
-        lines = csv_path.read_text().splitlines()
+    def test_emission(self, tmp_path):
+        # `bitsense raic` writes the certificate of the matrix and pairs it
+        # derives from its seed: every record and the summary's values.
+        args = ["raic", "--m", "800", "--n", "60", "--k", "4", "--delta", "0.05", "--pairs", "40",
+                "--max-j", "4", "--small-pairs", "8", "--seed", "96"]
+        assert cli.main([*args, "--output-dir", str(tmp_path)]) == 0
+        A = gaussian_matrix(800, 60, derive_seed(SeedSpec(96), 0))
+        report = raic_certify(A, 4, 0.05, 40, 4, derive_seed(SeedSpec(96), 1), num_small=8)
+        lines = (tmp_path / "raic_report.csv").read_text().splitlines()
         assert lines[0] == "pair_id,d_s,regime,residual,bound,ratio"
         assert len(lines) == 41
-        summary = json.loads(json_path.read_text())
+        for line, r in zip(lines[1:], report.records):
+            pair_id, d_s, regime, *floats = line.split(",")
+            assert (int(pair_id), float(d_s), regime) == (r.pair_id, r.d_s, r.regime)
+            assert [float(v) for v in floats] == [r.residual, r.bound, r.ratio]
+        summary = json.loads((tmp_path / "raic_summary.json").read_text())
         assert set(summary) == {"delta", "worst_ratio", "n_pairs", "n_violations", "delta_hat"}
         assert summary["n_pairs"] == 40
+        assert summary["delta_hat"] == report.delta_hat
+        assert (summary["delta"], summary["worst_ratio"], summary["n_violations"]) == (
+            report.delta, report.worst_ratio, report.n_violations)
 
     def test_parameter_validation(self):
         A = gaussian_matrix(20, 10, SeedSpec(98))
@@ -744,7 +754,6 @@ class TestDeltaHat:
         for delta in (1e-4, 1e-3, 0.01, 0.05, 0.2, 0.5):
             rep = raic_certify(A, 4, delta, 20, 4, SeedSpec(97), num_small=4)
             assert (rep.delta_hat <= rep.delta) == (rep.n_violations == 0)
-            assert rep.summary()["delta_hat"] == rep.delta_hat
             outcomes.add(rep.n_violations == 0)
         assert outcomes == {True, False}
 

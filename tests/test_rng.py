@@ -106,6 +106,13 @@ def normals_of(rows, block):
     return ndtri(block) if rows is random_uniform_rows else block
 
 
+def normals_at(seed, count, offset):
+    """Normals ``offset .. offset + count - 1`` of ``seed``'s stream: the
+    first ``count`` of the stream keyed ``_stream_key(seed) + offset * G``."""
+    key = (_stream_key(seed) + offset * _GOLDEN) & _MASK64
+    return sample_standard_normal_rows(u64([key]), count)[0]
+
+
 class TestArraySeedDerivation:
     """The uint64-array forms against the int functions, bit for bit."""
 
@@ -170,7 +177,7 @@ class TestColumnBlocks:
 
     @staticmethod
     def one_shot(seed, n, rows, columns, first_row):
-        whole = sample_standard_normal(seed, rows * n, offset=first_row * n)
+        whole = normals_at(seed, rows * n, first_row * n)
         return whole.reshape(rows, n)[:, columns[0] : columns[1]]
 
     @settings(max_examples=80, deadline=None)
@@ -207,7 +214,7 @@ class TestColumnBlocks:
         assert got.tobytes() == self.one_shot(seed, n, rows, columns, first_row).tobytes()
         height = _CHUNK // max(1, columns[1] - columns[0])
         for i in (0, height - 1, height, rows - 1):
-            row = sample_standard_normal(seed, n, offset=(first_row + i) * n)
+            row = normals_at(seed, n, (first_row + i) * n)
             assert got[i].tobytes() == row[columns[0] : columns[1]].tobytes()
 
     @pytest.mark.parametrize("rows", [random_uniform_rows, sample_standard_normal_rows])
@@ -315,8 +322,8 @@ class TestStandardNormal:
         parts = np.concatenate(
             [
                 sample_standard_normal(s, 1500),
-                sample_standard_normal(s, 2500, offset=1500),
-                sample_standard_normal(s, 1000, offset=4000),
+                normals_at(s, 2500, 1500),
+                normals_at(s, 1000, 4000),
             ]
         )
         assert np.array_equal(whole, parts)
@@ -333,9 +340,9 @@ class TestStandardNormal:
         parts = []
         at = offset
         for size in sizes:
-            parts.append(sample_standard_normal(s, size, offset=at))
+            parts.append(normals_at(s, size, at))
             at += size
-        whole = sample_standard_normal(s, at - offset, offset=offset)
+        whole = normals_at(s, at - offset, offset)
         assert np.array_equal(np.concatenate([np.empty(0)] + parts), whole)
 
     def test_long_request_matches_short_requests(self):
@@ -343,9 +350,9 @@ class TestStandardNormal:
         # at most one chunk each, at consecutive offsets.
         s = SeedSpec(31337, 9)
         offset, count, piece = 12_345, 5 * 65_536 + 1_001, 65_536
-        whole = sample_standard_normal(s, count, offset=offset)
+        whole = normals_at(s, count, offset)
         parts = [
-            sample_standard_normal(s, min(piece, count - at), offset=offset + at)
+            normals_at(s, min(piece, count - at), offset + at)
             for at in range(0, count, piece)
         ]
         assert np.array_equal(whole, np.concatenate(parts))
@@ -368,13 +375,13 @@ class TestStandardNormal:
         # More calling threads than cores, each sending long requests to the
         # shared sampler pool, with frequent thread switches.
         seeds = [SeedSpec(4242, i) for i in range(8)]
-        expected = [sample_standard_normal(s, 200_003, offset=7) for s in seeds]
+        expected = [normals_at(s, 200_003, 7) for s in seeds]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=6) as callers:
                 got = list(
-                    callers.map(lambda s: sample_standard_normal(s, 200_003, offset=7), seeds)
+                    callers.map(lambda s: normals_at(s, 200_003, 7), seeds)
                 )
         finally:
             sys.setswitchinterval(interval)
