@@ -23,15 +23,16 @@ keeps that column block and reads it again only when the support changes.
 The correction is non-zero only on the l rows where b and sgn(Ax) differ,
 which the mismatch count finds once per iterate; `correction` sums over
 those rows alone while l < m/5 (`raic.ROWS_ONLY_BELOW`, the measured
-break-even against the dense m x n product) and takes the dense product
-above it.  l is about m theta / pi for the angle theta between x and the
-signal, so late steps are cheap and the first, with l near m/2, take the
-dense product.
+break-even against the dense product) and takes the dense product, summed
+over fixed 4 MB row blocks, above it.  l is about m theta / pi for the
+angle theta between x and the signal, so late steps are cheap and the
+first, with l near m/2, take the dense product.
 
 Those are the solver's only reads of A: the columns on a support
-(``A.columns``) and the mismatched rows (``A.rows``).  So it runs the same
-on a `core.MeasurementMatrix`, which answers them by indexing, and on a
-`core.LazyGaussianMatrix`, which draws only what they ask for; the
+(``A.columns``), the mismatched rows (``A.rows``) and, for a dense step,
+the row blocks (``A.row_blocks``).  So it runs the same on a
+`core.MeasurementMatrix`, which answers them by indexing and views, and on
+a `core.LazyGaussianMatrix`, which draws only what they ask for; the
 convergence trials use the latter, and their records are bit for bit
 those of the whole matrix.
 
@@ -44,9 +45,12 @@ T=30, seed 1) 5385 of 9000 steps were such fixed points.  A moving step
 there costs about 90 us (2 vCPU, numpy 2.4): the descent (top-k, the sphere
 projection and the iterate's checks) about 32 us, the product with the kept
 block and its signs about 35 us, the rows-only correction about 14 us and
-the mismatch rows about 7 us.  The first step's dense correction (0.5-0.7
-ms) and a gather of five columns (0.15-0.25 ms) are the largest single
-costs.
+the mismatch rows about 7 us.  The first step's dense correction and a
+gather of five columns (0.15-0.25 ms) are the largest single costs.  At
+default threading the dense correction took 0.67-0.91 ms over its four
+row blocks, against 0.60-0.73 ms for one product of the whole matrix;
+the blocks are what lets a trial's matrix, drawn on read, hold one block
+of scratch in place of m x n zeros.
 """
 
 from __future__ import annotations

@@ -6,12 +6,13 @@ Conventions fixed here and relied on everywhere else:
 * Sphere distance is the Euclidean distance between radial projections,
   extended to zero vectors (0 if both zero, 1 if exactly one is zero).
 * Sparse vectors are stored dense; sparsity is an invariant, not a layout.
-* The solver reads a measurement matrix through two calls only: `columns`,
-  the m x k block on a support, and `rows`, an m x n array that holds the
-  rows where the signs disagree.  `MeasurementMatrix` answers them by
-  indexing; `LazyGaussianMatrix`, the matrix of a convergence trial, draws
-  what they ask for from the sampler, bit for bit the entries of
-  `gaussian_matrix`.
+* The solver reads a measurement matrix through three calls only:
+  `columns`, the m x k block on a support; `rows`, the l x n block of the
+  rows where the signs disagree; and `row_blocks`, the matrix in the fixed
+  row blocks of `dense_row_blocks`, for a correction with most rows
+  mismatched.  `MeasurementMatrix` answers them by indexing and views;
+  `LazyGaussianMatrix`, the matrix of a convergence trial, draws what they
+  ask for from the sampler, bit for bit the entries of `gaussian_matrix`.
 """
 
 from __future__ import annotations
@@ -38,6 +39,30 @@ UNIT_NORM_TOL = 1e-9
 
 # The most float64 entries one array can hold: its byte count is an intp.
 _MAX_ENTRIES = np.iinfo(np.intp).max // 8
+
+
+# Entries per row block of the dense correction: 4 MB of float64.  Summed
+# block by block, A.T @ r needs one block of scratch where the matrix is
+# drawn on read, not a zero-filled m x n array, and a `MeasurementMatrix`
+# hands its blocks over as views.
+DENSE_BLOCK_ENTRIES = 1 << 19
+
+
+def dense_row_blocks(m: int, n: int) -> range:
+    """The first rows of the fixed row blocks over which the dense
+    correction sums: ``max(1, DENSE_BLOCK_ENTRIES // n)`` rows a block, the
+    last one shorter when that does not divide m.  They depend on the shape
+    alone, so every matrix of that shape sums in the same order; a matrix
+    of at most DENSE_BLOCK_ENTRIES entries is one block."""
+    return range(0, m, max(1, DENSE_BLOCK_ENTRIES // n))
+
+
+def dense_scratch(m: int, n: int) -> np.ndarray:
+    """A zero-filled block of scratch for the dense reads of an m x n
+    `LazyGaussianMatrix`: as many rows as a block of `dense_row_blocks`,
+    or m if fewer, by n."""
+    _check_shape(m, n)
+    return np.zeros((min(dense_row_blocks(m, n).step, m), n))
 
 
 def _check_shape(m: int, n: int) -> None:
@@ -123,39 +148,53 @@ class MeasurementMatrix:
         return a if cols.size == a.shape[1] else a[:, cols]
 
     def rows(self, rows: np.ndarray) -> np.ndarray:
-        """An m x n array that holds A's entries on the rows ``rows``: here
-        A itself, which holds them all."""
-        return self.entries
+        """The len(rows) x n block A[rows], gathered."""
+        return self.entries[rows]
+
+    def row_blocks(self, rows: np.ndarray):
+        """(first row, block) for each row block of `dense_row_blocks`, in
+        order, each block a view of A's rows; ``rows`` is not needed."""
+        a = self.entries
+        starts = dense_row_blocks(*a.shape)
+        for start in starts:
+            yield start, a[start : start + starts.step]
 
 
 class LazyGaussianMatrix:
     """``gaussian_matrix(m, n, seed)``, drawn where it is read.
 
-    It answers the solver's two reads by drawing from the sampler
+    It answers the solver's three reads by drawing from the sampler
     (`rng.sample_standard_normal_block`), which addresses entry (i, j) as
     element i * n + j of the seed's stream:
 
-    * `columns`: the m x k block on a support, drawn as that block; the
-      m x n layout is never touched for it.
-    * `rows`: the rows where the signs disagree, drawn into a zero-filled
-      m x n array that keeps them for later reads.  The correction's
-      residual r is 0 on every row it does not ask for, and a row never
-      drawn holds zeros, so ``A.T @ r`` over the whole array keeps its bits.
+    * `columns`: the m x k block on a support, drawn as that block.
+    * `rows`: the rows where the signs disagree, drawn as one l x n block.
+    * `row_blocks`: for the dense correction, each fixed row block with the
+      asked-for rows in it drawn into one zero-filled block of scratch and
+      the others left zero.  The correction's residual r is 0 on every row
+      it does not ask for, so ``A_b.T @ r_b`` keeps the bits it has over
+      the whole matrix's block.  The drawn rows are zeroed again once the
+      product is taken, so the scratch serves every block.
+
+    The caller hands over the scratch, a `dense_scratch` (4 MB at n=200):
+    each dense read leaves it zero-filled again, so one scratch can serve
+    matrix after matrix.  Nothing else is kept between reads, so a matrix
+    never holds an m x n array, and two trials can run side by side in
+    less memory than one took with such an array.
 
     A solver run reads only part of the matrix: at n=200, k=5, m=10000 and
-    T=12, a trial drew about half of the rows (the first step's mismatched
-    rows, about m/2, and a few more later) and about ten distinct columns,
-    some of them more than once.  Every
-    entry it hands out is ``gaussian_matrix(m, n, seed).entries`` at that
-    place, bit for bit.  ``drawn`` counts the normals drawn so far.
+    T=12, a trial draws about half of the rows (the first step's mismatched
+    rows, about m/2, and about 110 more, some of them again, later) and
+    about ten distinct columns, some of them more than once.  Every entry
+    it hands out is ``gaussian_matrix(m, n, seed).entries`` at that place,
+    bit for bit.  ``drawn`` counts the normals drawn so far.
     """
 
-    def __init__(self, m: int, n: int, seed: SeedSpec):
+    def __init__(self, m: int, n: int, seed: SeedSpec, scratch: np.ndarray):
         _check_shape(m, n)
         self.m, self.n, self.seed = m, n, seed
         self.drawn = 0
-        self._entries = np.zeros((m, n))
-        self._has_row = np.zeros(m, dtype=bool)
+        self.scratch = scratch
 
     def columns(self, cols: np.ndarray) -> np.ndarray:
         """The m x |cols| block A[:, cols], drawn as that block."""
@@ -163,14 +202,26 @@ class LazyGaussianMatrix:
         return sample_standard_normal_block(self.seed, self.n, range(self.m), cols)
 
     def rows(self, rows: np.ndarray) -> np.ndarray:
-        """The m x n array of the rows drawn so far, with ``rows`` among
-        them, and zeros on the rows never drawn."""
-        new = rows[~self._has_row[rows]]
-        if new.size:
-            sample_standard_normal_block(self.seed, self.n, new, range(self.n), into=self._entries)
-            self._has_row[new] = True
-            self.drawn += new.size * self.n
-        return self._entries
+        """The len(rows) x n block A[rows], drawn as that block."""
+        self.drawn += rows.size * self.n
+        return sample_standard_normal_block(self.seed, self.n, rows, range(self.n))
+
+    def row_blocks(self, rows: np.ndarray):
+        """(first row, block) for each row block of `dense_row_blocks`, in
+        order: A's entries on the ascending rows ``rows`` that fall in the
+        block, and zeros on its other rows."""
+        starts = dense_row_blocks(self.m, self.n)
+        bounds = np.searchsorted(rows, [*starts, self.m])
+        for start, lo, hi in zip(starts, bounds, bounds[1:]):
+            block = self.scratch[: min(starts.step, self.m - start)]
+            at = rows[lo:hi] - start
+            sample_standard_normal_block(self.seed, self.n, rows[lo:hi], range(self.n),
+                                         into=block, at=at)
+            self.drawn += at.size * self.n
+            try:
+                yield start, block
+            finally:
+                block[at] = 0.0
 
 
 @dataclass(frozen=True)

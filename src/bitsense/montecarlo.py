@@ -17,13 +17,13 @@ columns on its supports and the rows where the signs disagree, and only
 those are drawn, each entry the one ``gaussian_matrix`` would hold, so the
 records keep their bits.  At the acceptance config (n=200, k=5, m=10000,
 T=12) a trial draws about 60% of the m n normals, most of them for the
-first step's rows.  The
-trials and the validator suite run their BLAS products on one thread (see
-`rng._one_blas_thread`); the validators called one by one keep the caller's
-threading.  The sampler's thread pool has three users: the tiles of a long
-draw, the certifier's pair blocks, and the suite's six validator calls,
-which run side by side on it, each drawing serially on its worker.  The
-trials run one after another.  The correction map of a stack of sampled
+first step's rows, and holds at most one 4 MB row block of them at once.
+The trials and the validator suite run their BLAS products on one thread
+(see `rng._one_blas_thread`); the validators called one by one keep the
+caller's threading.  The sampler's thread pool has four users: the tiles
+of a long draw, the certifier's pair blocks, the suite's six validator
+calls and the trials; the last two run side by side on it, each drawing
+serially on its worker.  The correction map of a stack of sampled
 matrices is formed in one place (`_corrections`) and split along e- and e+
 by `raic.orthogonal_decompose`.
 
@@ -49,6 +49,7 @@ deterministic given its SeedSpec.
 from __future__ import annotations
 
 import math
+import queue
 from dataclasses import dataclass
 from functools import partial
 
@@ -58,13 +59,21 @@ from .biht import BIHTConfig, Trajectory, run_biht
 from .core import (
     LazyGaussianMatrix,
     _pair_directions,
+    dense_scratch,
     random_sparse_unit,
     sgn,
     sign_measure,
     sphere_distance,
 )
 from .raic import DEFAULT_ETA, orthogonal_decompose
-from .rng import SeedSpec, _map, _one_blas_thread, derive_seed, sample_standard_normal_block
+from .rng import (
+    SeedSpec,
+    _map,
+    _one_blas_thread,
+    _worker_count,
+    derive_seed,
+    sample_standard_normal_block,
+)
 
 # Keeps any single sampled block near 8 MB of float64.  On the default
 # battery (2 vCPU) 1M elements ran as fast as 2M and 4M, at a peak RSS of
@@ -341,9 +350,9 @@ class ErrorBoundViolation(RuntimeError):
     """An iterate's error exceeded its deterministic bound beyond rounding slack."""
 
 
-def _convergence_trial(n, k, m, T, eta, trial_seed) -> Trajectory:
+def _convergence_trial(n, k, m, T, eta, trial_seed, scratch) -> Trajectory:
     x = random_sparse_unit(n, k, derive_seed(trial_seed, 0))
-    A = LazyGaussianMatrix(m, n, derive_seed(trial_seed, 1))
+    A = LazyGaussianMatrix(m, n, derive_seed(trial_seed, 1), scratch)
     b = sign_measure(A, x.values)
     config = BIHTConfig(k=k, max_iters=T, eta=eta, init=derive_seed(trial_seed, 2))
     traj = run_biht(A, b, config, truth=x)
@@ -372,16 +381,36 @@ def convergence_trials(
     Each trial draws its own signal, matrix, and initial point from derived
     seeds, so trials are independent and the whole experiment is
     reproducible.  The deterministic per-iteration bound is checked on every
-    iterate; a violation raises ErrorBoundViolation with diagnostics.  The
-    products run on one BLAS thread and the caller's count is restored
-    afterwards, so the results do not depend on it.
+    iterate; a violation raises ErrorBoundViolation with diagnostics, from
+    the first trial in order that has one.  The trials run side by side on
+    the sampler's thread pool (`rng._map`), each drawing serially on its
+    worker, and come back in trial order; a lone trial runs in the calling
+    thread and spreads its draws over the pool.  The products run on one
+    BLAS thread and the caller's count is restored afterwards, so the
+    results do not depend on it or on the pool's size.
     """
     if trials < 1 or T < 1:
         raise ValueError(f"trials and T (iters) must be >= 1, got trials={trials}, T={T}")
+
+    # The trials draw their dense steps in blocks of scratch made here, one
+    # per worker and handed from trial to trial.  Made on the pool's
+    # threads, such blocks stay in those threads' malloc arenas: at the
+    # acceptance config, 10-12 `run`s after five one-trial ones (as the
+    # `converge` benchmark makes them, 2 vCPU) peaked at 75.9-80.1 MB with
+    # a block made in each trial and at 70.3-70.9 MB with these.
+    free = queue.SimpleQueue()
+    for _ in range(min(trials, _worker_count())):
+        free.put(dense_scratch(m, n))
+
+    def trial(i):
+        scratch = free.get()
+        try:
+            return _convergence_trial(n, k, m, T, eta, derive_seed(seed, i), scratch)
+        finally:
+            free.put(scratch)
+
     with _one_blas_thread():
-        return [
-            _convergence_trial(n, k, m, T, eta, derive_seed(seed, i)) for i in range(trials)
-        ]
+        return _map(trial, range(trials))
 
 
 # ---------------------------------------------------------------------------

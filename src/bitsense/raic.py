@@ -80,19 +80,23 @@ from .thresholding import _index_array, smallest_k, threshold_set
 DEFAULT_ETA = math.sqrt(2.0 * math.pi)
 
 # `correction` sums over the mismatched rows only while they are fewer than
-# this share of m, and takes the dense product otherwise.  Measured on 2
-# vCPU with OpenBLAS 0.3.31, n=200, medians of 15, under both threadings
-# the solver runs at.  Default threading (a bare `run_biht`, the `solve`
-# benchmark): the dense A.T @ r took 0.48-0.55 ms at m=10000, and the
-# rows-only product 0.53 ms at l = m/5 and 0.74-0.79 ms at m/4; at m=5000,
-# 0.21-0.26 ms against 0.23-0.28 ms at m/5.  One BLAS thread (`run`): dense
-# 0.74 ms at m=10000, rows-only 0.54 ms at m/5 and 0.67 ms at m/4; at
-# m=5000, 0.35-0.38 ms against 0.23-0.25 ms at m/5 and 0.30-0.33 ms at
-# m/4.  So the break-even is near m/5 at default threading and near 0.27m
-# on one thread.  The constant stays at m/5: a higher one would slow the
-# default-threading steps in between, and no step of the `solve` benchmark
-# (seed 1, 150 solves) or of the acceptance run (seed 0) has l in
-# [m/5, 0.27m).
+# this share of m, and takes the dense product, over the row blocks of
+# `core.dense_row_blocks`, otherwise.  Measured on 2 vCPU with OpenBLAS
+# 0.3.31, n=200, medians of 41 in two sets, under both threadings the
+# solver runs at.  Default threading (a bare `run_biht`, the `solve`
+# benchmark): the blocked dense product took 0.67-0.91 ms at m=10000 (the
+# single A.T @ r 0.60-0.73 ms), and the rows-only product 0.62-0.70 ms at
+# l = m/5 and 0.90-1.08 ms at m/4; at m=5000, blocked 0.31-0.35 ms against
+# rows-only 0.29-0.32 ms at m/5 and 0.37 ms at m/4.  One BLAS thread
+# (`run`): blocked 0.82-1.39 ms at m=10000, rows-only 0.70-0.82 ms at m/5,
+# 0.80-1.06 ms at m/4 and 1.18-1.47 ms at 0.3m; at m=5000, blocked
+# 0.37-0.43 ms against rows-only 0.27-0.32 ms at m/5, 0.33 ms at m/4 and
+# 0.39-0.40 ms at 0.3m.  So the break-even is between m/5 and m/4 at
+# default threading and near 0.3m on one thread.  The constant stays at
+# m/5: a higher one would slow the default-threading steps in between, and
+# l in [m/5, 0.3m) is rare: one of the 4650 mismatch counts the `solve`
+# benchmark records (seed 1, 150 solves) and none of the acceptance run's
+# (seed 0).
 ROWS_ONLY_BELOW = 0.2
 
 # `raic_certify` draws and certifies pairs in blocks of PAIR_BLOCK, and the
@@ -126,13 +130,17 @@ def correction(
 
     With b = sgn(Ax), s = sgn(Ay) it is h_A(x, y); with b the observed signs
     it is what a solver step adds to its iterate y.  Only the l rows where
-    b and s differ contribute, and only those are read (``A.rows``): while
-    l < ROWS_ONLY_BELOW * m the product runs over those rows alone, in
-    O(l n), and over all m rows otherwise, where the rows it did not ask
-    for meet zeros in r.  When b == s rowwise it is the zero vector,
-    returned without a product.  ``rows`` is ``np.flatnonzero(b != s)``,
-    passed by a caller that found the mismatched rows already (the solver
-    counts them at every step).
+    b and s differ contribute, and only those are read.  While
+    l < ROWS_ONLY_BELOW * m the product runs over those rows alone
+    (``A.rows``), in O(l n).  Otherwise it is the dense product, summed as
+    ``A_b.T @ r_b`` over the fixed row blocks of `core.dense_row_blocks`
+    (``A.row_blocks``), added in block order, where the rows it did not ask
+    for meet zeros in r.  The blocks depend on the shape alone, so a matrix
+    drawn on read gives the bits of the whole one, and a matrix of at most
+    `core.DENSE_BLOCK_ENTRIES` entries the bits of the single ``A.T @ r``.
+    When b == s rowwise it is the zero vector, returned without a product.
+    ``rows`` is ``np.flatnonzero(b != s)``, passed by a caller that found
+    the mismatched rows already (the solver counts them at every step).
     """
     bv = np.asarray(b)
     sv = np.asarray(s)
@@ -142,11 +150,15 @@ def correction(
         rows = np.flatnonzero(bv != sv)
     if rows.size == 0:
         return np.zeros(A.n)
-    a = A.rows(rows)
-    if rows.size >= ROWS_ONLY_BELOW * A.m:
-        rows = slice(None)  # all rows, as views: no gather
-    r = 0.5 * (bv[rows].astype(np.float64) - sv[rows])
-    return (eta / A.m) * (a[rows].T @ r)
+    if rows.size < ROWS_ONLY_BELOW * A.m:
+        r = 0.5 * (bv[rows].astype(np.float64) - sv[rows])
+        return (eta / A.m) * (A.rows(rows).T @ r)
+    r = 0.5 * (bv.astype(np.float64) - sv)
+    parts = (block.T @ r[start : start + len(block)] for start, block in A.row_blocks(rows))
+    total = next(parts)
+    for part in parts:
+        total += part
+    return (eta / A.m) * total
 
 
 def h_a(A: MeasurementMatrix, x, y) -> np.ndarray:

@@ -46,11 +46,12 @@ tests pin it.
 The pool is the one parallel layer of ``run``, ``validate`` and ``raic``,
 whose BLAS products run on one thread under `_one_blas_thread` (the reason
 is measured there).  Work goes to it through one helper, `_map`, from
-three users: the sampler's tiles, the certifier's pair blocks
-(`raic.raic_certify`) and the validators of the battery
-(`montecarlo.run_validator_suite`).  A request made on a pool thread, such
-as a pair block's or a validator's draws, runs its tiles serially in that
-thread, so that no pool task ever waits on the pool.
+four users: the sampler's tiles, the certifier's pair blocks
+(`raic.raic_certify`), the validators of the battery
+(`montecarlo.run_validator_suite`) and the convergence trials
+(`montecarlo.convergence_trials`).  A request made on a pool thread, such
+as a pair block's, a validator's or a trial's draws, runs its tiles
+serially in that thread, so that no pool task ever waits on the pool.
 
 Nothing here is cryptographic.
 """
@@ -311,12 +312,12 @@ def _one_blas_thread():
     34 ms after the two-thread product and a 0.3 s sleep, and 45 ms with
     the count set to 1 only around the draw.  So the count is set around
     the products of a whole pipeline, not around its draws.  The products
-    themselves are small (an m x n matrix-vector product per solver step,
-    512-row blocks in the certifier), and one thread also keeps their last
-    bits independent of the core count: two-thread products round some
-    results differently.  A bare `biht.run_biht` runs outside it: with no
-    draws around it, its dense first-step products gain from a second
-    thread.
+    themselves are small (matrix-vector products over 4 MB row blocks in
+    a solver step, 512-row blocks in the certifier), and one thread also
+    keeps their last bits independent of the core count: two-thread
+    products round some results differently.  A bare `biht.run_biht` runs
+    outside it: with no draws around it, its dense first-step products
+    gain from a second thread.
     """
     global _blas_users, _blas_saved
     calls = _openblas_thread_calls()
@@ -384,7 +385,12 @@ def _stream(keys: np.ndarray, count: int, normal: bool, steps=None, into=None) -
         # The tiles are drawn in scratch blocks made here, one per worker and
         # handed from task to task.  Blocks made on the pool's threads stay
         # in those threads' malloc arenas after the call: 2-3 MB more peak
-        # RSS over a `run` at the acceptance config.
+        # RSS over a `run` at the acceptance config, when its trials ran
+        # one after another.  A request made by a pool task (a trial, a
+        # pair block, a validator) makes its blocks on that task's thread;
+        # the 4 MB blocks each trial draws its dense step in are made by
+        # `montecarlo.convergence_trials` in its calling thread for that
+        # reason.
         free = queue.SimpleQueue()
         for _ in range(min(len(pieces), _worker_count())):
             free.put(np.empty((height, width)))
@@ -416,7 +422,8 @@ def sample_standard_normal_rows(keys: np.ndarray, count: int) -> np.ndarray:
     return _stream(keys, count, True)
 
 
-def sample_standard_normal_block(seed: SeedSpec, n: int, rows, columns, into=None) -> np.ndarray:
+def sample_standard_normal_block(seed: SeedSpec, n: int, rows, columns, into=None,
+                                 at=None) -> np.ndarray:
     """Rows ``rows`` by columns ``columns`` of ``seed``'s normals laid out
     row-major in rows of ``n``, drawn without the other entries: bit for bit
     ``sample_standard_normal(seed, (max(rows) + 1) * n).reshape(-1, n)[np.ix_(rows, columns)]``.
@@ -431,9 +438,9 @@ def sample_standard_normal_block(seed: SeedSpec, n: int, rows, columns, into=Non
 
     The block is a fresh array.  With ``into``, an array of
     ``len(columns)`` columns, row r of the block is written to
-    ``into[rows[r]]`` instead, one tile of at most 64Ki elements at a time,
-    so that no temporary of the whole block is made, and ``into`` is
-    returned.
+    ``into[at[r]]`` instead (``at`` defaults to ``rows``), one tile of at
+    most 64Ki elements at a time, so that no temporary of the whole block
+    is made, and ``into`` is returned.
     """
     if isinstance(columns, range):
         if columns.step != 1 or not 0 <= columns.start <= columns.stop <= n:
@@ -458,4 +465,6 @@ def sample_standard_normal_block(seed: SeedSpec, n: int, rows, columns, into=Non
         if rows.ndim != 1 or rows.size and rows.min() < 0:
             raise ValueError("need an array of rows >= 0")
         keys = rows.astype(np.uint64) * np.uint64(step) + np.uint64(key & _MASK64)
-    return _stream(keys, width, True, steps, None if into is None else (into, rows))
+    if into is not None:
+        into = (into, rows if at is None else np.asarray(at, dtype=np.intp))
+    return _stream(keys, width, True, steps, into)

@@ -14,6 +14,8 @@ from bitsense.core import (
     MeasurementMatrix,
     SignPattern,
     SparseUnitVector,
+    dense_row_blocks,
+    dense_scratch,
     gaussian_matrix,
     random_sparse_unit,
     sgn,
@@ -284,13 +286,18 @@ class TestMetamorphic:
 
 
 class RecordingMatrix(LazyGaussianMatrix):
-    """A LazyGaussianMatrix that keeps a copy of every column block it hands
-    out, and the size of every row read."""
+    """A LazyGaussianMatrix that keeps a copy of every block it hands out:
+    the column blocks, the rows-only blocks and the dense step's row blocks,
+    each with the columns or rows it was asked for.  ``reads`` lists the
+    row reads in order, ``"rows"`` or ``"blocks"`` with the rows asked
+    for."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.column_reads = []
         self.row_reads = []
+        self.block_reads = []
+        self.reads = []
 
     def columns(self, cols):
         block = super().columns(cols)
@@ -298,8 +305,18 @@ class RecordingMatrix(LazyGaussianMatrix):
         return block
 
     def rows(self, rows):
-        self.row_reads.append(rows.size)
-        return super().rows(rows)
+        self.reads.append(("rows", rows.copy()))
+        block = super().rows(rows)
+        self.row_reads.append((rows.copy(), block.copy()))
+        return block
+
+    def row_blocks(self, rows):
+        self.reads.append(("blocks", rows.copy()))
+        blocks = []
+        for start, block in super().row_blocks(rows):
+            blocks.append((start, block.copy()))
+            yield start, block
+        self.block_reads.append((rows.copy(), blocks))
 
 
 def assert_same_record(got, want):
@@ -313,22 +330,36 @@ def assert_same_record(got, want):
 
 
 def assert_drawn_from(lazy, A):
-    """Every entry ``lazy`` drew is A's at that place, bit for bit; the rows
-    it never drew are zero, and ``drawn`` counts what it drew."""
+    """Every block ``lazy`` handed out holds A's entries where it was asked
+    for them, bit for bit: the columns, the rows, and in each dense row
+    block the rows asked for, with zeros on the block's other rows.  The
+    dense blocks are those of `dense_row_blocks`, in order.  ``drawn``
+    counts the entries asked for."""
     for cols, block in lazy.column_reads:
         assert block.tobytes() == A.entries[:, cols].tobytes()
-    has = lazy._has_row
-    assert lazy._entries[has].tobytes() == A.entries[has].tobytes()
-    assert not lazy._entries[~has].any()
+    for rows, block in lazy.row_reads:
+        assert block.tobytes() == A.entries[rows].tobytes()
+    for rows, blocks in lazy.block_reads:
+        assert [start for start, _ in blocks] == list(dense_row_blocks(A.m, A.n))
+        for start, block in blocks:
+            whole = A.entries[start : start + len(block)]
+            asked = np.isin(np.arange(start, start + len(block)), rows)
+            assert block.shape == whole.shape
+            assert block[asked].tobytes() == whole[asked].tobytes()
+            assert not block[~asked].any()
     widths = sum(cols.size for cols, _ in lazy.column_reads)
-    assert lazy.drawn == A.m * widths + A.n * int(has.sum())
+    heights = sum(rows.size for _, rows in lazy.reads)
+    assert lazy.drawn == A.m * widths + A.n * heights
 
 
-def lazy_and_whole(n, k, m, seed, measured=True):
-    """(lazy, A, truth, b): one matrix drawn on read and as a whole, the
-    truth, and signs measured by the lazy matrix or random."""
+def lazy_and_whole(n, k, m, seed, measured=True, scratch=None):
+    """(lazy, A, truth, b): one matrix drawn on read (in ``scratch``, when
+    given) and as a whole, the truth, and signs measured by the lazy matrix
+    or random."""
     truth = random_sparse_unit(n, k, derive_seed(seed, 0))
-    lazy = RecordingMatrix(m, n, derive_seed(seed, 1))
+    if scratch is None:
+        scratch = dense_scratch(m, n)
+    lazy = RecordingMatrix(m, n, derive_seed(seed, 1), scratch)
     A = gaussian_matrix(m, n, derive_seed(seed, 1))
     if measured:
         b = sign_measure(lazy, truth.values)
@@ -348,6 +379,14 @@ class TestDrawnOnRead:
         (4, 4, 300, 10, 701, True),  # k = n: every support takes every column
         (8, 8, 200, 10, 702, False),
         (200, 5, 3000, 12, 701, True),  # the first step's rows span several tiles
+        # The dense step crosses row blocks of 2621 rows (n=200): four, the
+        # last of 137 rows; two whole ones; and three of 3495 rows (n=150),
+        # the last of 10.  At n=7 the second block starts at an address
+        # that is not a multiple of 64 bytes.
+        (200, 5, 8000, 12, 700, False),
+        (200, 5, 5242, 12, 701, True),
+        (150, 4, 7000, 12, 700, True),
+        (7, 3, 80000, 8, 701, True),
     ])
     def test_run_keeps_the_record_of_the_whole_matrix(self, n, k, m, T, seed, stops):
         lazy, A, truth, b = lazy_and_whole(n, k, m, SeedSpec(seed))
@@ -356,7 +395,8 @@ class TestDrawnOnRead:
         assert_same_record(traj, run_biht(A, b, config, truth=truth))
         assert_drawn_from(lazy, A)
         # Each case takes the steps it is listed for.
-        dense = [size >= ROWS_ONLY_BELOW * m for size in lazy.row_reads]
+        dense = [kind == "blocks" for kind, _ in lazy.reads]
+        assert dense == [rows.size >= ROWS_ONLY_BELOW * m for _, rows in lazy.reads]
         assert dense[0] and len(dense) > 1 and not any(dense[1:])
         assert (traj.iterates[-1] is traj.iterates[-2]) == stops
         if k == n:
@@ -376,6 +416,28 @@ class TestDrawnOnRead:
         assert_same_record(run_biht(lazy, b, config, truth=truth),
                            run_biht(A, b, config, truth=truth))
         assert_drawn_from(lazy, A)
+
+    def test_one_scratch_serves_matrix_after_matrix(self):
+        # As the trials hand theirs on: each run keeps the record of its
+        # whole matrix, and leaves the scratch zero for the next.
+        n, k, m, T = 200, 5, 6000, 8
+        scratch = dense_scratch(m, n)
+        for seed in (SeedSpec(705), SeedSpec(706)):
+            lazy, A, truth, b = lazy_and_whole(n, k, m, seed, scratch=scratch)
+            config = BIHTConfig(k=k, max_iters=T, init=derive_seed(seed, 3))
+            assert_same_record(run_biht(lazy, b, config, truth=truth),
+                               run_biht(A, b, config, truth=truth))
+            assert_drawn_from(lazy, A)
+            assert lazy.block_reads and not scratch.any()
+
+    def test_a_dense_read_left_early_leaves_the_scratch_zero(self):
+        scratch = dense_scratch(8000, 200)
+        lazy = LazyGaussianMatrix(8000, 200, SeedSpec(707), scratch)
+        blocks = lazy.row_blocks(np.arange(0, 8000, 2))
+        start, block = next(blocks)
+        assert start == 0 and block.any()
+        blocks.close()
+        assert not scratch.any()
 
 
 class TestTrajectoryCsv:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from bitsense import biht, cli
+from bitsense.core import random_sparse_unit
+from bitsense.rng import SeedSpec, derive_seed
 from bitsense.theory import epsilon_recurrence, sample_complexity
 
 
@@ -119,6 +121,30 @@ class TestRun:
         assert "error bound violated" in err
         assert "iter=1" in err and "slack=-" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_violation_in_a_later_trial_exits_1(self, tmp_path, capsys, monkeypatch):
+        # Trials 1 and 3 of 4 violate their bound; they run on the pool, and
+        # the first of them in trial order is the one reported.
+        base = SeedSpec(11)
+        truths = {i: random_sparse_unit(50, 3, derive_seed(derive_seed(base, i), 0)).values
+                  for i in (1, 3)}
+        residual = biht.restricted_residual
+
+        def failing(x, *args):
+            bad = any(np.array_equal(x, t) for t in truths.values())
+            return 0.0 if bad else residual(x, *args)
+
+        monkeypatch.setattr(biht, "restricted_residual", failing)
+        out = tmp_path / "out"
+        code = run_cli(
+            ["run", "--n", "50", "--k", "3", "--m", "600", "--trials", "4",
+             "--iters", "4", "--seed", "11", "--output-dir", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"(seed={derive_seed(base, 1)!r})" in err
+        assert repr(derive_seed(base, 3)) not in err
         assert not out.exists()
 
     def test_missing_subcommand_is_usage_error(self):

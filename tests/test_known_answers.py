@@ -268,6 +268,15 @@ OUTPUT_DIGESTS = {
             "summary.json": "b68ec6521c73d278b1587a3f5763a4aa23032e2aa1df3dd0fbc1fc242f0695e8",
         },
     ),
+    # m n = 1.2M entries: each trial's dense first step sums three row
+    # blocks (2621, 2621 and 758 rows).  The pin above is one block.
+    "run, three dense blocks": (
+        ["run", "--n", "200", "--k", "5", "--m", "6000", "--trials", "3", "--iters", "8"],
+        {
+            "trajectory.csv": "9d850a5128fdeba1408ee6a1ce11ee7aa1379312c046d28db382b82766ca1612",
+            "summary.json": "2758b33ba427da7cf1d251ae5a0fa2509291506a9f7b64f6cca4dd8b6f2d99a8",
+        },
+    ),
     "500 pairs": (
         ["raic", "--pairs", "500", "--small-pairs", "100", "--seed", "7"],
         {
@@ -291,6 +300,7 @@ OUTPUT_DIGESTS = {
     ),
 }
 RAIC_PINS = [name for name, (args, _) in OUTPUT_DIGESTS.items() if args[0] == "raic"]
+RUN_PINS = [name for name, (args, _) in OUTPUT_DIGESTS.items() if args[0] == "run"]
 
 
 def _output_digests(name, out_dir):
@@ -334,23 +344,40 @@ def pool_size(request, monkeypatch):
     rng._forget_pool()
 
 
-@pytest.mark.parametrize("blas_threads", [1, 2], ids=lambda t: f"caller BLAS {t}")
-@pytest.mark.parametrize("name", RAIC_PINS)
-def test_certificate_digests_at_each_pool_size_and_blas_count(name, blas_threads, pool_size,
-                                                             tmp_path):
-    # The pair blocks run on the pool, so neither its size nor the caller's
-    # BLAS thread count may move a bit of the certificate.
+def _at_caller_blas(threads, call):
+    """call() with the caller's BLAS thread count set to ``threads``, which
+    it must hand back; the count before is restored after."""
     calls = rng._openblas_thread_calls()
     if calls is None:
         pytest.skip("numpy's BLAS thread count is not reachable")
     get, put = calls
     before = get()
     try:
-        put(blas_threads)
-        assert _output_digests(name, tmp_path) == OUTPUT_DIGESTS[name][1]
-        assert get() == blas_threads
+        put(threads)
+        result = call()
+        assert get() == threads
+        return result
     finally:
         put(before)
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2], ids=lambda t: f"caller BLAS {t}")
+@pytest.mark.parametrize("name", RAIC_PINS)
+def test_certificate_digests_at_each_pool_size_and_blas_count(name, blas_threads, pool_size,
+                                                             tmp_path):
+    # The pair blocks run on the pool, so neither its size nor the caller's
+    # BLAS thread count may move a bit of the certificate.
+    digests = _at_caller_blas(blas_threads, lambda: _output_digests(name, tmp_path))
+    assert digests == OUTPUT_DIGESTS[name][1]
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2], ids=lambda t: f"caller BLAS {t}")
+@pytest.mark.parametrize("name", RUN_PINS)
+def test_trial_digests_at_each_pool_size_and_blas_count(name, blas_threads, pool_size, tmp_path):
+    # The trials run side by side on the pool, so neither its size nor the
+    # caller's BLAS thread count may move a bit of their records.
+    digests = _at_caller_blas(blas_threads, lambda: _output_digests(name, tmp_path))
+    assert digests == OUTPUT_DIGESTS[name][1]
 
 
 @pytest.mark.parametrize("blas_threads", [1, 2], ids=lambda t: f"caller BLAS {t}")
@@ -359,19 +386,10 @@ def test_validate_digests_at_each_pool_size_and_blas_count(pin, blas_threads, po
                                                            tmp_path):
     # The validators run side by side on the pool, so neither its size nor
     # the caller's BLAS thread count may move a bit of their rows or order.
-    calls = rng._openblas_thread_calls()
-    if calls is None:
-        pytest.skip("numpy's BLAS thread count is not reachable")
-    get, put = calls
     args, code, digest = VALIDATE_PINS[pin]
-    before = get()
-    try:
-        put(blas_threads)
-        assert cli.main(["validate", *args, "--output-dir", str(tmp_path)]) == code
-        assert hashlib.sha256((tmp_path / "validators.csv").read_bytes()).hexdigest() == digest
-        assert get() == blas_threads
-    finally:
-        put(before)
+    run = ["validate", *args, "--output-dir", str(tmp_path)]
+    assert _at_caller_blas(blas_threads, lambda: cli.main(run)) == code
+    assert hashlib.sha256((tmp_path / "validators.csv").read_bytes()).hexdigest() == digest
 
 
 def _reference_correction(A, b, x, eta):

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 import bitsense.montecarlo as mc
 from bitsense import biht, cli, rng
 from bitsense.biht import BIHTConfig, run_biht
-from bitsense.core import MeasurementMatrix, gaussian_matrix, random_sparse_unit, sign_measure
+from bitsense.core import (
+    MeasurementMatrix,
+    dense_scratch,
+    gaussian_matrix,
+    random_sparse_unit,
+    sign_measure,
+)
 from bitsense.montecarlo import (
     ErrorBoundViolation,
     band_count_mean,
@@ -359,7 +365,7 @@ class TestTrialDrawsOnRead:
         # The trial's pipeline on gaussian_matrix's matrix, bit for bit.
         for i in range(3):
             seed = derive_seed(SeedSpec(575), i)
-            got = mc._convergence_trial(n, k, m, T, DEFAULT_ETA, seed)
+            got = mc._convergence_trial(n, k, m, T, DEFAULT_ETA, seed, dense_scratch(m, n))
             truth = random_sparse_unit(n, k, derive_seed(seed, 0))
             A = gaussian_matrix(m, n, derive_seed(seed, 1))
             config = BIHTConfig(k=k, max_iters=T, init=derive_seed(seed, 2))
@@ -373,9 +379,10 @@ class TestTrialDrawsOnRead:
 
     def test_trials_draw_part_of_their_matrices(self, monkeypatch):
         # The acceptance config, 10 trials at seed 0: the matrices' own
-        # records add up to 58.6% of the 10 m n normals (50.3% of the rows,
-        # and the columns of each support).  A trial that drew its whole
-        # matrix would read 100% or more.
+        # records add up to 59.4% of the 10 m n normals (50.3% of the rows,
+        # the rows the later steps draw again, and the columns of each
+        # support).  A trial that drew its whole matrix would read 100% or
+        # more.
         made = []
 
         class Kept(mc.LazyGaussianMatrix):
@@ -389,6 +396,35 @@ class TestTrialDrawsOnRead:
         assert len(made) == trials
         share = sum(A.drawn for A in made) / (trials * m * n)
         assert share <= 0.65
+
+
+    def test_concurrent_experiments_on_a_wide_pool(self, monkeypatch):
+        # More workers than cores and more callers than workers, each
+        # experiment's trials on the pool, their dense steps three row
+        # blocks each, with frequent thread switches: every caller must get
+        # the records of a one-worker pool.
+        seeds = [SeedSpec(576, i) for i in range(4)]
+
+        def experiment(seed):
+            return _trial_record(convergence_trials(200, 5, 6000, 3, 6, seed))
+
+        wide = 2 * rng._worker_count() + 1
+        monkeypatch.setattr(rng, "_worker_count", lambda: 1)
+        rng._forget_pool()
+        want = [experiment(s) for s in seeds]
+        monkeypatch.setattr(rng, "_worker_count", lambda: wide)
+        rng._forget_pool()
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            with ThreadPoolExecutor(max_workers=len(seeds)) as callers:
+                futures = [callers.submit(experiment, s) for s in seeds]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+            monkeypatch.undo()
+            rng._forget_pool()
+        assert got == want
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bitsense import cli, core, raic, rng
 from bitsense.core import (
+    DENSE_BLOCK_ENTRIES,
     MeasurementMatrix,
     gaussian_matrix,
     random_sparse_unit,
@@ -20,6 +21,7 @@ from bitsense.raic import (
     DEFAULT_ETA,
     PAIR_BLOCK,
     ROW_BLOCK,
+    ROWS_ONLY_BELOW,
     _block_residuals,
     _draw_pairs,
     correction,
@@ -146,6 +148,37 @@ class TestCorrectionMap:
             h_a(A, np.ones(3), np.ones(4))
         with pytest.raises(ValueError, match="^y has length 3, expected 4$"):
             h_a(A, np.ones(4), np.ones(3))
+
+    @staticmethod
+    def dense_signs(m, seed):
+        """Two random sign patterns of length m, which differ on about m/2
+        rows: a dense correction."""
+        b, s = (sgn(sample_standard_normal(SeedSpec(seed, i), m)) for i in (0, 1))
+        assert np.count_nonzero(b != s) >= ROWS_ONLY_BELOW * m
+        return b, s, 0.5 * (b.astype(np.float64) - s)
+
+    @pytest.mark.parametrize("m, n", [(2**19 // 200, 200), (2**13, 2**6), (1000, 7)])
+    def test_dense_step_of_one_block_is_the_single_product(self, m, n):
+        # At most DENSE_BLOCK_ENTRIES entries make one row block, so the
+        # dense correction keeps the bytes of the single A.T @ r.
+        assert m * n <= DENSE_BLOCK_ENTRIES
+        A = gaussian_matrix(m, n, SeedSpec(75))
+        b, s, r = self.dense_signs(m, 76)
+        want = (DEFAULT_ETA / m) * (A.entries.T @ r)
+        assert correction(A, b, s).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m, n", [(8000, 200), (2 * 2621, 200), (2**13 + 1, 2**6)])
+    def test_dense_step_sums_the_row_blocks_in_order(self, m, n):
+        # Above DENSE_BLOCK_ENTRIES the products of the row blocks of
+        # dense_row_blocks are added in block order.
+        A = gaussian_matrix(m, n, SeedSpec(77))
+        b, s, r = self.dense_signs(m, 78)
+        starts = core.dense_row_blocks(m, n)
+        assert len(starts) > 1
+        total = A.entries[: starts.step].T @ r[: starts.step]
+        for start in starts[1:]:
+            total += A.entries[start : start + starts.step].T @ r[start : start + starts.step]
+        assert correction(A, b, s).tobytes() == ((DEFAULT_ETA / m) * total).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
