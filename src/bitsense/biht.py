@@ -160,6 +160,8 @@ def run_biht(
         raise ValueError(f"sign pattern has length {len(b)}, but A has {A.m} rows")
     if isinstance(config.init, SparseUnitVector):
         x = config.init
+        if x.n != A.n:
+            raise ValueError(f"init has length {x.n}, but A has {A.n} columns")
     else:
         x = random_sparse_unit(A.n, config.k, config.init)
 

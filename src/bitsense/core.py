@@ -216,7 +216,7 @@ class LazyGaussianMatrix:
             block = self.scratch[: min(starts.step, self.m - start)]
             at = rows[lo:hi] - start
             sample_standard_normal_block(self.seed, self.n, rows[lo:hi], range(self.n),
-                                         into=block, at=at)
+                                         into=(block, at))
             self.drawn += at.size * self.n
             try:
                 yield start, block

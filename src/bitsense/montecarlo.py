@@ -20,12 +20,11 @@ T=12) a trial draws about 60% of the m n normals, most of them for the
 first step's rows, and holds at most one 4 MB row block of them at once.
 The trials and the validator suite run their BLAS products on one thread
 (see `rng._one_blas_thread`); the validators called one by one keep the
-caller's threading.  The sampler's thread pool has four users: the tiles
-of a long draw, the certifier's pair blocks, the suite's six validator
-calls and the trials; the last two run side by side on it, each drawing
-serially on its worker.  The correction map of a stack of sampled
-matrices is formed in one place (`_corrections`) and split along e- and e+
-by `raic.orthogonal_decompose`.
+caller's threading.  The trials and the suite's six validator calls run
+side by side on the sampler's thread pool, whose users `rng._map` lists,
+each drawing serially on its worker.  The correction map of a stack of
+sampled matrices is formed in one place (`_corrections`) and split along
+e- and e+ by `raic.orthogonal_decompose`.
 
 The validators of a pair (u, v) draw only the columns they read, from the
 first to the last on which u or v is nonzero (`_read_columns`), and run
@@ -49,7 +48,6 @@ deterministic given its SeedSpec.
 from __future__ import annotations
 
 import math
-import queue
 from dataclasses import dataclass
 from functools import partial
 
@@ -70,7 +68,6 @@ from .rng import (
     SeedSpec,
     _map,
     _one_blas_thread,
-    _worker_count,
     derive_seed,
     sample_standard_normal_block,
 )
@@ -385,32 +382,20 @@ def convergence_trials(
     the first trial in order that has one.  The trials run side by side on
     the sampler's thread pool (`rng._map`), each drawing serially on its
     worker, and come back in trial order; a lone trial runs in the calling
-    thread and spreads its draws over the pool.  The products run on one
-    BLAS thread and the caller's count is restored afterwards, so the
-    results do not depend on it or on the pool's size.
+    thread and spreads its draws over the pool.  Each trial draws its dense
+    step in a `core.dense_scratch` that `rng._map` hands from trial to
+    trial.  The products run on one BLAS thread and the caller's count is
+    restored afterwards, so the results do not depend on it or on the
+    pool's size.
     """
     if trials < 1 or T < 1:
         raise ValueError(f"trials and T (iters) must be >= 1, got trials={trials}, T={T}")
 
-    # The trials draw their dense steps in blocks of scratch made here, one
-    # per worker and handed from trial to trial.  Made on the pool's
-    # threads, such blocks stay in those threads' malloc arenas: at the
-    # acceptance config, 10-12 `run`s after five one-trial ones (as the
-    # `converge` benchmark makes them, 2 vCPU) peaked at 75.9-80.1 MB with
-    # a block made in each trial and at 70.3-70.9 MB with these.
-    free = queue.SimpleQueue()
-    for _ in range(min(trials, _worker_count())):
-        free.put(dense_scratch(m, n))
-
-    def trial(i):
-        scratch = free.get()
-        try:
-            return _convergence_trial(n, k, m, T, eta, derive_seed(seed, i), scratch)
-        finally:
-            free.put(scratch)
+    def trial(i, scratch):
+        return _convergence_trial(n, k, m, T, eta, derive_seed(seed, i), scratch)
 
     with _one_blas_thread():
-        return _map(trial, range(trials))
+        return _map(trial, range(trials), partial(dense_scratch, m, n))
 
 
 # ---------------------------------------------------------------------------

@@ -45,13 +45,8 @@ tests pin it.
 
 The pool is the one parallel layer of ``run``, ``validate`` and ``raic``,
 whose BLAS products run on one thread under `_one_blas_thread` (the reason
-is measured there).  Work goes to it through one helper, `_map`, from
-four users: the sampler's tiles, the certifier's pair blocks
-(`raic.raic_certify`), the validators of the battery
-(`montecarlo.run_validator_suite`) and the convergence trials
-(`montecarlo.convergence_trials`).  A request made on a pool thread, such
-as a pair block's, a validator's or a trial's draws, runs its tiles
-serially in that thread, so that no pool task ever waits on the pool.
+is measured there).  Work goes to it through one helper, `_map`, which
+lists its users and is the one place that hands scratch to its tasks.
 
 Nothing here is cryptographic.
 """
@@ -113,17 +108,23 @@ def splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _check_index(index) -> int:
+    # Beyond [0, 2^64) the counter step wraps: 2**64 + i would name child i.
+    if not isinstance(index, (int, np.integer)) or not 0 <= index <= _MASK64:
+        raise ValueError(f"index must be an integer in [0, 2**64), got {index!r}")
+    return int(index)
+
+
 def derive_seed(base: SeedSpec, index: int) -> SeedSpec:
     """Derive the ``index``-th child seed of ``base``.
 
-    Injective in ``index`` for a fixed base: the candidate state walks an odd
-    multiple of the golden-ratio constant (a bijection mod 2^64) before the
-    avalanche, itself a bijection.  Collisions across different bases are
-    possible only with negligible (2^-64-scale) probability.
+    Injective in ``index``, an integer in [0, 2^64), for a fixed base: the
+    candidate state walks an odd multiple of the golden-ratio constant (a
+    bijection mod 2^64) before the avalanche, itself a bijection.
+    Collisions across different bases are possible only with negligible
+    (2^-64-scale) probability.
     """
-    if index < 0:
-        raise ValueError("index must be >= 0")
-    step = ((index + 1) * _GOLDEN) & _MASK64
+    step = ((_check_index(index) + 1) * _GOLDEN) & _MASK64
     child_base = splitmix64((base.base_seed + step) & _MASK64)
     child_stream = splitmix64(base.stream_id ^ child_base)
     return SeedSpec(child_base, child_stream)
@@ -162,7 +163,7 @@ def _mix(z: np.ndarray) -> np.ndarray:
 def _derive_rows(seeds, index):
     """`derive_seed` elementwise: the children ``(bases, streams)``, two
     uint64 arrays, of ``seeds`` (a SeedSpec, or a pair of uint64 arrays of
-    base seeds and stream ids) at ``index`` (an int >= 0, or a uint64
+    base seeds and stream ids) at ``index`` (an int in [0, 2^64), or a uint64
     array that broadcasts against the seeds)."""
     if isinstance(seeds, SeedSpec):
         seeds = (np.array([seeds.base_seed], dtype=np.uint64),
@@ -171,9 +172,7 @@ def _derive_rows(seeds, index):
     if isinstance(index, np.ndarray):
         step = (index + np.uint64(1)) * np.uint64(_GOLDEN)
     else:
-        if index < 0:
-            raise ValueError("index must be >= 0")
-        step = np.uint64(((index + 1) * _GOLDEN) & _MASK64)
+        step = np.uint64(((_check_index(index) + 1) * _GOLDEN) & _MASK64)
     child_bases = _mix(bases + step)
     return child_bases, _mix(streams ^ child_bases)
 
@@ -242,19 +241,49 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
-def _map(fn, items) -> list:
+def _map(fn, items, scratch=None) -> list:
     """``[fn(item) for item in items]``, run on the pool when that can help.
 
     Called on one of the pool's own threads, or with fewer than two items,
     it runs serially in the calling thread: a pool task that waited on the
     pool could wait for ever, once every worker is busy with such tasks.
     Otherwise the items go to the pool and the results come back in item
-    order; reading them re-raises the first worker's exception here.
+    order; reading them re-raises the first worker's exception here.  The
+    pool's four users: the sampler's tiles (`_stream`), the certifier's pair
+    blocks (`raic.raic_certify`), the battery's validators
+    (`montecarlo.run_validator_suite`) and the convergence trials
+    (`montecarlo.convergence_trials`); the last three draw serially on their
+    pool threads.
+
+    With ``scratch``, a function of no arguments that makes a block, each
+    call is ``fn(item, block)``.  The blocks, one for each call that can run
+    at once, are made here in the calling thread and handed from call to
+    call, also by a call that raises.  Made on the pool's threads, they
+    would stay in those threads' malloc arenas after the call.  At the
+    acceptance config (2 vCPU), a `run` whose trials ran one by one peaked
+    2-3 MB higher with `_stream`'s tile blocks made on the pool's threads,
+    and the `converge` benchmark's `run`s at 75.9-80.1 MB against
+    70.3-70.9 MB with each trial's 4 MB dense block made in the trial.
     """
     items = list(items)
-    if len(items) < 2 or getattr(_on_pool, "worker", False):
+    serial = len(items) < 2 or getattr(_on_pool, "worker", False)
+    if scratch is not None:
+        free = queue.SimpleQueue()
+        for _ in range(min(len(items), 1 if serial else _worker_count())):
+            free.put(scratch())
+        fn = functools.partial(_with_block, fn, free)
+    if serial:
         return [fn(item) for item in items]
     return list(_executor().map(fn, items))
+
+
+def _with_block(fn, free, item):
+    # `_map`'s call with scratch: a block from ``free``, given back after.
+    block = free.get()
+    try:
+        return fn(item, block)
+    finally:
+        free.put(block)
 
 
 def _forget_pool() -> None:
@@ -347,8 +376,9 @@ def _stream(keys: np.ndarray, count: int, normal: bool, steps=None, into=None) -
     With ``steps``, an array of ``count`` uint64 counter steps, column c
     holds the element at counter ``key + steps[c]`` rather than
     ``key + (c + 1) * _GOLDEN``: columns that need not be contiguous.  With
-    ``into = (dest, where)``, row r goes to ``dest[where[r]]`` one tile at a
-    time, rather than to a fresh array, and dest is returned.
+    ``into = (dest, at)``, row r goes to ``dest[at[r]]`` one tile at a
+    time, through a block of scratch, rather than to a fresh array, and dest
+    is returned.
 
     The tiles run on the pool (`_map`), or one after another in the calling
     thread when it is one of the pool's own, as in the certifier's pair
@@ -363,38 +393,23 @@ def _stream(keys: np.ndarray, count: int, normal: bool, steps=None, into=None) -
     width = min(max(1, count), _CHUNK)
     height = max(1, _CHUNK // width)
 
-    def fill(at) -> None:
-        r, c = at
+    def fill(piece, scratch=None) -> None:
+        r, c = piece
         tile_keys = keys[r : r + height]
         if steps is None:
             tile_keys = tile_keys + np.uint64(c * _GOLDEN & _MASK64)
             tile_steps = _STEPS[: min(width, count - c)]
         else:
             tile_steps = steps[c : c + width]
-        if into is None:
+        if scratch is None:
             _fill(out[r : r + height, c : c + width], tile_keys, tile_steps, normal)
             return
-        scratch = free.get()
         tile = scratch[: tile_keys.size, : tile_steps.size]
         _fill(tile, tile_keys, tile_steps, normal)
         out[into[1][r : r + height], c : c + width] = tile
-        free.put(scratch)
 
     pieces = [(r, c) for r in range(0, rows, height) for c in range(0, count, width)]
-    if into is not None:
-        # The tiles are drawn in scratch blocks made here, one per worker and
-        # handed from task to task.  Blocks made on the pool's threads stay
-        # in those threads' malloc arenas after the call: 2-3 MB more peak
-        # RSS over a `run` at the acceptance config, when its trials ran
-        # one after another.  A request made by a pool task (a trial, a
-        # pair block, a validator) makes its blocks on that task's thread;
-        # the 4 MB blocks each trial draws its dense step in are made by
-        # `montecarlo.convergence_trials` in its calling thread for that
-        # reason.
-        free = queue.SimpleQueue()
-        for _ in range(min(len(pieces), _worker_count())):
-            free.put(np.empty((height, width)))
-    _map(fill, pieces)
+    _map(fill, pieces, None if into is None else functools.partial(np.empty, (height, width)))
     return out
 
 
@@ -422,8 +437,8 @@ def sample_standard_normal_rows(keys: np.ndarray, count: int) -> np.ndarray:
     return _stream(keys, count, True)
 
 
-def sample_standard_normal_block(seed: SeedSpec, n: int, rows, columns, into=None,
-                                 at=None) -> np.ndarray:
+def sample_standard_normal_block(seed: SeedSpec, n: int, rows, columns,
+                                 into=None) -> np.ndarray:
     """Rows ``rows`` by columns ``columns`` of ``seed``'s normals laid out
     row-major in rows of ``n``, drawn without the other entries: bit for bit
     ``sample_standard_normal(seed, (max(rows) + 1) * n).reshape(-1, n)[np.ix_(rows, columns)]``.
@@ -436,11 +451,11 @@ def sample_standard_normal_block(seed: SeedSpec, n: int, rows, columns, into=Non
     Each row is drawn from its own key; a range of columns from c0 on
     starts each row's key at ``key + (i * n + c0) * G``.
 
-    The block is a fresh array.  With ``into``, an array of
-    ``len(columns)`` columns, row r of the block is written to
-    ``into[at[r]]`` instead (``at`` defaults to ``rows``), one tile of at
-    most 64Ki elements at a time, so that no temporary of the whole block
-    is made, and ``into`` is returned.
+    The block is a fresh array.  With ``into = (dest, at)``, ``dest`` an
+    array of ``len(columns)`` columns and ``at`` an array of ``len(rows)``
+    row indices into it, row r of the block is written to ``dest[at[r]]``
+    instead, one tile of at most 64Ki elements at a time, so that no
+    temporary of the whole block is made, and ``dest`` is returned.
     """
     if isinstance(columns, range):
         if columns.step != 1 or not 0 <= columns.start <= columns.stop <= n:
@@ -465,6 +480,4 @@ def sample_standard_normal_block(seed: SeedSpec, n: int, rows, columns, into=Non
         if rows.ndim != 1 or rows.size and rows.min() < 0:
             raise ValueError("need an array of rows >= 0")
         keys = rows.astype(np.uint64) * np.uint64(step) + np.uint64(key & _MASK64)
-    if into is not None:
-        into = (into, rows if at is None else np.asarray(at, dtype=np.intp))
     return _stream(keys, width, True, steps, into)

@@ -172,6 +172,16 @@ class TestRun:
             with pytest.raises(ValueError, match=expected):
                 run_biht(A, b, BIHTConfig(k=x.k, max_iters=2, init=x))
 
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    def test_start_point_of_wrong_length_rejected(self, s):
+        # Unchecked, seed 0 failed to broadcast, seed 1 indexed past A's
+        # columns and seed 2 ran to the end on iterates of length 50.
+        A = gaussian_matrix(300, 40, SeedSpec(1))
+        b = sign_measure(A, random_sparse_unit(40, 3, SeedSpec(2)).values)
+        config = BIHTConfig(k=3, max_iters=3, init=random_sparse_unit(50, 3, SeedSpec(s)))
+        with pytest.raises(ValueError, match="init has length 50, but A has 40 columns"):
+            run_biht(A, b, config)
+
     @pytest.mark.parametrize("eta", [1e160, 1e308])
     def test_overflowing_step_blames_eta(self, eta):
         # The candidate's norm overflows; it used to warn and then fail the

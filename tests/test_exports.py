@@ -31,23 +31,27 @@ def test_removed_names_are_gone():
     assert not set(REMOVED) & set(bitsense.__all__)
 
 
-def _opens(module):
-    """The lines of ``module`` that call ``open`` or a method named so."""
+def _calls(module, *names):
+    """The lines of ``module`` that call a function or method named one of
+    ``names``, by bare or dotted name."""
     tree = ast.parse(inspect.getsource(module))
     return [
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and (getattr(node.func, "id", None) == "open" or getattr(node.func, "attr", None) == "open")
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in names
+    ]
+
+
+def _modules():
+    return [bitsense] + [
+        import_module(f"bitsense.{info.name}") for info in pkgutil.iter_modules(bitsense.__path__)
     ]
 
 
 def test_only_the_cli_opens_files():
     # The library modules return data; `cli` formats and writes every file.
-    modules = [bitsense] + [
-        import_module(f"bitsense.{info.name}") for info in pkgutil.iter_modules(bitsense.__path__)
-    ]
-    opens = {m.__name__: _opens(m) for m in modules}
+    opens = {m.__name__: _calls(m, "open") for m in _modules()}
     assert opens.pop("bitsense.cli") != []
     assert opens == {name: [] for name in opens}
 
@@ -56,3 +60,11 @@ def test_library_writers_are_gone():
     left = [f"{owner.__name__}.{name}" for owner, names in WRITERS.items()
             for name in names if hasattr(owner, name)]
     assert left == []
+
+
+def test_only_the_sampler_makes_the_pool_and_its_scratch_queue():
+    # One pool and one hand-off of per-task scratch, both in `rng._map`'s
+    # module; every other module goes through `_map`.
+    makers = {m.__name__: _calls(m, "ThreadPoolExecutor", "SimpleQueue") for m in _modules()}
+    assert makers.pop("bitsense.rng") != []
+    assert makers == {name: [] for name in makers}

@@ -76,6 +76,22 @@ class TestSeedDerivation:
         with pytest.raises(ValueError):
             derive_seed(SeedSpec(1), -1)
 
+    @pytest.mark.parametrize("index", [2**64, 2**64 + 5, 2**70, 1.0, 5.5, "5"])
+    def test_index_outside_the_injective_range_rejected(self, index):
+        # The counter step wraps mod 2^64: unchecked, 2**64 named child 0
+        # again and 2**64 + 5 child 5.  A float failed with a bare TypeError.
+        base = SeedSpec(12345, 6)
+        with pytest.raises(ValueError, match="index must be an integer in"):
+            derive_seed(base, index)
+        with pytest.raises(ValueError, match="index must be an integer in"):
+            _derive_rows(base, index)
+
+    def test_top_and_numpy_indices_accepted(self):
+        base = SeedSpec(12345, 6)
+        assert derive_seed(base, np.uint64(_MASK64)) == derive_seed(base, _MASK64)
+        assert derive_seed(base, np.int64(5)) == derive_seed(base, 5)
+        assert derive_seed(base, _MASK64) != derive_seed(base, 0)
+
     def test_seed_fields_validated(self):
         with pytest.raises(ValueError):
             SeedSpec(-1)
@@ -148,12 +164,13 @@ class TestArraySeedDerivation:
 
     def test_int_index_on_a_seed_spec(self):
         seed = SeedSpec(_MASK64, _MASK64)
-        for index in (0, 1, WRAP_TO_ZERO, 2**70):
+        for index in (0, 1, WRAP_TO_ZERO):
             bases, streams = _derive_rows(seed, index)
             child = derive_seed(seed, index)
             assert (int(bases[0]), int(streams[0])) == (child.base_seed, child.stream_id)
-        with pytest.raises(ValueError):
-            _derive_rows(seed, -1)
+        for index in (-1, 2**70):
+            with pytest.raises(ValueError):
+                _derive_rows(seed, index)
 
     @pytest.mark.parametrize("rows", [random_uniform_rows, sample_standard_normal_rows])
     @pytest.mark.parametrize("count", [0, 1, 201, 65_536 + 3])
@@ -293,10 +310,19 @@ class TestBlocks:
             whole = self.whole(seed, n, 90)
             rows = np.array([3, 4, 17, 88, 0, 41, 42, 43, 60])
             into = np.full((90, n), -1.0)
-            assert sample_standard_normal_block(seed, n, rows, range(n), into=into) is into
+            got = sample_standard_normal_block(seed, n, rows, range(n), into=(into, rows))
+            assert got is into
             assert into[rows].tobytes() == whole[rows].tobytes()
             rest = np.setdiff1d(np.arange(90), rows)
             assert (into[rest] == -1.0).all()
+            # Rows written elsewhere than their own index, as a row block
+            # of the lazy matrix takes them: row r of the block to at[r].
+            at = np.array([8, 0, 2, 9, 1, 4, 5, 6, 3])
+            into = np.full((10, 4), -1.0)
+            got = sample_standard_normal_block(seed, n, rows, range(2, 6), into=(into, at))
+            assert got is into
+            assert into[at].tobytes() == whole[rows, 2:6].tobytes()
+            assert (into[7] == -1.0).all()
 
     def test_bad_indices_rejected(self):
         for rows, cols in ((np.array([0]), np.array([3])), (np.array([0]), np.array([-1])),
@@ -465,6 +491,104 @@ def unmix(w):
 def seed_keyed(key):
     """A SeedSpec whose stream key is ``key``."""
     return SeedSpec(unmix(key) ^ splitmix64(_MIX2), 0)
+
+
+class TestMapScratch:
+    """`_map` with ``scratch``: the blocks are made in the calling thread,
+    one per call that can run at once, and handed from call to call."""
+
+    @staticmethod
+    def recorder():
+        made, used = [], []
+
+        def scratch():
+            made.append((threading.get_ident(), np.zeros(3)))
+            return made[-1][1]
+
+        def fn(item, block):
+            used.append((threading.get_ident(), id(block)))
+            return item * item
+
+        return made, used, scratch, fn
+
+    @pytest.mark.parametrize("count, workers, blocks", [(5, 2, 2), (2, 3, 2), (7, 1, 1)])
+    def test_one_block_per_call_that_can_run_at_once(self, count, workers, blocks,
+                                                     monkeypatch):
+        monkeypatch.setattr(rng, "_worker_count", lambda: workers)
+        made, used, scratch, fn = self.recorder()
+        assert rng._map(fn, range(count), scratch) == [i * i for i in range(count)]
+        assert len(made) == blocks
+        assert {thread for thread, _ in made} == {threading.get_ident()}
+        assert len(used) == count
+        assert {block for _, block in used} <= {id(block) for _, block in made}
+
+    def test_serial_items_get_one_block(self):
+        made, used, scratch, fn = self.recorder()
+        assert rng._map(fn, [3], scratch) == [9]
+        assert len(made) == 1 and made[0][0] == threading.get_ident()
+        assert rng._map(fn, [], scratch) == [] and len(made) == 1
+
+    def test_a_call_on_a_pool_thread_makes_one_block_there(self):
+        made, used, scratch, fn = self.recorder()
+        got = rng._map(lambda i: (threading.get_ident(), rng._map(fn, range(i, i + 4), scratch)),
+                       range(0, 8, 4))
+        assert [squares for _, squares in got] == [[i * i for i in range(j, j + 4)]
+                                                   for j in (0, 4)]
+        assert sorted(thread for thread, _ in made) == sorted(thread for thread, _ in got)
+        assert {thread for thread, _ in used} <= {thread for thread, _ in got}
+
+    def test_no_block_serves_two_calls_at_once(self, monkeypatch):
+        # More workers than cores and frequent thread switches: a call that
+        # shared its block with another would see the other's mark in it.
+        def fn(item, block):
+            block[0] = item
+            for _ in range(20):
+                time.sleep(0)
+                if block[0] != item:
+                    return False
+            return True
+
+        wide = 2 * rng._worker_count() + 1
+        monkeypatch.setattr(rng, "_worker_count", lambda: wide)
+        rng._forget_pool()
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            got = rng._map(fn, range(300), lambda: np.zeros(1))
+        finally:
+            sys.setswitchinterval(interval)
+            monkeypatch.undo()
+            rng._forget_pool()
+        assert got == [True] * 300
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_call_that_raises_hands_its_block_on(self):
+        # Two blocks on a two-thread pool.  Call 0 holds one until call 2
+        # has run; call 1 raises, and call 2 can only run on the block call
+        # 1 held.  Had call 1 kept it, call 2 would wait for ever.  Run in a
+        # child, which can be killed if it hangs.
+        def raise_in_between():
+            rng._worker_count = lambda: 2
+            rng._forget_pool()
+            made, used, scratch, record = self.recorder()
+            ran, waited = threading.Event(), []
+
+            def fn(item, block):
+                record(item, block)
+                if item == 0:
+                    waited.append(ran.wait(timeout=10.0))
+                elif item == 1:
+                    raise ArithmeticError(item)
+                else:
+                    ran.set()
+
+            try:
+                rng._map(fn, range(3), scratch)
+            except ArithmeticError as exc:
+                return exc.args == (1,) and waited == [True] and len(made) == 2
+            return False
+
+        in_forked_child(raise_in_between, "a map with a call that raises")
 
 
 class TestUniformMap:
