@@ -24,7 +24,9 @@ writes, through `_write_csv`, `_write_json` and `generate`'s binary layout.
 
 Exit codes: 0 success; 1 I/O failure, a failed validator (``validate``) or a
 per-iteration error bound violated beyond rounding slack (``run``, which then
-writes nothing); 2 usage error, including sizes ``run`` cannot use.
+writes nothing); 2 usage error, including sizes ``run`` cannot use and sizes
+that do not fit in memory (``run``, ``raic`` and ``generate`` allocate before
+they write, so they then write nothing).
 """
 
 from __future__ import annotations
@@ -374,7 +376,7 @@ def main(argv=None) -> int:
     except montecarlo.ErrorBoundViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # domain violation
+    except (ValueError, MemoryError) as exc:  # domain violation, or sizes too large
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -250,19 +250,20 @@ def projection_expectation(u, v, m: int, trials: int, seed: SeedSpec) -> Project
     )
 
 
+# One row of the validator battery; a tail check returns three.
 @dataclass(frozen=True)
-class TailCheckRow:
+class ValidatorRow:
     name: str
-    empirical: float
-    bound: float
+    estimate: float
+    theory: float
     se: float
-    used_draws: int
+    z: float
     passed: bool
 
 
 def tail_frequency_check(
     u, v, m: int, trials: int, t_param: float, seed: SeedSpec
-) -> list[TailCheckRow]:
+) -> list[ValidatorRow]:
     """Empirical tail frequencies of the three projection statistics.
 
     For each fresh matrix draw with realized mismatch count ell > 0, checks
@@ -280,6 +281,11 @@ def tail_frequency_check(
     empirical frequency is at most bound + 3 binomial SEs.  Draws with
     ell = 0 carry no information about these conditional laws and are
     skipped.
+
+    Returns the three rows of the validator battery: ``estimate`` the
+    empirical frequency, ``theory`` the bound, ``se`` the binomial SE at
+    the bound and ``z`` = (estimate - theory) / se.  When no draw has
+    ell > 0 each row is (0.0, 1.0, 0.0, 0.0) and passes.
     """
     if t_param <= 0:
         raise ValueError("t_param must be positive")
@@ -325,21 +331,12 @@ def tail_frequency_check(
     names = ("proj_minus_tail", "proj_plus_tail", "residual_tail")
     for i, name in enumerate(names):
         if used == 0:
-            rows.append(TailCheckRow(name, 0.0, 1.0, 0.0, 0, True))
+            rows.append(ValidatorRow(name, 0.0, 1.0, 0.0, 0.0, True))
             continue
         emp = exceed[i] / used
         bnd = bound_sum[i] / used
         se = math.sqrt(max(bnd * (1.0 - bnd), 1e-12) / used)
-        rows.append(
-            TailCheckRow(
-                name=name,
-                empirical=float(emp),
-                bound=float(bnd),
-                se=float(se),
-                used_draws=used,
-                passed=bool(emp <= bnd + 3.0 * se),
-            )
-        )
+        rows.append(ValidatorRow(name, emp, bnd, se, (emp - bnd) / se, emp <= bnd + 3.0 * se))
     return rows
 
 
@@ -400,16 +397,6 @@ def convergence_trials(
 
 # ---------------------------------------------------------------------------
 # Validator suite (CLI `validate` subcommand).
-
-
-@dataclass(frozen=True)
-class ValidatorRow:
-    name: str
-    estimate: float
-    theory: float
-    se: float
-    z: float
-    passed: bool
 
 
 # Fault injection used by the CLI self-test: misclassifies the band [0, 0.5)
@@ -480,11 +467,7 @@ def run_validator_suite(seed: SeedSpec, break_sgn_zero: bool = False) -> list[Va
         kv[2:5] = (0.48, 0.6, 0.64)
         # t = 0.2 puts the sub-Gaussian bounds in a nontrivial range (roughly
         # 0.03 for the projections, 0.7 for the residual) at these draws.
-        rows = []
-        for row in tail_frequency_check(ku, kv, 500, 400, 0.2, derive_seed(seed, 12)):
-            z = (row.empirical - row.bound) / row.se if row.se > 0 else 0.0
-            rows.append(ValidatorRow(row.name, row.empirical, row.bound, row.se, z, row.passed))
-        return rows
+        return tail_frequency_check(ku, kv, 500, 400, 0.2, derive_seed(seed, 12))
 
     # The jobs in the battery's row order.  On 2 vCPU, one at a time: tails
     # 40 ms, projection 35, band 15, each mismatch angle 7.

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -214,10 +213,10 @@ def restricted_residual(x: np.ndarray, y: np.ndarray, J, h: np.ndarray) -> float
     return float(np.linalg.norm((x - y) - _restrict(h, x, y, J)))
 
 
-def _block_residuals(A: MeasurementMatrix, X, Y, Js) -> np.ndarray:
-    """``restricted_residual(x, y, J, h_a(A, x, y))`` for the pairs in the
-    rows of X and Y, with J from Js (one collection of indices per pair),
-    in one pass over row blocks of A.
+def _block_residuals(A: MeasurementMatrix, X, Y, J) -> np.ndarray:
+    """``restricted_residual(x, y, J_i, h_a(A, x, y))`` for the pairs in the
+    rows of X and Y, with J_i the columns marked in row i of the bool mask J
+    (X's shape), in one pass over row blocks of A.
 
     Each block of ROW_BLOCK rows signs every vector at once,
     S_x = sgn(A_rb X^T) and S_y = sgn(A_rb Y^T), and adds its share of
@@ -230,16 +229,10 @@ def _block_residuals(A: MeasurementMatrix, X, Y, Js) -> np.ndarray:
     rows' own dots (`row_norms`), as `restricted_residual` takes them.
     The products run at the caller's BLAS threading.
     """
-    if X.shape[1] != A.n or Y.shape != X.shape:
-        raise ValueError(f"pairs must be rows of length {A.n}")
-    B = X.shape[0]
-    keep = (X != 0.0) | (Y != 0.0)
-    sizes = [len(J) for J in Js]
-    cols = np.fromiter(chain.from_iterable(Js), dtype=np.intp, count=sum(sizes))
-    if cols.size and (cols.min() < 0 or cols.max() >= A.n):
-        raise IndexError("coordinate set J out of range")
-    keep[np.repeat(np.arange(B), sizes), cols] = True
-    H = np.zeros((A.n, B))
+    if X.shape[1] != A.n or Y.shape != X.shape or J.shape != X.shape:
+        raise ValueError(f"pairs and J must be rows of length {A.n}")
+    keep = (X != 0.0) | (Y != 0.0) | J
+    H = np.zeros((A.n, X.shape[0]))
     for start in range(0, A.m, ROW_BLOCK):
         rows = A.entries[start : start + ROW_BLOCK]
         D = sgn(rows @ X.T) - sgn(rows @ Y.T)
@@ -302,8 +295,8 @@ def _delta_hat(residual: np.ndarray, d_s: np.ndarray, c1: float, c2: float) -> n
 
 def _draw_pairs(n, k, seed, first, count, num_small, max_j, radius):
     """Pairs ``first .. first + count - 1`` of the certificate: X, Y as rows
-    and the index sets J as lists, each value as the per-pair draw from
-    ``derive_seed(seed, pair_id)`` makes it.
+    and J as a bool mask of X's shape, row i marking J_i, each value as the
+    per-pair draw from ``derive_seed(seed, pair_id)`` makes it.
 
     x comes from child 0.  A pair below ``num_small`` takes y from x by a
     perturbation at ``radius`` within supp(x), with normals from child 1;
@@ -331,16 +324,18 @@ def _draw_pairs(n, k, seed, first, count, num_small, max_j, radius):
         Y[np.arange(small)[:, None], supports[:small]] += scale[:, None] * noise
         # The norm over the whole row, as the per-pair draw takes it.
         Y[:small] /= row_norms(Y[:small])[:, None]
-    if max_j <= 0:
-        return X, Y, [[] for _ in range(count)]
-    u = random_uniform_rows(_stream_keys(j_seeds), n + 1)
-    sizes = np.minimum((u[:, 0] * (max_j + 1)).astype(np.int64), max_j)
-    # The max_j smallest ranks, in rank order (index order on ties, as the
-    # stable sort of all the ranks orders them).
-    kept = smallest_k(u[:, 1:], max_j)
-    ranks = np.take_along_axis(u[:, 1:], kept, axis=1)
-    order = np.take_along_axis(kept, np.argsort(ranks, axis=1, kind="stable"), axis=1)
-    return X, Y, [row[:size] for row, size in zip(order.tolist(), sizes.tolist())]
+    J = np.zeros(X.shape, dtype=bool)
+    if max_j > 0:
+        u = random_uniform_rows(_stream_keys(j_seeds), n + 1)
+        sizes = np.minimum((u[:, 0] * (max_j + 1)).astype(np.int64), max_j)
+        # The max_j smallest ranks, in rank order (index order on ties, as
+        # the stable sort of all the ranks orders them); J_i is the first
+        # sizes[i] of them.
+        kept = smallest_k(u[:, 1:], max_j)
+        ranks = np.take_along_axis(u[:, 1:], kept, axis=1)
+        order = np.take_along_axis(kept, np.argsort(ranks, axis=1, kind="stable"), axis=1)
+        np.put_along_axis(J, order, np.arange(order.shape[1]) < sizes[:, None], axis=1)
+    return X, Y, J
 
 
 def raic_certify(
@@ -400,8 +395,8 @@ def raic_certify(
 
     def certify_block(first):
         count = min(PAIR_BLOCK, num_pairs - first)
-        X, Y, Js = _draw_pairs(A.n, k, seed, first, count, num_small, max_j, tau / 2.0)
-        return _block_residuals(A, X, Y, Js), sphere_distance_rows(X, Y)
+        X, Y, J = _draw_pairs(A.n, k, seed, first, count, num_small, max_j, tau / 2.0)
+        return _block_residuals(A, X, Y, J), sphere_distance_rows(X, Y)
 
     # The blocks' products run on one BLAS thread.  Each is a fraction of a
     # millisecond of work; split over 2 BLAS threads it waits at a barrier

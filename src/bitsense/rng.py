@@ -84,6 +84,11 @@ _pool_lock = threading.Lock()
 _on_pool = threading.local()
 
 
+def _is_uint64(value) -> bool:
+    """An integer in [0, 2^64); numpy integers count, floats and strings not."""
+    return isinstance(value, (int, np.integer)) and 0 <= value <= _MASK64
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """A (base_seed, stream_id) pair identifying one sample stream.
@@ -96,8 +101,15 @@ class SeedSpec:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.base_seed <= _MASK64 and 0 <= self.stream_id <= _MASK64):
-            raise ValueError("seed fields must be 64-bit unsigned integers")
+        # Held as Python ints: numpy integer arithmetic would overflow in
+        # the mixing rounds.
+        for name in ("base_seed", "stream_id"):
+            value = getattr(self, name)
+            if not _is_uint64(value):
+                raise ValueError(
+                    f"seed fields must be 64-bit unsigned integers, got {name}={value!r}"
+                )
+            object.__setattr__(self, name, int(value))
 
 
 def splitmix64(z: int) -> int:
@@ -110,7 +122,7 @@ def splitmix64(z: int) -> int:
 
 def _check_index(index) -> int:
     # Beyond [0, 2^64) the counter step wraps: 2**64 + i would name child i.
-    if not isinstance(index, (int, np.integer)) or not 0 <= index <= _MASK64:
+    if not _is_uint64(index):
         raise ValueError(f"index must be an integer in [0, 2**64), got {index!r}")
     return int(index)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bitsense import biht, cli
+from bitsense import biht, cli, core, montecarlo
 from bitsense.core import random_sparse_unit
 from bitsense.rng import SeedSpec, derive_seed
 from bitsense.theory import epsilon_recurrence, sample_complexity
@@ -351,6 +351,28 @@ class TestGenerate:
         assert not out.exists()
         assert f"{key}={2**32} " in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("argv, module, allocation", [
+    (["run", "--n", "40", "--k", "2", "--m", "30", "--trials", "1", "--iters", "1"],
+     montecarlo, "dense_scratch"),
+    (["raic", "--n", "40", "--m", "30", "--pairs", "2"], core, "sample_standard_normal"),
+    (["generate", "--what", "signal", "--n", "40", "--k", "1"], core, "random_sparse_unit_rows"),
+])
+def test_sizes_that_do_not_fit_in_memory_exit_2(tmp_path, capsys, monkeypatch, argv, module,
+                                                allocation):
+    # Sizes that pass the shape checks can still ask for more memory than
+    # there is (n = 2^40 asks for 8 TiB).  The allocation is made to fail
+    # here, at small sizes, in place of a real one.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(module, allocation, out_of_memory)
+    out = tmp_path / "out"
+    flag = "--out" if argv[0] == "generate" else "--output-dir"
+    assert run_cli([*argv, flag, str(out)]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 8.00 TiB for an array\n"
+    assert not out.exists()
 
 def test_write_csv_formats_each_cell(tmp_path):
     # Floats by repr, np.float64 too; bools, np.bool_ too, as true/false;

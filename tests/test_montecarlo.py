@@ -183,7 +183,7 @@ class TestTailFrequency:
         u, v = pair_at_angle(1.1, n=10)
         rows = tail_frequency_check(u, v, 300, 200, 5.0, SeedSpec(530))
         for row in rows:
-            assert row.empirical == 0.0
+            assert row.estimate == 0.0
             assert row.passed
 
     def test_moderate_threshold_within_bound(self):
@@ -193,7 +193,7 @@ class TestTailFrequency:
         assert names == ["proj_minus_tail", "proj_plus_tail", "residual_tail"]
         for row in rows:
             assert row.passed
-            assert row.used_draws > 0
+            assert row.se > 0  # a draw was used
 
     def test_residual_threshold_includes_sparsity_term(self):
         # With t tiny, the deviation term ell t / m alone is far below the
@@ -207,8 +207,8 @@ class TestTailFrequency:
         rows = tail_frequency_check(u, v, 400, 200, 1e-4, SeedSpec(532))
         residual = rows[2]
         assert residual.name == "residual_tail"
-        assert residual.bound == pytest.approx(1.0)  # 2 exp(-tiny) clipped
-        assert residual.empirical < 1.0  # not every draw exceeds
+        assert residual.theory == pytest.approx(1.0)  # 2 exp(-tiny) clipped
+        assert residual.estimate < 1.0  # not every draw exceeds
 
     def test_domain_validation(self):
         u, v = pair_at_angle(0.8)
@@ -283,7 +283,7 @@ def test_validators_match_zero_filled_full_rows(u_at, v_at, n, monkeypatch):
     monkeypatch.setattr(mc, "_read_columns", lambda supp: (0, n))
     monkeypatch.setattr(mc, "sample_standard_normal_block", zero_filled)
     assert results() == narrow
-    assert 0 < narrow[0] < 1 and narrow[2][0].used_draws > 0
+    assert 0 < narrow[0] < 1 and narrow[2][0].se > 0
 
 
 class TestBlockSize:

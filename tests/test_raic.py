@@ -499,12 +499,13 @@ class TestBlockPath:
         seed, radius = SeedSpec(base, 3), 1e-4
         for first in range(0, num_pairs, PAIR_BLOCK):
             count = min(PAIR_BLOCK, num_pairs - first)
-            X, Y, Js = _draw_pairs(n, k, seed, first, count, num_small, max_j, radius)
+            X, Y, J = _draw_pairs(n, k, seed, first, count, num_small, max_j, radius)
+            assert J.shape == X.shape and J.dtype == bool
             for i in range(count):
-                x, y, J = reference_pair(n, k, seed, first + i, num_small, max_j, radius)
+                x, y, want = reference_pair(n, k, seed, first + i, num_small, max_j, radius)
                 assert X[i].tobytes() == x.tobytes()
                 assert Y[i].tobytes() == y.tobytes()
-                assert Js[i] == J
+                assert np.flatnonzero(J[i]).tolist() == sorted(want)
 
     def test_block_draws_on_tied_ranks_select_as_the_stable_sort(self, monkeypatch):
         # Ranks rounded down to eighths tie often, at the k-th smallest too,
@@ -515,7 +516,7 @@ class TestBlockPath:
         monkeypatch.setattr(core, "random_uniform_rows", coarse)
         monkeypatch.setattr(raic, "random_uniform_rows", coarse)
         n, k, max_j, seed = 30, 4, 6, SeedSpec(9, 3)
-        X, Y, Js = _draw_pairs(n, k, seed, 0, PAIR_BLOCK, 0, max_j, 1e-4)
+        X, Y, J = _draw_pairs(n, k, seed, 0, PAIR_BLOCK, 0, max_j, 1e-4)
         pair_seeds = [derive_seed(seed, p) for p in range(PAIR_BLOCK)]
         for rows, c in ((X, 0), (Y, 1)):
             ranks = coarse(keys_of([derive_seed(derive_seed(s, c), 0) for s in pair_seeds]), n)
@@ -524,7 +525,8 @@ class TestBlockPath:
         u = coarse(keys_of([derive_seed(s, 2) for s in pair_seeds]), n + 1)
         sizes = np.minimum((u[:, 0] * (max_j + 1)).astype(np.int64), max_j)
         order = np.argsort(u[:, 1:], axis=1, kind="stable")
-        assert Js == [order[i, : sizes[i]].tolist() for i in range(PAIR_BLOCK)]
+        for i in range(PAIR_BLOCK):
+            assert np.flatnonzero(J[i]).tolist() == sorted(order[i, : sizes[i]])
 
     # The sampler gives the normal 0.0 for the uniform 1/2, one word in 2^53;
     # these draws put such zeros where the pair draw reads them.
@@ -547,8 +549,8 @@ class TestBlockPath:
         X0, Y0, J0 = _draw_pairs(self.N, self.K, seed, 0, self.PAIRS, self.SMALL, self.K,
                                  self.RADIUS)
         monkeypatch.setattr(core, "sample_standard_normal_rows", self.zeroed((0, 1)))
-        X, Y, Js = _draw_pairs(self.N, self.K, seed, 0, self.PAIRS, self.SMALL, self.K,
-                               self.RADIUS)
+        X, Y, J = _draw_pairs(self.N, self.K, seed, 0, self.PAIRS, self.SMALL, self.K,
+                              self.RADIUS)
         support = np.flatnonzero(X0[0])
         assert np.count_nonzero(X[0]) == self.K - 1
         assert set(np.flatnonzero(X[0])) < set(support)
@@ -559,7 +561,7 @@ class TestBlockPath:
         assert X[1:].tobytes() == X0[1:].tobytes()
         others = np.arange(1, self.PAIRS) != self.SMALL
         assert Y[1:][others].tobytes() == Y0[1:][others].tobytes()
-        assert Js == J0
+        assert J.tobytes() == J0.tobytes()
         A = gaussian_matrix(200, self.N, SeedSpec(9, 5))
         report = raic_certify(A, self.K, 0.05, self.PAIRS, self.K, seed, num_small=self.SMALL)
         assert np.isfinite([r.residual for r in report.records]).all()
@@ -597,7 +599,10 @@ class TestBlockPath:
         Y[::4] = X[::4]
         Y[1::4] = -X[1::4]
         Js = [list(range(0, n, 1 + i % 3))[: i % 4] for i in range(count)]
-        got = _block_residuals(A, X, Y, Js)
+        J = np.zeros(X.shape, dtype=bool)
+        for i, cols in enumerate(Js):
+            J[i, cols] = True
+        got = _block_residuals(A, X, Y, J)
         for i in range(count):
             want = restricted_residual(X[i], Y[i], Js[i], h_a(A, X[i], Y[i]))
             assert got[i] == pytest.approx(want, abs=FLOAT_TOL, rel=0)
@@ -606,7 +611,14 @@ class TestBlockPath:
         A = gaussian_matrix(10, 4, SeedSpec(74))
         x = unit(np.ones(3))[None]
         with pytest.raises(ValueError):
-            _block_residuals(A, x, x, [[]])
+            _block_residuals(A, x, x, np.zeros(x.shape, dtype=bool))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 4), (4,)])
+    def test_block_residual_rejects_a_mask_not_of_the_pairs_shape(self, shape):
+        A = gaussian_matrix(10, 4, SeedSpec(74))
+        x = unit(np.ones(4))[None]
+        with pytest.raises(ValueError, match="pairs and J"):
+            _block_residuals(A, x, x, np.zeros(shape, dtype=bool))
 
     def test_certify_matches_pair_by_pair_reference(self):
         # Across block edges: pairs, regimes and d_s exactly, residuals to
@@ -674,7 +686,7 @@ class TestCertifyMetamorphic:
             ]
             assert np.concatenate([p[0] for p in parts]).tobytes() == whole[0].tobytes()
             assert np.concatenate([p[1] for p in parts]).tobytes() == whole[1].tobytes()
-            assert [J for p in parts for J in p[2]] == whole[2]
+            assert np.concatenate([p[2] for p in parts]).tobytes() == whole[2].tobytes()
 
     @pytest.mark.parametrize("block", [1, 7, 256])
     def test_any_row_block_gives_the_same_certificate(self, matrix, block, monkeypatch):

@@ -98,6 +98,29 @@ class TestSeedDerivation:
         with pytest.raises(ValueError):
             SeedSpec(0, 1 << 64)
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [((1.5,), "base_seed"), ((2.0,), "base_seed"), ((np.float64(3.0),), "base_seed"),
+         (("4",), "base_seed"), ((0, 2.0), "stream_id"), ((0, "4"), "stream_id")],
+    )
+    def test_seed_fields_that_are_not_integers_rejected(self, fields, name):
+        # Unchecked, a float failed at its first draw with a bare TypeError
+        # from ^, and a string with one from <=.
+        with pytest.raises(ValueError, match=f"got {name}="):
+            SeedSpec(*fields)
+
+    def test_numpy_integer_seed_fields_draw_as_python_ints(self):
+        # Held as numpy integers, the mixing rounds overflowed.
+        for fields in ((np.uint64(5), np.int64(3)), (np.int64(5), np.uint64(_MASK64))):
+            seed = SeedSpec(*fields)
+            plain = SeedSpec(*map(int, fields))
+            assert seed == plain
+            assert type(seed.base_seed) is int and type(seed.stream_id) is int
+            assert derive_seed(seed, 1) == derive_seed(plain, 1)
+            assert sample_standard_normal(seed, 5).tobytes() == (
+                sample_standard_normal(plain, 5).tobytes()
+            )
+
     def test_splitmix_is_bijection_locally(self):
         outs = {splitmix64(z) for z in range(4096)}
         assert len(outs) == 4096
