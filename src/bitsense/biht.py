@@ -72,7 +72,7 @@ from .core import (
 )
 from .raic import DEFAULT_ETA, correction, restricted_residual
 from .rng import SeedSpec
-from .thresholding import _top_k, normalize
+from .thresholding import _integer, _top_k, normalize
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,9 @@ class BIHTConfig:
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be positive and finite, got {self.eta!r}")
+        # Stored as int; a float or bool would fail in the sampler or range().
+        for name in ("k", "max_iters"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.k < 1:
@@ -167,8 +170,7 @@ def run_biht(
 
     track = truth is not None
     measure = _Measure(A)
-    supp = x.support()
-    s = measure(x.values, supp)
+    s = measure(x.values, x.support())
     rows = np.flatnonzero(b.bits != s)
     iterates = [x]
     mismatch = [rows.size]
@@ -187,8 +189,7 @@ def run_biht(
                 h = correction(A, b.bits, s, config.eta, rows)
                 x, moved = _descend(x_prev, h, config.k)
                 if moved is not None:
-                    supp = moved
-                    s = measure(x.values, supp)
+                    s = measure(x.values, moved)
                     rows = np.flatnonzero(b.bits != s)
                 iterates.append(x)
                 mismatch.append(rows.size)
@@ -197,8 +198,9 @@ def run_biht(
                     # h is h_A(truth, x_prev) with b in place of sgn(A truth):
                     # they agree by construction of the measurement, and this
                     # keeps the bound meaningful even if a caller passes a b
-                    # merely claimed to measure truth.
-                    residual = restricted_residual(truth.values, x_prev.values, supp, h)
+                    # merely claimed to measure truth.  J is supp(x_next).
+                    J = x.values != 0.0
+                    residual = restricted_residual(truth.values, x_prev.values, J, h)
                     lemma1.append(4.0 * residual)
                 if moved is None:
                     rest = config.max_iters - t

@@ -84,6 +84,8 @@ ERROR_BOUND_SLACK = 1e-9
 
 def _unit(v, name):
     a = np.asarray(v, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
     nrm = float(np.linalg.norm(a))
     if nrm == 0.0:
         raise ValueError(f"{name} must be nonzero")
@@ -287,8 +289,8 @@ def tail_frequency_check(
     the bound and ``z`` = (estimate - theory) / se.  When no draw has
     ell > 0 each row is (0.0, 1.0, 0.0, 0.0) and passes.
     """
-    if t_param <= 0:
-        raise ValueError("t_param must be positive")
+    if not (0.0 < t_param < math.inf):  # NaN fails too
+        raise ValueError(f"t_param must be positive and finite, got {t_param!r}")
     if m < 1 or trials < 1:
         raise ValueError("m and trials must be >= 1")
     uu = _unit(u, "u")

@@ -13,6 +13,8 @@ supp(x) u supp(y) u J, which gives h_{A,J}(x, y).  A matrix approximately
 inverts the one-bit measurement map when the residual
 ||(x - y) - h_{A,J}(x, y)|| (`restricted_residual` of h_A) stays below
 a1 sqrt(delta d_S(x, y)) + a2 delta uniformly over sparse unit pairs.
+A coordinate set J is a bool mask, and `restricted_residual` is the one
+computation of that residual, for the solver's bound and the certificate.
 
 Checking that uniformly is combinatorially infeasible (the covering-net union
 bound is astronomically large), so `raic_certify` samples pairs instead,
@@ -27,8 +29,8 @@ in numpy passes with no Python loop over its pairs:
   accumulates all of its corrections while the rows are in cache (row
   blocks, not one product with the whole matrix, which raised the peak RSS
   of a certificate by 9-15 MB; see ROW_BLOCK);
-* one boolean mask restricts every correction to supp(x) u supp(y) u J,
-  and the residuals, d_s, bounds and ratios are array expressions.
+* `restricted_residual` restricts every correction of the block with one
+  bool mask, and the residuals, d_s, bounds and ratios are array expressions.
 
 Norms are taken as each row's own dot (`core.row_norms`), so every value
 is the one a pair-by-pair computation gives, up to the order of the sums in
@@ -72,7 +74,7 @@ from .rng import (
     sample_standard_normal_rows,
 )
 from .theory import constants
-from .thresholding import _index_array, smallest_k, threshold_set
+from .thresholding import smallest_k, threshold_set
 
 # Step size the contraction analysis requires; deviating far from it loses
 # the contraction, so treat overrides as experimental.
@@ -173,12 +175,6 @@ def h_a(A: MeasurementMatrix, x, y) -> np.ndarray:
     return correction(A, sign_measure(A, xv).bits, sign_measure(A, yv).bits)
 
 
-def _restrict(h, x, y, J) -> np.ndarray:
-    """h restricted to supp(x) u supp(y) u J."""
-    keep = np.concatenate((np.flatnonzero(x), np.flatnonzero(y), _index_array(J)))
-    return threshold_set(h, keep)
-
-
 def orthogonal_decompose(h, u, v):
     """Split h into components along (u-v), (u+v), and an orthogonal remainder.
 
@@ -198,7 +194,7 @@ def orthogonal_decompose(h, u, v):
     uv = np.asarray(u, dtype=np.float64)
     vv = np.asarray(v, dtype=np.float64)
     for name, w in (("u", uv), ("v", vv)):
-        if abs(float(np.linalg.norm(w)) - 1.0) > 1e-6:
+        if not abs(float(np.linalg.norm(w)) - 1.0) <= 1e-6:  # NaN fails too
             raise ValueError(f"{name} must be a unit vector")
     e_minus, e_plus, _ = _pair_directions(uv, vv)
     # One dot product per row; [()] makes the result of one vector a scalar.
@@ -207,10 +203,13 @@ def orthogonal_decompose(h, u, v):
     return c_minus, c_plus, g
 
 
-def restricted_residual(x: np.ndarray, y: np.ndarray, J, h: np.ndarray) -> float:
+def restricted_residual(x: np.ndarray, y: np.ndarray, J: np.ndarray, h: np.ndarray):
     """||(x - y) - h_J||_2, h_J the precomputed correction h restricted to
-    supp(x) u supp(y) u J: the RAIC residual, and a quarter of the solver's bound."""
-    return float(np.linalg.norm((x - y) - _restrict(h, x, y, J)))
+    supp(x) u supp(y) u J, J a bool mask of x's shape: the RAIC residual, and
+    a quarter of the solver's bound.  A float for one pair; for stacks of
+    pairs, one per row, each row's residual as alone (`row_norms`)."""
+    r = row_norms((x - y) - threshold_set(h, (x != 0.0) | (y != 0.0) | J))
+    return float(r) if r.ndim == 0 else r
 
 
 def _block_residuals(A: MeasurementMatrix, X, Y, J) -> np.ndarray:
@@ -224,28 +223,28 @@ def _block_residuals(A: MeasurementMatrix, X, Y, J) -> np.ndarray:
     (Two sign products, not one of [X; Y]: half the largest temporary and
     no copy of the pairs, and the same report bytes.)  The sums run in
     another order than `correction`'s, so a residual may differ from the
-    reference in the last bits.  The restriction to supp(x) u supp(y) u J
-    is one boolean mask over the block, and the residual norms are the
-    rows' own dots (`row_norms`), as `restricted_residual` takes them.
+    reference in the last bits.  The residuals are `restricted_residual`
+    of the block's stacks, which restricts every correction with one mask.
     The products run at the caller's BLAS threading.
     """
     if X.shape[1] != A.n or Y.shape != X.shape or J.shape != X.shape:
         raise ValueError(f"pairs and J must be rows of length {A.n}")
-    keep = (X != 0.0) | (Y != 0.0) | J
     H = np.zeros((A.n, X.shape[0]))
     for start in range(0, A.m, ROW_BLOCK):
         rows = A.entries[start : start + ROW_BLOCK]
         D = sgn(rows @ X.T) - sgn(rows @ Y.T)
         H += rows.T @ (0.5 * D)
     H *= DEFAULT_ETA / A.m
-    return row_norms((X - Y) - np.where(keep, H.T, 0.0))
+    return restricted_residual(X, Y, J, H.T)
 
 
 def raic_bound(delta: float, a1: float, a2: float, d_s):
     """The invertibility bound a1 * sqrt(delta * d_s) + a2 * delta, for one
     d_s or elementwise over an array of them."""
-    if min(delta, a1, a2, np.min(d_s)) < 0:
-        raise ValueError("all arguments must be nonnegative")
+    values = np.concatenate(([delta, a1, a2], np.ravel(d_s)))
+    # A NaN compares False both ways, so each value must pass, not fail.
+    if not ((values >= 0.0) & (values < np.inf)).all():
+        raise ValueError("all arguments must be finite and nonnegative")
     return a1 * np.sqrt(delta * d_s) + a2 * delta
 
 

@@ -37,6 +37,14 @@ def smallest_k(keys, k: int) -> np.ndarray:
     return np.sort(np.argsort(a, axis=-1, kind="stable")[..., :k], axis=-1)
 
 
+def _integer(value, name: str) -> int:
+    """value as an int, or a ValueError naming it.  A bool is an int and a
+    float would reach an index or a range, so both are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _top_k(a: np.ndarray, k: int):
     """(top_k(a, k), the ascending indices it kept) for a valid 1-d a."""
     out = np.zeros_like(a)
@@ -56,42 +64,24 @@ def top_k(v, k: int) -> np.ndarray:
     a = np.asarray(v, dtype=np.float64)
     if a.ndim != 1:
         raise ValueError("v must be one-dimensional")
-    # bool is an int, and a float k would reach the selection as an index.
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"k must be an integer, got {k!r}")
+    k = _integer(k, "k")
     if not (0 <= k <= a.size):
         raise ValueError(f"k={k} outside [0, {a.size}]")
     return _top_k(a, k)[0]
 
 
-def _index_array(J) -> np.ndarray:
-    """The indices in J (an index array or any iterable of integers) as intp.
-
-    Anything else is rejected, not cast: floats would be truncated to
-    indices and a boolean mask read as the indices 0 and 1.
-    """
-    idx = J if isinstance(J, np.ndarray) else np.array(list(J))
-    # An empty list arrives as float64, and holds no index to reject.
-    if idx.ndim != 1 or (idx.dtype.kind not in "iu" and idx.size):
-        raise ValueError(f"J must be integer indices, not {idx.dtype} {idx.shape}")
-    return idx.astype(np.intp, copy=False)
-
-
 def threshold_set(v, J) -> np.ndarray:
-    """Keep exactly the coordinates in the index set J, zeroing the rest.
+    """H_J(v): keep the coordinates that the bool mask J (v's shape) marks,
+    zeroing the rest.  On a stack of vectors, row i of J restricts row i of v.
 
     Equivalent to multiplication by the 0/1 diagonal matrix of J, hence
-    linear in v.
+    linear in v.  A J of another dtype or shape is rejected, not cast: an
+    index set read as a mask would keep the wrong coordinates.
     """
     a = np.asarray(v, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError("v must be one-dimensional")
-    idx = _index_array(J)  # repeats are harmless
-    if idx.size and (idx.min() < 0 or idx.max() >= a.size):
-        raise IndexError("coordinate set J out of range")
-    out = np.zeros_like(a)
-    out[idx] = a[idx]
-    return out
+    if not isinstance(J, np.ndarray) or J.dtype != bool or J.shape != a.shape:
+        raise ValueError(f"J must be a bool mask of shape {a.shape}")
+    return np.where(J, a, 0.0)
 
 
 def normalize(v) -> np.ndarray:

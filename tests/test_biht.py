@@ -48,6 +48,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             BIHTConfig(k=0, max_iters=5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("k", 3.0), ("max_iters", 2.0), ("k", True), ("max_iters", True),
+         ("k", np.float64(3.0)), ("max_iters", "2")],
+    )
+    def test_non_integer_sizes_rejected(self, field, value):
+        # A float used to fail later in the sampler or the step loop's
+        # range, and max_iters=True ran one step.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            BIHTConfig(**{"k": 3, "max_iters": 2, field: value})
+
+    def test_numpy_integer_sizes_stored_as_int(self):
+        config = BIHTConfig(k=np.int64(3), max_iters=np.uint8(2))
+        assert type(config.k) is int and type(config.max_iters) is int
+        assert config == BIHTConfig(k=3, max_iters=2)
+
     def test_default_step_size(self):
         assert BIHTConfig(k=2, max_iters=1).eta == pytest.approx(math.sqrt(2 * math.pi))
 

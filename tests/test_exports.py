@@ -4,7 +4,7 @@ import pkgutil
 from importlib import import_module
 
 import bitsense
-from bitsense import biht, core, montecarlo, raic
+from bitsense import biht, core, montecarlo, raic, thresholding
 
 REMOVED = ("angular_distance", "biht_step", "h_a_j", "raic_residual")
 
@@ -29,6 +29,13 @@ def test_removed_names_are_gone():
     # `restricted_residual` of `h_a`, and `core._pair_directions`' angle.
     assert [name for name in REMOVED if hasattr(bitsense, name)] == []
     assert not set(REMOVED) & set(bitsense.__all__)
+
+
+def test_index_set_restriction_is_gone():
+    # A coordinate set is a bool mask; the index-set form and the solver's
+    # own restriction went when `threshold_set` took masks alone.
+    assert not hasattr(thresholding, "_index_array")
+    assert not hasattr(raic, "_restrict")
 
 
 def _calls(module, *names):

@@ -485,7 +485,8 @@ def test_correction_agrees_with_dense_formula_across_crossover(m, n, seed, below
 def _reference_bound(A, b, truth, x_prev, x_next, eta):
     """4 ||(truth - x_prev) - h_J|| with h recomputed from x_prev's signs."""
     h, _ = _reference_correction(A, b, x_prev.values, eta)
-    J = set(truth.support()) | set(x_prev.support()) | set(x_next.support())
+    J = np.zeros(A.n, dtype=bool)
+    J[[*truth.support(), *x_prev.support(), *x_next.support()]] = True
     return 4.0 * np.linalg.norm((truth.values - x_prev.values) - threshold_set(h, J))
 
 

@@ -286,6 +286,37 @@ def test_validators_match_zero_filled_full_rows(u_at, v_at, n, monkeypatch):
     assert 0 < narrow[0] < 1 and narrow[2][0].se > 0
 
 
+    @pytest.mark.parametrize("t_param", [math.nan, math.inf, 0.0, -1.0])
+    def test_t_param_must_be_positive_and_finite(self, t_param):
+        # A NaN used to pass `t_param <= 0` and give rows of NaN.
+        u, v = pair_at_angle(1.1, n=10)
+        with pytest.raises(ValueError, match="t_param must be positive and finite"):
+            tail_frequency_check(u, v, 30, 5, t_param, SeedSpec(1))
+
+
+# Each validator on a pair (u, v) at small sizes; `band_count_mean` takes u alone.
+VALIDATORS = {
+    "mismatch": lambda u, v: mismatch_probability(u, v, 10, SeedSpec(1)),
+    "band": lambda u, v: band_count_mean(u, 0.3, 10, 2, SeedSpec(1)),
+    "projection": lambda u, v: projection_expectation(u, v, 10, 2, SeedSpec(1)),
+    "tail": lambda u, v: tail_frequency_check(u, v, 10, 2, 0.5, SeedSpec(1)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "validator, name", [(f, w) for f in VALIDATORS for w in "uv" if (f, w) != ("band", "v")]
+)
+def test_validators_reject_a_non_finite_vector(validator, name, bad):
+    # A NaN used to give a silent estimate (a band count of 0) and an inf
+    # a RuntimeWarning from inf / inf.
+    pair = dict(zip("uv", pair_at_angle(1.1, n=4)))
+    pair[name][1] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        VALIDATORS[validator](pair["u"], pair["v"])
+
+
 class TestBlockSize:
     """The validators give `==` results however their items are blocked:
     one trial's matrix per block, a few, or fewer rows than one."""

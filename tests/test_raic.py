@@ -60,9 +60,16 @@ def keys_of(seeds):
     return np.array([_stream_key(s) for s in seeds], dtype=np.uint64)
 
 
+def mask(n, cols):
+    """The bool mask of length n that marks the coordinates in ``cols``."""
+    J = np.zeros(n, dtype=bool)
+    J[list(cols)] = True
+    return J
+
+
 def restricted_map(A, x, y, J):
     """h_A(x, y) restricted to supp(x) u supp(y) u J: h_{A,J}(x, y)."""
-    return threshold_set(h_a(A, x, y), {*np.flatnonzero(x), *np.flatnonzero(y), *J})
+    return threshold_set(h_a(A, x, y), mask(A.n, {*np.flatnonzero(x), *np.flatnonzero(y), *J}))
 
 
 def reference_pair(n, k, seed, pair_id, num_small, max_j, radius):
@@ -211,7 +218,7 @@ class TestRestrictedCorrectionMap:
         y = random_sparse_unit(8, 2, SeedSpec(80))
         out = restricted_map(A, x.values, y.values, set())
         supp = set(x.support()) | set(y.support())
-        required = threshold_set(h_a(A, x.values, y.values), supp)
+        required = threshold_set(h_a(A, x.values, y.values), mask(8, supp))
         assert np.array_equal(out, required)
         assert set(np.flatnonzero(out)) <= supp
 
@@ -282,6 +289,16 @@ class TestOrthogonalDecompose:
         with pytest.raises(ValueError):
             orthogonal_decompose(np.ones(2), np.array([2.0, 0.0]), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["u", "v"])
+    def test_non_finite_inputs_rejected(self, name, bad):
+        # A NaN norm is no more than 1e-6 from 1 in neither direction; it
+        # used to pass and return all-NaN output.
+        pair = {"u": np.array([1.0, 0.0]), "v": np.array([0.0, 1.0])}
+        pair[name] = np.array([bad, 0.0])
+        with pytest.raises(ValueError, match=f"{name} must be a unit vector"):
+            orthogonal_decompose(np.ones(2), pair["u"], pair["v"])
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 9), st.integers(2, 40), st.integers(0, 2**64 - 1))
     def test_rows_decompose_as_single_vectors(self, t, n, base):
@@ -315,7 +332,7 @@ class TestDecompositionIdentity:
             S = set(x.support()) | set(y.support()) | J
             e_minus = unit(x.values - y.values)
             e_plus = unit(x.values + y.values)
-            expected = c_minus * e_minus + c_plus * e_plus + threshold_set(g, S)
+            expected = c_minus * e_minus + c_plus * e_plus + threshold_set(g, mask(12, S))
             got = restricted_map(A, x.values, y.values, J)
             assert np.max(np.abs(got - expected)) <= 1e-10
 
@@ -325,22 +342,23 @@ class TestResidualAndBound:
         A = gaussian_matrix(30, 10, SeedSpec(88))
         x = random_sparse_unit(10, 3, SeedSpec(89))
         h = h_a(A, x.values, x.values)
-        assert restricted_residual(x.values, x.values, set(), h) == 0.0
+        assert restricted_residual(x.values, x.values, mask(10, set()), h) == 0.0
 
     def test_residual_symmetric_in_pair(self):
         A = gaussian_matrix(30, 10, SeedSpec(90))
         x = random_sparse_unit(10, 3, SeedSpec(91))
         y = random_sparse_unit(10, 3, SeedSpec(92))
-        xy = restricted_residual(x.values, y.values, {1}, h_a(A, x.values, y.values))
-        yx = restricted_residual(y.values, x.values, {1}, h_a(A, y.values, x.values))
+        J = mask(10, {1})
+        xy = restricted_residual(x.values, y.values, J, h_a(A, x.values, y.values))
+        yx = restricted_residual(y.values, x.values, J, h_a(A, y.values, x.values))
         assert xy == pytest.approx(yx, abs=1e-12)
 
     def test_residual_at_antipode_matches_direct_formula(self):
         A = gaussian_matrix(30, 10, SeedSpec(93))
         x = random_sparse_unit(10, 3, SeedSpec(94))
         h = h_a(A, x.values, -x.values)
-        direct = np.linalg.norm(2.0 * x.values - threshold_set(h, x.support()))
-        got = restricted_residual(x.values, -x.values, set(), h)
+        direct = np.linalg.norm(2.0 * x.values - threshold_set(h, mask(10, x.support())))
+        got = restricted_residual(x.values, -x.values, mask(10, set()), h)
         assert got == pytest.approx(direct, abs=1e-12)
 
     def test_bound_formula(self):
@@ -348,6 +366,43 @@ class TestResidualAndBound:
         assert raic_bound(0.3, 0.0, 0.0, 1.2) == 0.0
         with pytest.raises(ValueError):
             raic_bound(-0.1, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", range(4))
+    def test_bound_rejects_non_finite_arguments(self, position, bad):
+        # A NaN used to pass `min(...) < 0` and come back as the bound.
+        args = [0.1, 1.0, 1.0, 1.0]
+        args[position] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            raic_bound(*args)
+        args[3] = np.array([0.5, args[3], 1.5])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            raic_bound(*args)
+
+    def test_residual_rows_equal_each_pair_alone(self):
+        # A stack of pairs gives each pair's residual bit for bit, with J
+        # a mask row per pair.
+        n, t = 20, 6
+        A = gaussian_matrix(60, n, SeedSpec(98))
+        X = np.array([random_sparse_unit(n, 3, SeedSpec(98, i)).values for i in range(t)])
+        Y = np.array([random_sparse_unit(n, 4, SeedSpec(98, 50 + i)).values for i in range(t)])
+        Y[0] = X[0]
+        J = np.array([mask(n, range(0, n, 2 + i)[:i]) for i in range(t)])
+        H = np.array([h_a(A, x, y) for x, y in zip(X, Y)])
+        got = restricted_residual(X, Y, J, H)
+        assert got.shape == (t,)
+        for i in range(t):
+            alone = restricted_residual(X[i], Y[i], J[i], H[i])
+            assert type(alone) is float and got[i] == alone
+            direct = restricted_map(A, X[i], Y[i], np.flatnonzero(J[i]))
+            assert alone == np.linalg.norm((X[i] - Y[i]) - direct)
+
+    @pytest.mark.parametrize("J", [np.array([1, 3]), [1, 3], np.array([0, 1, 0, 0])])
+    def test_residual_rejects_an_index_set(self, J):
+        x = np.array([1.0, 0.0, 0.0, 0.0])
+        y = np.array([0.0, 0.0, 1.0, 0.0])
+        with pytest.raises(ValueError):
+            restricted_residual(x, y, J, np.ones(4))
 
     def test_bound_with_certified_constants(self):
         u = constants()
@@ -367,8 +422,8 @@ class TestResidualAndBound:
             x[[1, 4, 6]] = unit(sample_standard_normal(derive_seed(seed, 100 + i), 3))
             S = {1, 4, 6}
             Sp = S | {0, 2, 9}
-            lhs = np.linalg.norm(x - threshold_set(v, S))
-            rhs = np.linalg.norm(x - threshold_set(v, Sp))
+            lhs = np.linalg.norm(x - threshold_set(v, mask(12, S)))
+            rhs = np.linalg.norm(x - threshold_set(v, mask(12, Sp)))
             assert lhs <= rhs + 1e-12
 
 
@@ -604,7 +659,7 @@ class TestBlockPath:
             J[i, cols] = True
         got = _block_residuals(A, X, Y, J)
         for i in range(count):
-            want = restricted_residual(X[i], Y[i], Js[i], h_a(A, X[i], Y[i]))
+            want = restricted_residual(X[i], Y[i], mask(n, Js[i]), h_a(A, X[i], Y[i]))
             assert got[i] == pytest.approx(want, abs=FLOAT_TOL, rel=0)
 
     def test_block_residual_rejects_wrong_length(self):
@@ -632,7 +687,7 @@ class TestBlockPath:
             x, y, J = reference_pair(n, k, seed, r.pair_id, num_small, k, report.tau / 2)
             assert r.d_s == sphere_distance(x, y)
             assert r.regime == ("small" if r.pair_id < num_small else "large")
-            want = restricted_residual(x, y, J, h_a(A, x, y))
+            want = restricted_residual(x, y, mask(n, J), h_a(A, x, y))
             assert r.residual == pytest.approx(want, abs=FLOAT_TOL, rel=0)
 
 
@@ -647,7 +702,7 @@ def assert_matches_reference(A, report, k, seed, num_small, max_j):
         assert r.regime == ("small" if r.d_s < report.tau else "large")
         if r.pair_id < num_small:
             assert r.regime == "small"
-        want = restricted_residual(x, y, J, h_a(A, x, y))
+        want = restricted_residual(x, y, mask(A.n, J), h_a(A, x, y))
         assert r.residual == pytest.approx(want, abs=FLOAT_TOL, rel=0)
         assert r.bound == raic_bound(report.delta, u.c1, u.c2, r.d_s)
         assert r.ratio == r.residual / r.bound
@@ -811,5 +866,5 @@ class TestSupportMonotonicityOfStep:
         kept = top_k(v, 4)
         S = set(np.flatnonzero(kept))
         for other in ({0, 1, 2, 3}, {11, 12, 13, 14}):
-            alt = threshold_set(v, other)
+            alt = threshold_set(v, mask(15, other))
             assert np.linalg.norm(v - kept) <= np.linalg.norm(v - alt) + 1e-12

@@ -132,13 +132,24 @@ class TestSmallestK:
         assert top_k(v, 3).tolist() == [0.0, -2.0, 1.0, 0.0, 0.0, 3.0]
 
 
+def mask(n, cols):
+    """The bool mask of length n that marks the coordinates in ``cols``."""
+    J = np.zeros(n, dtype=bool)
+    J[list(cols)] = True
+    return J
+
+
 class TestThresholdSet:
     def test_empty_set_gives_zero(self):
-        assert not threshold_set(np.ones(5), set()).any()
+        assert not threshold_set(np.ones(5), mask(5, set())).any()
 
     def test_full_set_is_identity(self):
         v = np.arange(5.0)
-        assert np.array_equal(threshold_set(v, range(5)), v)
+        assert np.array_equal(threshold_set(v, mask(5, range(5))), v)
+
+    def test_keeps_exactly_the_marked_coordinates(self):
+        kept = threshold_set(np.arange(1.0, 6.0), mask(5, {4, 0}))
+        assert kept.tolist() == [1.0, 0.0, 0.0, 0.0, 5.0]
 
     def test_linearity(self):
         seed = SeedSpec(64)
@@ -146,37 +157,39 @@ class TestThresholdSet:
             u = sample_standard_normal(derive_seed(seed, 3 * i), 10)
             w = sample_standard_normal(derive_seed(seed, 3 * i + 1), 10)
             a, b = sample_standard_normal(derive_seed(seed, 3 * i + 2), 2)
-            J = {0, 3, 7, 9}
+            J = mask(10, {0, 3, 7, 9})
             lhs = threshold_set(a * u + b * w, J)
             rhs = a * threshold_set(u, J) + b * threshold_set(w, J)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
-    def test_out_of_range_index(self):
-        with pytest.raises(IndexError):
-            threshold_set(np.ones(3), {3})
-        with pytest.raises(IndexError):
-            threshold_set(np.ones(3), {-1})
-
     @pytest.mark.parametrize(
         "J",
         [
-            np.array([1.5, 3.9]),  # was truncated to {1, 3}
-            [1.5],  # was truncated to {1}
-            [True, False, True, False, True],  # was read as {0, 1}
-            np.array([True, False, True, False, True]),
-            np.array([[0, 1]]),
+            np.array([0, 1, 0, 1, 1]),  # 0/1 integers, v's shape
+            np.array([0.0, 1.0, 0.0, 1.0, 1.0]),
+            [False, True, False, True, True],  # a list, not an array
+            np.array([1, 3]),  # an index set
+            {1, 3},
         ],
     )
-    def test_non_integer_index_set_rejected(self, J):
-        with pytest.raises(ValueError, match="J must be integer indices"):
+    def test_non_bool_mask_rejected(self, J):
+        with pytest.raises(ValueError, match="J must be a bool mask"):
             threshold_set(np.arange(5.0), J)
 
-    @pytest.mark.parametrize(
-        "J", [[], set(), np.array([]), np.array([4, 0], dtype=np.uint64), [np.int64(4), 0]]
-    )
-    def test_integer_index_sets_accepted(self, J):
-        kept = threshold_set(np.arange(1.0, 6.0), J)
-        assert np.flatnonzero(kept).tolist() == sorted(int(j) for j in J)
+    @pytest.mark.parametrize("shape", [(4,), (6,), (1, 5), (5, 1), ()])
+    def test_mask_of_another_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"J must be a bool mask of shape \(5,\)"):
+            threshold_set(np.arange(5.0), np.ones(shape, dtype=bool))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 30), st.integers(0, 2**64 - 1))
+    def test_rows_restrict_as_single_vectors(self, t, n, base):
+        seed = SeedSpec(base)
+        V = sample_standard_normal(derive_seed(seed, 0), t * n).reshape(t, n)
+        J = uniforms([derive_seed(seed, 1)], t * n).reshape(t, n) < 0.5
+        out = threshold_set(V, J)
+        for i in range(t):
+            assert out[i].tobytes() == threshold_set(V[i], J[i]).tobytes()
 
     def test_pythagorean_split(self):
         # For nested supports S2 within S1:
@@ -186,10 +199,10 @@ class TestThresholdSet:
             v = sample_standard_normal(derive_seed(seed, i), 12)
             s1 = {0, 1, 2, 5, 7, 8, 11}
             s2 = {1, 5, 11}
-            lhs = np.linalg.norm(threshold_set(v, s1)) ** 2
+            lhs = np.linalg.norm(threshold_set(v, mask(12, s1))) ** 2
             rhs = (
-                np.linalg.norm(threshold_set(v, s2)) ** 2
-                + np.linalg.norm(threshold_set(v, s1 - s2)) ** 2
+                np.linalg.norm(threshold_set(v, mask(12, s2))) ** 2
+                + np.linalg.norm(threshold_set(v, mask(12, s1 - s2))) ** 2
             )
             assert abs(lhs - rhs) <= 1e-10
 
