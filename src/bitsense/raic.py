@@ -28,7 +28,14 @@ in numpy passes with no Python loop over its pairs:
 * one pass over row blocks of A signs all of the block's vectors and
   accumulates all of its corrections while the rows are in cache (row
   blocks, not one product with the whole matrix, which raised the peak RSS
-  of a certificate by 9-15 MB; see ROW_BLOCK);
+  of a certificate by 9-15 MB; see ROW_BLOCK).  Sparse pairs are signed
+  through their supports, by `scipy.sparse` CSR products, O(k) per sign
+  where a dense product takes O(n); pairs with a row of SUPPORTS_BELOW * n
+  nonzeros or more by dense products.  Both give the same signs, off
+  products within rounding of 0, and the correction product is the same,
+  so the report has the same bytes either way.  The support products do
+  not read every entry of A, so `raic_certify` checks A's finiteness
+  itself, once per certificate;
 * `restricted_residual` restricts every correction of the block with one
   bool mask, and the residuals, d_s, bounds and ratios are array expressions.
 
@@ -60,7 +67,6 @@ from .core import (
     random_sparse_unit_rows,
     row_dots,
     row_norms,
-    sgn,
     sign_measure,
     sphere_distance_rows,
 )
@@ -74,7 +80,7 @@ from .rng import (
     sample_standard_normal_rows,
 )
 from .theory import constants
-from .thresholding import smallest_k, threshold_set
+from .thresholding import _mask_checked, smallest_k, threshold_set
 
 # Step size the contraction analysis requires; deviating far from it loses
 # the contraction, so treat overrides as experimental.
@@ -100,6 +106,18 @@ DEFAULT_ETA = math.sqrt(2.0 * math.pi)
 # (seed 0).
 ROWS_ONLY_BELOW = 0.2
 
+# The certifier's block kernel signs a block's pairs through their supports
+# while every row of X and Y has fewer than SUPPORTS_BELOW * n nonzeros, and
+# by dense products otherwise.  Measured on 2 vCPU with OpenBLAS 0.3.31, one
+# BLAS thread, the thread CPU time of one 128-pair block, medians of 25
+# rounds interleaved in one process (`BENCH_28.json`), support against
+# dense: at n=200, m=5000, 21.3 against 29.2 ms at k=5, 24.2 / 28.3 at
+# k=10, 27.4-29.6 / 26.2-26.3 at k=20, 44.5 / 27.7 at k=40 and 82.6 / 27.6
+# at k=100; at n=1000, m=2000, 35.7 / 54.3 at k=10, 50.0 / 52.7 at k=50,
+# 58.1-63.2 / 50.0-56.7 at k=100 and 77.5-92.4 / 48.7-54.8 at k=200.  So
+# the support products lose from k = n/10 on at both sizes.
+SUPPORTS_BELOW = 0.1
+
 # `raic_certify` draws and certifies pairs in blocks of PAIR_BLOCK, and the
 # block kernel reads A in blocks of ROW_BLOCK rows.  Measured at m=5000,
 # n=200, 500 pairs on 2 vCPU with OpenBLAS 0.3.31, one BLAS thread, medians
@@ -107,9 +125,10 @@ ROWS_ONLY_BELOW = 0.2
 # and records in array passes, a certificate took 187-191 ms at 32 pairs a
 # block, 126-150 ms at 64 and 112-128 ms at 128, against 178-215 ms for
 # the per-pair Python of before at 32 (`BENCH_13.json`).  The `certify`
-# benchmark's peak RSS at 128 is 0.4 MB above that of before, with the
-# block's x and y signed by separate products; one 512 x 256 product of
-# [X; Y] raised it by 1.9 MB.  At 256 pairs 1-4 residuals per certificate
+# benchmark's peak RSS at 128 was 0.4 MB above that of before, with the
+# block's x and y signed by separate 512-row products; one 512 x 256
+# product of [X; Y] raised it by 1.9 MB (the support products take [X; Y]
+# SIGN_ROWS rows at a time).  At 256 pairs 1-4 residuals per certificate
 # moved by up to 2.2e-15, and so did `raic_report.csv`: OpenBLAS rounds a
 # product of more columns differently.  ROW_BLOCK stays 512: at 256
 # `raic_report.csv` changes too, as the corrections then sum in other
@@ -119,6 +138,20 @@ ROWS_ONLY_BELOW = 0.2
 # block keeps both of its products on the same cache-resident rows.
 PAIR_BLOCK = 128
 ROW_BLOCK = 512
+
+# On the supports, the block kernel signs a row block's pairs SIGN_ROWS
+# rows at a time, with one CSR product of [X; Y] each, of the rows copied
+# transposed; its result is 2 PAIR_BLOCK x SIGN_ROWS.  The correction
+# product still takes all ROW_BLOCK rows at once.  Measured on 2 vCPU
+# with OpenBLAS 0.3.31, n=200, k=5, m=5000, 500 pairs on a pool of 2,
+# medians of 40 certificates in process, three rounds: CPU time per
+# certificate 102-120 ms at 512 rows, 94-100 ms at 256, 100-105 ms at 128
+# and 110-123 ms at 64 (127-130 ms with dense sign products alone), and
+# peak RSS 74.0-74.2, 71.8-72.0, 71.0-71.1 and 70.5-70.7 MB (68.5-68.7 MB
+# with dense sign products).  The buffers are made in the pool task and are gone before the
+# residuals are formed: made in the calling thread, through `rng._map`'s
+# scratch, and held to the end of the block, they read 0.3-0.8 MB higher.
+SIGN_ROWS = 128
 
 def correction(
     A: MeasurementMatrix | LazyGaussianMatrix,
@@ -207,35 +240,90 @@ def restricted_residual(x: np.ndarray, y: np.ndarray, J: np.ndarray, h: np.ndarr
     """||(x - y) - h_J||_2, h_J the precomputed correction h restricted to
     supp(x) u supp(y) u J, J a bool mask of x's shape: the RAIC residual, and
     a quarter of the solver's bound.  A float for one pair; for stacks of
-    pairs, one per row, each row's residual as alone (`row_norms`)."""
+    pairs, one per row, each row's residual as alone (`row_norms`).  J is
+    checked as `threshold_set` checks it, before the union is formed."""
+    J = _mask_checked(J, np.shape(h))
     r = row_norms((x - y) - threshold_set(h, (x != 0.0) | (y != 0.0) | J))
     return float(r) if r.ndim == 0 else r
+
+
+def _nonnegative(P: np.ndarray) -> np.ndarray:
+    """(P >= 0) as int8 0 and 1, once every entry of P is checked finite,
+    as `sgn` checks: a sign product that overflowed to inf raises."""
+    if not np.isfinite(P).all():
+        raise ValueError("sgn requires finite input")
+    return (P >= 0.0).view(np.int8)
+
+
+def _corrections(A: MeasurementMatrix, X, Y) -> np.ndarray:
+    """h_A(x, y) for the pairs in the rows of X and Y, one per row:
+    `_block_residuals`' kernel.  Its buffers (the pairs in CSR form, the
+    transposed copy and D) are freed when it returns, before the residuals
+    make theirs (see SIGN_ROWS)."""
+    count, n = X.shape
+    densest = max(np.count_nonzero(X, axis=1).max(), np.count_nonzero(Y, axis=1).max())
+    if densest < SUPPORTS_BELOW * n:
+        from scipy import sparse
+
+        pairs = sparse.csr_array(np.concatenate((X, Y)))
+        copy = np.empty(n * SIGN_ROWS)
+
+        def differences(rows, D):
+            for first in range(0, len(rows), SIGN_ROWS):
+                part = rows[first : first + SIGN_ROWS]
+                part_t = copy[: part.size].reshape(n, len(part))
+                part_t[...] = part.T
+                bits = _nonnegative(pairs @ part_t).T
+                np.subtract(bits[:, :count], bits[:, count:], out=D[first : first + len(part)])
+    else:
+        def differences(rows, D):
+            np.subtract(_nonnegative(rows @ X.T), _nonnegative(rows @ Y.T), out=D)
+    signs = np.empty(ROW_BLOCK * count)
+    H = np.zeros((n, count))
+    for start in range(0, A.m, ROW_BLOCK):
+        rows = A.entries[start : start + ROW_BLOCK]
+        D = signs[: len(rows) * count].reshape(len(rows), count)
+        differences(rows, D)
+        H += rows.T @ D
+    H *= DEFAULT_ETA / A.m
+    return H.T
 
 
 def _block_residuals(A: MeasurementMatrix, X, Y, J) -> np.ndarray:
     """``restricted_residual(x, y, J_i, h_a(A, x, y))`` for the pairs in the
     rows of X and Y, with J_i the columns marked in row i of the bool mask J
-    (X's shape), in one pass over row blocks of A.
+    (X's shape), in one pass over row blocks of A (`_corrections`).
 
-    Each block of ROW_BLOCK rows signs every vector at once,
-    S_x = sgn(A_rb X^T) and S_y = sgn(A_rb Y^T), and adds its share of
-    every correction, A_rb^T (S_x - S_y) / 2, while the rows are in cache.
-    (Two sign products, not one of [X; Y]: half the largest temporary and
-    no copy of the pairs, and the same report bytes.)  The sums run in
+    Each block A_rb of ROW_BLOCK rows signs every vector at once and adds
+    its share of every correction, A_rb^T D with
+    D = (sgn(A_rb X^T) - sgn(A_rb Y^T)) / 2, while the rows are in cache.
+    While every row of X and Y has fewer than SUPPORTS_BELOW * n nonzeros,
+    the sign products run over the supports alone, O(k) per entry: [X; Y]
+    becomes a CSR matrix once, and A_rb is copied transposed SIGN_ROWS
+    rows A_p at a time, so that the CSR product [X; Y] A_p^T reads whole
+    rows of the copy.  Otherwise they are dense products, A_rb X^T and
+    A_rb Y^T (two, not one of [X; Y]: half the largest temporary).  A
+    dense product adds exact zeros to the same terms, so the two can
+    differ in sign only where a product is within rounding of 0.  With
+    sgn(0) = +1, D is (P_x >= 0) - (P_y >= 0) exactly, for the sign
+    products P: one pass per product in place of `sgn`'s three.  A
+    non-finite product raises, as in `sgn`, so one that overflowed to inf
+    from huge finite entries does; but the support products never meet A's
+    entries off the supports, so a non-finite A is the caller's to reject
+    (`raic_certify` does).  `scipy.sparse` is imported on the first support
+    product: at module level it raised the peak RSS of runs that never
+    certify by about 2 MB.
+
+    A_rb^T D is one product on either path, so a report has the same bytes
+    on either path, off signs within rounding of 0.  Its sums run in
     another order than `correction`'s, so a residual may differ from the
-    reference in the last bits.  The residuals are `restricted_residual`
-    of the block's stacks, which restricts every correction with one mask.
+    reference in the last bits.  The residuals are `restricted_residual` of
+    the block's stacks, which restricts every correction with one mask.
     The products run at the caller's BLAS threading.
     """
     if X.shape[1] != A.n or Y.shape != X.shape or J.shape != X.shape:
         raise ValueError(f"pairs and J must be rows of length {A.n}")
-    H = np.zeros((A.n, X.shape[0]))
-    for start in range(0, A.m, ROW_BLOCK):
-        rows = A.entries[start : start + ROW_BLOCK]
-        D = sgn(rows @ X.T) - sgn(rows @ Y.T)
-        H += rows.T @ (0.5 * D)
-    H *= DEFAULT_ETA / A.m
-    return restricted_residual(X, Y, J, H.T)
+    return restricted_residual(X, Y, J, _corrections(A, X, Y))
 
 
 def raic_bound(delta: float, a1: float, a2: float, d_s):
@@ -388,6 +476,12 @@ def raic_certify(
         num_small = num_pairs // 5
     if not (0 <= num_small <= num_pairs):
         raise ValueError(f"num_small (small_pairs) must be in 0..num_pairs, got {num_small}")
+
+    # The support products read A only on the pairs' supports, so a
+    # non-finite entry elsewhere is found here, a row block at a time.
+    for start in range(0, A.m, ROW_BLOCK):
+        if not np.isfinite(A.entries[start : start + ROW_BLOCK]).all():
+            raise ValueError("A must be finite")
 
     u = constants()
     tau = delta / u.b

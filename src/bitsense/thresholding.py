@@ -79,9 +79,15 @@ def threshold_set(v, J) -> np.ndarray:
     index set read as a mask would keep the wrong coordinates.
     """
     a = np.asarray(v, dtype=np.float64)
-    if not isinstance(J, np.ndarray) or J.dtype != bool or J.shape != a.shape:
-        raise ValueError(f"J must be a bool mask of shape {a.shape}")
-    return np.where(J, a, 0.0)
+    return np.where(_mask_checked(J, a.shape), a, 0.0)
+
+
+def _mask_checked(J, shape) -> np.ndarray:
+    """J, once checked to be a bool mask (an ndarray, not a list) of the
+    given shape; raises ValueError otherwise."""
+    if not isinstance(J, np.ndarray) or J.dtype != bool or J.shape != shape:
+        raise ValueError(f"J must be a bool mask of shape {shape}")
+    return J
 
 
 def normalize(v) -> np.ndarray:

@@ -1,7 +1,13 @@
 import ast
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from importlib import import_module
+from pathlib import Path
+
+import pytest
 
 import bitsense
 from bitsense import biht, core, montecarlo, raic, thresholding
@@ -75,3 +81,36 @@ def test_only_the_sampler_makes_the_pool_and_its_scratch_queue():
     makers = {m.__name__: _calls(m, "ThreadPoolExecutor", "SimpleQueue") for m in _modules()}
     assert makers.pop("bitsense.rng") != []
     assert makers == {name: [] for name in makers}
+
+
+# Each subcommand at small sizes, OUT its output directory; None is a bare
+# ``import bitsense``.
+SUBCOMMANDS = {
+    "import": None,
+    "run": ["run", "--n", "20", "--k", "2", "--m", "200", "--trials", "2", "--iters", "3",
+            "--output-dir", "OUT"],
+    "validate": ["validate", "--output-dir", "OUT"],
+    "theory": ["theory"],
+    "raic": ["raic", "--n", "40", "--k", "2", "--m", "200", "--pairs", "10", "--small-pairs", "2",
+             "--output-dir", "OUT"],
+}
+
+
+@pytest.mark.parametrize(
+    "name, loads", [("import", False), ("run", False), ("validate", False), ("theory", False),
+                    ("raic", True)],
+)
+def test_only_the_certifier_imports_scipy_sparse(name, loads, tmp_path):
+    # `raic` imports `scipy.sparse` where its kernel first signs through
+    # the pairs' supports; at module level it raised the peak RSS of the
+    # workloads that never certify.  A fresh interpreter each, as a user's.
+    code = "import sys\nimport bitsense\n"
+    if SUBCOMMANDS[name] is not None:
+        argv = [str(tmp_path) if a == "OUT" else a for a in SUBCOMMANDS[name]]
+        code += f"from bitsense import cli\nassert cli.main({argv!r}) == 0\n"
+    code += "print('scipy.sparse' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(bitsense.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] == str(loads)

@@ -250,7 +250,7 @@ VALIDATE_PINS = {
 }
 
 
-# The sha256 of each output file of a `run` and three `raic`s at sizes that
+# The sha256 of each output file of a `run` and four `raic`s at sizes that
 # cross their blocks.  The `run` has four trials, each with its own matrix,
 # and a dense first step.  "500 pairs" is the `certify` benchmark's
 # certificate at seed 7: four pair blocks (PAIR_BLOCK = 128) over m = 5000.
@@ -296,6 +296,16 @@ OUTPUT_DIGESTS = {
         {
             "raic_report.csv": "7facf003cc866cc91ddcac76fe11a30071bca8c57370b442844f7070a81384ab",
             "raic_summary.json": "64f283baae20d627e3a4f8821cc83f6b0e240a352a949597b36dc5d6e54c9714",
+        },
+    ),
+    # k = n / 5: every row of a block has at least raic.SUPPORTS_BELOW * n
+    # nonzeros, so the kernel signs by dense products; the certificates
+    # above sign through the supports.  Recorded before the support products.
+    "dense sign products": (
+        ["raic", "--n", "60", "--k", "12", "--m", "1000", "--pairs", "300", "--small-pairs", "60"],
+        {
+            "raic_report.csv": "61691950af2d9cef1b5dc8fe9770f2bba4c7a9e18d0c1a9c35ee9c71c5518da3",
+            "raic_summary.json": "1f074ce7b3d5e81bb89deff5b8e49f18a801f7d38528cdf6246e52a8d8ec57c0",
         },
     ),
 }

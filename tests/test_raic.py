@@ -22,6 +22,7 @@ from bitsense.raic import (
     PAIR_BLOCK,
     ROW_BLOCK,
     ROWS_ONLY_BELOW,
+    SUPPORTS_BELOW,
     _block_residuals,
     _draw_pairs,
     correction,
@@ -404,6 +405,21 @@ class TestResidualAndBound:
         with pytest.raises(ValueError):
             restricted_residual(x, y, J, np.ones(4))
 
+    @pytest.mark.parametrize(
+        "J",
+        [np.array([0.0, 1.0, 0.0, 0.0]), [False, True, False, False], np.zeros(3, dtype=bool)],
+        ids=["float array", "list of bools", "bool of another shape"],
+    )
+    def test_residual_checks_j_as_threshold_set_does(self, J):
+        # The check comes before J meets the supports in a union, which
+        # would raise numpy's own errors or take a list.
+        x = np.array([1.0, 0.0, 0.0, 0.0])
+        y = np.array([0.0, 0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match=r"J must be a bool mask of shape \(4,\)"):
+            threshold_set(np.ones(4), J)
+        with pytest.raises(ValueError, match=r"J must be a bool mask of shape \(4,\)"):
+            restricted_residual(x, y, J, np.ones(4))
+
     def test_bound_with_certified_constants(self):
         u = constants()
         eps, d = 0.16, 0.9
@@ -689,6 +705,142 @@ class TestBlockPath:
             assert r.regime == ("small" if r.pair_id < num_small else "large")
             want = restricted_residual(x, y, mask(n, J), h_a(A, x, y))
             assert r.residual == pytest.approx(want, abs=FLOAT_TOL, rel=0)
+
+
+def dense_block_residuals(A, X, Y, J):
+    """The block kernel with both sign patterns from dense products over
+    all n columns, signed by `sgn`, and the correction as A_rb^T D: the
+    reference whose bytes the kernel must give on either path."""
+    H = np.zeros((A.n, len(X)))
+    for start in range(0, A.m, ROW_BLOCK):
+        rows = A.entries[start : start + ROW_BLOCK]
+        H += rows.T @ (0.5 * (sgn(rows @ X.T) - sgn(rows @ Y.T)))
+    H *= DEFAULT_ETA / A.m
+    return restricted_residual(X, Y, J, H.T)
+
+
+def sparse_rows(n, k, base, streams):
+    """k-sparse unit rows of length n, one from ``SeedSpec(base, s)`` for
+    each s in ``streams``."""
+    return np.array([random_sparse_unit(n, k, SeedSpec(base, s)).values for s in streams])
+
+
+class TestSupportProducts:
+    """The kernel's sign products over the pairs' supports (`SUPPORTS_BELOW`)
+    against dense ones."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, ROW_BLOCK + 200),
+        n=st.integers(1, 80),
+        k=st.integers(1, 12),
+        count=st.integers(1, 40),
+        dense_y=st.booleans(),
+        zero=st.booleans(),
+        base=st.integers(0, 2**64 - 1),
+    )
+    @example(m=ROW_BLOCK + 37, n=80, k=3, count=40, dense_y=False, zero=True, base=1)
+    @example(m=ROW_BLOCK + 37, n=50, k=5, count=40, dense_y=False, zero=False, base=2)
+    @example(m=ROW_BLOCK + 37, n=50, k=4, count=40, dense_y=False, zero=False, base=3)
+    @example(m=300, n=80, k=3, count=40, dense_y=True, zero=False, base=4)
+    def test_equal_to_dense_sign_products(self, m, n, k, count, dense_y, zero, base):
+        # Bit for bit, on either side of the k / n threshold and with dense
+        # rows of Y, which send the block to the dense products.  With
+        # ``zero``, x's first support value is exactly 0.0, as a draw of the
+        # uniform 1/2 makes it.
+        k = min(k, n)
+        A = gaussian_matrix(m, n, SeedSpec(base, 0))
+        X = sparse_rows(n, k, base, range(1, 1 + count))
+        if zero:
+            X[0, np.flatnonzero(X[0])[0]] = 0.0
+        if dense_y:
+            Y = np.array([unit(sample_standard_normal(SeedSpec(base, 100 + i), n))
+                          for i in range(count)])
+        else:
+            Y = sparse_rows(n, k, base, range(300, 300 + count))
+        Y[::3] = X[::3]
+        J = random_uniform_rows(keys_of([SeedSpec(base, 200 + i) for i in range(count)]), n) < 0.3
+        want = dense_block_residuals(A, X, Y, J)
+        assert _block_residuals(A, X, Y, J).tobytes() == want.tobytes()
+        # Each path on the same input: never the support products, then
+        # always.
+        for threshold in (0.0, 2.0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(raic, "SUPPORTS_BELOW", threshold)
+                assert _block_residuals(A, X, Y, J).tobytes() == want.tobytes()
+
+    def test_the_threshold_is_on_the_densest_row(self, monkeypatch):
+        # One row of Y at SUPPORTS_BELOW * n nonzeros sends the block to the
+        # dense products; one nonzero fewer keeps it on the supports.
+        from scipy import sparse
+
+        n = 60
+        k = math.ceil(SUPPORTS_BELOW * n)
+        A = gaussian_matrix(300, n, SeedSpec(75))
+        X = sparse_rows(n, 2, 75, range(5))
+        J = np.zeros(X.shape, dtype=bool)
+        made = []
+        real = sparse.csr_array
+        monkeypatch.setattr(sparse, "csr_array", lambda P: made.append(P.shape) or real(P))
+        for densest, support in ((k - 1, True), (k, False)):
+            Y = X.copy()
+            Y[2] = random_sparse_unit(n, densest, SeedSpec(76)).values
+            made.clear()
+            got = _block_residuals(A, X, Y, J)
+            assert made == ([(10, n)] if support else [])
+            assert got.tobytes() == dense_block_residuals(A, X, Y, J).tobytes()
+
+    def test_an_exact_zero_product_signs_as_plus_one(self):
+        # Row 0 of A is zero on supp(x), so the support product is exactly
+        # 0, and sgn(0) = +1; sgn(A_0 y) = -1, so the row enters the
+        # correction.
+        n = 40
+        entries = gaussian_matrix(8, n, SeedSpec(73)).entries.copy()
+        entries[0, [0, 1]] = 0.0
+        entries[0, 5] = -1.0
+        A = MeasurementMatrix(entries)
+        x = unit([1.0, 1.0] + [0.0] * (n - 2))
+        y = np.zeros(n)
+        y[5] = 1.0
+        J = np.ones((1, n), dtype=bool)
+        got = _block_residuals(A, x[None], y[None], J)
+        want = restricted_residual(x, y, J[0], h_a(A, x, y))
+        assert got[0] == pytest.approx(want, abs=FLOAT_TOL, rel=0)
+        assert got.tobytes() == dense_block_residuals(A, x[None], y[None], J).tobytes()
+
+    # A dense product warns of the overflow or the NaN (an error under the
+    # suite's filterwarnings) before `sgn` raises; the support products do
+    # not multiply there.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("threshold", [SUPPORTS_BELOW, 0.0], ids=["supports", "dense"])
+    def test_a_product_that_overflows_raises(self, threshold, monkeypatch):
+        # Each entry and each term is finite; the sum over x's support is
+        # not.
+        monkeypatch.setattr(raic, "SUPPORTS_BELOW", threshold)
+        n = 40
+        entries = gaussian_matrix(4, n, SeedSpec(74)).entries.copy()
+        entries[2, [0, 1]] = 1.5e308
+        x = unit([1.0, 1.0] + [0.0] * (n - 2))
+        y = np.zeros(n)
+        y[5] = 1.0
+        with pytest.raises(ValueError, match="finite"):
+            _block_residuals(MeasurementMatrix(entries), x[None], y[None],
+                             np.zeros((1, n), dtype=bool))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_certify_rejects_a_non_finite_entry_no_pair_reads(self, bad):
+        # The support products never read the column, so the certificate
+        # must check A itself.
+        n, k, m, num_pairs, delta, seed = 200, 2, 600, 3, 0.05, SeedSpec(71)
+        tau = delta / constants().b
+        X, Y, _ = _draw_pairs(n, k, seed, 0, num_pairs, num_pairs // 5, k, tau / 2.0)
+        unread = np.flatnonzero(~(X != 0.0).any(axis=0) & ~(Y != 0.0).any(axis=0))[0]
+        entries = gaussian_matrix(m, n, SeedSpec(72)).entries.copy()
+        raic_certify(MeasurementMatrix(entries), k, delta, num_pairs, k, seed)
+        entries[7, unread] = bad
+        with pytest.raises(ValueError):
+            raic_certify(MeasurementMatrix(entries), k, delta, num_pairs, k, seed)
 
 
 def assert_matches_reference(A, report, k, seed, num_small, max_j):
