@@ -30,11 +30,22 @@ first, with l near m/2, take the dense product.
 
 Those are the solver's only reads of A: the columns on a support
 (``A.columns``), the mismatched rows (``A.rows``) and, for a dense step,
-the row blocks (``A.row_blocks``).  So it runs the same on a
+A^T r over the row blocks (``A.t_dot``).  So it runs the same on a
 `core.MeasurementMatrix`, which answers them by indexing and views, and on
 a `core.LazyGaussianMatrix`, which draws only what they ask for; the
 convergence trials use the latter, and their records are bit for bit
 those of the whole matrix.
+
+A run makes every product on one BLAS thread (`rng._one_blas_thread`),
+called bare or from the convergence trials, and hands the caller's count
+back when it returns or raises; so its bits do not depend on that count.
+The dense step on a `core.MeasurementMatrix` takes its row blocks'
+products side by side on the sampler's pool, in place of a second BLAS
+thread for each product.  Before, a bare run used
+the caller's threading, and at OpenBLAS's default of one thread per core
+the idle BLAS worker busy-waited between products: the `solve` benchmark
+read ``cpu_s`` at about twice ``run_s`` (8.77 against 4.71 ms, medians
+of ten 20 s runs).
 
 A step that leaves the iterate in place (h = 0, once sgn(Ax) = b, or a zero
 candidate) is an absorbing fixed point: the signs, hence h and the next
@@ -46,9 +57,11 @@ there costs about 90 us (2 vCPU, numpy 2.4): the descent (top-k, the sphere
 projection and the iterate's checks) about 32 us, the product with the kept
 block and its signs about 35 us, the rows-only correction about 14 us and
 the mismatch rows about 7 us.  The first step's dense correction and a
-gather of five columns (0.15-0.25 ms) are the largest single costs.  At
-default threading the dense correction took 0.67-0.91 ms over its four
-row blocks, against 0.60-0.73 ms for one product of the whole matrix;
+gather of five columns (0.15-0.25 ms) are the largest single costs.  The
+dense correction over the four row blocks at m=10000, medians of 600
+inside `solve`'s calls in six sets (2 vCPU, OpenBLAS 0.3.31), took
+1.24-1.58 ms with its blocks on the pool of 2, against 1.41-1.74 ms one
+after another on one BLAS thread and 1.09-1.43 ms on two BLAS threads;
 the blocks are what lets a trial's matrix, drawn on read, hold one block
 of scratch in place of m x n zeros.
 """
@@ -71,7 +84,7 @@ from .core import (
     sphere_distance,
 )
 from .raic import DEFAULT_ETA, correction, restricted_residual
-from .rng import SeedSpec
+from .rng import SeedSpec, _one_blas_thread
 from .thresholding import _integer, _top_k, normalize
 
 
@@ -170,48 +183,52 @@ def run_biht(
 
     track = truth is not None
     measure = _Measure(A)
-    s = measure(x.values, x.support())
-    rows = np.flatnonzero(b.bits != s)
-    iterates = [x]
-    mismatch = [rows.size]
-    error_ds = [sphere_distance(truth.values, x.values)] if track else None
-    lemma1 = [float("nan")] if track else None
+    # Every product of the run, the first measure's too, takes one BLAS
+    # thread; the caller's count comes back when it returns or raises.
+    with _one_blas_thread():
+        s = measure(x.values, x.support())
+        rows = np.flatnonzero(b.bits != s)
+        iterates = [x]
+        mismatch = [rows.size]
+        error_ds = [sphere_distance(truth.values, x.values)] if track else None
+        lemma1 = [float("nan")] if track else None
 
-    # A step grows with eta, and at an eta near 1e155 (n=40, m=500) the
-    # candidate's norm overflows.  Such a step raises here rather than
-    # leaving an iterate of norm 0.  The context is entered once a run, not
-    # once a step: entering it costs about 2 us (numpy 2.4), some 2% of a
-    # moving step.
-    try:
-        with np.errstate(over="raise"):
-            for t in range(1, config.max_iters + 1):
-                x_prev = x
-                h = correction(A, b.bits, s, config.eta, rows)
-                x, moved = _descend(x_prev, h, config.k)
-                if moved is not None:
-                    s = measure(x.values, moved)
-                    rows = np.flatnonzero(b.bits != s)
-                iterates.append(x)
-                mismatch.append(rows.size)
-                if track:
-                    error_ds.append(sphere_distance(truth.values, x.values))
-                    # h is h_A(truth, x_prev) with b in place of sgn(A truth):
-                    # they agree by construction of the measurement, and this
-                    # keeps the bound meaningful even if a caller passes a b
-                    # merely claimed to measure truth.  J is supp(x_next).
-                    J = x.values != 0.0
-                    residual = restricted_residual(truth.values, x_prev.values, J, h)
-                    lemma1.append(4.0 * residual)
-                if moved is None:
-                    rest = config.max_iters - t
-                    for record in (iterates, mismatch, error_ds, lemma1):
-                        if record is not None:
-                            record.extend(record[-1:] * rest)
-                    break
-    except FloatingPointError as exc:
-        raise ValueError(
-            f"eta={config.eta!r} is too large: a step overflows ({exc})"
-        ) from None
+        # A step grows with eta, and at an eta near 1e155 (n=40, m=500)
+        # the candidate's norm overflows.  Such a step raises here rather
+        # than leaving an iterate of norm 0.  The context is entered once a
+        # run, not once a step: entering it costs about 2 us (numpy 2.4),
+        # some 2% of a moving step.
+        try:
+            with np.errstate(over="raise"):
+                for t in range(1, config.max_iters + 1):
+                    x_prev = x
+                    h = correction(A, b.bits, s, config.eta, rows)
+                    x, moved = _descend(x_prev, h, config.k)
+                    if moved is not None:
+                        s = measure(x.values, moved)
+                        rows = np.flatnonzero(b.bits != s)
+                    iterates.append(x)
+                    mismatch.append(rows.size)
+                    if track:
+                        error_ds.append(sphere_distance(truth.values, x.values))
+                        # h is h_A(truth, x_prev) with b in place of
+                        # sgn(A truth): they agree by construction of the
+                        # measurement, and this keeps the bound meaningful
+                        # even if a caller passes a b merely claimed to
+                        # measure truth.  J is supp(x_next).
+                        J = x.values != 0.0
+                        residual = restricted_residual(truth.values, x_prev.values, J, h)
+                        lemma1.append(4.0 * residual)
+                    if moved is None:
+                        rest = config.max_iters - t
+                        for record in (iterates, mismatch, error_ds, lemma1):
+                            if record is not None:
+                                record.extend(record[-1:] * rest)
+                        break
+        except FloatingPointError as exc:
+            raise ValueError(
+                f"eta={config.eta!r} is too large: a step overflows ({exc})"
+            ) from None
 
     return Trajectory(
         iterates=iterates, mismatch=mismatch, error_ds=error_ds, lemma1_rhs=lemma1

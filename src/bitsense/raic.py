@@ -48,7 +48,9 @@ residuals and d_s depend only on the seed, its first pair and A, so the
 report has the same bytes at any pool size; the bounds, ratios,
 ``delta_hat`` and records are formed once every block has returned.
 `h_a`, `correction` and `restricted_residual` stay the reference
-definition, which the solver uses, at the caller's BLAS threading.
+definition, which the solver uses; `correction`'s dense product runs on
+one BLAS thread, its rows-only product at the caller's threading (one
+thread, within the solver).
 """
 
 from __future__ import annotations
@@ -90,20 +92,21 @@ DEFAULT_ETA = math.sqrt(2.0 * math.pi)
 # this share of m, and takes the dense product, over the row blocks of
 # `core.dense_row_blocks`, otherwise.  Measured on 2 vCPU with OpenBLAS
 # 0.3.31, n=200, medians of 41 in two sets, under both threadings the
-# solver runs at.  Default threading (a bare `run_biht`, the `solve`
-# benchmark): the blocked dense product took 0.67-0.91 ms at m=10000 (the
-# single A.T @ r 0.60-0.73 ms), and the rows-only product 0.62-0.70 ms at
-# l = m/5 and 0.90-1.08 ms at m/4; at m=5000, blocked 0.31-0.35 ms against
-# rows-only 0.29-0.32 ms at m/5 and 0.37 ms at m/4.  One BLAS thread
-# (`run`): blocked 0.82-1.39 ms at m=10000, rows-only 0.70-0.82 ms at m/5,
-# 0.80-1.06 ms at m/4 and 1.18-1.47 ms at 0.3m; at m=5000, blocked
-# 0.37-0.43 ms against rows-only 0.27-0.32 ms at m/5, 0.33 ms at m/4 and
-# 0.39-0.40 ms at 0.3m.  So the break-even is between m/5 and m/4 at
+# solver then ran at.  Default threading (a bare `run_biht` before it took
+# one BLAS thread, the `solve` benchmark): the blocked dense product took
+# 0.67-0.91 ms at m=10000 (the single A.T @ r 0.60-0.73 ms), and the
+# rows-only product 0.62-0.70 ms at l = m/5 and 0.90-1.08 ms at m/4; at
+# m=5000, blocked 0.31-0.35 ms against rows-only 0.29-0.32 ms at m/5 and
+# 0.37 ms at m/4.  One BLAS thread (`run`): blocked 0.82-1.39 ms at
+# m=10000, rows-only 0.70-0.82 ms at m/5, 0.80-1.06 ms at m/4 and
+# 1.18-1.47 ms at 0.3m; at m=5000, blocked 0.37-0.43 ms against rows-only
+# 0.27-0.32 ms at m/5, 0.33 ms at m/4 and 0.39-0.40 ms at 0.3m.  So the break-even is between m/5 and m/4 at
 # default threading and near 0.3m on one thread.  The constant stays at
-# m/5: a higher one would slow the default-threading steps in between, and
-# l in [m/5, 0.3m) is rare: one of the 4650 mismatch counts the `solve`
-# benchmark records (seed 1, 150 solves) and none of the acceptance run's
-# (seed 0).
+# m/5, now that every run is on one thread and a whole matrix's dense
+# blocks run on the pool: moving it would move the bits of the steps in
+# between, and l in [m/5, 0.3m) is rare: one of the 4650 mismatch counts
+# the `solve` benchmark records (seed 1, 150 solves) and none of the
+# acceptance run's (seed 0).
 ROWS_ONLY_BELOW = 0.2
 
 # The certifier's block kernel signs a block's pairs through their supports
@@ -166,12 +169,18 @@ def correction(
     it is what a solver step adds to its iterate y.  Only the l rows where
     b and s differ contribute, and only those are read.  While
     l < ROWS_ONLY_BELOW * m the product runs over those rows alone
-    (``A.rows``), in O(l n).  Otherwise it is the dense product, summed as
-    ``A_b.T @ r_b`` over the fixed row blocks of `core.dense_row_blocks`
-    (``A.row_blocks``), added in block order, where the rows it did not ask
-    for meet zeros in r.  The blocks depend on the shape alone, so a matrix
-    drawn on read gives the bits of the whole one, and a matrix of at most
-    `core.DENSE_BLOCK_ENTRIES` entries the bits of the single ``A.T @ r``.
+    (``A.rows``), in O(l n).  Otherwise it is the dense product
+    ``A.t_dot(r, rows)``, summed as ``np.dot(A_b.T, r_b)`` over the fixed
+    row blocks of `core.dense_row_blocks` and added in block order, where
+    the rows it did not ask for meet zeros in r.  Its block products run on
+    one BLAS thread (`rng._one_blas_thread`): those of a
+    `core.MeasurementMatrix` side by side on the sampler's pool, those of a
+    `core.LazyGaussianMatrix` one after another as its blocks are drawn.
+    So the sum is bit for bit the one-thread blocked sum at any pool size
+    and caller's BLAS thread count.  The blocks depend on the shape alone,
+    so a matrix drawn on read gives the bits of the whole one, and a matrix
+    of at most `core.DENSE_BLOCK_ENTRIES` entries the bits of the single
+    ``A.T @ r``.
     When b == s rowwise it is the zero vector, returned without a product.
     ``rows`` is ``np.flatnonzero(b != s)``, passed by a caller that found
     the mismatched rows already (the solver counts them at every step).
@@ -188,10 +197,8 @@ def correction(
         r = 0.5 * (bv[rows].astype(np.float64) - sv[rows])
         return (eta / A.m) * (A.rows(rows).T @ r)
     r = 0.5 * (bv.astype(np.float64) - sv)
-    parts = (block.T @ r[start : start + len(block)] for start, block in A.row_blocks(rows))
-    total = next(parts)
-    for part in parts:
-        total += part
+    with _one_blas_thread():
+        total = A.t_dot(r, rows)
     return (eta / A.m) * total
 
 

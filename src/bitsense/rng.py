@@ -43,10 +43,11 @@ request's shape, and the values are the same as those of one serial pass.
 The stream definition above is unchanged by this; the sha256 known-answer
 tests pin it.
 
-The pool is the one parallel layer of ``run``, ``validate`` and ``raic``,
-whose BLAS products run on one thread under `_one_blas_thread` (the reason
-is measured there).  Work goes to it through one helper, `_map`, which
-lists its users and is the one place that hands scratch to its tasks.
+The pool is the one parallel layer of ``run``, ``validate``, ``raic`` and
+a bare `biht.run_biht`, whose BLAS products run on one thread under
+`_one_blas_thread` (the reason is measured there).  Work goes to it through
+one helper, `_map`, which lists its users and is the one place that hands
+scratch to its tasks.
 
 Nothing here is cryptographic.
 """
@@ -58,7 +59,7 @@ import functools
 import os
 import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -260,12 +261,19 @@ def _map(fn, items, scratch=None) -> list:
     it runs serially in the calling thread: a pool task that waited on the
     pool could wait for ever, once every worker is busy with such tasks.
     Otherwise the items go to the pool and the results come back in item
-    order; reading them re-raises the first worker's exception here.  The
-    pool's four users: the sampler's tiles (`_stream`), the certifier's pair
-    blocks (`raic.raic_certify`), the battery's validators
-    (`montecarlo.run_validator_suite`) and the convergence trials
-    (`montecarlo.convergence_trials`); the last three draw serially on their
-    pool threads.
+    order; reading them re-raises the first worker's exception in item
+    order here, once the calls not yet started are cancelled and the
+    running ones have ended.  So no call outlives `_map`, nor a
+    `_one_blas_thread` it holds: a trial that raised would otherwise leave
+    the other trials' runs holding the BLAS count at 1 after
+    `montecarlo.convergence_trials` raised.  The pool's five users, each
+    named by the function that calls `_map`: the sampler's tiles
+    (`_stream`), the certifier's pair blocks (`raic.raic_certify`), the
+    battery's validators (`montecarlo.run_validator_suite`), the
+    convergence trials (`montecarlo.convergence_trials`) and the row blocks
+    of a dense correction over a whole matrix
+    (`core.MeasurementMatrix.t_dot`); the middle three draw serially on
+    their pool threads, and the last takes its blocks' products there.
 
     With ``scratch``, a function of no arguments that makes a block, each
     call is ``fn(item, block)``.  The blocks, one for each call that can run
@@ -286,7 +294,17 @@ def _map(fn, items, scratch=None) -> list:
         fn = functools.partial(_with_block, fn, free)
     if serial:
         return [fn(item) for item in items]
-    return list(_executor().map(fn, items))
+    pool = _executor()
+    futures = [pool.submit(fn, item) for item in items]
+    try:
+        return [future.result() for future in futures]
+    except BaseException:
+        # The calls not started are dropped, and the running ones end
+        # before `_map` does.
+        for future in futures:
+            future.cancel()
+        wait(futures)
+        raise
 
 
 def _with_block(fn, free, item):
@@ -341,9 +359,11 @@ _blas_saved = 0  # the count to restore when the last one leaves
 def _one_blas_thread():
     """Run the body with one BLAS thread, then restore the caller's count.
 
-    The count is process-wide, so nested and concurrent users share one
-    setting and the last to leave restores it.  Where the count cannot be
-    reached (another BLAS), the body runs at whatever the BLAS uses.
+    The count is OpenBLAS's, one for the whole process, so nested and
+    concurrent users share one setting and the last to leave restores it;
+    a thread that makes BLAS products outside this context meanwhile runs
+    them on one thread too.  Where the count cannot be reached (another
+    BLAS), the body runs at whatever the BLAS uses.
 
     Why: after a product on two OpenBLAS threads the idle worker busy-waits
     on a core, and a pool draw that follows shares that core with it.  A
@@ -357,8 +377,11 @@ def _one_blas_thread():
     a solver step, 512-row blocks in the certifier), and one thread also
     keeps their last bits independent of the core count: two-thread
     products round some results differently.  A bare `biht.run_biht` runs
-    outside it: with no draws around it, its dense first-step products
-    gain from a second thread.
+    inside it as well: with two BLAS threads its idle worker busy-waited
+    between products, so the `solve` benchmark read ``cpu_s`` at about
+    twice ``run_s``.  Its dense first step takes its row blocks side by
+    side on the pool instead (`core.MeasurementMatrix.t_dot`), which wins
+    back about half of what one BLAS thread alone loses there.
     """
     global _blas_users, _blas_saved
     calls = _openblas_thread_calls()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bitsense import cli
+from bitsense import cli, core
 from bitsense.biht import BIHTConfig, run_biht
 from bitsense.core import (
     LazyGaussianMatrix,
@@ -311,6 +311,20 @@ class TestMetamorphic:
         assert scaled.bits.tobytes() == sign_measure(A, truth.values).bits.tobytes()
 
 
+class _BlockLog(np.ndarray):
+    """A scratch view that keeps a copy of each block of it that ``np.dot``
+    multiplies, in ``blocks``, the list its slices share."""
+
+    def __array_finalize__(self, obj):
+        self.blocks = getattr(obj, "blocks", None)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is not np.dot:
+            return super().__array_function__(func, types, args, kwargs)
+        self.blocks.append(np.array(args[0]).T)  # args[0] is a block's transpose
+        return func(*(np.asarray(a) for a in args), **kwargs)
+
+
 class RecordingMatrix(LazyGaussianMatrix):
     """A LazyGaussianMatrix that keeps a copy of every block it hands out:
     the column blocks, the rows-only blocks and the dense step's row blocks,
@@ -318,8 +332,8 @@ class RecordingMatrix(LazyGaussianMatrix):
     row reads in order, ``"rows"`` or ``"blocks"`` with the rows asked
     for."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def __init__(self, m, n, seed, scratch):
+        super().__init__(m, n, seed, scratch.view(_BlockLog))
         self.column_reads = []
         self.row_reads = []
         self.block_reads = []
@@ -336,13 +350,13 @@ class RecordingMatrix(LazyGaussianMatrix):
         self.row_reads.append((rows.copy(), block.copy()))
         return block
 
-    def row_blocks(self, rows):
+    def t_dot(self, r, rows):
         self.reads.append(("blocks", rows.copy()))
-        blocks = []
-        for start, block in super().row_blocks(rows):
-            blocks.append((start, block.copy()))
-            yield start, block
-        self.block_reads.append((rows.copy(), blocks))
+        self.scratch.blocks = blocks = []
+        total = super().t_dot(r, rows)
+        starts = np.cumsum([0] + [len(block) for block in blocks[:-1]])
+        self.block_reads.append((rows.copy(), list(zip(starts, blocks))))
+        return total
 
 
 def assert_same_record(got, want):
@@ -456,13 +470,22 @@ class TestDrawnOnRead:
             assert_drawn_from(lazy, A)
             assert lazy.block_reads and not scratch.any()
 
-    def test_a_dense_read_left_early_leaves_the_scratch_zero(self):
+    def test_a_dense_read_left_early_leaves_the_scratch_zero(self, monkeypatch):
+        # The second block's draw writes its rows and raises.
+        draw = core.sample_standard_normal_block
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(draw(*args, **kwargs).any())
+            if len(calls) == 2:
+                raise RuntimeError("draw")
+
+        monkeypatch.setattr(core, "sample_standard_normal_block", failing)
         scratch = dense_scratch(8000, 200)
         lazy = LazyGaussianMatrix(8000, 200, SeedSpec(707), scratch)
-        blocks = lazy.row_blocks(np.arange(0, 8000, 2))
-        start, block = next(blocks)
-        assert start == 0 and block.any()
-        blocks.close()
+        with pytest.raises(RuntimeError, match="draw"):
+            lazy.t_dot(np.ones(8000), np.arange(0, 8000, 2))
+        assert calls == [True, True]
         assert not scratch.any()
 
 

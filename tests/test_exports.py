@@ -2,6 +2,7 @@ import ast
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bitsense
-from bitsense import biht, core, montecarlo, raic, thresholding
+from bitsense import biht, core, montecarlo, raic, rng, thresholding
 
 REMOVED = ("angular_distance", "biht_step", "h_a_j", "raic_residual")
 
@@ -56,6 +57,25 @@ def _calls(module, *names):
     ]
 
 
+def _callers(module, *names):
+    """The qualified names of the functions of ``module`` that call one of
+    ``names``: for each line of `_calls`, the innermost def around it."""
+    defs = []
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            inner = prefix
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{prefix}{child.name}."
+                if not isinstance(child, ast.ClassDef):
+                    defs.append((child.lineno, child.end_lineno, inner[:-1]))
+            walk(child, inner)
+
+    walk(ast.parse(inspect.getsource(module)), "")
+    return {max((lo, name) for lo, hi, name in defs if lo <= line <= hi)[1]
+            for line in _calls(module, *names)}
+
+
 def _modules():
     return [bitsense] + [
         import_module(f"bitsense.{info.name}") for info in pkgutil.iter_modules(bitsense.__path__)
@@ -81,6 +101,17 @@ def test_only_the_sampler_makes_the_pool_and_its_scratch_queue():
     makers = {m.__name__: _calls(m, "ThreadPoolExecutor", "SimpleQueue") for m in _modules()}
     assert makers.pop("bitsense.rng") != []
     assert makers == {name: [] for name in makers}
+
+
+def test_the_pools_users_are_the_ones_map_lists():
+    # `rng._map`'s docstring names each function that calls it, in
+    # parentheses, by its path in the package (its own module's without
+    # one); every function that calls `_map` must be named there.
+    modules = {m.__name__.removeprefix("bitsense."): m for m in _modules()}
+    listed = {name if name.split(".")[0] in modules else f"rng.{name}"
+              for name in re.findall(r"\(`([\w.]+)`\)", rng._map.__doc__)}
+    callers = {f"{short}.{name}" for short, m in modules.items() for name in _callers(m, "_map")}
+    assert callers == listed
 
 
 # Each subcommand at small sizes, OUT its output directory; None is a bare

@@ -14,6 +14,7 @@ shape of the matrix products a tracked run takes.
 
 import csv
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -402,6 +403,29 @@ def test_validate_digests_at_each_pool_size_and_blas_count(pin, blas_threads, po
     assert hashlib.sha256((tmp_path / "validators.csv").read_bytes()).hexdigest() == digest
 
 
+# A tracked bare `run_biht` whose dense first step sums three row blocks
+# (m n = 1.2M entries: 2621, 2621 and 758 rows): the sha256 of the repr of
+# its record rows (iterate, mismatch, d_s and bound bytes).  Recorded before
+# a bare run took one BLAS thread, at caller BLAS counts 1 and 2.
+BARE_RUN_DIGEST = "f78f36ebaa95f01a2817440b16edb6c73bbb00ef8978181b1a55fba21dd084c0"
+
+
+def _bare_run_digest():
+    A = gaussian_matrix(6000, 200, SeedSpec(29))
+    truth = random_sparse_unit(200, 5, SeedSpec(29, 1))
+    b = core.sign_measure(A, truth.values)
+    traj = run_biht(A, b, BIHTConfig(k=5, max_iters=8, init=SeedSpec(29, 2)), truth=truth)
+    assert traj.mismatch[0] >= ROWS_ONLY_BELOW * A.m  # a dense first step
+    return hashlib.sha256(repr(_rows(traj)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2], ids=lambda t: f"caller BLAS {t}")
+def test_bare_run_digest_at_each_pool_size_and_blas_count(blas_threads, pool_size):
+    # The dense step's row blocks run on the pool, so neither its size nor
+    # the caller's BLAS thread count may move a bit of a bare run's record.
+    assert _at_caller_blas(blas_threads, _bare_run_digest) == BARE_RUN_DIGEST
+
+
 def _reference_correction(A, b, x, eta):
     """(eta/2m) A^T (b - sgn(Ax)) as the kernel computes it: over the rows
     where b and sgn(Ax) differ while they are fewer than ROWS_ONLY_BELOW * m,
@@ -564,14 +588,33 @@ def test_run_rejects_nan_in_a_support_column():
 
 
 class _ProductLog(np.ndarray):
-    """A matrix view that records the shape of each matrix product it takes."""
+    """A matrix view that records the shape of each matrix product it takes,
+    by ``@`` or by ``np.dot``, in ``log``, and the BLAS thread count each
+    ``np.dot`` ran at in ``threads``."""
 
     def __array_finalize__(self, obj):
         self.log = getattr(obj, "log", None)
+        self.threads = getattr(obj, "threads", None)
 
     def __matmul__(self, other):
         self.log.append(self.shape)
         return np.asarray(self) @ other
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is not np.dot:
+            return super().__array_function__(func, types, args, kwargs)
+        self.log.append(self.shape)
+        calls = rng._openblas_thread_calls()
+        self.threads.append(calls and calls[0]())
+        return func(*(np.asarray(a) for a in args), **kwargs)
+
+
+def _logged(A):
+    """Swap A's entries for a `_ProductLog` view of them, which it returns."""
+    logged = A.entries.view(_ProductLog)
+    logged.log, logged.threads = [], []
+    object.__setattr__(A, "entries", logged)
+    return logged
 
 
 @settings(max_examples=40, deadline=None)
@@ -587,9 +630,7 @@ def test_measure_keeps_the_block_of_the_current_support(m, n, seed, supports):
     # product must go through A's entries (here, the product log).
     A = gaussian_matrix(m, n, SeedSpec(seed))
     plain = np.array(A.entries)
-    logged = A.entries.view(_ProductLog)
-    logged.log = []
-    object.__setattr__(A, "entries", logged)
+    logged = _logged(A)
     measure = core._Measure(A)
     values = sample_standard_normal(SeedSpec(seed, 1), n)
     for i, chosen in enumerate(supports):
@@ -608,9 +649,7 @@ def test_tracked_run_measures_each_iterate_once(monkeypatch):
     truth = random_sparse_unit(n, k, SeedSpec(1))
     A = gaussian_matrix(m, n, SeedSpec(2))
     b = SignPattern(sgn(A.entries @ truth.values))
-    logged = A.entries.view(_ProductLog)
-    logged.log = []
-    object.__setattr__(A, "entries", logged)
+    logged = _logged(A)
     corrections = []
     real_correction = biht.correction
 
@@ -634,3 +673,67 @@ def test_tracked_run_measures_each_iterate_once(monkeypatch):
     assert len(transposed) <= T
     assert all(1 <= rows <= m for _, rows in transposed)
     assert any(rows < m for _, rows in transposed)
+
+
+def _blocked_reference(A, r):
+    """The one-thread serial sum of ``A_b.T @ r_b`` over the row blocks of
+    `core.dense_row_blocks`, added in block order."""
+    starts = core.dense_row_blocks(A.m, A.n)
+    a = np.asarray(A.entries)
+    with rng._one_blas_thread():
+        total = a[: starts.step].T @ r[: starts.step]
+        for start in starts[1:]:
+            total += a[start : start + starts.step].T @ r[start : start + starts.step]
+    return total
+
+
+def _dense_signs(m, seed):
+    """Sign patterns b, s of length m that differ on at least m/5 rows, and
+    r = (b - s) / 2."""
+    b = sgn(sample_standard_normal(SeedSpec(seed, 0), m))
+    u = _uniforms(SeedSpec(seed, 1), m + 1, 0)
+    ell = math.ceil(ROWS_ONLY_BELOW * m) + int(u[0] * (m - math.ceil(ROWS_ONLY_BELOW * m) + 1))
+    s = b.copy()
+    flipped = np.argsort(u[1:], kind="stable")[:ell]
+    s[flipped] = -s[flipped]
+    return b, s, 0.5 * (b.astype(np.float64) - s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(1, 40),
+    st.integers(1, 5),
+    st.integers(1, 40),
+    st.integers(0, 2**64 - 1),
+)
+def test_pooled_dense_correction_is_the_serial_blocked_sum(n, height, blocks, last, seed):
+    # Blocks of ``height`` rows, the last of ``last`` (a short one when
+    # last < height), on both matrix types: the blocks of a
+    # `MeasurementMatrix` on the pool, a `LazyGaussianMatrix`'s drawn one
+    # by one, both bit for bit the serial one-thread sum in block order.
+    last = min(last, height)
+    m = (blocks - 1) * height + last
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "DENSE_BLOCK_ENTRIES", height * n)
+        A = gaussian_matrix(m, n, SeedSpec(seed))
+        lazy = core.LazyGaussianMatrix(m, n, SeedSpec(seed), core.dense_scratch(m, n))
+        assert len(core.dense_row_blocks(m, n)) == blocks
+        b, s, r = _dense_signs(m, seed)
+        want = ((np.sqrt(2.0 * np.pi) / m) * _blocked_reference(A, r)).tobytes()
+        assert correction(A, b, s).tobytes() == want
+        assert correction(lazy, b, s).tobytes() == want
+
+
+def test_dense_correction_takes_its_blocks_on_one_blas_thread(pool_size):
+    # Three row blocks (2621, 2621 and 758 rows) at a caller's count of 2:
+    # each block's product runs on one BLAS thread, in a correction called
+    # outside any pipeline, and the count comes back.
+    A = gaussian_matrix(6000, 200, SeedSpec(30))
+    b, s, r = _dense_signs(A.m, 31)
+    want = ((np.sqrt(2.0 * np.pi) / A.m) * _blocked_reference(A, r)).tobytes()
+    logged = _logged(A)
+    h = _at_caller_blas(2, lambda: correction(A, b, s))
+    assert sorted(logged.log) == [(200, 758), (200, 2621), (200, 2621)]
+    assert logged.threads == [1, 1, 1]
+    assert h.tobytes() == want

@@ -568,8 +568,8 @@ def _trial_record(trajectories):
 @pytest.mark.skipif(_openblas_thread_calls() is None,
                     reason="numpy's BLAS thread count is not reachable")
 class TestOneBlasThread:
-    """The trial pipeline and the validator suite make their BLAS products on
-    one thread and hand the caller's count back; a bare solver run keeps it."""
+    """The trial pipeline, the validator suite and a bare solver run make
+    their BLAS products on one thread and hand the caller's count back."""
 
     @pytest.fixture
     def blas_get(self):
@@ -619,21 +619,36 @@ class TestOneBlasThread:
             run_validator_suite(SeedSpec(571))
         assert blas_get() == 2
 
-    def test_bare_solver_keeps_the_callers_count(self, blas_get, monkeypatch):
-        # `run_biht` without sampling around it gains from BLAS threads in its
-        # dense first-step products, so it is left at the caller's count.
+    def test_bare_solver_runs_on_one_thread(self, blas_get, monkeypatch):
+        # Every product of a bare `run_biht`, the first measure's too, at one
+        # BLAS thread; the caller's count comes back after a return and
+        # after the ValueError of a step that overflows.
         seen = []
+
+        class Measure(biht._Measure):
+            def __call__(self, *args):
+                seen.append(("measure", blas_get()))
+                return super().__call__(*args)
+
         correction = biht.correction
 
         def recording(*args, **kwargs):
-            seen.append(blas_get())
+            seen.append(("correction", blas_get()))
             return correction(*args, **kwargs)
 
+        monkeypatch.setattr(biht, "_Measure", Measure)
         monkeypatch.setattr(biht, "correction", recording)
         A = gaussian_matrix(300, 40, SeedSpec(572))
         b = sign_measure(A, random_sparse_unit(40, 3, SeedSpec(573)).values)
         run_biht(A, b, biht.BIHTConfig(k=3, max_iters=4, init=SeedSpec(574)))
-        assert seen and set(seen) == {2}
+        assert seen[0] == ("measure", 1) and ("correction", 1) in seen
+        assert {threads for _, threads in seen} == {1}
+        assert blas_get() == 2
+        seen.clear()
+        with pytest.raises(ValueError, match="eta"):
+            run_biht(A, b, biht.BIHTConfig(k=3, max_iters=4, eta=1e300, init=SeedSpec(574)))
+        assert seen and {threads for _, threads in seen} == {1}
+        assert blas_get() == 2
 
     def test_results_do_not_depend_on_the_callers_count(self):
         get, put = _openblas_thread_calls()

@@ -614,6 +614,32 @@ class TestMapScratch:
         in_forked_child(raise_in_between, "a map with a call that raises")
 
 
+def test_map_raises_once_no_call_is_running(monkeypatch):
+    # Call 0 raises at once while call 1 still runs: `_map` re-raises only
+    # after call 1 has ended.  A call left running would outlive what its
+    # caller set around the map, such as the BLAS count of
+    # `_one_blas_thread`.
+    monkeypatch.setattr(rng, "_worker_count", lambda: 2)
+    rng._forget_pool()
+    started, ended = threading.Event(), []
+
+    def fn(item):
+        if item == 0:
+            assert started.wait(timeout=10.0)
+            raise ArithmeticError(item)
+        started.set()
+        time.sleep(0.2)
+        ended.append(item)
+
+    try:
+        with pytest.raises(ArithmeticError):
+            rng._map(fn, range(2))
+        assert ended == [1]
+    finally:
+        monkeypatch.undo()
+        rng._forget_pool()
+
+
 class TestUniformMap:
     """Words built by inverting SplitMix64: the stream keyed
     ``unmix(w) - G`` has the word w as its element 0."""
