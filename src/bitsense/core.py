@@ -275,12 +275,17 @@ class SignPattern:
         return self.bits.size
 
 
+def _nonnegative(P: np.ndarray) -> np.ndarray:
+    """(P >= 0) as int8 0/1, once P is checked finite: the one home of sgn(0) = +1."""
+    if not np.isfinite(P).all():
+        raise ValueError("sgn requires finite input")
+    return (P >= 0.0).view(np.int8)
+
+
 def _finite_signs(a: np.ndarray) -> np.ndarray:
     """sgn of a float64 array, as int8 in {-1, +1}; rejects non-finite entries."""
-    if not np.isfinite(a).all():
-        raise ValueError("sgn requires finite input")
     # Bools are the bytes 0 and 1, so 2 * bit - 1 is the sign, in int8.
-    s = (a >= 0.0).view(np.int8)
+    s = _nonnegative(a)
     s += s
     s -= 1
     return s

@@ -56,10 +56,10 @@ import numpy as np
 from .biht import BIHTConfig, Trajectory, run_biht
 from .core import (
     LazyGaussianMatrix,
+    _nonnegative,
     _pair_directions,
     dense_scratch,
     random_sparse_unit,
-    sgn,
     sign_measure,
     sphere_distance,
 )
@@ -72,9 +72,11 @@ from .rng import (
     sample_standard_normal_block,
 )
 
-# Keeps any single sampled block near 8 MB of float64.  On the default
-# battery (2 vCPU) 1M elements ran as fast as 2M and 4M, at a peak RSS of
-# 74 MB against 82 and 97 MB; 0.5M ran about 20% slower.
+# A block of `_map_normal_blocks` is about this many elements of full width.
+# The pair validators draw 2-5 of their 8-32 columns, so the battery's full
+# blocks hold 1.0-1.6 MB, and the jobs' temporaries set its peak RSS (+7.5 MB
+# for `band_count_mean` alone).  64Ki drawn normals a block read `validate`
+# peak RSS -5.9%, run_s +14.1%, cpu_s +11.4% (6 pairs of 20 s runs; 2 vCPU).
 _CHUNK_ELEMS = 1_000_000
 
 # Deterministic slack allowed on the per-iteration error bound before a
@@ -138,8 +140,8 @@ def _corrections(Z, u, v, c0=0):
     is (m / eta) h_{Z[t]}(u, v), a t x n array that is 0 outside [c0, c0 + w).
     """
     w = Z.shape[-1]
-    S = sgn(Z @ np.stack((u[c0 : c0 + w], v[c0 : c0 + w]), axis=1))
-    r = 0.5 * (S[..., 0].astype(np.float64) - S[..., 1])
+    bits = _nonnegative(Z @ np.stack((u[c0 : c0 + w], v[c0 : c0 + w]), axis=1))
+    r = np.subtract(bits[..., 0], bits[..., 1], dtype=np.float64)  # (s_u - s_v) / 2
     H = np.zeros((Z.shape[0], u.size))
     H[:, c0 : c0 + w] = np.einsum("tmi,tm->ti", Z, r)
     return np.count_nonzero(r, axis=1), H
@@ -156,7 +158,7 @@ def mismatch_probability(u, v, draws: int, seed: SeedSpec, sign_fn=None) -> floa
         raise ValueError("draws must be >= 1")
     uu = _unit(u, "u")
     vv = _unit(v, "v")
-    s = sgn if sign_fn is None else sign_fn
+    s = _nonnegative if sign_fn is None else sign_fn
     c0, c1 = _read_columns(_support(uu, vv))
     uc, vc = uu[c0:c1], vv[c0:c1]
 

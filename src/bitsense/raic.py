@@ -65,6 +65,7 @@ from .core import (
     MeasurementMatrix,
     _length_checked,
     _live_row_norms,
+    _nonnegative,
     _pair_directions,
     random_sparse_unit_rows,
     row_dots,
@@ -254,14 +255,6 @@ def restricted_residual(x: np.ndarray, y: np.ndarray, J: np.ndarray, h: np.ndarr
     return float(r) if r.ndim == 0 else r
 
 
-def _nonnegative(P: np.ndarray) -> np.ndarray:
-    """(P >= 0) as int8 0 and 1, once every entry of P is checked finite,
-    as `sgn` checks: a sign product that overflowed to inf raises."""
-    if not np.isfinite(P).all():
-        raise ValueError("sgn requires finite input")
-    return (P >= 0.0).view(np.int8)
-
-
 def _corrections(A: MeasurementMatrix, X, Y) -> np.ndarray:
     """h_A(x, y) for the pairs in the rows of X and Y, one per row:
     `_block_residuals`' kernel.  Its buffers (the pairs in CSR form, the
@@ -313,13 +306,13 @@ def _block_residuals(A: MeasurementMatrix, X, Y, J) -> np.ndarray:
     dense product adds exact zeros to the same terms, so the two can
     differ in sign only where a product is within rounding of 0.  With
     sgn(0) = +1, D is (P_x >= 0) - (P_y >= 0) exactly, for the sign
-    products P: one pass per product in place of `sgn`'s three.  A
-    non-finite product raises, as in `sgn`, so one that overflowed to inf
-    from huge finite entries does; but the support products never meet A's
-    entries off the supports, so a non-finite A is the caller's to reject
-    (`raic_certify` does).  `scipy.sparse` is imported on the first support
-    product: at module level it raised the peak RSS of runs that never
-    certify by about 2 MB.
+    products P (`core._nonnegative`): one pass per product in place of
+    `sgn`'s three.  A non-finite product raises, as in `sgn`, so one that
+    overflowed to inf from huge finite entries does; but the support
+    products never meet A's entries off the supports, so a non-finite A is
+    the caller's to reject (`raic_certify` does).  `scipy.sparse` is
+    imported on the first support product: at module level it raised the
+    peak RSS of runs that never certify by about 2 MB.
 
     A_rb^T D is one product on either path, so a report has the same bytes
     on either path, off signs within rounding of 0.  Its sums run in

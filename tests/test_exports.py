@@ -45,15 +45,16 @@ def test_index_set_restriction_is_gone():
     assert not hasattr(raic, "_restrict")
 
 
-def _calls(module, *names):
+def _calls(module, *names, where=lambda call: True):
     """The lines of ``module`` that call a function or method named one of
-    ``names``, by bare or dotted name."""
+    ``names``, by bare or dotted name, and whose call node passes ``where``."""
     tree = ast.parse(inspect.getsource(module))
     return [
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in names
+        and where(node)
     ]
 
 
@@ -112,6 +113,21 @@ def test_the_pools_users_are_the_ones_map_lists():
               for name in re.findall(r"\(`([\w.]+)`\)", rng._map.__doc__)}
     callers = {f"{short}.{name}" for short, m in modules.items() for name in _callers(m, "_map")}
     assert callers == listed
+
+
+def _int8_view_of_a_comparison(call):
+    """Whether ``call`` is ``(<comparison>).view(np.int8)``: sign bits."""
+    return (isinstance(getattr(call.func, "value", None), ast.Compare)
+            and [ast.unparse(arg) for arg in call.args] == ["np.int8"])
+
+
+def test_only_core_turns_a_comparison_into_sign_bits():
+    # sgn(0) = +1 is one comparison, `core._nonnegative`; `sgn`, the
+    # solver's measure, the certifier and the validators all sign through it.
+    views = {m.__name__: _calls(m, "view", where=_int8_view_of_a_comparison)
+             for m in _modules()}
+    assert len(views.pop("bitsense.core")) == 1
+    assert views == {name: [] for name in views}
 
 
 # Each subcommand at small sizes, OUT its output directory; None is a bare
