@@ -239,6 +239,7 @@ def cmd_validate(args) -> int:
     rows = montecarlo.run_validator_suite(
         SeedSpec(settings["seed"]), break_sgn_zero=args.break_sgn_zero
     )
+    failed = [r for r in rows if not r.passed]
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
@@ -248,21 +249,14 @@ def cmd_validate(args) -> int:
     )
     _write_json(
         out / "validators.json",
-        {
-            "n_validators": len(rows),
-            "n_failed": sum(1 for r in rows if not r.passed),
-            "failed": [r.name for r in rows if not r.passed],
-        },
+        {"n_validators": len(rows), "n_failed": len(failed), "failed": [r.name for r in failed]},
     )
-    failed = [r for r in rows if not r.passed]
-    if failed:
-        for r in failed:
-            print(
-                f"FAIL {r.name}: estimate={r.estimate!r} theory={r.theory!r} z={r.z!r}",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
+    for r in failed:
+        print(
+            f"FAIL {r.name}: estimate={r.estimate!r} theory={r.theory!r} z={r.z!r}",
+            file=sys.stderr,
+        )
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,7 @@ from .rng import (
     derive_seed,
     sample_standard_normal_block,
 )
+from .thresholding import _integer
 
 # A block of `_map_normal_blocks` is about this many elements of full width.
 # The pair validators draw 2-5 of their 8-32 columns, so the battery's full
@@ -389,6 +390,10 @@ def convergence_trials(
     restored afterwards, so the results do not depend on it or on the
     pool's size.
     """
+    # Counts as ints before any draw, as `BIHTConfig` holds its own: a
+    # float or a bool would fail deep in the sampler.
+    n, k, m, trials, T = (_integer(value, name) for value, name in
+                          ((n, "n"), (k, "k"), (m, "m"), (trials, "trials"), (T, "T")))
     if trials < 1 or T < 1:
         raise ValueError(f"trials and T (iters) must be >= 1, got trials={trials}, T={T}")
 

@@ -83,7 +83,7 @@ from .rng import (
     sample_standard_normal_rows,
 )
 from .theory import constants
-from .thresholding import _mask_checked, smallest_k, threshold_set
+from .thresholding import _integer, _mask_checked, smallest_k, threshold_set
 
 # Step size the contraction analysis requires; deviating far from it loses
 # the contraction, so treat overrides as experimental.
@@ -463,6 +463,10 @@ def raic_certify(
     independent long-double recomputation of that residual agrees).
     Deterministic given ``seed``.
     """
+    # Counts as ints before any draw, as `BIHTConfig` holds its own: a
+    # float or a bool would fail deep in the sampler or a range.
+    k, num_pairs, max_j = (_integer(value, name) for value, name in
+                           ((k, "k"), (num_pairs, "num_pairs"), (max_j, "max_j")))
     if num_pairs < 1:
         raise ValueError(f"num_pairs (pairs) must be >= 1, got {num_pairs}")
     if not (0.0 < delta < 1.0):
@@ -472,8 +476,7 @@ def raic_certify(
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k} with n={A.n}")
     if max_j < 0:
         raise ValueError("max_j must be >= 0")
-    if num_small is None:
-        num_small = num_pairs // 5
+    num_small = num_pairs // 5 if num_small is None else _integer(num_small, "num_small")
     if not (0 <= num_small <= num_pairs):
         raise ValueError(f"num_small (small_pairs) must be in 0..num_pairs, got {num_small}")
 

@@ -329,9 +329,12 @@ if hasattr(os, "register_at_fork"):
 
 
 @functools.cache
-def _openblas_thread_calls():
-    """(get, set) of the thread count of the OpenBLAS that numpy bundles,
-    or None where numpy uses another BLAS or the library is not found."""
+def _openblas():
+    """(get_num_threads, set_num_threads, get_corename) of the OpenBLAS that
+    numpy bundles, bound once, or None where numpy uses another BLAS or the
+    library is not found.  The one place the package reaches that library:
+    the thread count for `_one_blas_thread`, the core name for
+    `_openblas_core`."""
     here = Path(np.__file__).resolve().parent
     for path in sorted([*here.parent.glob("numpy.libs/*openblas*"),
                         *here.glob(".dylibs/*openblas*")]):
@@ -341,13 +344,24 @@ def _openblas_thread_calls():
             continue
         for prefix in ("scipy_openblas_", "openblas_"):
             for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-                put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-                if get is not None and put is not None:
+                calls = [getattr(lib, f"{prefix}{name}{suffix}", None)
+                         for name in ("get_num_threads", "set_num_threads", "get_corename")]
+                if None not in calls:
+                    get, put, core = calls
                     get.argtypes, get.restype = [], ctypes.c_int
                     put.argtypes, put.restype = [ctypes.c_int], None
-                    return get, put
+                    core.argtypes, core.restype = [], ctypes.c_char_p
+                    return get, put, core
     return None
+
+
+@functools.cache
+def _openblas_core():
+    """The name of the OpenBLAS core this process runs (say ``SkylakeX``),
+    which fixes the last bits of every BLAS product; None where `_openblas`
+    finds no library."""
+    calls = _openblas()
+    return None if calls is None else calls[2]().decode()
 
 
 _blas_lock = threading.Lock()
@@ -384,11 +398,11 @@ def _one_blas_thread():
     back about half of what one BLAS thread alone loses there.
     """
     global _blas_users, _blas_saved
-    calls = _openblas_thread_calls()
+    calls = _openblas()
     if calls is None:
         yield
         return
-    get, put = calls
+    get, put, _ = calls
     with _blas_lock:
         if _blas_users == 0:
             _blas_saved = get()

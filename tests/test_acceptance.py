@@ -241,6 +241,70 @@ def test_paper_rate_error_falls_as_one_over_m():
     )
 
 
+# The window for the mean of q_2, q_3 and q_4, set by RATE_SLOPE_WINDOW's
+# rule before the seed was chosen: at seeds 0-20 (criterion 6's sizes) the
+# 21 means had mean 0.483 and sample SD 0.037 (min 0.381, max 0.542), and
+# the window is the mean +- 4 SDs, rounded outward.  It holds 1/2, and it
+# is 0.31 wide: step sizes of eta/2 and eta/4 read 0.97-1.08 (seeds 0-2)
+# and fall outside, but 2 eta reads 0.58-0.68 there and 0.563 at seed 7,
+# inside; criterion 6's final error is what catches 2 eta.
+ITERATION_RATE_WINDOW = (0.33, 0.64)
+
+
+def test_paper_iteration_rate_halves_the_log_drop(convergence_mean):
+    """The paper's iteration rate: after t steps the error is within the
+    envelope 2^(2^-t) eps^(1 - 2^-t) (`theory.closed_form_bound`), whose
+    log falls at each step by half as much as at the step before.  q_t is
+    the ratio of successive drops in log(mean d_s), the drop of step t + 1
+    over that of step t.  The envelope's q (at the plateau's eps) and the
+    mean of q_2, q_3 and q_4 of criterion 6's trials (seed 7) lie in
+    ITERATION_RATE_WINDOW.  q_1 is left out: from a random start the first
+    step is slower, and q_1 reads 0.52-0.62 at seeds 0-20."""
+    mean_ds, _ = convergence_mean
+    drops = -np.diff(np.log(mean_ds))
+    q = drops[1:] / drops[:-1]  # q[t - 1] is q_t
+    rate = float(np.mean(q[1:4]))
+    envelope = -np.diff(np.log([closed_form_bound(float(mean_ds[-1]), t) for t in range(3)]))
+    halving = float(envelope[1] / envelope[0])
+    lo, hi = ITERATION_RATE_WINDOW
+    assert lo <= halving <= hi
+    assert report(
+        "rate (log drop halves)",
+        lo <= rate <= hi,
+        f"mean q_2..q_4 {rate:.3f} in [{lo}, {hi}], envelope {halving:.3f}",
+    )
+
+
+# The window for the slope of delta_hat against m, set by the same rule:
+# at seeds s = 0-20 (the matrix from SeedSpec(s, 0), the pairs from
+# SeedSpec(s, 1)) the 21 slopes had mean -0.966 and sample SD 0.047 (min
+# -1.051, max -0.847); the window is the mean +- 4 SDs, rounded outward.
+DELTA_SLOPE_WINDOW = (-1.16, -0.77)
+
+
+def test_certificate_delta_falls_as_one_over_m():
+    """The paper's invertibility condition holds at a delta of order
+    k log(n/k) / m, so the delta each certificate shows
+    (`RaicReport.delta_hat`) falls as 1/m.  n=200, k=5, delta=0.01, 500
+    pairs with |J| <= k, at each m from 1250 to 20000 (seed 0: the same
+    pairs at each m, and each matrix the first m rows of the largest): the
+    log-log slope of delta_hat against m lies in DELTA_SLOPE_WINDOW."""
+    start = time.perf_counter()
+    ms = np.array([1250, 2500, 5000, 10_000, 20_000])
+    deltas = [
+        raic_certify(gaussian_matrix(m, 200, SeedSpec(0, 0)), 5, 0.01, 500, 5, SeedSpec(0, 1))
+        .delta_hat
+        for m in ms
+    ]
+    slope = float(np.polyfit(np.log(ms), np.log(deltas), 1)[0])
+    lo, hi = DELTA_SLOPE_WINDOW
+    assert report(
+        "certificate (delta_hat ~ 1/m)",
+        lo <= slope <= hi,
+        f"slope {slope:.3f} in [{lo}, {hi}], {time.perf_counter() - start:.1f}s",
+    )
+
+
 def test_criterion_7_orthogonal_decomposition():
     """1000 random (h, u, v): reconstruction and Pythagoras to 1e-10."""
     worst_recon = 0.0

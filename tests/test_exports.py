@@ -45,10 +45,16 @@ def test_index_set_restriction_is_gone():
     assert not hasattr(raic, "_restrict")
 
 
+def _tree(owner):
+    """The syntax tree of a module, or of a file given by its path."""
+    return ast.parse(owner.read_text() if isinstance(owner, Path) else inspect.getsource(owner))
+
+
 def _calls(module, *names, where=lambda call: True):
-    """The lines of ``module`` that call a function or method named one of
-    ``names``, by bare or dotted name, and whose call node passes ``where``."""
-    tree = ast.parse(inspect.getsource(module))
+    """The lines of ``module`` (a module or a file's path) that call a
+    function or method named one of ``names``, by bare or dotted name, and
+    whose call node passes ``where``."""
+    tree = _tree(module)
     return [
         node.lineno
         for node in ast.walk(tree)
@@ -72,7 +78,7 @@ def _callers(module, *names):
                     defs.append((child.lineno, child.end_lineno, inner[:-1]))
             walk(child, inner)
 
-    walk(ast.parse(inspect.getsource(module)), "")
+    walk(_tree(module), "")
     return {max((lo, name) for lo, hi, name in defs if lo <= line <= hi)[1]
             for line in _calls(module, *names)}
 
@@ -128,6 +134,26 @@ def test_only_core_turns_a_comparison_into_sign_bits():
              for m in _modules()}
     assert len(views.pop("bitsense.core")) == 1
     assert views == {name: [] for name in views}
+
+
+def _ctypes_lines(owner):
+    """The lines of ``owner`` (a module or a file's path) that import
+    ``ctypes`` or call a ``CDLL``: a binding of a shared library."""
+    imports = [node.lineno for node in ast.walk(_tree(owner))
+               if isinstance(node, ast.Import) and "ctypes" in [a.name for a in node.names]
+               or isinstance(node, ast.ImportFrom) and node.module == "ctypes"]
+    return imports + _calls(owner, "CDLL")
+
+
+def test_only_the_sampler_binds_openblas():
+    # numpy's OpenBLAS is found and bound once, in `rng._openblas`; the
+    # package (`rng._one_blas_thread`, `rng._openblas_core`) and the tests
+    # (conftest's `caller_blas`, the pins' `_on_core`) reach it through it.
+    owners = {m.__name__: m for m in _modules()}
+    owners.update((f"tests/{path.name}", path) for path in Path(__file__).parent.glob("*.py"))
+    binds = {name: _ctypes_lines(owner) for name, owner in owners.items()}
+    assert binds.pop("bitsense.rng") != []
+    assert binds == {name: [] for name in binds}
 
 
 # Each subcommand at small sizes, OUT its output directory; None is a bare

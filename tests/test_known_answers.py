@@ -15,10 +15,8 @@ shape of the matrix products a tracked run takes.
 """
 
 import csv
-import ctypes
 import hashlib
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,29 +322,10 @@ RUN_PINS = [name for name, (args, _) in OUTPUT_DIGESTS.items() if args[0] == "ru
 PINNED_CORE = "SkylakeX"
 
 
-def _openblas_core():
-    """The name of the OpenBLAS core this process runs
-    (``openblas_get_corename``), from the library numpy bundles, found as
-    `rng._openblas_thread_calls` finds it; None where it is not found."""
-    here = Path(np.__file__).resolve().parent
-    for path in sorted([*here.parent.glob("numpy.libs/*openblas*"),
-                        *here.glob(".dylibs/*openblas*")]):
-        try:
-            lib = ctypes.CDLL(str(path))  # already loaded: the same library
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas_", "openblas_"):
-            for suffix in ("64_", ""):
-                corename = getattr(lib, f"{prefix}get_corename{suffix}", None)
-                if corename is not None:
-                    corename.argtypes, corename.restype = [], ctypes.c_char_p
-                    return corename().decode()
-    return None
-
-
 def _on_core():
     """A byte-pin failure's note: the pinned core beside this process's."""
-    return f"pins recorded under OpenBLAS core {PINNED_CORE}; this process runs {_openblas_core()}"
+    return (f"pins recorded under OpenBLAS core {PINNED_CORE}; "
+            f"this process runs {rng._openblas_core()}")
 
 
 def _output_digests(name, out_dir):
@@ -390,51 +369,43 @@ def pool_size(request, monkeypatch):
     rng._forget_pool()
 
 
-def _at_caller_blas(threads, call):
-    """call() with the caller's BLAS thread count set to ``threads``, which
-    it must hand back; the count before is restored after."""
-    calls = rng._openblas_thread_calls()
-    if calls is None:
-        pytest.skip("numpy's BLAS thread count is not reachable")
-    get, put = calls
-    before = get()
-    try:
-        put(threads)
-        result = call()
-        assert get() == threads
-        return result
-    finally:
-        put(before)
-
-
 @pytest.mark.parametrize("blas_threads", [1, 2], ids=lambda t: f"caller BLAS {t}")
 @pytest.mark.parametrize("name", RAIC_PINS)
 def test_certificate_digests_at_each_pool_size_and_blas_count(name, blas_threads, pool_size,
-                                                             tmp_path):
+                                                             caller_blas, tmp_path):
     # The pair blocks run on the pool, so neither its size nor the caller's
     # BLAS thread count may move a bit of the certificate.
-    digests = _at_caller_blas(blas_threads, lambda: _output_digests(name, tmp_path))
+    get, put = caller_blas
+    put(blas_threads)
+    digests = _output_digests(name, tmp_path)
+    assert get() == blas_threads
     assert digests == OUTPUT_DIGESTS[name][1], _on_core()
 
 
 @pytest.mark.parametrize("blas_threads", [1, 2], ids=lambda t: f"caller BLAS {t}")
 @pytest.mark.parametrize("name", RUN_PINS)
-def test_trial_digests_at_each_pool_size_and_blas_count(name, blas_threads, pool_size, tmp_path):
+def test_trial_digests_at_each_pool_size_and_blas_count(name, blas_threads, pool_size,
+                                                       caller_blas, tmp_path):
     # The trials run side by side on the pool, so neither its size nor the
     # caller's BLAS thread count may move a bit of their records.
-    digests = _at_caller_blas(blas_threads, lambda: _output_digests(name, tmp_path))
+    get, put = caller_blas
+    put(blas_threads)
+    digests = _output_digests(name, tmp_path)
+    assert get() == blas_threads
     assert digests == OUTPUT_DIGESTS[name][1], _on_core()
 
 
 @pytest.mark.parametrize("blas_threads", [1, 2], ids=lambda t: f"caller BLAS {t}")
 @pytest.mark.parametrize("pin", list(VALIDATE_PINS))
 def test_validate_digests_at_each_pool_size_and_blas_count(pin, blas_threads, pool_size,
-                                                           tmp_path):
+                                                           caller_blas, tmp_path):
     # The validators run side by side on the pool, so neither its size nor
     # the caller's BLAS thread count may move a bit of their rows or order.
     args, code, digest = VALIDATE_PINS[pin]
-    run = ["validate", *args, "--output-dir", str(tmp_path)]
-    assert _at_caller_blas(blas_threads, lambda: cli.main(run)) == code
+    get, put = caller_blas
+    put(blas_threads)
+    assert cli.main(["validate", *args, "--output-dir", str(tmp_path)]) == code
+    assert get() == blas_threads
     assert hashlib.sha256((tmp_path / "validators.csv").read_bytes()).hexdigest() == digest
 
 
@@ -455,10 +426,14 @@ def _bare_run_digest():
 
 
 @pytest.mark.parametrize("blas_threads", [1, 2], ids=lambda t: f"caller BLAS {t}")
-def test_bare_run_digest_at_each_pool_size_and_blas_count(blas_threads, pool_size):
+def test_bare_run_digest_at_each_pool_size_and_blas_count(blas_threads, pool_size, caller_blas):
     # The dense step's row blocks run on the pool, so neither its size nor
     # the caller's BLAS thread count may move a bit of a bare run's record.
-    assert _at_caller_blas(blas_threads, _bare_run_digest) == BARE_RUN_DIGEST
+    get, put = caller_blas
+    put(blas_threads)
+    digest = _bare_run_digest()
+    assert get() == blas_threads
+    assert digest == BARE_RUN_DIGEST, _on_core()
 
 
 def _reference_correction(A, b, x, eta):
@@ -639,7 +614,7 @@ class _ProductLog(np.ndarray):
         if func is not np.dot:
             return super().__array_function__(func, types, args, kwargs)
         self.log.append(self.shape)
-        calls = rng._openblas_thread_calls()
+        calls = rng._openblas()
         self.threads.append(calls and calls[0]())
         return func(*(np.asarray(a) for a in args), **kwargs)
 
@@ -767,7 +742,7 @@ def test_pooled_dense_correction_is_the_serial_blocked_sum(n, height, blocks, la
         assert correction(lazy, b, s).tobytes() == want
 
 
-def test_dense_correction_takes_its_blocks_on_one_blas_thread(pool_size):
+def test_dense_correction_takes_its_blocks_on_one_blas_thread(pool_size, caller_blas):
     # Three row blocks (2621, 2621 and 758 rows) at a caller's count of 2:
     # each block's product runs on one BLAS thread, in a correction called
     # outside any pipeline, and the count comes back.
@@ -775,7 +750,10 @@ def test_dense_correction_takes_its_blocks_on_one_blas_thread(pool_size):
     b, s, r = _dense_signs(A.m, 31)
     want = ((np.sqrt(2.0 * np.pi) / A.m) * _blocked_reference(A, r)).tobytes()
     logged = _logged(A)
-    h = _at_caller_blas(2, lambda: correction(A, b, s))
+    get, put = caller_blas
+    put(2)
+    h = correction(A, b, s)
+    assert get() == 2
     assert sorted(logged.log) == [(200, 758), (200, 2621), (200, 2621)]
     assert logged.threads == [1, 1, 1]
     assert h.tobytes() == want

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -27,12 +28,11 @@ from bitsense.montecarlo import (
     run_validator_suite,
     tail_frequency_check,
 )
-from bitsense.raic import DEFAULT_ETA, h_a, orthogonal_decompose
+from bitsense.raic import DEFAULT_ETA, h_a, orthogonal_decompose, raic_certify
 from bitsense.rng import (
     _GOLDEN,
     _MASK64,
     SeedSpec,
-    _openblas_thread_calls,
     _stream_key,
     derive_seed,
     sample_standard_normal,
@@ -390,6 +390,32 @@ class TestConvergenceExperiment:
         assert np.array_equal(errors, again)
 
 
+def _certify(**counts):
+    A = gaussian_matrix(60, 20, SeedSpec(541))
+    counts = {"k": 2, "num_pairs": 10, "max_j": 2, **counts}
+    return raic_certify(A, delta=0.1, seed=SeedSpec(542), **counts)
+
+
+def _trials(**counts):
+    counts = {"n": 20, "k": 2, "m": 50, "trials": 2, "T": 3, **counts}
+    return convergence_trials(seed=SeedSpec(543), **counts)
+
+
+@pytest.mark.parametrize(
+    "pipeline, name, value",
+    [(_certify, "k", 2.0), (_certify, "num_pairs", 10.0), (_certify, "max_j", 2.0),
+     (_certify, "max_j", True), (_certify, "num_small", 2.0),
+     (_trials, "n", 20.0), (_trials, "k", 2.0), (_trials, "m", 50.0), (_trials, "trials", 2.0),
+     (_trials, "T", np.float64(3.0))],
+)
+def test_pipelines_reject_counts_that_are_not_integers(pipeline, name, value):
+    # Each used to fail deep in the sampler, a slice or a range: a TypeError,
+    # or for T a ValueError that named `max_iters`.
+    message = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pipeline(**{name: value})
+
+
 class TestTrialDrawsOnRead:
     @pytest.mark.parametrize("n, k, m, T", [(60, 3, 1200, 20), (6, 6, 300, 8)])
     def test_trial_keeps_the_record_of_the_whole_matrix(self, n, k, m, T):
@@ -526,13 +552,11 @@ class TestValidatorSuite:
             rng._forget_pool()
         assert got == want
 
-    @pytest.mark.skipif(_openblas_thread_calls() is None,
-                        reason="numpy's BLAS thread count is not reachable")
-    def test_a_later_job_that_raises_reaches_the_caller(self, monkeypatch, tmp_path):
+    def test_a_later_job_that_raises_reaches_the_caller(self, monkeypatch, caller_blas,
+                                                        tmp_path):
         # The pi/3 mismatch job is submitted fifth of six, behind the tails
         # and the projection, so its error comes back while others may run.
-        get, put = _openblas_thread_calls()
-        before = get()
+        get, put = caller_blas
         failing_seed = derive_seed(SeedSpec(0), 1)
 
         def failing(u, v, draws, seed, sign_fn=None):
@@ -540,17 +564,14 @@ class TestValidatorSuite:
                 raise RuntimeError("mismatch job")
             return mismatch_probability(u, v, draws, seed, sign_fn=sign_fn)
 
-        try:
-            put(2)
-            monkeypatch.setattr(mc, "mismatch_probability", failing)
-            with pytest.raises(RuntimeError, match="mismatch job"):
-                run_validator_suite(SeedSpec(0))
-            assert get() == 2
-            monkeypatch.undo()
-            assert cli.main(["validate", "--seed", "0", "--output-dir", str(tmp_path)]) == 0
-            path = tmp_path / "validators.csv"
-        finally:
-            put(before)
+        put(2)
+        monkeypatch.setattr(mc, "mismatch_probability", failing)
+        with pytest.raises(RuntimeError, match="mismatch job"):
+            run_validator_suite(SeedSpec(0))
+        assert get() == 2
+        monkeypatch.undo()
+        assert cli.main(["validate", "--seed", "0", "--output-dir", str(tmp_path)]) == 0
+        path = tmp_path / "validators.csv"
         # The `validate --seed 0` pin of test_known_answers.VALIDATORS_CSV.
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "be8ffc65a864939e60729dbcad7bae4dd12a0151ee5f65d111a38596b7337f91"
@@ -565,75 +586,76 @@ def _trial_record(trajectories):
     ]
 
 
-@pytest.mark.skipif(_openblas_thread_calls() is None,
-                    reason="numpy's BLAS thread count is not reachable")
 class TestOneBlasThread:
     """The trial pipeline, the validator suite and a bare solver run make
     their BLAS products on one thread and hand the caller's count back."""
 
-    @pytest.fixture
-    def blas_get(self):
-        get, put = _openblas_thread_calls()
-        before = get()
+    def test_trials_run_on_one_thread(self, caller_blas, monkeypatch):
+        get, put = caller_blas
         put(2)
-        yield get
-        put(before)
-
-    def test_trials_run_on_one_thread(self, blas_get, monkeypatch):
         seen = []
 
         def recording(*args, **kwargs):
-            seen.append(blas_get())
+            seen.append(get())
             return run_biht(*args, **kwargs)
 
         monkeypatch.setattr(mc, "run_biht", recording)
         convergence_trials(40, 3, 300, 3, 4, SeedSpec(570))
         assert seen == [1, 1, 1]
-        assert blas_get() == 2
+        assert get() == 2
 
-    def test_count_restored_after_error_bound_violation(self, blas_get, monkeypatch):
+    def test_count_restored_after_error_bound_violation(self, caller_blas, monkeypatch):
+        get, put = caller_blas
+        put(2)
         # A zero residual makes every bound 0, below any nonzero error.
         monkeypatch.setattr(biht, "restricted_residual", lambda *args, **kwargs: 0.0)
         with pytest.raises(ErrorBoundViolation):
             convergence_trials(40, 3, 300, 2, 4, SeedSpec(570))
-        assert blas_get() == 2
+        assert get() == 2
 
-    def test_suite_runs_on_one_thread(self, blas_get, monkeypatch):
+    def test_suite_runs_on_one_thread(self, caller_blas, monkeypatch):
+        get, put = caller_blas
+        put(2)
         seen = []
 
         def recording(*args, **kwargs):
-            seen.append(blas_get())
+            seen.append(get())
             return sample_standard_normal_block(*args, **kwargs)
 
         monkeypatch.setattr(mc, "sample_standard_normal_block", recording)
         run_validator_suite(SeedSpec(571))
         assert len(seen) >= 6 and set(seen) == {1}
-        assert blas_get() == 2
+        assert get() == 2
 
-    def test_count_restored_when_a_validator_raises(self, blas_get, monkeypatch):
+    def test_count_restored_when_a_validator_raises(self, caller_blas, monkeypatch):
+        get, put = caller_blas
+        put(2)
+
         def failing(*args, **kwargs):
             raise RuntimeError("validator")
 
         monkeypatch.setattr(mc, "tail_frequency_check", failing)
         with pytest.raises(RuntimeError, match="validator"):
             run_validator_suite(SeedSpec(571))
-        assert blas_get() == 2
+        assert get() == 2
 
-    def test_bare_solver_runs_on_one_thread(self, blas_get, monkeypatch):
+    def test_bare_solver_runs_on_one_thread(self, caller_blas, monkeypatch):
         # Every product of a bare `run_biht`, the first measure's too, at one
         # BLAS thread; the caller's count comes back after a return and
         # after the ValueError of a step that overflows.
+        get, put = caller_blas
+        put(2)
         seen = []
 
         class Measure(biht._Measure):
             def __call__(self, *args):
-                seen.append(("measure", blas_get()))
+                seen.append(("measure", get()))
                 return super().__call__(*args)
 
         correction = biht.correction
 
         def recording(*args, **kwargs):
-            seen.append(("correction", blas_get()))
+            seen.append(("correction", get()))
             return correction(*args, **kwargs)
 
         monkeypatch.setattr(biht, "_Measure", Measure)
@@ -643,24 +665,20 @@ class TestOneBlasThread:
         run_biht(A, b, biht.BIHTConfig(k=3, max_iters=4, init=SeedSpec(574)))
         assert seen[0] == ("measure", 1) and ("correction", 1) in seen
         assert {threads for _, threads in seen} == {1}
-        assert blas_get() == 2
+        assert get() == 2
         seen.clear()
         with pytest.raises(ValueError, match="eta"):
             run_biht(A, b, biht.BIHTConfig(k=3, max_iters=4, eta=1e300, init=SeedSpec(574)))
         assert seen and {threads for _, threads in seen} == {1}
-        assert blas_get() == 2
+        assert get() == 2
 
-    def test_results_do_not_depend_on_the_callers_count(self):
-        get, put = _openblas_thread_calls()
-        before = get()
+    def test_results_do_not_depend_on_the_callers_count(self, caller_blas):
+        get, put = caller_blas
         trials, suites = [], []
-        try:
-            for threads in (1, 2):
-                put(threads)
-                trials.append(_trial_record(convergence_trials(200, 5, 2000, 3, 6, SeedSpec(575))))
-                suites.append([run_validator_suite(SeedSpec(s)) for s in (571, 0)])
-                assert get() == threads
-        finally:
-            put(before)
+        for threads in (1, 2):
+            put(threads)
+            trials.append(_trial_record(convergence_trials(200, 5, 2000, 3, 6, SeedSpec(575))))
+            suites.append([run_validator_suite(SeedSpec(s)) for s in (571, 0)])
+            assert get() == threads
         assert trials[0] == trials[1]
         assert suites[0] == suites[1]

@@ -34,7 +34,6 @@ from bitsense.raic import (
 )
 from bitsense.rng import (
     SeedSpec,
-    _openblas_thread_calls,
     _stream_key,
     derive_seed,
     random_uniform_rows,
@@ -941,23 +940,17 @@ class TestCertifyMetamorphic:
         assert_matches_reference(matrix, report, self.K, seed, num_small, max_j)
 
 
-@pytest.mark.skipif(_openblas_thread_calls() is None,
-                    reason="numpy's BLAS thread count is not reachable")
 class TestKernelBlasThreads:
-    def test_report_does_not_depend_on_the_callers_thread_count(self):
-        get, put = _openblas_thread_calls()
-        before = get()
+    def test_report_does_not_depend_on_the_callers_thread_count(self, caller_blas):
+        get, put = caller_blas
         # At this size two-thread products round differently from one-thread
         # ones in some residuals (OpenBLAS 0.3.31).
         A = gaussian_matrix(2000, 200, SeedSpec(81))
         reports = []
-        try:
-            for threads in (1, 2):
-                put(threads)
-                reports.append(raic_certify(A, 4, 0.05, PAIR_BLOCK + 8, 4, SeedSpec(82)))
-                assert get() == threads
-        finally:
-            put(before)
+        for threads in (1, 2):
+            put(threads)
+            reports.append(raic_certify(A, 4, 0.05, PAIR_BLOCK + 8, 4, SeedSpec(82)))
+            assert get() == threads
         assert reports[0] == reports[1]
 
 

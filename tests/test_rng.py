@@ -23,7 +23,6 @@ from bitsense.rng import (
     _derive_rows,
     _mix,
     _one_blas_thread,
-    _openblas_thread_calls,
     _stream_key,
     _stream_keys,
     derive_seed,
@@ -684,29 +683,22 @@ class TestUniformMap:
         assert random_uniform_rows(keys, 1)[0, 0] == 2.0**-54
 
 
-@pytest.mark.skipif(_openblas_thread_calls() is None,
-                    reason="numpy's BLAS thread count is not reachable")
 class TestOneBlasThread:
-    def test_set_inside_and_restored_after(self):
-        get, put = _openblas_thread_calls()
-        before = get()
-        try:
-            put(2)
+    def test_set_inside_and_restored_after(self, caller_blas):
+        get, put = caller_blas
+        put(2)
+        with _one_blas_thread():
+            assert get() == 1
             with _one_blas_thread():
                 assert get() == 1
-                with _one_blas_thread():
-                    assert get() == 1
-                assert get() == 1
-            assert get() == 2
-            with pytest.raises(RuntimeError), _one_blas_thread():
-                raise RuntimeError("inside")
-            assert get() == 2
-        finally:
-            put(before)
+            assert get() == 1
+        assert get() == 2
+        with pytest.raises(RuntimeError), _one_blas_thread():
+            raise RuntimeError("inside")
+        assert get() == 2
 
-    def test_concurrent_users_restore_the_count(self):
-        get, put = _openblas_thread_calls()
-        before = get()
+    def test_concurrent_users_restore_the_count(self, caller_blas):
+        get, put = caller_blas
         inside = []
 
         def user():
@@ -728,4 +720,3 @@ class TestOneBlasThread:
             assert get() == 2
         finally:
             sys.setswitchinterval(interval)
-            put(before)
