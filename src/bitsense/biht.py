@@ -109,11 +109,7 @@ class BIHTConfig:
             raise ValueError(f"eta must be positive and finite, got {self.eta!r}")
         # Stored as int; a float or bool would fail in the sampler or range().
         for name in ("k", "max_iters"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
         if not isinstance(self.init, (SeedSpec, SparseUnitVector)):
             raise ValueError("init must be a SeedSpec or a SparseUnitVector")
 

@@ -126,13 +126,18 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _line(row) -> str:
+    """One CSV line of ``row``'s cells, without its line end."""
+    return ",".join(map(_cell, row))
+
+
 def _write_csv(path, header, rows):
     """One line per row, after the ``header`` line unless it is None."""
     with open(path, "w", newline="") as fh:
         if header is not None:
-            fh.write(",".join(header) + "\n")
+            fh.write(_line(header) + "\n")
         for row in rows:
-            fh.write(",".join(map(_cell, row)) + "\n")
+            fh.write(_line(row) + "\n")
 
 
 def _write_json(path, payload):
@@ -265,21 +270,18 @@ def cmd_validate(args) -> int:
 
 def cmd_theory(args) -> int:
     settings = _resolve(args)
-    m = theory.sample_complexity(
-        settings["epsilon"], settings["rho"], settings["k"], settings["n"]
-    )
+    epsilon = settings["epsilon"]
+    m = theory.sample_complexity(epsilon, settings["rho"], settings["k"], settings["n"])
     u = theory.constants()
     print("name,value")
     for name in ("a", "b", "c", "c1", "c2"):
-        print(f"{name},{getattr(u, name)!r}")
-    print(f"m,{m}")
+        print(_line((name, getattr(u, name))))
+    print(_line(("m", m)))
     print()
     print("t,epsilon_t,closed_form")
     for t in range(21):
-        print(
-            f"{t},{theory.epsilon_recurrence(settings['epsilon'], t)!r},"
-            f"{theory.closed_form_bound(settings['epsilon'], t)!r}"
-        )
+        print(_line((t, theory.epsilon_recurrence(epsilon, t),
+                     theory.closed_form_bound(epsilon, t))))
     return 0
 
 

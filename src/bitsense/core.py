@@ -37,7 +37,7 @@ from .rng import (
     sample_standard_normal_block,
     sample_standard_normal_rows,
 )
-from .thresholding import smallest_k
+from .thresholding import _integer, smallest_k
 
 UNIT_NORM_TOL = 1e-9
 
@@ -58,6 +58,7 @@ def dense_row_blocks(m: int, n: int) -> range:
     last one shorter when that does not divide m.  They depend on the shape
     alone, so every matrix of that shape sums in the same order; a matrix
     of at most DENSE_BLOCK_ENTRIES entries is one block."""
+    m, n = _check_shape(m, n)
     return range(0, m, max(1, DENSE_BLOCK_ENTRIES // n))
 
 
@@ -74,15 +75,16 @@ def dense_scratch(m: int, n: int) -> np.ndarray:
     """A zero-filled block of scratch for the dense reads of an m x n
     `LazyGaussianMatrix`: as many rows as a block of `dense_row_blocks`,
     or m if fewer, by n."""
-    _check_shape(m, n)
+    m, n = _check_shape(m, n)
     return np.zeros((min(dense_row_blocks(m, n).step, m), n))
 
 
-def _check_shape(m: int, n: int) -> None:
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
+def _check_shape(m: int, n: int) -> tuple[int, int]:
+    """(m, n) as ints, once checked to be the shape of an array."""
+    m, n = _integer(m, "m", 1), _integer(n, "n", 1)
     if m * n > _MAX_ENTRIES:
         raise ValueError(f"m={m} by n={n} is more entries than an array can hold")
+    return m, n
 
 
 def _as_float_vector(x, name="vector") -> np.ndarray:
@@ -106,9 +108,10 @@ class SparseUnitVector:
 
     def __post_init__(self):
         v = _as_float_vector(self.values, "values")
-        if not (1 <= self.k <= v.size):
-            raise ValueError("sparsity budget k must satisfy 1 <= k <= n")
-        if int(np.count_nonzero(v)) > self.k:
+        k = _integer(self.k, "k", 1)
+        if k > v.size:
+            raise ValueError(f"k must be at most n, got k={k} with n={v.size}")
+        if int(np.count_nonzero(v)) > k:
             raise ValueError("more than k nonzero entries")
         nrm = float(np.linalg.norm(v))
         if not abs(nrm - 1.0) <= UNIT_NORM_TOL:  # a NaN norm fails too
@@ -116,6 +119,7 @@ class SparseUnitVector:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "k", k)
 
     @property
     def n(self) -> int:
@@ -218,8 +222,8 @@ class LazyGaussianMatrix:
     """
 
     def __init__(self, m: int, n: int, seed: SeedSpec, scratch: np.ndarray):
-        _check_shape(m, n)
-        self.m, self.n, self.seed = m, n, seed
+        self.m, self.n = _check_shape(m, n)
+        self.seed = seed
         self.drawn = 0
         self.scratch = scratch
 
@@ -427,8 +431,9 @@ def random_sparse_unit_rows(n: int, k: int, seeds) -> tuple[np.ndarray, np.ndarr
     A value may be exactly 0.0 (the normal of the uniform 1/2), so the
     support is the drawn one, not the row's nonzero columns.
     """
-    if not (1 <= k <= n):
-        raise ValueError("need 1 <= k <= n")
+    n, k = _integer(n, "n", 1), _integer(k, "k", 1)
+    if k > n:
+        raise ValueError(f"k must be at most n, got k={k} with n={n}")
     if n > _MAX_ENTRIES:
         raise ValueError(f"n={n} is more entries than an array can hold")
     if isinstance(seeds, tuple) and isinstance(seeds[0], np.ndarray):
@@ -464,7 +469,7 @@ def random_sparse_unit(n: int, k: int, seed: SeedSpec) -> SparseUnitVector:
 
 def gaussian_matrix(m: int, n: int, seed: SeedSpec) -> MeasurementMatrix:
     """An m x n matrix with i.i.d. standard normal entries, row-major."""
-    _check_shape(m, n)
+    m, n = _check_shape(m, n)
     entries = sample_standard_normal(seed, m * n)
     entries.shape = (m, n)  # in place: the array keeps owning its memory
     entries.setflags(write=False)

@@ -155,8 +155,7 @@ def mismatch_probability(u, v, draws: int, seed: SeedSpec, sign_fn=None) -> floa
     is a fault injection hook for the CLI self-test; leave it at None for
     the real sign convention.
     """
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
+    draws = _integer(draws, "draws", 1)
     uu = _unit(u, "u")
     vv = _unit(v, "v")
     s = _nonnegative if sign_fn is None else sign_fn
@@ -193,8 +192,7 @@ def band_count_mean(
     """
     if not (0.0 <= beta <= math.pi / 2.0):
         raise ValueError("beta must lie in [0, pi/2]")
-    if m < 1 or trials < 1:
-        raise ValueError("m and trials must be >= 1")
+    m, trials = _integer(m, "m", 1), _integer(trials, "trials", 1)
     uu = _unit(u, "u")
     # The band theta in [pi/2 - beta, pi/2 + beta] is |cos(theta)| <= sin(beta).
     sin_beta = math.sin(beta)
@@ -230,8 +228,7 @@ def projection_expectation(u, v, m: int, trials: int, seed: SeedSpec) -> Project
     estimator of ||u - v|| and the plus projection of 0; standard errors are
     sample SDs over trials divided by sqrt(trials), so trials must be >= 2.
     """
-    if m < 1 or trials < 2:
-        raise ValueError("m must be >= 1 and trials >= 2 (one trial has no standard error)")
+    m, trials = _integer(m, "m", 1), _integer(trials, "trials", 2)
     uu = _unit(u, "u")
     vv = _unit(v, "v")
     _pair_directions(uu, vv)  # rejects u = +-v before sampling
@@ -294,8 +291,7 @@ def tail_frequency_check(
     """
     if not (0.0 < t_param < math.inf):  # NaN fails too
         raise ValueError(f"t_param must be positive and finite, got {t_param!r}")
-    if m < 1 or trials < 1:
-        raise ValueError("m and trials must be >= 1")
+    m, trials = _integer(m, "m", 1), _integer(trials, "trials", 1)
     uu = _unit(u, "u")
     vv = _unit(v, "v")
     theta = _pair_directions(uu, vv)[2]
@@ -392,10 +388,8 @@ def convergence_trials(
     """
     # Counts as ints before any draw, as `BIHTConfig` holds its own: a
     # float or a bool would fail deep in the sampler.
-    n, k, m, trials, T = (_integer(value, name) for value, name in
-                          ((n, "n"), (k, "k"), (m, "m"), (trials, "trials"), (T, "T")))
-    if trials < 1 or T < 1:
-        raise ValueError(f"trials and T (iters) must be >= 1, got trials={trials}, T={T}")
+    n, k, m, trials, T = (_integer(value, name, 1) for value, name in
+                          ((n, "n"), (k, "k"), (m, "m"), (trials, "trials"), (T, "T (iters)")))
 
     def trial(i, scratch):
         return _convergence_trial(n, k, m, T, eta, derive_seed(seed, i), scratch)

@@ -229,9 +229,12 @@ def orthogonal_decompose(h, u, v):
     c_plus have one entry per row and g is t x n, and row i of each equals,
     bit for bit, the decomposition of ``h[i]`` alone.
 
-    Only unit u, v are accepted; u == +-v leaves a direction undefined.
+    Only a finite h and unit u, v are accepted; u == +-v leaves a
+    direction undefined.
     """
     hv = np.asarray(h, dtype=np.float64)
+    if not np.isfinite(hv).all():
+        raise ValueError("h must be finite")
     uv = np.asarray(u, dtype=np.float64)
     vv = np.asarray(v, dtype=np.float64)
     for name, w in (("u", uv), ("v", vv)):
@@ -465,19 +468,18 @@ def raic_certify(
     """
     # Counts as ints before any draw, as `BIHTConfig` holds its own: a
     # float or a bool would fail deep in the sampler or a range.
-    k, num_pairs, max_j = (_integer(value, name) for value, name in
-                           ((k, "k"), (num_pairs, "num_pairs"), (max_j, "max_j")))
-    if num_pairs < 1:
-        raise ValueError(f"num_pairs (pairs) must be >= 1, got {num_pairs}")
+    num_pairs = _integer(num_pairs, "num_pairs (pairs)", 1)
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     # k before max_j: the CLI's max_j defaults to k.
+    k = _integer(k, "k", None)  # both bounds in one message, as n sets the upper
     if not (1 <= k <= A.n):
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k} with n={A.n}")
-    if max_j < 0:
-        raise ValueError("max_j must be >= 0")
-    num_small = num_pairs // 5 if num_small is None else _integer(num_small, "num_small")
-    if not (0 <= num_small <= num_pairs):
+    max_j = _integer(max_j, "max_j")
+    if num_small is None:
+        num_small = num_pairs // 5
+    num_small = _integer(num_small, "num_small (small_pairs)")
+    if num_small > num_pairs:
         raise ValueError(f"num_small (small_pairs) must be in 0..num_pairs, got {num_small}")
 
     # The support products read A only on the pairs' supports, so a

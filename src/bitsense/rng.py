@@ -67,6 +67,8 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri
 
+from .thresholding import _integer
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # odd => i -> i * _GOLDEN is a bijection mod 2^64
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -85,11 +87,6 @@ _pool_lock = threading.Lock()
 _on_pool = threading.local()
 
 
-def _is_uint64(value) -> bool:
-    """An integer in [0, 2^64); numpy integers count, floats and strings not."""
-    return isinstance(value, (int, np.integer)) and 0 <= value <= _MASK64
-
-
 @dataclass(frozen=True)
 class SeedSpec:
     """A (base_seed, stream_id) pair identifying one sample stream.
@@ -102,15 +99,11 @@ class SeedSpec:
     stream_id: int = 0
 
     def __post_init__(self):
-        # Held as Python ints: numpy integer arithmetic would overflow in
-        # the mixing rounds.
+        # Held as Python ints in [0, 2^64): numpy integer arithmetic would
+        # overflow in the mixing rounds.
         for name in ("base_seed", "stream_id"):
-            value = getattr(self, name)
-            if not _is_uint64(value):
-                raise ValueError(
-                    f"seed fields must be 64-bit unsigned integers, got {name}={value!r}"
-                )
-            object.__setattr__(self, name, int(value))
+            value = _integer(getattr(self, name), f"seed field {name}", 0, _MASK64)
+            object.__setattr__(self, name, value)
 
 
 def splitmix64(z: int) -> int:
@@ -119,13 +112,6 @@ def splitmix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
-
-
-def _check_index(index) -> int:
-    # Beyond [0, 2^64) the counter step wraps: 2**64 + i would name child i.
-    if not _is_uint64(index):
-        raise ValueError(f"index must be an integer in [0, 2**64), got {index!r}")
-    return int(index)
 
 
 def derive_seed(base: SeedSpec, index: int) -> SeedSpec:
@@ -137,7 +123,8 @@ def derive_seed(base: SeedSpec, index: int) -> SeedSpec:
     Collisions across different bases are possible only with negligible
     (2^-64-scale) probability.
     """
-    step = ((_check_index(index) + 1) * _GOLDEN) & _MASK64
+    # Beyond [0, 2^64) the counter step wraps: 2**64 + i would name child i.
+    step = ((_integer(index, "index", 0, _MASK64) + 1) * _GOLDEN) & _MASK64
     child_base = splitmix64((base.base_seed + step) & _MASK64)
     child_stream = splitmix64(base.stream_id ^ child_base)
     return SeedSpec(child_base, child_stream)
@@ -185,7 +172,7 @@ def _derive_rows(seeds, index):
     if isinstance(index, np.ndarray):
         step = (index + np.uint64(1)) * np.uint64(_GOLDEN)
     else:
-        step = np.uint64(((_check_index(index) + 1) * _GOLDEN) & _MASK64)
+        step = np.uint64(((_integer(index, "index", 0, _MASK64) + 1) * _GOLDEN) & _MASK64)
     child_bases = _mix(bases + step)
     return child_bases, _mix(streams ^ child_bases)
 
@@ -433,8 +420,7 @@ def _stream(keys: np.ndarray, count: int, normal: bool, steps=None, into=None) -
     thread when it is one of the pool's own, as in the certifier's pair
     blocks: the same tiles and values either way.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    count = _integer(count, "count")
     rows = keys.size
     out = np.empty((rows, count)) if into is None else into[0]
     # Contiguous row tiles of at most one chunk: whole rows while a row fits
@@ -506,6 +492,7 @@ def sample_standard_normal_block(seed: SeedSpec, n: int, rows, columns,
     instead, one tile of at most 64Ki elements at a time, so that no
     temporary of the whole block is made, and ``dest`` is returned.
     """
+    n = _integer(n, "n", 1)
     if isinstance(columns, range):
         if columns.step != 1 or not 0 <= columns.start <= columns.stop <= n:
             raise ValueError(f"need a range of columns within [0, {n}]")

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .thresholding import _integer
+
 # Smallest certified threshold for the b constant; the contraction condition
 # below is checked against exactly this literal.
 B_REFERENCE = 379.1038
@@ -70,8 +72,9 @@ def sample_complexity(epsilon: float, rho: float, k: int, n: int) -> int:
     """
     _check_unit_interval("epsilon", epsilon)
     _check_unit_interval("rho", rho)
-    if not (0 < k < n):
-        raise ValueError("need 0 < k < n")
+    k, n = _integer(k, "k", 1), _integer(n, "n", 1)
+    if k >= n:
+        raise ValueError(f"need k < n, got k={k} with n={n}")
     u = _CONSTANTS
     bc = u.b * u.c
     total = (
@@ -87,8 +90,7 @@ def sample_complexity(epsilon: float, rho: float, k: int, n: int) -> int:
 def epsilon_recurrence(epsilon: float, t: int) -> float:
     """t-th term of the error recurrence e(0)=2, e(t)=4c1 sqrt((eps/c) e(t-1)) + 4c2 eps/c."""
     _check_unit_interval("epsilon", epsilon)
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    t = _integer(t, "t")
     u = _CONSTANTS
     e = 2.0
     scale = epsilon / u.c
@@ -100,8 +102,7 @@ def epsilon_recurrence(epsilon: float, t: int) -> float:
 def closed_form_bound(epsilon: float, t: int) -> float:
     """The envelope 2^(2^-t) * epsilon^(1 - 2^-t) that dominates the recurrence."""
     _check_unit_interval("epsilon", epsilon)
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    t = _integer(t, "t")
     p = 2.0 ** (-t)
     return (2.0**p) * epsilon ** (1.0 - p)
 
@@ -145,8 +146,7 @@ def nested_sqrt(w: float, w0: float, t: int) -> float:
     """
     if w <= 0 or w0 <= 0:
         raise ValueError("need w > 0 and w0 > 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    t = _integer(t, "t")
     f = w0
     for _ in range(t):
         f = math.sqrt(w + f)

@@ -20,7 +20,7 @@ def smallest_k(keys, k: int) -> np.ndarray:
     """
     a = np.asarray(keys)
     n = a.shape[-1]
-    k = min(k, n)
+    k = min(_integer(k, "k"), n)
     if k == 0:
         return np.empty(a.shape[:-1] + (0,), dtype=np.intp)
     if a.ndim == 1:  # the solver's case, once a step: no row bookkeeping
@@ -37,12 +37,18 @@ def smallest_k(keys, k: int) -> np.ndarray:
     return np.sort(np.argsort(a, axis=-1, kind="stable")[..., :k], axis=-1)
 
 
-def _integer(value, name: str) -> int:
-    """value as an int, or a ValueError naming it.  A bool is an int and a
-    float would reach an index or a range, so both are rejected."""
+def _integer(value, name: str, least=0, most=None) -> int:
+    """value as an int in [least, most], or a ValueError naming it: the
+    package's one rule for a count, a size or a seed field.  A bool is an
+    int and a float would reach an index or a range, so both are rejected;
+    a numpy integer counts.  A bound of None is no bound."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if (least is not None and value < least) or (most is not None and value > most):
+        span = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+    return value
 
 
 def _top_k(a: np.ndarray, k: int):
@@ -65,7 +71,7 @@ def top_k(v, k: int) -> np.ndarray:
     if a.ndim != 1:
         raise ValueError("v must be one-dimensional")
     k = _integer(k, "k")
-    if not (0 <= k <= a.size):
+    if k > a.size:
         raise ValueError(f"k={k} outside [0, {a.size}]")
     return _top_k(a, k)[0]
 

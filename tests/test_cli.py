@@ -248,7 +248,8 @@ class TestValidate:
         out = tmp_path / "out"
         code = run_cli(["validate", "--seed", "-1", "--output-dir", str(out)])
         assert code == 2
-        assert "seed fields must be 64-bit unsigned integers" in capsys.readouterr().err
+        message = "seed field base_seed must be an integer in [0, 18446744073709551615], got -1"
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

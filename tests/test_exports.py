@@ -12,6 +12,7 @@ import pytest
 
 import bitsense
 from bitsense import biht, core, montecarlo, raic, rng, thresholding
+from test_integers import INTEGER_INPUTS
 
 REMOVED = ("angular_distance", "biht_step", "h_a_j", "raic_residual")
 
@@ -154,6 +155,37 @@ def test_only_the_sampler_binds_openblas():
     binds = {name: _ctypes_lines(owner) for name, owner in owners.items()}
     assert binds.pop("bitsense.rng") != []
     assert binds == {name: [] for name in binds}
+
+
+# The parameter names of a count, a size, an index or a seed field.
+INTEGER_PARAMETERS = {"k", "m", "n", "count", "draws", "trials", "T", "t", "max_iters",
+                      "num_pairs", "max_j", "num_small", "index", "base_seed", "stream_id"}
+
+
+def _parameters(owner):
+    try:
+        return inspect.signature(owner).parameters
+    except ValueError:  # none, as for an exception class
+        return {}
+
+
+def test_every_integer_input_is_in_the_table():
+    # A public function or class that takes a count, a size, an index or a
+    # seed field is listed in `tests/test_integers.py`, whose table checks
+    # that it goes through `thresholding._integer`.
+    taken = {
+        f"{owner.__module__}.{name}.{argument}"
+        for m in _modules()
+        for name, owner in vars(m).items()
+        if not name.startswith("_") and getattr(owner, "__module__", None) == m.__name__
+        and (inspect.isfunction(owner) or inspect.isclass(owner))
+        for argument in _parameters(owner)
+        if argument in INTEGER_PARAMETERS
+    }
+    listed = {f"{entry.__module__}.{entry.__name__}.{argument}"
+              for entry, argument, _ in INTEGER_INPUTS}
+    assert taken
+    assert taken - listed == set()
 
 
 # Each subcommand at small sizes, OUT its output directory; None is a bare

@@ -359,14 +359,11 @@ def test_generate_digests(what, fmt, tmp_path):
 
 
 @pytest.fixture(params=[1, 2], ids=lambda w: f"{w}-worker pool")
-def pool_size(request, monkeypatch):
+def pool_size(request, sampler_pool):
     """A fresh sampler pool of ``request.param`` workers for the test, and
     a fresh default one after it."""
-    monkeypatch.setattr(rng, "_worker_count", lambda: request.param)
-    rng._forget_pool()
-    yield request.param
-    monkeypatch.undo()
-    rng._forget_pool()
+    sampler_pool(request.param)
+    return request.param
 
 
 @pytest.mark.parametrize("blas_threads", [1, 2], ids=lambda t: f"caller BLAS {t}")

@@ -1,8 +1,6 @@
 import hashlib
 import math
 import re
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bitsense.montecarlo as mc
-from bitsense import biht, cli, rng
+from bitsense import biht, cli
 from bitsense.biht import BIHTConfig, run_biht
 from bitsense.core import (
     MeasurementMatrix,
@@ -410,8 +408,11 @@ def _trials(**counts):
 )
 def test_pipelines_reject_counts_that_are_not_integers(pipeline, name, value):
     # Each used to fail deep in the sampler, a slice or a range: a TypeError,
-    # or for T a ValueError that named `max_iters`.
-    message = f"{name} must be an integer, got {value!r}"
+    # or for T a ValueError that named `max_iters`.  A count the CLI sets
+    # under another name is named by both.
+    label = {"num_pairs": "num_pairs (pairs)", "num_small": "num_small (small_pairs)",
+             "T": "T (iters)"}.get(name, name)
+    message = f"{label} must be an integer, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         pipeline(**{name: value})
 
@@ -455,32 +456,14 @@ class TestTrialDrawsOnRead:
         assert share <= 0.65
 
 
-    def test_concurrent_experiments_on_a_wide_pool(self, monkeypatch):
-        # More workers than cores and more callers than workers, each
-        # experiment's trials on the pool, their dense steps three row
-        # blocks each, with frequent thread switches: every caller must get
-        # the records of a one-worker pool.
-        seeds = [SeedSpec(576, i) for i in range(4)]
-
+    def test_concurrent_experiments_on_a_wide_pool(self, wide_pool):
+        # More workers than cores, each experiment's trials on the pool,
+        # their dense steps three row blocks each, with frequent thread
+        # switches: every caller must get the records of a one-worker pool.
         def experiment(seed):
             return _trial_record(convergence_trials(200, 5, 6000, 3, 6, seed))
 
-        wide = 2 * rng._worker_count() + 1
-        monkeypatch.setattr(rng, "_worker_count", lambda: 1)
-        rng._forget_pool()
-        want = [experiment(s) for s in seeds]
-        monkeypatch.setattr(rng, "_worker_count", lambda: wide)
-        rng._forget_pool()
-        interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-5)
-            with ThreadPoolExecutor(max_workers=len(seeds)) as callers:
-                futures = [callers.submit(experiment, s) for s in seeds]
-                got = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-            monkeypatch.undo()
-            rng._forget_pool()
+        want, got = wide_pool(experiment, [SeedSpec(576, i) for i in range(4)])
         assert got == want
 
 
@@ -529,27 +512,11 @@ class TestValidatorSuite:
         assert len(lines) == 1 + len(rows)
         assert all(line.endswith(",true") for line in lines[1:])
 
-    def test_concurrent_suites_on_a_wide_pool(self, monkeypatch):
-        # More workers than cores and more callers than workers, each suite
-        # six jobs wide, with frequent thread switches: every caller must
-        # get the rows of a one-worker pool.
-        seeds = [SeedSpec(551, i) for i in range(5)]
-        wide = 2 * rng._worker_count() + 1
-        monkeypatch.setattr(rng, "_worker_count", lambda: 1)
-        rng._forget_pool()
-        want = [run_validator_suite(s) for s in seeds]
-        monkeypatch.setattr(rng, "_worker_count", lambda: wide)
-        rng._forget_pool()
-        interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-5)
-            with ThreadPoolExecutor(max_workers=len(seeds)) as callers:
-                futures = [callers.submit(run_validator_suite, s) for s in seeds]
-                got = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-            monkeypatch.undo()
-            rng._forget_pool()
+    def test_concurrent_suites_on_a_wide_pool(self, wide_pool):
+        # More workers than cores, each suite six jobs wide, with frequent
+        # thread switches: every caller must get the rows of a one-worker
+        # pool.
+        want, got = wide_pool(run_validator_suite, [SeedSpec(551, i) for i in range(5)])
         assert got == want
 
     def test_a_later_job_that_raises_reaches_the_caller(self, monkeypatch, caller_blas,

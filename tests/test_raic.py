@@ -1,7 +1,5 @@
 import json
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -298,6 +296,16 @@ class TestOrthogonalDecompose:
         pair[name] = np.array([bad, 0.0])
         with pytest.raises(ValueError, match=f"{name} must be a unit vector"):
             orthogonal_decompose(np.ones(2), pair["u"], pair["v"])
+
+    @pytest.mark.parametrize("h", [np.array([math.nan, 0.0, 0.0]),
+                                   np.array([[0.0, 1.0, 0.0], [math.inf, 0.0, 0.0]])],
+                             ids=["nan vector", "inf in a stack row"])
+    def test_non_finite_h_rejected(self, h):
+        # Unchecked, a NaN came back as NaN components, and an inf raised
+        # numpy's RuntimeWarnings from the subtraction.
+        u, v = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="^h must be finite$"):
+            orthogonal_decompose(h, u, v)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 9), st.integers(2, 40), st.integers(0, 2**64 - 1))
@@ -955,32 +963,16 @@ class TestKernelBlasThreads:
 
 
 class TestPairBlocksOnThePool:
-    def test_concurrent_certificates_on_a_wide_pool(self, monkeypatch):
-        # More workers than cores and more callers than workers, each
-        # certificate three pair blocks wide, with frequent thread switches:
-        # every caller must get the serial certificate.
+    def test_concurrent_certificates_on_a_wide_pool(self, wide_pool):
+        # More workers than cores, each certificate three pair blocks wide,
+        # with frequent thread switches: every caller must get the serial
+        # certificate.
         A = gaussian_matrix(ROW_BLOCK + 88, 40, SeedSpec(83))
-        seeds = [SeedSpec(84, i) for i in range(5)]
 
         def certify(seed):
             return raic_certify(A, 3, 0.05, 2 * PAIR_BLOCK + 9, 3, seed)
 
-        wide = 2 * rng._worker_count() + 1
-        monkeypatch.setattr(rng, "_worker_count", lambda: 1)
-        rng._forget_pool()
-        want = [certify(s) for s in seeds]
-        monkeypatch.setattr(rng, "_worker_count", lambda: wide)
-        rng._forget_pool()
-        interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-5)
-            with ThreadPoolExecutor(max_workers=len(seeds)) as callers:
-                futures = [callers.submit(certify, s) for s in seeds]
-                got = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-            monkeypatch.undo()
-            rng._forget_pool()
+        want, got = wide_pool(certify, [SeedSpec(84, i) for i in range(5)])
         assert got == want
 
 

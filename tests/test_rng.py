@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import signal
 import sys
 import threading
@@ -75,14 +76,18 @@ class TestSeedDerivation:
         with pytest.raises(ValueError):
             derive_seed(SeedSpec(1), -1)
 
-    @pytest.mark.parametrize("index", [2**64, 2**64 + 5, 2**70, 1.0, 5.5, "5"])
+    @pytest.mark.parametrize("index", [2**64, 2**64 + 5, 2**70, 1.0, 5.5, "5", True])
     def test_index_outside_the_injective_range_rejected(self, index):
         # The counter step wraps mod 2^64: unchecked, 2**64 named child 0
         # again and 2**64 + 5 child 5.  A float failed with a bare TypeError.
         base = SeedSpec(12345, 6)
-        with pytest.raises(ValueError, match="index must be an integer in"):
+        if type(index) is int:
+            message = f"index must be an integer in [0, {_MASK64}], got {index!r}"
+        else:
+            message = f"index must be an integer, got {index!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             derive_seed(base, index)
-        with pytest.raises(ValueError, match="index must be an integer in"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _derive_rows(base, index)
 
     def test_top_and_numpy_indices_accepted(self):
@@ -105,7 +110,8 @@ class TestSeedDerivation:
     def test_seed_fields_that_are_not_integers_rejected(self, fields, name):
         # Unchecked, a float failed at its first draw with a bare TypeError
         # from ^, and a string with one from <=.
-        with pytest.raises(ValueError, match=f"got {name}="):
+        message = f"seed field {name} must be an integer, got {fields[-1]!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SeedSpec(*fields)
 
     def test_numpy_integer_seed_fields_draw_as_python_ints(self):
@@ -559,7 +565,7 @@ class TestMapScratch:
         assert sorted(thread for thread, _ in made) == sorted(thread for thread, _ in got)
         assert {thread for thread, _ in used} <= {thread for thread, _ in got}
 
-    def test_no_block_serves_two_calls_at_once(self, monkeypatch):
+    def test_no_block_serves_two_calls_at_once(self, wide_pool):
         # More workers than cores and frequent thread switches: a call that
         # shared its block with another would see the other's mark in it.
         def fn(item, block):
@@ -570,18 +576,9 @@ class TestMapScratch:
                     return False
             return True
 
-        wide = 2 * rng._worker_count() + 1
-        monkeypatch.setattr(rng, "_worker_count", lambda: wide)
-        rng._forget_pool()
-        interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-5)
-            got = rng._map(fn, range(300), lambda: np.zeros(1))
-        finally:
-            sys.setswitchinterval(interval)
-            monkeypatch.undo()
-            rng._forget_pool()
-        assert got == [True] * 300
+        want, got = wide_pool(lambda count: rng._map(fn, range(count), lambda: np.zeros(1)),
+                              [300])
+        assert want == got == [[True] * 300]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_call_that_raises_hands_its_block_on(self):
