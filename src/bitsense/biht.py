@@ -85,7 +85,7 @@ from .core import (
 )
 from .raic import DEFAULT_ETA, correction, restricted_residual
 from .rng import SeedSpec, _one_blas_thread
-from .thresholding import _integer, _top_k, normalize
+from .thresholding import _integer, _real, _top_k, normalize
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,7 @@ class BIHTConfig:
     init: Union[SeedSpec, SparseUnitVector] = field(default_factory=lambda: SeedSpec(0))
 
     def __post_init__(self):
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ValueError(f"eta must be positive and finite, got {self.eta!r}")
+        object.__setattr__(self, "eta", _real(self.eta, "eta", 0, math.inf))
         # Stored as int; a float or bool would fail in the sampler or range().
         for name in ("k", "max_iters"):
             object.__setattr__(self, name, _integer(getattr(self, name), name, 1))

@@ -106,7 +106,11 @@ def _resolve(args):
         if isinstance(value, bool) or not isinstance(value, (int, kind)):
             wanted = "a number" if kind is float else "an integer"
             raise ValueError(f"config key {key!r} must be {wanted}, got {value!r}")
-        merged[key] = kind(value)
+        try:
+            merged[key] = kind(value)
+        except OverflowError:  # an integer past float64's range
+            raise ValueError(f"config key {key!r} must be a number within float64's range, "
+                             "got an integer too large for a float") from None
     for key in defaults:
         if getattr(args, key) is not None:
             merged[key] = getattr(args, key)

@@ -71,7 +71,7 @@ from .rng import (
     derive_seed,
     sample_standard_normal_block,
 )
-from .thresholding import _integer
+from .thresholding import _integer, _real
 
 # A block of `_map_normal_blocks` is about this many elements of full width.
 # The pair validators draw 2-5 of their 8-32 columns, so the battery's full
@@ -190,8 +190,7 @@ def band_count_mean(
     angle of a Gaussian row concentrates near the equator and the count
     exceeds it, so validate with a 2-d direction.
     """
-    if not (0.0 <= beta <= math.pi / 2.0):
-        raise ValueError("beta must lie in [0, pi/2]")
+    beta = _real(beta, "beta", 0, math.pi / 2.0, closed=True)
     m, trials = _integer(m, "m", 1), _integer(trials, "trials", 1)
     uu = _unit(u, "u")
     # The band theta in [pi/2 - beta, pi/2 + beta] is |cos(theta)| <= sin(beta).
@@ -289,8 +288,7 @@ def tail_frequency_check(
     the bound and ``z`` = (estimate - theory) / se.  When no draw has
     ell > 0 each row is (0.0, 1.0, 0.0, 0.0) and passes.
     """
-    if not (0.0 < t_param < math.inf):  # NaN fails too
-        raise ValueError(f"t_param must be positive and finite, got {t_param!r}")
+    t_param = _real(t_param, "t_param", 0, math.inf)
     m, trials = _integer(m, "m", 1), _integer(trials, "trials", 1)
     uu = _unit(u, "u")
     vv = _unit(v, "v")
@@ -386,10 +384,12 @@ def convergence_trials(
     restored afterwards, so the results do not depend on it or on the
     pool's size.
     """
-    # Counts as ints before any draw, as `BIHTConfig` holds its own: a
-    # float or a bool would fail deep in the sampler.
+    # Counts as ints and eta as a float before any draw, as `BIHTConfig`
+    # holds its own: a float count or a bool would fail deep in the
+    # sampler, and a bad eta only once a trial had drawn its signal.
     n, k, m, trials, T = (_integer(value, name, 1) for value, name in
                           ((n, "n"), (k, "k"), (m, "m"), (trials, "trials"), (T, "T (iters)")))
+    eta = _real(eta, "eta", 0, math.inf)
 
     def trial(i, scratch):
         return _convergence_trial(n, k, m, T, eta, derive_seed(seed, i), scratch)

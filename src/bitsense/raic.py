@@ -83,7 +83,7 @@ from .rng import (
     sample_standard_normal_rows,
 )
 from .theory import constants
-from .thresholding import _integer, _mask_checked, smallest_k, threshold_set
+from .thresholding import _integer, _mask_checked, _real, smallest_k, threshold_set
 
 # Step size the contraction analysis requires; deviating far from it loses
 # the contraction, so treat overrides as experimental.
@@ -186,6 +186,7 @@ def correction(
     ``rows`` is ``np.flatnonzero(b != s)``, passed by a caller that found
     the mismatched rows already (the solver counts them at every step).
     """
+    eta = _real(eta, "eta", 0, math.inf)
     bv = np.asarray(b)
     sv = np.asarray(s)
     if bv.shape != (A.m,) or sv.shape != (A.m,):
@@ -229,8 +230,9 @@ def orthogonal_decompose(h, u, v):
     c_plus have one entry per row and g is t x n, and row i of each equals,
     bit for bit, the decomposition of ``h[i]`` alone.
 
-    Only a finite h and unit u, v are accepted; u == +-v leaves a
-    direction undefined.
+    Only a finite h and unit u, v are accepted, u and v one-dimensional of
+    h's last length (numpy would broadcast a shorter one); u == +-v leaves
+    a direction undefined.
     """
     hv = np.asarray(h, dtype=np.float64)
     if not np.isfinite(hv).all():
@@ -238,6 +240,8 @@ def orthogonal_decompose(h, u, v):
     uv = np.asarray(u, dtype=np.float64)
     vv = np.asarray(v, dtype=np.float64)
     for name, w in (("u", uv), ("v", vv)):
+        if w.shape != hv.shape[-1:]:
+            raise ValueError(f"{name} must have shape {hv.shape[-1:]}, got {w.shape}")
         if not abs(float(np.linalg.norm(w)) - 1.0) <= 1e-6:  # NaN fails too
             raise ValueError(f"{name} must be a unit vector")
     e_minus, e_plus, _ = _pair_directions(uv, vv)
@@ -332,10 +336,12 @@ def _block_residuals(A: MeasurementMatrix, X, Y, J) -> np.ndarray:
 def raic_bound(delta: float, a1: float, a2: float, d_s):
     """The invertibility bound a1 * sqrt(delta * d_s) + a2 * delta, for one
     d_s or elementwise over an array of them."""
-    values = np.concatenate(([delta, a1, a2], np.ravel(d_s)))
+    delta, a1, a2 = (_real(value, name, 0, math.inf, closed=True)
+                     for value, name in ((delta, "delta"), (a1, "a1"), (a2, "a2")))
+    values = np.asarray(d_s)
     # A NaN compares False both ways, so each value must pass, not fail.
     if not ((values >= 0.0) & (values < np.inf)).all():
-        raise ValueError("all arguments must be finite and nonnegative")
+        raise ValueError("d_s must be finite and nonnegative")
     return a1 * np.sqrt(delta * d_s) + a2 * delta
 
 
@@ -469,8 +475,7 @@ def raic_certify(
     # Counts as ints before any draw, as `BIHTConfig` holds its own: a
     # float or a bool would fail deep in the sampler or a range.
     num_pairs = _integer(num_pairs, "num_pairs (pairs)", 1)
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+    delta = _real(delta, "delta", 0, 1)
     # k before max_j: the CLI's max_j defaults to k.
     k = _integer(k, "k", None)  # both bounds in one message, as n sets the upper
     if not (1 <= k <= A.n):

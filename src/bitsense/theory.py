@@ -15,9 +15,9 @@ and the sequence is non-increasing everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .thresholding import _integer
+from .thresholding import _integer, _real
 
 # Smallest certified threshold for the b constant; the contraction condition
 # below is checked against exactly this literal.
@@ -39,13 +39,15 @@ def _c2_of(b: float) -> float:
 
 @dataclass(frozen=True)
 class UniversalConstants:
-    """The fixed constants (a, b, c, c1, c2) used by every bound in this module."""
+    """The fixed constants (a, b, c, c1, c2) used by every bound in this
+    module.  None is set by the constructor, so (c1, c2) are always those of
+    b; `derived_constants` gives them at another b."""
 
-    a: float = 16.0
-    b: float = B_REFERENCE
-    c: float = 32.0
-    c1: float = _c1_of(B_REFERENCE)
-    c2: float = _c2_of(B_REFERENCE)
+    a: float = field(default=16.0, init=False)
+    b: float = field(default=B_REFERENCE, init=False)
+    c: float = field(default=32.0, init=False)
+    c1: float = field(default=_c1_of(B_REFERENCE), init=False)
+    c2: float = field(default=_c2_of(B_REFERENCE), init=False)
 
 
 _CONSTANTS = UniversalConstants()
@@ -56,9 +58,8 @@ def constants() -> UniversalConstants:
 
 
 def derived_constants(b: float) -> tuple[float, float]:
-    """(c1, c2) recomputed for an arbitrary b > 0."""
-    if b <= 0:
-        raise ValueError("b must be positive")
+    """(c1, c2) recomputed for an arbitrary finite b > 0."""
+    b = _real(b, "b", 0, math.inf)
     return _c1_of(b), _c2_of(b)
 
 
@@ -70,8 +71,7 @@ def sample_complexity(epsilon: float, rho: float, k: int, n: int) -> int:
     k, and 1/rho.  An epsilon or rho so small that the count overflows
     float64 (epsilon of about 1e-305 at k=5) is a ValueError.
     """
-    _check_unit_interval("epsilon", epsilon)
-    _check_unit_interval("rho", rho)
+    epsilon, rho = _real(epsilon, "epsilon", 0, 1), _real(rho, "rho", 0, 1)
     k, n = _integer(k, "k", 1), _integer(n, "n", 1)
     if k >= n:
         raise ValueError(f"need k < n, got k={k} with n={n}")
@@ -89,7 +89,7 @@ def sample_complexity(epsilon: float, rho: float, k: int, n: int) -> int:
 
 def epsilon_recurrence(epsilon: float, t: int) -> float:
     """t-th term of the error recurrence e(0)=2, e(t)=4c1 sqrt((eps/c) e(t-1)) + 4c2 eps/c."""
-    _check_unit_interval("epsilon", epsilon)
+    epsilon = _real(epsilon, "epsilon", 0, 1)
     t = _integer(t, "t")
     u = _CONSTANTS
     e = 2.0
@@ -101,7 +101,7 @@ def epsilon_recurrence(epsilon: float, t: int) -> float:
 
 def closed_form_bound(epsilon: float, t: int) -> float:
     """The envelope 2^(2^-t) * epsilon^(1 - 2^-t) that dominates the recurrence."""
-    _check_unit_interval("epsilon", epsilon)
+    epsilon = _real(epsilon, "epsilon", 0, 1)
     t = _integer(t, "t")
     p = 2.0 ** (-t)
     return (2.0**p) * epsilon ** (1.0 - p)
@@ -114,7 +114,7 @@ def recurrence_fixed_point(epsilon: float) -> float:
     in epsilon and strictly below it (barely: the ratio is about 1 - 5e-8, so
     the reference b is the smallest value for which this holds).
     """
-    _check_unit_interval("epsilon", epsilon)
+    epsilon = _real(epsilon, "epsilon", 0, 1)
     root, v = _fixed_point_parts(epsilon, _CONSTANTS.c1, _CONSTANTS.c2, _CONSTANTS.c)
     return root * root * v
 
@@ -126,7 +126,7 @@ def contraction_condition_holds(epsilon: float, b: float) -> bool:
     from its starting value of 2; it holds for every epsilon in (0,1) at the
     reference b and fails for substantially smaller b.
     """
-    _check_unit_interval("epsilon", epsilon)
+    epsilon = _real(epsilon, "epsilon", 0, 1)
     c1, c2 = derived_constants(b)
     u, v = _fixed_point_parts(epsilon, c1, c2, _CONSTANTS.c)
     return u * math.sqrt(v) < math.sqrt(2.0)
@@ -144,8 +144,7 @@ def nested_sqrt(w: float, w0: float, t: int) -> float:
     Converges to u = (1 + sqrt(1 + 4w)) / 2; strictly decreasing when
     w0 > u, strictly increasing when w0 < u, constant when w0 == u.
     """
-    if w <= 0 or w0 <= 0:
-        raise ValueError("need w > 0 and w0 > 0")
+    w, w0 = _real(w, "w", 0, math.inf), _real(w0, "w0", 0, math.inf)
     t = _integer(t, "t")
     f = w0
     for _ in range(t):
@@ -155,11 +154,5 @@ def nested_sqrt(w: float, w0: float, t: int) -> float:
 
 def nested_sqrt_limit(w: float) -> float:
     """Fixed point of x -> sqrt(w + x): the positive root (1 + sqrt(1 + 4w)) / 2."""
-    if w <= 0:
-        raise ValueError("need w > 0")
+    w = _real(w, "w", 0, math.inf)
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * w))
-
-
-def _check_unit_interval(name: str, value: float) -> None:
-    if not (0.0 < value < 1.0):
-        raise ValueError(f"{name} must lie in the open interval (0, 1), got {value}")

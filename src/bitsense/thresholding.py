@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -49,6 +51,26 @@ def _integer(value, name: str, least=0, most=None) -> int:
         span = f">= {least}" if most is None else f"in [{least}, {most}]"
         raise ValueError(f"{name} must be an integer {span}, got {value!r}")
     return value
+
+
+def _real(value, name: str, low, high, closed=False) -> float:
+    """value as a finite float in (low, high), or in [low, high] when
+    ``closed``, or a ValueError naming it: the package's one rule for a real
+    input.  An int, a float, a numpy integer or a numpy floating counts; a
+    bool, a string, an array or a complex does not, and an int past
+    float64's range is out of every range."""
+    got = None
+    if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
+        try:
+            real = float(value)
+        except OverflowError:
+            got = "an integer too large for a float"
+        else:
+            if math.isfinite(real) and (low <= real <= high if closed else low < real < high):
+                return real
+    span = ("[" if closed and math.isfinite(low) else "(") + f"{low!r}, {high!r}" + (
+        "]" if closed and math.isfinite(high) else ")")
+    raise ValueError(f"{name} must be a finite number in {span}, got {got or repr(value)}")
 
 
 def _top_k(a: np.ndarray, k: int):

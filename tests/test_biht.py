@@ -120,7 +120,8 @@ class TestStep:
         x, A, b = small_instance()
         with pytest.raises(ValueError, match="k must be"):
             one_step(A, b, x, 0)
-        with pytest.raises(ValueError, match="eta must be"):
+        message = "eta must be a finite number in (0, inf), got nan"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             one_step(A, b, x, x.k, eta=float("nan"))
 
 

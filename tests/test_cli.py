@@ -78,7 +78,8 @@ class TestRun:
         code = run_cli(["run", "--n", "50", "--k", "3", "--m", "200", "--trials", "1",
                         "--iters", "1", "--eta", eta, "--output-dir", str(out)])
         assert code == 2
-        assert "eta must be positive and finite" in capsys.readouterr().err
+        message = f"error: eta must be a finite number in (0, inf), got {eta}\n"
+        assert capsys.readouterr().err == message
         assert not out.exists()
 
     def test_overflowing_eta_rejected_before_writing(self, tmp_path, capsys):

@@ -24,6 +24,9 @@ EDGES = [0, -1, math.nan, math.inf, -math.inf, FRACTION, True, None, "abc"]
 # before anything is drawn.  At 2**64, trials or iters could start that much.
 BIG = 2**64
 BIG_OK = {"seed", "n", "m", "k"}
+# A JSON integer past float64's range, as a config entry of a float setting
+# only; a count set to it could start that much work.
+HUGE = 10**400
 
 # The settings of a call besides the one under test, small enough that a
 # call that is accepted finishes at once.
@@ -74,12 +77,14 @@ def _same(a, b):
 
 def _cases():
     for command, table in cli.SETTINGS.items():
-        for key in table:
+        for key, default in table.items():
             values = EDGES + ([BIG] if key in BIG_OK else [])
             for way in ("flag", "config"):
-                for value in values:
+                huge = [HUGE] if way == "config" and isinstance(default, float) else []
+                for value in values + huge:
+                    spelled = "10**400" if value is HUGE else _spelling(value)
                     yield pytest.param(command, key, way, value,
-                                       id=f"{command}-{key}-{way}-{_spelling(value)}")
+                                       id=f"{command}-{key}-{way}-{spelled}")
 
 
 def _accepted(command, key, way, value):

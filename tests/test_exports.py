@@ -13,6 +13,7 @@ import pytest
 import bitsense
 from bitsense import biht, core, montecarlo, raic, rng, thresholding
 from test_integers import INTEGER_INPUTS
+from test_reals import REAL_INPUTS
 
 REMOVED = ("angular_distance", "biht_step", "h_a_j", "raic_residual")
 
@@ -169,23 +170,52 @@ def _parameters(owner):
         return {}
 
 
-def test_every_integer_input_is_in_the_table():
-    # A public function or class that takes a count, a size, an index or a
-    # seed field is listed in `tests/test_integers.py`, whose table checks
-    # that it goes through `thresholding._integer`.
-    taken = {
+# The parameter names of a real input: a step size, a resolution, an error
+# target, a failure probability, a constant or a nested-root argument.
+REAL_PARAMETERS = {"eta", "delta", "epsilon", "rho", "b", "w", "w0", "beta", "t_param", "a1",
+                   "a2"}
+# Arguments of those names that are no real input: b also names an array
+# (the observed signs of the solver and of the correction map, and the
+# second operand of `row_dots`), and a report's delta is the one
+# `raic_certify` passed through the rule.
+NOT_REAL_INPUTS = {"bitsense.biht.run_biht.b", "bitsense.raic.correction.b",
+                   "bitsense.core.row_dots.b", "bitsense.raic.RaicReport.delta"}
+
+
+def _taken(parameters):
+    """module.name.argument for each public function or class of the
+    package that takes an argument named in ``parameters``."""
+    return {
         f"{owner.__module__}.{name}.{argument}"
         for m in _modules()
         for name, owner in vars(m).items()
         if not name.startswith("_") and getattr(owner, "__module__", None) == m.__name__
         and (inspect.isfunction(owner) or inspect.isclass(owner))
         for argument in _parameters(owner)
-        if argument in INTEGER_PARAMETERS
+        if argument in parameters
     }
-    listed = {f"{entry.__module__}.{entry.__name__}.{argument}"
-              for entry, argument, _ in INTEGER_INPUTS}
+
+
+def _listed(table):
+    return {f"{entry.__module__}.{entry.__name__}.{argument}" for entry, argument, _ in table}
+
+
+def test_every_integer_input_is_in_the_table():
+    # A public function or class that takes a count, a size, an index or a
+    # seed field is listed in `tests/test_integers.py`, whose table checks
+    # that it goes through `thresholding._integer`.
+    taken = _taken(INTEGER_PARAMETERS)
     assert taken
-    assert taken - listed == set()
+    assert taken - _listed(INTEGER_INPUTS) == set()
+
+
+def test_every_real_input_is_in_the_table():
+    # A public function or class that takes a real input is listed in
+    # `tests/test_reals.py`, whose table checks that it goes through
+    # `thresholding._real`.
+    taken = _taken(REAL_PARAMETERS)
+    assert NOT_REAL_INPUTS <= taken
+    assert taken - NOT_REAL_INPUTS - _listed(REAL_INPUTS) == set()
 
 
 # Each subcommand at small sizes, OUT its output directory; None is a bare

@@ -288,7 +288,8 @@ def test_validators_match_zero_filled_full_rows(u_at, v_at, n, monkeypatch):
     def test_t_param_must_be_positive_and_finite(self, t_param):
         # A NaN used to pass `t_param <= 0` and give rows of NaN.
         u, v = pair_at_angle(1.1, n=10)
-        with pytest.raises(ValueError, match="t_param must be positive and finite"):
+        message = f"t_param must be a finite number in (0, inf), got {t_param!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             tail_frequency_check(u, v, 30, 5, t_param, SeedSpec(1))
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -307,6 +308,18 @@ class TestOrthogonalDecompose:
         with pytest.raises(ValueError, match="^h must be finite$"):
             orthogonal_decompose(h, u, v)
 
+    @pytest.mark.parametrize("name", ["u", "v"])
+    @pytest.mark.parametrize("bad", [np.array([1.0]), np.eye(8)[:1], np.array(1.0)],
+                             ids=["length 1", "one row", "scalar"])
+    def test_u_and_v_must_have_the_length_of_h(self, name, bad):
+        # A shorter u or v used to broadcast against h and give numbers.
+        pair = {"u": np.eye(8)[0], "v": np.eye(8)[1]}
+        pair[name] = bad
+        message = f"{name} must have shape (8,), got {bad.shape}"
+        for h in (np.ones(8), np.ones((3, 8))):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                orthogonal_decompose(h, pair["u"], pair["v"])
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 9), st.integers(2, 40), st.integers(0, 2**64 - 1))
     def test_rows_decompose_as_single_vectors(self, t, n, base):
@@ -379,12 +392,16 @@ class TestResidualAndBound:
     @pytest.mark.parametrize("position", range(4))
     def test_bound_rejects_non_finite_arguments(self, position, bad):
         # A NaN used to pass `min(...) < 0` and come back as the bound.
+        # delta, a1 and a2 go through the package's rule for a real input.
+        name = ("delta", "a1", "a2", "d_s")[position]
+        message = (f"{name} must be a finite number in [0, inf), got {bad!r}" if position < 3
+                   else "d_s must be finite and nonnegative")
         args = [0.1, 1.0, 1.0, 1.0]
         args[position] = bad
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             raic_bound(*args)
         args[3] = np.array([0.5, args[3], 1.5])
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             raic_bound(*args)
 
     def test_residual_rows_equal_each_pair_alone(self):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from bitsense.theory import (
+    UniversalConstants,
     closed_form_bound,
     constants,
     contraction_condition_holds,
@@ -25,6 +26,13 @@ EPS_GRID = [i / 100 for i in range(1, 100)]
 
 
 class TestConstants:
+    def test_constants_are_not_settable(self):
+        # A c1 set apart from b disagreed with `derived_constants(b)`.
+        assert UniversalConstants() == constants()
+        for name in ("a", "b", "c", "c1", "c2"):
+            with pytest.raises(TypeError):
+                UniversalConstants(**{name: 2.0})
+
     def test_integer_constants(self):
         u = constants()
         assert u.a == 16.0
