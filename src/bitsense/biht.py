@@ -167,8 +167,16 @@ def run_biht(
     A step that overflows float64, which a huge ``eta`` causes, raises a
     ValueError that names ``eta``.
     """
+    if not isinstance(b, SignPattern):
+        raise ValueError(f"b must be a SignPattern, got an object of type {type(b).__name__}")
     if len(b) != A.m:
-        raise ValueError(f"sign pattern has length {len(b)}, but A has {A.m} rows")
+        raise ValueError(f"sign pattern b has length {len(b)}, but A has {A.m} rows")
+    if truth is not None:
+        if not isinstance(truth, SparseUnitVector):
+            raise ValueError("truth must be a SparseUnitVector or None, got an object of type "
+                             f"{type(truth).__name__}")
+        if truth.n != A.n:
+            raise ValueError(f"truth has length {truth.n}, but A has {A.n} columns")
     if isinstance(config.init, SparseUnitVector):
         x = config.init
         if x.n != A.n:

@@ -78,11 +78,29 @@ def _kind(default):
     return float if isinstance(default, float) else int
 
 
+class _LongInteger:
+    """A JSON integer with more digits than Python converts from text; it
+    stands in for the value so that the error can name the setting."""
+
+    def __init__(self, text):
+        self.digits = len(text.lstrip("-"))
+
+    def __repr__(self):
+        return f"an integer of {self.digits} digits"
+
+
+def _integer_or_long(text):
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInteger(text)
+
+
 def _load_config(path):
     if path is None:
         return {}
     with open(path) as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_int=_integer_or_long)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     return data
@@ -103,6 +121,9 @@ def _resolve(args):
         kind = _kind(defaults[key])
         if value is None and defaults[key] is None:
             continue
+        if isinstance(value, _LongInteger):
+            raise ValueError(f"config key {key!r} holds {value!r}, more than the "
+                             f"{sys.get_int_max_str_digits()} Python reads")
         if isinstance(value, bool) or not isinstance(value, (int, kind)):
             wanted = "a number" if kind is float else "an integer"
             raise ValueError(f"config key {key!r} must be {wanted}, got {value!r}")

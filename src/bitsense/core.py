@@ -6,6 +6,10 @@ Conventions fixed here and relied on everywhere else:
 * Sphere distance is the Euclidean distance between radial projections,
   extended to zero vectors (0 if both zero, 1 if exactly one is zero).
 * Sparse vectors are stored dense; sparsity is an invariant, not a layout.
+* A vector input is a one-dimensional array of finite reals
+  (`thresholding._vector`), and a `MeasurementMatrix` is finite by
+  construction, so a product that reads only part of A, as the certifier's
+  support products do, meets no NaN or inf.
 * The solver reads a measurement matrix through three calls only:
   `columns`, the m x k block on a support; `rows`, the l x n block of the
   rows where the signs disagree; and `t_dot`, A^T r summed over the fixed
@@ -37,7 +41,7 @@ from .rng import (
     sample_standard_normal_block,
     sample_standard_normal_rows,
 )
-from .thresholding import _integer, smallest_k
+from .thresholding import _integer, _vector, smallest_k
 
 UNIT_NORM_TOL = 1e-9
 
@@ -87,13 +91,6 @@ def _check_shape(m: int, n: int) -> tuple[int, int]:
     return m, n
 
 
-def _as_float_vector(x, name="vector") -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    return v
-
-
 @dataclass(frozen=True)
 class SparseUnitVector:
     """A k-sparse vector of unit Euclidean norm.
@@ -107,7 +104,7 @@ class SparseUnitVector:
     k: int
 
     def __post_init__(self):
-        v = _as_float_vector(self.values, "values")
+        v = _vector(self.values, "values")
         k = _integer(self.k, "k", 1)
         if k > v.size:
             raise ValueError(f"k must be at most n, got k={k} with n={v.size}")
@@ -131,7 +128,7 @@ class SparseUnitVector:
 
 @dataclass(frozen=True)
 class MeasurementMatrix:
-    """An m x n measurement matrix.
+    """An m x n measurement matrix of finite entries.
 
     ``entries`` is read-only.  A writeable array, or a view of memory owned
     elsewhere, is copied first, so later writes by its owner cannot reach
@@ -145,6 +142,9 @@ class MeasurementMatrix:
         a = np.asarray(self.entries, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError("entries must be a 2-d array with m, n >= 1")
+        blocks = dense_row_blocks(*a.shape)  # a block at a time: no m x n temporary
+        if not all(np.isfinite(a[start : start + blocks.step]).all() for start in blocks):
+            raise ValueError("entries must be finite")
         if a.flags.writeable or not a.flags.owndata:
             a = a.copy()
             a.setflags(write=False)
@@ -333,16 +333,9 @@ class _Measure:
         return _finite_signs(self.cols @ v[supp])
 
 
-def _length_checked(x, n: int, name: str) -> np.ndarray:
-    v = _as_float_vector(x, name)
-    if v.size != n:
-        raise ValueError(f"{name} has length {v.size}, expected {n}")
-    return v
-
-
 def sign_measure(A: MeasurementMatrix | LazyGaussianMatrix, x) -> SignPattern:
     """One-bit measurement: the row-wise sign of A @ x, over the support of x."""
-    return SignPattern(_Measure(A)(_length_checked(x, A.n, "x")))
+    return SignPattern(_Measure(A)(_vector(x, "x", A.n)))
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -367,10 +360,8 @@ def sphere_distance(u, v) -> float:
     Total by convention: 0 when both vectors are zero, 1 when exactly one is.
     Ranges over [0, 2].
     """
-    a = _as_float_vector(u, "u")
-    b = _as_float_vector(v, "v")
-    if a.size != b.size:
-        raise ValueError("vectors have different lengths")
+    a = _vector(u, "u")
+    b = _vector(v, "v", a.size)
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na == 0.0 and nb == 0.0:

@@ -71,7 +71,7 @@ from .rng import (
     derive_seed,
     sample_standard_normal_block,
 )
-from .thresholding import _integer, _real
+from .thresholding import _integer, _real, _vector
 
 # A block of `_map_normal_blocks` is about this many elements of full width.
 # The pair validators draw 2-5 of their 8-32 columns, so the battery's full
@@ -85,10 +85,9 @@ _CHUNK_ELEMS = 1_000_000
 ERROR_BOUND_SLACK = 1e-9
 
 
-def _unit(v, name):
-    a = np.asarray(v, dtype=np.float64)
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} must be finite")
+def _unit(v, name, n=None):
+    """v / ||v||_2 for a vector v (of length n when given) that is not zero."""
+    a = _vector(v, name, n)
     nrm = float(np.linalg.norm(a))
     if nrm == 0.0:
         raise ValueError(f"{name} must be nonzero")
@@ -157,7 +156,7 @@ def mismatch_probability(u, v, draws: int, seed: SeedSpec, sign_fn=None) -> floa
     """
     draws = _integer(draws, "draws", 1)
     uu = _unit(u, "u")
-    vv = _unit(v, "v")
+    vv = _unit(v, "v", uu.size)
     s = _nonnegative if sign_fn is None else sign_fn
     c0, c1 = _read_columns(_support(uu, vv))
     uc, vc = uu[c0:c1], vv[c0:c1]
@@ -229,7 +228,7 @@ def projection_expectation(u, v, m: int, trials: int, seed: SeedSpec) -> Project
     """
     m, trials = _integer(m, "m", 1), _integer(trials, "trials", 2)
     uu = _unit(u, "u")
-    vv = _unit(v, "v")
+    vv = _unit(v, "v", uu.size)
     _pair_directions(uu, vv)  # rejects u = +-v before sampling
     d_s = sphere_distance(uu, vv)
 
@@ -291,7 +290,7 @@ def tail_frequency_check(
     t_param = _real(t_param, "t_param", 0, math.inf)
     m, trials = _integer(m, "m", 1), _integer(trials, "trials", 1)
     uu = _unit(u, "u")
-    vv = _unit(v, "v")
+    vv = _unit(v, "v", uu.size)
     theta = _pair_directions(uu, vv)[2]
     d_s = sphere_distance(uu, vv)
     supp = _support(uu, vv)

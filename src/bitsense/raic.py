@@ -34,8 +34,8 @@ in numpy passes with no Python loop over its pairs:
   nonzeros or more by dense products.  Both give the same signs, off
   products within rounding of 0, and the correction product is the same,
   so the report has the same bytes either way.  The support products do
-  not read every entry of A, so `raic_certify` checks A's finiteness
-  itself, once per certificate;
+  not read every entry of A, which a `MeasurementMatrix` keeps finite by
+  construction;
 * `restricted_residual` restricts every correction of the block with one
   bool mask, and the residuals, d_s, bounds and ratios are array expressions.
 
@@ -63,7 +63,6 @@ import numpy as np
 from .core import (
     LazyGaussianMatrix,
     MeasurementMatrix,
-    _length_checked,
     _live_row_norms,
     _nonnegative,
     _pair_directions,
@@ -83,7 +82,7 @@ from .rng import (
     sample_standard_normal_rows,
 )
 from .theory import constants
-from .thresholding import _integer, _mask_checked, _real, smallest_k, threshold_set
+from .thresholding import _integer, _mask_checked, _real, _vector, smallest_k, threshold_set
 
 # Step size the contraction analysis requires; deviating far from it loses
 # the contraction, so treat overrides as experimental.
@@ -212,8 +211,8 @@ def h_a(A: MeasurementMatrix, x, y) -> np.ndarray:
     expectation over a standard normal A it equals x - y for unit x, y,
     which holds at this eta only.
     """
-    xv = _length_checked(x, A.n, "x")
-    yv = _length_checked(y, A.n, "y")
+    xv = _vector(x, "x", A.n)
+    yv = _vector(y, "y", A.n)
     return correction(A, sign_measure(A, xv).bits, sign_measure(A, yv).bits)
 
 
@@ -230,19 +229,18 @@ def orthogonal_decompose(h, u, v):
     c_plus have one entry per row and g is t x n, and row i of each equals,
     bit for bit, the decomposition of ``h[i]`` alone.
 
-    Only a finite h and unit u, v are accepted, u and v one-dimensional of
-    h's last length (numpy would broadcast a shorter one); u == +-v leaves
-    a direction undefined.
+    Only a finite h of at least one axis and unit u, v are accepted, u and
+    v of h's last length (numpy would broadcast a shorter one); u == +-v
+    leaves a direction undefined.
     """
     hv = np.asarray(h, dtype=np.float64)
+    if hv.ndim == 0:
+        raise ValueError("h must be a vector or a stack of vectors")
     if not np.isfinite(hv).all():
         raise ValueError("h must be finite")
-    uv = np.asarray(u, dtype=np.float64)
-    vv = np.asarray(v, dtype=np.float64)
+    uv, vv = _vector(u, "u", hv.shape[-1]), _vector(v, "v", hv.shape[-1])
     for name, w in (("u", uv), ("v", vv)):
-        if w.shape != hv.shape[-1:]:
-            raise ValueError(f"{name} must have shape {hv.shape[-1:]}, got {w.shape}")
-        if not abs(float(np.linalg.norm(w)) - 1.0) <= 1e-6:  # NaN fails too
+        if not abs(float(np.linalg.norm(w)) - 1.0) <= 1e-6:
             raise ValueError(f"{name} must be a unit vector")
     e_minus, e_plus, _ = _pair_directions(uv, vv)
     # One dot product per row; [()] makes the result of one vector a scalar.
@@ -315,11 +313,11 @@ def _block_residuals(A: MeasurementMatrix, X, Y, J) -> np.ndarray:
     sgn(0) = +1, D is (P_x >= 0) - (P_y >= 0) exactly, for the sign
     products P (`core._nonnegative`): one pass per product in place of
     `sgn`'s three.  A non-finite product raises, as in `sgn`, so one that
-    overflowed to inf from huge finite entries does; but the support
-    products never meet A's entries off the supports, so a non-finite A is
-    the caller's to reject (`raic_certify` does).  `scipy.sparse` is
-    imported on the first support product: at module level it raised the
-    peak RSS of runs that never certify by about 2 MB.
+    overflowed to inf from huge finite entries does.  The support products
+    never meet A's entries off the supports, which a `MeasurementMatrix`
+    keeps finite by construction.  `scipy.sparse` is imported on the first
+    support product: at module level it raised the peak RSS of runs that
+    never certify by about 2 MB.
 
     A_rb^T D is one product on either path, so a report has the same bytes
     on either path, off signs within rounding of 0.  Its sums run in
@@ -338,9 +336,9 @@ def raic_bound(delta: float, a1: float, a2: float, d_s):
     d_s or elementwise over an array of them."""
     delta, a1, a2 = (_real(value, name, 0, math.inf, closed=True)
                      for value, name in ((delta, "delta"), (a1, "a1"), (a2, "a2")))
-    values = np.asarray(d_s)
+    d_s = np.asarray(d_s)
     # A NaN compares False both ways, so each value must pass, not fail.
-    if not ((values >= 0.0) & (values < np.inf)).all():
+    if not ((d_s >= 0.0) & (d_s < np.inf)).all():
         raise ValueError("d_s must be finite and nonnegative")
     return a1 * np.sqrt(delta * d_s) + a2 * delta
 
@@ -486,12 +484,6 @@ def raic_certify(
     num_small = _integer(num_small, "num_small (small_pairs)")
     if num_small > num_pairs:
         raise ValueError(f"num_small (small_pairs) must be in 0..num_pairs, got {num_small}")
-
-    # The support products read A only on the pairs' supports, so a
-    # non-finite entry elsewhere is found here, a row block at a time.
-    for start in range(0, A.m, ROW_BLOCK):
-        if not np.isfinite(A.entries[start : start + ROW_BLOCK]).all():
-            raise ValueError("A must be finite")
 
     u = constants()
     tau = delta / u.b

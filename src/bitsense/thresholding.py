@@ -73,6 +73,28 @@ def _real(value, name: str, low, high, closed=False) -> float:
     raise ValueError(f"{name} must be a finite number in {span}, got {got or repr(value)}")
 
 
+def _vector(value, name: str, n=None) -> np.ndarray:
+    """value as a one-dimensional float64 array of finite entries, of length
+    n when n is given, or a ValueError naming it: the package's one rule for
+    a vector input.  A list, a tuple or an integer or floating array counts,
+    and a float64 array comes back uncopied."""
+    try:
+        a = np.asarray(value) if isinstance(value, (list, tuple, np.ndarray)) else None
+    except ValueError:  # a ragged sequence, in a message that names no argument
+        a = None
+    if a is None or a.dtype.kind not in "iuf" or a.ndim != 1:
+        got = (f"an array of dtype {a.dtype} and shape {a.shape}" if a is not None
+               else f"a ragged {type(value).__name__}" if isinstance(value, (list, tuple))
+               else f"an object of type {type(value).__name__}")
+        raise ValueError(f"{name} must be a one-dimensional array of real numbers, got {got}")
+    if n is not None and a.size != n:
+        raise ValueError(f"{name} has length {a.size}, expected {n}")
+    a = a.astype(np.float64, copy=False)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
 def _top_k(a: np.ndarray, k: int):
     """(top_k(a, k), the ascending indices it kept) for a valid 1-d a."""
     out = np.zeros_like(a)
@@ -89,9 +111,7 @@ def top_k(v, k: int) -> np.ndarray:
     reproduces), so repeated runs select identical supports.
     Idempotent: top_k(top_k(v, k), k) == top_k(v, k).
     """
-    a = np.asarray(v, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError("v must be one-dimensional")
+    a = _vector(v, "v")
     k = _integer(k, "k")
     if k > a.size:
         raise ValueError(f"k={k} outside [0, {a.size}]")
@@ -120,7 +140,7 @@ def _mask_checked(J, shape) -> np.ndarray:
 
 def normalize(v) -> np.ndarray:
     """v / ||v||_2; raises on the zero vector (callers choose the fallback)."""
-    a = np.asarray(v, dtype=np.float64)
+    a = _vector(v, "v")
     nrm = float(np.linalg.norm(a))
     if nrm == 0.0:
         raise ZeroDivisionError("cannot normalize the zero vector")

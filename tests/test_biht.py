@@ -34,6 +34,18 @@ def small_instance(seed=SeedSpec(40), n=60, k=3, m=1200):
     return x, A, b
 
 
+class _Unread:
+    """A matrix of A's shape that fails the run if the solver reads it."""
+
+    def __init__(self, A):
+        self.m, self.n = A.m, A.n
+
+    def columns(self, cols):
+        raise AssertionError("the matrix was read")
+
+    rows = t_dot = columns
+
+
 def one_step(A, b, x_prev, k, eta=DEFAULT_ETA):
     """One iteration of `run_biht` from x_prev."""
     return run_biht(A, b, BIHTConfig(k=k, max_iters=1, eta=eta, init=x_prev)).final
@@ -198,6 +210,25 @@ class TestRun:
         config = BIHTConfig(k=3, max_iters=3, init=random_sparse_unit(50, 3, SeedSpec(s)))
         with pytest.raises(ValueError, match="init has length 50, but A has 40 columns"):
             run_biht(A, b, config)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [(lambda b, x: dict(b=b.bits), "b must be a SignPattern, got an object of type ndarray"),
+         (lambda b, x: dict(truth=x.values),
+          "truth must be a SparseUnitVector or None, got an object of type ndarray"),
+         (lambda b, x: dict(truth=random_sparse_unit(x.n + 1, x.k, SeedSpec(7))),
+          "truth has length 61, but A has 60 columns")],
+        ids=["signs as an array", "truth as an array", "truth of another length"],
+    )
+    def test_signs_and_truth_checked_before_any_product(self, change, message):
+        # An array b or truth used to raise AttributeError, and a truth of
+        # another length "vectors have different lengths" after the first
+        # measure.  A matrix that fails on any read shows none was made.
+        x, A, b = small_instance()
+        call = dict(b=b, config=BIHTConfig(k=x.k, max_iters=2, init=x), truth=x)
+        call.update(change(b, x))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_biht(_Unread(A), **call)
 
     @pytest.mark.parametrize("eta", [1e160, 1e308])
     def test_overflowing_step_blames_eta(self, eta):

@@ -129,3 +129,27 @@ def test_setting_at_an_edge_value(tmp_path, capsys, command, key, way, value):
         assert re.search(rf"(?<![\w-])({re.escape(flag)}|{key})(?![\w-])", err), err
         assert not written
         assert command == "generate" or not out.exists()
+
+
+@pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+@pytest.mark.parametrize(
+    "command, key",
+    [pytest.param(c, k, id=f"{c}-{k}") for c, table in cli.SETTINGS.items() for k in table],
+)
+def test_config_integer_past_the_conversion_limit(tmp_path, capsys, command, key, sign):
+    # json.load itself used to refuse it, with Python's int-conversion
+    # message, which names no setting and quotes the digits.
+    digits = "1" + "0" * 5000
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"{key}": {sign}{digits}}}')
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config)]
+    if command == "generate":
+        argv += ["--what", "matrix", "--out", str(out / "x.csv")]
+    elif command != "theory":
+        argv += ["--output-dir", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config key '{key}' holds an integer of 5001 digits" in err, err
+    assert "00000" not in err
+    assert not out.exists()

@@ -14,6 +14,7 @@ import bitsense
 from bitsense import biht, core, montecarlo, raic, rng, thresholding
 from test_integers import INTEGER_INPUTS
 from test_reals import REAL_INPUTS
+from test_vectors import VECTOR_INPUTS
 
 REMOVED = ("angular_distance", "biht_step", "h_a_j", "raic_residual")
 
@@ -216,6 +217,31 @@ def test_every_real_input_is_in_the_table():
     taken = _taken(REAL_PARAMETERS)
     assert NOT_REAL_INPUTS <= taken
     assert taken - NOT_REAL_INPUTS - _listed(REAL_INPUTS) == set()
+
+
+# The parameter names of a vector input: a signal, an iterate, a direction,
+# a pair's vector or a correction.
+VECTOR_PARAMETERS = {"u", "v", "x", "y", "h", "values"}
+# Arguments of those names that are no vector input, each with the reason.
+NOT_VECTOR_INPUTS = {
+    "bitsense.core.sgn.x": "a scalar or an array of any shape, signed entry by entry",
+    "bitsense.raic.restricted_residual.x": "one pair or a stack of pairs, one per row",
+    "bitsense.raic.restricted_residual.y": "one pair or a stack of pairs, one per row",
+    "bitsense.raic.restricted_residual.h": "one correction or a stack, one per row",
+    "bitsense.raic.orthogonal_decompose.h": "one correction or a stack, checked finite "
+                                            "in place",
+    "bitsense.thresholding.threshold_set.v": "a vector or a stack, restricted by a bool "
+                                             "mask of its shape",
+}
+
+
+def test_every_vector_input_is_in_the_table():
+    # A public function or class that takes a vector input is listed in
+    # `tests/test_vectors.py`, whose table checks that it goes through
+    # `thresholding._vector`, or is named above with the reason it is not.
+    taken = _taken(VECTOR_PARAMETERS)
+    assert set(NOT_VECTOR_INPUTS) <= taken
+    assert taken - set(NOT_VECTOR_INPUTS) - _listed(VECTOR_INPUTS) == set()
 
 
 # Each subcommand at small sizes, OUT its output directory; None is a bare

@@ -9,49 +9,10 @@ fails if a public function or class of the package takes such an argument
 and is not listed here.
 """
 
-import re
-
-import numpy as np
 import pytest
 
 from bitsense import biht, core, montecarlo, raic, rng, theory, thresholding
-from bitsense.rng import SeedSpec
-
-SEED = SeedSpec(31)
-U, V = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-
-# Each entry's arguments in a call that is accepted; a case replaces one.
-VALID = {
-    rng.SeedSpec: dict(base_seed=5, stream_id=2),
-    rng.derive_seed: dict(base=SEED, index=3),
-    rng._derive_rows: dict(seeds=SEED, index=3),
-    rng._stream: dict(keys=np.ones(2, dtype=np.uint64), count=3, normal=True),
-    rng.sample_standard_normal: dict(seed=SEED, count=3),
-    rng.random_uniform_rows: dict(keys=np.ones(2, dtype=np.uint64), count=3),
-    rng.sample_standard_normal_rows: dict(keys=np.ones(2, dtype=np.uint64), count=3),
-    rng.sample_standard_normal_block: dict(seed=SEED, n=4, rows=range(2), columns=range(4)),
-    core.dense_row_blocks: dict(m=5, n=4),
-    core.dense_scratch: dict(m=5, n=4),
-    core.LazyGaussianMatrix: dict(m=5, n=4, seed=SEED, scratch=None),
-    core.gaussian_matrix: dict(m=5, n=4, seed=SEED),
-    core.SparseUnitVector: dict(values=np.array([0.6, 0.8, 0.0]), k=2),
-    core.random_sparse_unit_rows: dict(n=6, k=2, seeds=(SEED,)),
-    core.random_sparse_unit: dict(n=6, k=2, seed=SEED),
-    thresholding.smallest_k: dict(keys=[3.0, 1.0, 2.0], k=2),
-    thresholding.top_k: dict(v=[3.0, 1.0, 2.0], k=2),
-    biht.BIHTConfig: dict(k=2, max_iters=3),
-    raic.raic_certify: dict(A=core.gaussian_matrix(30, 8, SEED), k=2, delta=0.1, num_pairs=4,
-                            max_j=2, seed=SEED, num_small=1),
-    montecarlo.mismatch_probability: dict(u=U, v=V, draws=10, seed=SEED),
-    montecarlo.band_count_mean: dict(u=U, beta=0.5, m=10, trials=2, seed=SEED),
-    montecarlo.projection_expectation: dict(u=U, v=V, m=10, trials=2, seed=SEED),
-    montecarlo.tail_frequency_check: dict(u=U, v=V, m=10, trials=2, t_param=0.2, seed=SEED),
-    montecarlo.convergence_trials: dict(n=6, k=2, m=20, trials=1, T=2, seed=SEED),
-    theory.sample_complexity: dict(epsilon=0.1, rho=0.1, k=2, n=10),
-    theory.epsilon_recurrence: dict(epsilon=0.1, t=3),
-    theory.closed_form_bound: dict(epsilon=0.1, t=3),
-    theory.nested_sqrt: dict(w=1.0, w0=1.0, t=3),
-}
+from input_tables import VALID, assert_rejected, entries, name
 
 # (entry, argument, the value just past the argument's bound).
 INTEGER_INPUTS = [
@@ -105,22 +66,16 @@ INTEGER_INPUTS = [
 ]
 
 
-def _name(entry):
-    return f"{entry.__module__.removeprefix('bitsense.')}.{entry.__qualname__}"
-
-
-@pytest.mark.parametrize("entry", list(VALID), ids=_name)
+@pytest.mark.parametrize("entry", entries(INTEGER_INPUTS), ids=name)
 def test_the_valid_call_is_accepted(entry):
     entry(**VALID[entry])
 
 
 @pytest.mark.parametrize(
     "entry, argument, value",
-    [pytest.param(entry, argument, value, id=f"{_name(entry)}-{argument}-{value!r}")
+    [pytest.param(entry, argument, value, id=f"{name(entry)}-{argument}-{value!r}")
      for entry, argument, past in INTEGER_INPUTS for value in (2.0, True, past)],
 )
 def test_integer_input_rejects_a_float_a_bool_and_the_value_past_its_bound(entry, argument,
                                                                            value):
-    with pytest.raises(ValueError) as exc:
-        entry(**{**VALID[entry], argument: value})
-    assert re.search(rf"(?<![\w-]){argument}(?![\w-])", str(exc.value)), str(exc.value)
+    assert_rejected(entry, argument, value)

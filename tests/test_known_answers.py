@@ -589,9 +589,9 @@ def test_run_rejects_nan_in_a_support_column():
     entries = np.array(gaussian_matrix(m, n, SeedSpec(8)).entries)
     b = SignPattern(sgn(entries @ x.values))
     entries[m // 2, x.support()[1]] = np.nan
-    A = MeasurementMatrix(entries)
+    # A matrix with a NaN entry is refused when it is made, so no run starts.
     with pytest.raises(ValueError, match="finite"):
-        run_biht(A, b, BIHTConfig(k=k, max_iters=3, init=x))
+        run_biht(MeasurementMatrix(entries), b, BIHTConfig(k=k, max_iters=3, init=x))
 
 
 class _ProductLog(np.ndarray):

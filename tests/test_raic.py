@@ -292,10 +292,11 @@ class TestOrthogonalDecompose:
     @pytest.mark.parametrize("name", ["u", "v"])
     def test_non_finite_inputs_rejected(self, name, bad):
         # A NaN norm is no more than 1e-6 from 1 in neither direction; it
-        # used to pass and return all-NaN output.
+        # used to pass and return all-NaN output.  u and v go through the
+        # package's rule for a vector input, which rejects it first.
         pair = {"u": np.array([1.0, 0.0]), "v": np.array([0.0, 1.0])}
         pair[name] = np.array([bad, 0.0])
-        with pytest.raises(ValueError, match=f"{name} must be a unit vector"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             orthogonal_decompose(np.ones(2), pair["u"], pair["v"])
 
     @pytest.mark.parametrize("h", [np.array([math.nan, 0.0, 0.0]),
@@ -309,13 +310,19 @@ class TestOrthogonalDecompose:
             orthogonal_decompose(h, u, v)
 
     @pytest.mark.parametrize("name", ["u", "v"])
-    @pytest.mark.parametrize("bad", [np.array([1.0]), np.eye(8)[:1], np.array(1.0)],
-                             ids=["length 1", "one row", "scalar"])
-    def test_u_and_v_must_have_the_length_of_h(self, name, bad):
+    @pytest.mark.parametrize(
+        "bad, got",
+        [(np.array([1.0]), "has length 1, expected 8"),
+         (np.eye(8)[:1], "must be a one-dimensional array of real numbers, got an array of "
+                         "dtype float64 and shape (1, 8)"),
+         (np.array(1.0), "must be a one-dimensional array of real numbers, got an array of "
+                         "dtype float64 and shape ()")],
+        ids=["length 1", "one row", "scalar"])
+    def test_u_and_v_must_have_the_length_of_h(self, name, bad, got):
         # A shorter u or v used to broadcast against h and give numbers.
         pair = {"u": np.eye(8)[0], "v": np.eye(8)[1]}
         pair[name] = bad
-        message = f"{name} must have shape (8,), got {bad.shape}"
+        message = f"{name} {got}"
         for h in (np.ones(8), np.ones((3, 8))):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 orthogonal_decompose(h, pair["u"], pair["v"])
@@ -387,6 +394,12 @@ class TestResidualAndBound:
         assert raic_bound(0.3, 0.0, 0.0, 1.2) == 0.0
         with pytest.raises(ValueError):
             raic_bound(-0.1, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("d_s", [[0.5, 1.2], (0.5, 1.2)], ids=["list", "tuple"])
+    def test_bound_takes_a_sequence_of_distances(self, d_s):
+        # The bound used to multiply delta by the sequence itself, a TypeError.
+        want = raic_bound(0.1, 1.0, 2.0, np.array(d_s))
+        assert raic_bound(0.1, 1.0, 2.0, d_s).tolist() == want.tolist()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("position", range(4))
@@ -854,8 +867,8 @@ class TestSupportProducts:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_certify_rejects_a_non_finite_entry_no_pair_reads(self, bad):
-        # The support products never read the column, so the certificate
-        # must check A itself.
+        # The support products never read the column; a matrix with such an
+        # entry is refused when it is made, so no certificate runs on it.
         n, k, m, num_pairs, delta, seed = 200, 2, 600, 3, 0.05, SeedSpec(71)
         tau = delta / constants().b
         X, Y, _ = _draw_pairs(n, k, seed, 0, num_pairs, num_pairs // 5, k, tau / 2.0)

@@ -18,35 +18,11 @@ import re
 import numpy as np
 import pytest
 
-from bitsense import biht, core, montecarlo, raic, rng, theory
-from bitsense.rng import SeedSpec
+from bitsense import biht, montecarlo, raic, rng, theory
 from bitsense.thresholding import _real
+from input_tables import VALID, assert_rejected, entries, name
 
-SEED = SeedSpec(37)
-U, V = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-A = core.gaussian_matrix(30, 8, SEED)
-B = np.where(np.arange(30) < 3, -1, 1).astype(np.int8)  # three rows differ from S
-S = np.ones(30, dtype=np.int8)
 BELOW_ZERO = -5e-324  # the float just past the closed bound 0
-
-# Each entry's arguments in a call that is accepted; a case replaces one.
-VALID = {
-    biht.BIHTConfig: dict(k=2, max_iters=3, eta=1.0),
-    raic.correction: dict(A=A, b=B, s=S, eta=1.0),
-    montecarlo.convergence_trials: dict(n=6, k=2, m=20, trials=1, T=2, seed=SEED, eta=1.0),
-    raic.raic_certify: dict(A=A, k=2, delta=0.1, num_pairs=4, max_j=2, seed=SEED, num_small=1),
-    raic.raic_bound: dict(delta=0.1, a1=1.0, a2=1.0, d_s=0.5),
-    montecarlo.band_count_mean: dict(u=U, beta=0.5, m=10, trials=2, seed=SEED),
-    montecarlo.tail_frequency_check: dict(u=U, v=V, m=10, trials=2, t_param=0.2, seed=SEED),
-    theory.sample_complexity: dict(epsilon=0.1, rho=0.1, k=2, n=10),
-    theory.epsilon_recurrence: dict(epsilon=0.1, t=3),
-    theory.closed_form_bound: dict(epsilon=0.1, t=3),
-    theory.recurrence_fixed_point: dict(epsilon=0.1),
-    theory.contraction_condition_holds: dict(epsilon=0.1, b=400.0),
-    theory.derived_constants: dict(b=400.0),
-    theory.nested_sqrt: dict(w=1.0, w0=1.0, t=3),
-    theory.nested_sqrt_limit: dict(w=1.0),
-}
 
 # (entry, argument, its values at an open bound or just past a closed one).
 REAL_INPUTS = [
@@ -86,32 +62,26 @@ AT_CLOSED_BOUND = [
 ]
 
 
-def _name(entry):
-    return f"{entry.__module__.removeprefix('bitsense.')}.{entry.__qualname__}"
-
-
 def _shown(value):
     return "10**400" if value is HUGE else repr(value)
 
 
-@pytest.mark.parametrize("entry", list(VALID), ids=_name)
+@pytest.mark.parametrize("entry", entries(REAL_INPUTS), ids=name)
 def test_the_valid_call_is_accepted(entry):
     entry(**VALID[entry])
 
 
 @pytest.mark.parametrize(
     "entry, argument, value",
-    [pytest.param(entry, argument, value, id=f"{_name(entry)}-{argument}-{_shown(value)}")
+    [pytest.param(entry, argument, value, id=f"{name(entry)}-{argument}-{_shown(value)}")
      for entry, argument, outside in REAL_INPUTS for value in NOT_REAL + list(outside)],
 )
 def test_real_input_rejects_what_is_not_a_finite_number_in_its_interval(entry, argument, value):
-    with pytest.raises(ValueError) as exc:
-        entry(**{**VALID[entry], argument: value})
-    assert re.search(rf"(?<![\w-]){argument}(?![\w-])", str(exc.value)), str(exc.value)
+    assert_rejected(entry, argument, value)
 
 
 @pytest.mark.parametrize("entry, argument, value", AT_CLOSED_BOUND,
-                         ids=[f"{_name(e)}-{a}-{v!r}" for e, a, v in AT_CLOSED_BOUND])
+                         ids=[f"{name(e)}-{a}-{v!r}" for e, a, v in AT_CLOSED_BOUND])
 def test_a_closed_bound_is_accepted(entry, argument, value):
     entry(**{**VALID[entry], argument: value})
 
