@@ -41,7 +41,7 @@ from .rng import (
     sample_standard_normal_block,
     sample_standard_normal_rows,
 )
-from .thresholding import _integer, _vector, smallest_k
+from .thresholding import _integer, _norm, _vector, smallest_k
 
 UNIT_NORM_TOL = 1e-9
 
@@ -310,8 +310,10 @@ class _Measure:
     """sgn(A v) as int8 from the columns of A on supp(v): O(mk) for k nonzeros.
 
     The m x k column block (``A.columns``) is kept while the support stays
-    the same.  Gathering k columns of the row-major matrix costs about ten
-    times the product itself (0.15 ms against 0.017 ms at m=10000, k=5),
+    the same.  Gathering k columns of the row-major matrix costs ten to
+    twenty-five times the product itself (at m=10000, k=5: 0.17 ms in a warm
+    loop and a median 0.41 ms inside the `solve` benchmark's calls, which
+    each follow a `gc.collect()`, against 0.017 ms for the product),
     drawing them about a hundred times, and most late solver steps move the
     values within a support that has settled.  A dense v takes all n
     columns, which a `MeasurementMatrix` hands over as A itself,
@@ -362,8 +364,8 @@ def sphere_distance(u, v) -> float:
     """
     a = _vector(u, "u")
     b = _vector(v, "v", a.size)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    na = _norm(a, "u")
+    nb = _norm(b, "v")
     if na == 0.0 and nb == 0.0:
         return 0.0
     if na == 0.0 or nb == 0.0:

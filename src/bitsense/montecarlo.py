@@ -32,12 +32,14 @@ their kernels on those columns alone: the sign products take u and v cut to
 the same span.  The columns left out met u and v only as products with
 zeros, so the signs, the mismatch counts and the correction map's entries
 come out bit for bit as from full rows.  On the default battery this draws
-2.6M normals in place of 15.4M.  The one sum that would move is the split
-along e- and e+, whose row dots over the span's 2-5 entries would round in
-another order than over n; so `_corrections` hands back its stack of
-corrections scattered into zero rows of full width, and the split runs on
-those as before.  `band_count_mean` takes each row's norm and draws full
-rows, each from its own key like any block.
+2.6M normals in place of 15.4M, in blocks of at most `_CHUNK_ELEMS` drawn
+normals (1 MiB), so that its peak RSS does not grow with its draw counts.
+The one sum that would move is the split along e- and e+, whose row dots
+over the span's 2-5 entries would round in another order than over n; so
+`_corrections` hands back its stack of corrections scattered into zero rows
+of full width, and the split runs on those as before.  `band_count_mean`
+takes each row's norm and draws full rows, each from its own key like any
+block.
 
 Mean checks pass at |z| <= 4 (false-failure rate below 1e-4 per assertion);
 tail checks pass when the empirical frequency does not exceed the theoretical
@@ -71,14 +73,17 @@ from .rng import (
     derive_seed,
     sample_standard_normal_block,
 )
-from .thresholding import _integer, _real, _vector
+from .thresholding import _integer, _norm, _real, _vector
 
-# A block of `_map_normal_blocks` is about this many elements of full width.
-# The pair validators draw 2-5 of their 8-32 columns, so the battery's full
-# blocks hold 1.0-1.6 MB, and the jobs' temporaries set its peak RSS (+7.5 MB
-# for `band_count_mean` alone).  64Ki drawn normals a block read `validate`
-# peak RSS -5.9%, run_s +14.1%, cpu_s +11.4% (6 pairs of 20 s runs; 2 vCPU).
-_CHUNK_ELEMS = 1_000_000
+# A block of `_map_normal_blocks` draws at most this many normals, 1 MiB of
+# float64.  The battery's band and mismatch validators draw 2 columns a row
+# and take their 100 000 rows in two blocks; projection takes 327 trials a
+# block, tails 52.  Sized in elements of full width (1M), band and mismatch
+# took all their rows in one block: the battery peaked 9.5 MB above its
+# imports, not 7.1, and `validate` peak RSS read 66.4-66.5 MB, not 65.7-65.8
+# (medians of two sets of 10 pairs of 20 s runs; 2 vCPU; BENCH_35.json).  A
+# budget of 1 << 16 read 63.5 MB, but run_s was worse in 6 of 8 pairs.
+_CHUNK_ELEMS = 1 << 17
 
 # Deterministic slack allowed on the per-iteration error bound before a
 # convergence run aborts; the bound is exact in real arithmetic.
@@ -88,7 +93,7 @@ ERROR_BOUND_SLACK = 1e-9
 def _unit(v, name, n=None):
     """v / ||v||_2 for a vector v (of length n when given) that is not zero."""
     a = _vector(v, name, n)
-    nrm = float(np.linalg.norm(a))
+    nrm = _norm(a, name)
     if nrm == 0.0:
         raise ValueError(f"{name} must be nonzero")
     return a / nrm
@@ -112,16 +117,17 @@ def _map_normal_blocks(stat, seed: SeedSpec, count: int, *shape: int, columns=No
     Each block is a fresh ``(take, *shape[:-1], c1 - c0)`` array: bit for
     bit the columns [c0, c1) = ``columns`` of the last axis (all when None)
     of one-shot sampling of ``(count, *shape)``, drawn without the other
-    columns.  A block holds about ``_CHUNK_ELEMS`` elements of full width.
+    columns.  A block is sized by the normals it draws, ``take * rows *
+    (c1 - c0)`` for ``rows`` sampled rows an item: at most ``_CHUNK_ELEMS``
+    of them, or one item when an item draws more.
     ``stat`` maps a block to a tuple of arrays with one entry per item of
     the block; the result is the tuple of those arrays joined over the
     blocks, so it does not depend on how the items were blocked.
     """
     n = shape[-1]
     c0, c1 = (0, n) if columns is None else columns
-    size = math.prod(shape)
-    rows = size // n  # sampled rows per item
-    per = max(1, _CHUNK_ELEMS // size)
+    rows = math.prod(shape) // n  # sampled rows per item
+    per = max(1, _CHUNK_ELEMS // (rows * (c1 - c0)))
     parts = []
     for done in range(0, count, per):
         take = min(per, count - done)

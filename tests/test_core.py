@@ -120,6 +120,12 @@ class TestSphereDistance:
             assert 0.0 <= d <= 2.0
         assert sphere_distance(u, u) == 0.0
 
+    def test_tiny_orthogonal_pair(self):
+        # Both norms underflowed to 0, and the both-zero convention gave 0.0.
+        assert sphere_distance([1e-200, 0.0], [0.0, 1e-200]) == (
+            sphere_distance([1.0, 0.0], [0.0, 1.0])
+        )
+
 
 class TestRowDots:
     """The batched row dot against one vector's own dot and norm, bit for bit."""

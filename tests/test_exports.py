@@ -159,6 +159,40 @@ def test_only_the_sampler_binds_openblas():
     assert binds == {name: [] for name in binds}
 
 
+def _uncollected(path):
+    """The tests of a test file that pytest never collects: a ``test*``
+    function or ``Test*`` class defined inside a function, named with that
+    function, and a test name that its scope defines again, named with the
+    line of the definition the later one hides."""
+    lost = []
+
+    def walk(node, scope, in_function, seen):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, scope, in_function, seen)  # an `if` or `with` opens no scope
+                continue
+            is_class = isinstance(child, ast.ClassDef)
+            if child.name.startswith("Test" if is_class else "test"):
+                where = f"{path.name}:{child.lineno} {child.name}"
+                if in_function:
+                    lost.append(f"{where} inside {scope}")
+                if child.name in seen:
+                    lost.append(f"{where} hides line {seen[child.name]}")
+                seen[child.name] = child.lineno
+            walk(child, child.name, in_function or not is_class, {})
+
+    walk(_tree(path), path.name, False, {})
+    return lost
+
+
+def test_every_test_is_collected():
+    # A test indented into the function above it, or defined twice under
+    # one name, passes by never running.
+    lost = [name for path in sorted(Path(__file__).parent.glob("*.py"))
+            for name in _uncollected(path)]
+    assert lost == []
+
+
 # The parameter names of a count, a size, an index or a seed field.
 INTEGER_PARAMETERS = {"k", "m", "n", "count", "draws", "trials", "T", "t", "max_iters",
                       "num_pairs", "max_j", "num_small", "index", "base_seed", "stream_id"}

@@ -99,6 +99,13 @@ class TestMismatchProbability:
         with pytest.raises(ValueError):
             mismatch_probability(np.zeros(3), np.ones(3), 10, SeedSpec(1))
 
+    def test_tiny_vector_is_a_direction(self):
+        # Its norm underflowed to 0, and it was rejected as "u must be nonzero".
+        u, v = pair_at_angle(1.0)
+        assert mismatch_probability(1e-200 * u, v, 500, SeedSpec(505)) == (
+            mismatch_probability(u, v, 500, SeedSpec(505))
+        )
+
 
 class TestBandCount:
     def test_zero_width_band_is_empty(self):
@@ -213,11 +220,19 @@ class TestTailFrequency:
         with pytest.raises(ValueError):
             tail_frequency_check(u, v, 10, 10, 0.0, SeedSpec(1))
 
+    @pytest.mark.parametrize("t_param", [math.nan, math.inf, 0.0, -1.0])
+    def test_t_param_must_be_positive_and_finite(self, t_param):
+        # A NaN used to pass `t_param <= 0` and give rows of NaN.
+        u, v = pair_at_angle(1.1, n=10)
+        message = f"t_param must be a finite number in (0, inf), got {t_param!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tail_frequency_check(u, v, 30, 5, t_param, SeedSpec(1))
+
 
 @pytest.mark.parametrize(
     "shape, columns, chunk",
-    [((8,), (0, 2), 64), ((8,), (3, 8), 1000), ((5, 6), (1, 4), 64),
-     ((5, 6), (2, 3), 95), ((5, 6), None, 512), ((4,), None, 4)],
+    [((8,), (0, 2), 16), ((8,), (3, 8), 625), ((5, 6), (1, 4), 30),
+     ((5, 6), (2, 3), 17), ((5, 6), None, 512), ((4,), None, 4)],
 )
 def test_normal_blocks_draw_the_read_columns_of_one_stream(shape, columns, chunk, monkeypatch):
     # Every block holds the one-shot stream's read columns and no others,
@@ -239,6 +254,23 @@ def test_normal_blocks_draw_the_read_columns_of_one_stream(shape, columns, chunk
     assert blocks.shape == whole[..., c0:c1].shape
     assert np.array_equal(firsts, blocks[:, 0])
     assert np.array_equal(blocks.view(np.uint64), whole[..., c0:c1].view(np.uint64))
+
+
+@pytest.mark.parametrize("shape, columns", [((8,), (0, 2)), ((2,), None)])
+def test_normal_blocks_hold_as_many_drawn_normals_as_fit(shape, columns, monkeypatch):
+    # A block is budgeted by the normals it draws: a narrow span of a wide
+    # row fills it as a whole short row does, where a budget in elements of
+    # full width drew a quarter of it for the span (0, 2) of 8 columns.
+    monkeypatch.setattr(mc, "_CHUNK_ELEMS", 64)
+    sizes = []
+
+    def stat(block):
+        sizes.append(block.size)
+        return (np.zeros(len(block)),)
+
+    mc._map_normal_blocks(stat, SeedSpec(595), 100, *shape, columns=columns)
+    assert sizes[:-1] == [64] * (len(sizes) - 1) and len(sizes) > 1
+    assert sum(sizes) == 100 * 2
 
 
 @pytest.mark.parametrize(
@@ -284,15 +316,6 @@ def test_validators_match_zero_filled_full_rows(u_at, v_at, n, monkeypatch):
     assert 0 < narrow[0] < 1 and narrow[2][0].se > 0
 
 
-    @pytest.mark.parametrize("t_param", [math.nan, math.inf, 0.0, -1.0])
-    def test_t_param_must_be_positive_and_finite(self, t_param):
-        # A NaN used to pass `t_param <= 0` and give rows of NaN.
-        u, v = pair_at_angle(1.1, n=10)
-        message = f"t_param must be a finite number in (0, inf), got {t_param!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            tail_frequency_check(u, v, 30, 5, t_param, SeedSpec(1))
-
-
 # Each validator on a pair (u, v) at small sizes; `band_count_mean` takes u alone.
 VALIDATORS = {
     "mismatch": lambda u, v: mismatch_probability(u, v, 10, SeedSpec(1)),
@@ -326,7 +349,7 @@ class TestBlockSize:
 
     @pytest.fixture(params=["64", "512", "one trial", "seven trials and one"])
     def chunk(self, request, monkeypatch):
-        def patch(trial_size):
+        def patch(trial_size):  # the normals one trial draws
             sizes = {"64": 64, "512": 512, "one trial": trial_size,
                      "seven trials and one": 7 * trial_size + 1}
             monkeypatch.setattr(mc, "_CHUNK_ELEMS", sizes[request.param])
@@ -339,7 +362,7 @@ class TestBlockSize:
         u[1:4] = (0.6, 0.64, 0.48)
         v[3:6] = (0.48, 0.6, 0.64)
         whole = tail_frequency_check(u, v, self.M, self.TRIALS, self.T, SeedSpec(591))
-        chunk(self.M * u.size)
+        chunk(self.M * 5)  # a trial draws columns 1-5 of its m rows
         assert tail_frequency_check(u, v, self.M, self.TRIALS, self.T, SeedSpec(591)) == whole
 
     def test_band_counts_do_not_depend_on_the_block_size(self, chunk):
@@ -355,13 +378,13 @@ class TestBlockSize:
     def test_projections_do_not_depend_on_the_block_size(self, chunk):
         u, v = pair_at_angle(1.1, n=6)
         whole = projection_expectation(u, v, self.M, self.TRIALS, SeedSpec(593))
-        chunk(self.M * u.size)
+        chunk(self.M * 2)  # a trial draws columns 0-1 of its m rows
         assert projection_expectation(u, v, self.M, self.TRIALS, SeedSpec(593)) == whole
 
     def test_mismatch_rate_does_not_depend_on_the_block_size(self, chunk):
         u, v = pair_at_angle(0.9, n=6)
         whole = mismatch_probability(u, v, self.M * self.TRIALS, SeedSpec(594))
-        chunk(u.size)
+        chunk(2)  # an item is one row, of which columns 0-1 are drawn
         assert mismatch_probability(u, v, self.M * self.TRIALS, SeedSpec(594)) == whole
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from bitsense.rng import (
     random_uniform_rows,
     sample_standard_normal,
 )
-from bitsense.thresholding import normalize, smallest_k, threshold_set, top_k
+from bitsense.thresholding import _norm, normalize, smallest_k, threshold_set, top_k
 
 
 def uniforms(seeds, count):
@@ -222,3 +224,30 @@ class TestNormalize:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroDivisionError):
             normalize(np.zeros(4))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200])
+    def test_vectors_near_float64s_ends(self, scale):
+        # The sum of squares overflowed (a RuntimeWarning) or lost bits
+        # below the smallest normal float, or underflowed to 0.
+        assert normalize([scale, scale]) == pytest.approx([math.sqrt(0.5)] * 2, abs=1e-15)
+
+    @pytest.mark.parametrize("v", [[1.5e308, 1.5e308], [5e-324, 5e-324]])
+    def test_norm_past_float64s_range_rejected(self, v):
+        with pytest.raises(ValueError, match="^v has a norm outside float64's normal range$"):
+            normalize(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.sampled_from([1, 3, -1]), st.integers(-100, 100),
+       st.integers(0, 2**64 - 1))
+def test_norm_is_numpys_bit_for_bit(n, step, exponent, base):
+    # `_norm` sums through `np.vdot`, which must give `np.linalg.norm`'s
+    # bits on contiguous, strided and reversed vectors alike.
+    a = sample_standard_normal(SeedSpec(base), 3 * n)[::step][:n] * 10.0**exponent
+    assert _norm(a, "a") == float(np.linalg.norm(a))
+
+
+def test_an_overflowing_norm_raises_where_the_caller_asked():
+    # `biht.run_biht` turns overflow into an error to blame eta.
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="norm of v"):
+        normalize([1e200, 1e200])
