@@ -82,7 +82,15 @@ from .rng import (
     sample_standard_normal_rows,
 )
 from .theory import constants
-from .thresholding import _integer, _mask_checked, _real, _vector, smallest_k, threshold_set
+from .thresholding import (
+    _integer,
+    _mask_checked,
+    _real,
+    _unit_vector,
+    _vector,
+    smallest_k,
+    threshold_set,
+)
 
 # Step size the contraction analysis requires; deviating far from it loses
 # the contraction, so treat overrides as experimental.
@@ -229,19 +237,12 @@ def orthogonal_decompose(h, u, v):
     c_plus have one entry per row and g is t x n, and row i of each equals,
     bit for bit, the decomposition of ``h[i]`` alone.
 
-    Only a finite h of at least one axis and unit u, v are accepted, u and
-    v of h's last length (numpy would broadcast a shorter one); u == +-v
-    leaves a direction undefined.
+    h is a vector or a stack (`thresholding._vector`), and u and v are
+    unit vectors (`thresholding._unit_vector`) of h's last length (numpy
+    would broadcast a shorter one); u == +-v leaves a direction undefined.
     """
-    hv = np.asarray(h, dtype=np.float64)
-    if hv.ndim == 0:
-        raise ValueError("h must be a vector or a stack of vectors")
-    if not np.isfinite(hv).all():
-        raise ValueError("h must be finite")
-    uv, vv = _vector(u, "u", hv.shape[-1]), _vector(v, "v", hv.shape[-1])
-    for name, w in (("u", uv), ("v", vv)):
-        if not abs(float(np.linalg.norm(w)) - 1.0) <= 1e-6:
-            raise ValueError(f"{name} must be a unit vector")
+    hv = _vector(h, "h", stack=True)
+    uv, vv = _unit_vector(u, "u", hv.shape[-1]), _unit_vector(v, "v", hv.shape[-1])
     e_minus, e_plus, _ = _pair_directions(uv, vv)
     # One dot product per row; [()] makes the result of one vector a scalar.
     c_minus, c_plus = (row_dots(hv, e)[()] for e in (e_minus, e_plus))
@@ -253,9 +254,12 @@ def restricted_residual(x: np.ndarray, y: np.ndarray, J: np.ndarray, h: np.ndarr
     """||(x - y) - h_J||_2, h_J the precomputed correction h restricted to
     supp(x) u supp(y) u J, J a bool mask of x's shape: the RAIC residual, and
     a quarter of the solver's bound.  A float for one pair; for stacks of
-    pairs, one per row, each row's residual as alone (`row_norms`).  J is
-    checked as `threshold_set` checks it, before the union is formed."""
-    J = _mask_checked(J, np.shape(h))
+    pairs, one per row, each row's residual as alone (`row_norms`).  h is a
+    vector or a stack (`thresholding._vector`), x and y of h's shape, and J
+    is checked as `threshold_set` checks it, before the union is formed."""
+    h = _vector(h, "h", stack=True)
+    x, y = _vector(x, "x", h.shape, stack=True), _vector(y, "y", h.shape, stack=True)
+    J = _mask_checked(J, h.shape)
     r = row_norms((x - y) - threshold_set(h, (x != 0.0) | (y != 0.0) | J))
     return float(r) if r.ndim == 0 else r
 
@@ -333,13 +337,16 @@ def _block_residuals(A: MeasurementMatrix, X, Y, J) -> np.ndarray:
 
 def raic_bound(delta: float, a1: float, a2: float, d_s):
     """The invertibility bound a1 * sqrt(delta * d_s) + a2 * delta, for one
-    d_s or elementwise over an array of them."""
+    d_s (a real input, `thresholding._real`) or elementwise over a vector of
+    them (`thresholding._vector`), each d_s nonnegative."""
     delta, a1, a2 = (_real(value, name, 0, math.inf, closed=True)
                      for value, name in ((delta, "delta"), (a1, "a1"), (a2, "a2")))
-    d_s = np.asarray(d_s)
-    # A NaN compares False both ways, so each value must pass, not fail.
-    if not ((d_s >= 0.0) & (d_s < np.inf)).all():
-        raise ValueError("d_s must be finite and nonnegative")
+    if isinstance(d_s, (list, tuple, np.ndarray)):
+        d_s = _vector(d_s, "d_s")
+        if not (d_s >= 0.0).all():
+            raise ValueError("d_s must be nonnegative")
+    else:
+        d_s = _real(d_s, "d_s", 0, math.inf, closed=True)
     return a1 * np.sqrt(delta * d_s) + a2 * delta
 
 
@@ -475,15 +482,11 @@ def raic_certify(
     num_pairs = _integer(num_pairs, "num_pairs (pairs)", 1)
     delta = _real(delta, "delta", 0, 1)
     # k before max_j: the CLI's max_j defaults to k.
-    k = _integer(k, "k", None)  # both bounds in one message, as n sets the upper
-    if not (1 <= k <= A.n):
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k} with n={A.n}")
+    k = _integer(k, "k", 1, A.n)
     max_j = _integer(max_j, "max_j")
     if num_small is None:
         num_small = num_pairs // 5
-    num_small = _integer(num_small, "num_small (small_pairs)")
-    if num_small > num_pairs:
-        raise ValueError(f"num_small (small_pairs) must be in 0..num_pairs, got {num_small}")
+    num_small = _integer(num_small, "num_small (small_pairs)", 0, num_pairs)
 
     u = constants()
     tau = delta / u.b

@@ -73,22 +73,28 @@ def _real(value, name: str, low, high, closed=False) -> float:
     raise ValueError(f"{name} must be a finite number in {span}, got {got or repr(value)}")
 
 
-def _vector(value, name: str, n=None) -> np.ndarray:
-    """value as a one-dimensional float64 array of finite entries, of length
-    n when n is given, or a ValueError naming it: the package's one rule for
-    a vector input.  A list, a tuple or an integer or floating array counts,
-    and a float64 array comes back uncopied."""
+def _vector(value, name: str, n=None, stack=False) -> np.ndarray:
+    """value as a one-dimensional float64 array of finite entries, or with
+    ``stack`` a 2-d one, a stack of such vectors, one per row, or a
+    ValueError naming it: the package's one rule for a vector input.  n,
+    where another argument sets it, is the length (of each row), or a tuple:
+    the whole shape.  A list, a tuple or an integer or floating array
+    counts, and a float64 array comes back uncopied."""
     try:
         a = np.asarray(value) if isinstance(value, (list, tuple, np.ndarray)) else None
     except ValueError:  # a ragged sequence, in a message that names no argument
         a = None
-    if a is None or a.dtype.kind not in "iuf" or a.ndim != 1:
+    if a is None or a.dtype.kind not in "iuf" or a.ndim not in ((1, 2) if stack else (1,)):
         got = (f"an array of dtype {a.dtype} and shape {a.shape}" if a is not None
                else f"a ragged {type(value).__name__}" if isinstance(value, (list, tuple))
                else f"an object of type {type(value).__name__}")
-        raise ValueError(f"{name} must be a one-dimensional array of real numbers, got {got}")
-    if n is not None and a.size != n:
-        raise ValueError(f"{name} has length {a.size}, expected {n}")
+        raise ValueError(f"{name} must be a one-dimensional array of real numbers"
+                         f"{' or a 2-d stack of them' if stack else ''}, got {got}")
+    if isinstance(n, tuple):
+        if a.shape != n:
+            raise ValueError(f"{name} has shape {a.shape}, expected {n}")
+    elif n is not None and a.shape[-1] != n:
+        raise ValueError(f"{name} has length {a.shape[-1]}, expected {n}")
     a = a.astype(np.float64, copy=False)
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
@@ -123,6 +129,21 @@ def _norm(a: np.ndarray, name: str) -> float:
     return nrm
 
 
+# How far a unit vector's norm may be from 1: the one tolerance of `_unit_vector`.
+UNIT_NORM_TOL = 1e-9
+
+
+def _unit_vector(value, name: str, n=None) -> np.ndarray:
+    """value as a vector of `_vector` (of length n when given) whose norm,
+    taken by `_norm`, is within UNIT_NORM_TOL of 1, or a ValueError naming
+    it: the package's one rule for a unit vector input."""
+    a = _vector(value, name, n)
+    nrm = _norm(a, name)
+    if not abs(nrm - 1.0) <= UNIT_NORM_TOL:
+        raise ValueError(f"{name} must be a unit vector, got one of norm {nrm!r}")
+    return a
+
+
 def _top_k(a: np.ndarray, k: int):
     """(top_k(a, k), the ascending indices it kept) for a valid 1-d a."""
     out = np.zeros_like(a)
@@ -140,10 +161,7 @@ def top_k(v, k: int) -> np.ndarray:
     Idempotent: top_k(top_k(v, k), k) == top_k(v, k).
     """
     a = _vector(v, "v")
-    k = _integer(k, "k")
-    if k > a.size:
-        raise ValueError(f"k={k} outside [0, {a.size}]")
-    return _top_k(a, k)[0]
+    return _top_k(a, _integer(k, "k", 0, a.size))[0]
 
 
 def threshold_set(v, J) -> np.ndarray:
@@ -154,7 +172,7 @@ def threshold_set(v, J) -> np.ndarray:
     linear in v.  A J of another dtype or shape is rejected, not cast: an
     index set read as a mask would keep the wrong coordinates.
     """
-    a = np.asarray(v, dtype=np.float64)
+    a = _vector(v, "v", stack=True)
     return np.where(_mask_checked(J, a.shape), a, 0.0)
 
 

@@ -45,10 +45,13 @@ VALID = {
     thresholding.smallest_k: dict(keys=[3.0, 1.0, 2.0], k=2),
     thresholding.top_k: dict(v=[3.0, 1.0, 2.0], k=2),
     thresholding.normalize: dict(v=[3.0, 4.0]),
+    thresholding.threshold_set: dict(v=np.ones((2, 3)), J=np.eye(3, dtype=bool)[:2]),
     biht.BIHTConfig: dict(k=2, max_iters=3, eta=1.0),
     raic.correction: dict(A=A, b=B, s=S, eta=1.0),
     raic.h_a: dict(A=A, x=np.eye(8)[0], y=np.eye(8)[1]),
-    raic.orthogonal_decompose: dict(h=np.ones(3), u=U, v=V),
+    raic.orthogonal_decompose: dict(h=np.ones((2, 3)), u=U, v=V),
+    raic.restricted_residual: dict(x=np.eye(3)[:2], y=np.eye(3)[1:], J=np.zeros((2, 3), dtype=bool),
+                                   h=np.ones((2, 3))),
     raic.raic_certify: dict(A=A, k=2, delta=0.1, num_pairs=4, max_j=2, seed=SEED, num_small=1),
     raic.raic_bound: dict(delta=0.1, a1=1.0, a2=1.0, d_s=0.5),
     montecarlo.mismatch_probability: dict(u=U, v=V, draws=10, seed=SEED),

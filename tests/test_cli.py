@@ -216,7 +216,7 @@ class TestRaic:
         code = run_cli(["raic", "--n", "40", "--m", "200", "--k", k, "--output-dir", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"k must satisfy 1 <= k <= n, got k={k} with n=40" in err
+        assert f"error: k must be an integer in [1, 40], got {k}\n" == err
         assert "max_j" not in err
         assert not out.exists()
 

@@ -265,10 +265,11 @@ class TestDomainTypes:
     @pytest.mark.parametrize(
         "bits",
         [[1.5, -1], np.array([257, -1]), [1.9, -1.2], [math.nan, 1],
-         np.array([255, 1], dtype=np.uint8), np.array([1j, -1])],
+         np.array([255, 1], dtype=np.uint8), np.array([1j, -1]), np.ones(3, dtype=bool)],
     )
     def test_sign_pattern_checks_values_before_the_cast(self, bits):
-        # A cast to int8 first would take each of these to a valid pattern.
+        # A cast to int8 first would take each of these to a valid pattern;
+        # a bool array is rejected as `_vector` rejects it, all True or not.
         with pytest.raises(ValueError, match="-1 or \\+1"):
             SignPattern(bits)
 

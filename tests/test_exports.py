@@ -139,6 +139,32 @@ def test_only_core_turns_a_comparison_into_sign_bits():
     assert views == {name: [] for name in views}
 
 
+def _compares_a_norm_with_one(node):
+    """Whether ``node`` is a comparison in which the number 1 is an operand
+    and a name or attribute with "norm" or "nrm" in it appears: a unit-norm
+    check, such as ``abs(np.linalg.norm(u) - 1.0) <= tol``."""
+    if not isinstance(node, ast.Compare):
+        return False
+    inner = list(ast.walk(node))
+    operands = [node.left, *node.comparators]
+    operands += [side for n in inner if isinstance(n, ast.BinOp) for side in (n.left, n.right)]
+    names = [getattr(n, "id", None) or getattr(n, "attr", None) or "" for n in inner]
+    return (any(isinstance(o, ast.Constant) and type(o.value) in (int, float) and o.value == 1
+                for o in operands)
+            and any(re.search("norm|nrm", name, re.IGNORECASE) for name in names))
+
+
+def test_only_the_unit_rule_compares_a_norm_with_one():
+    # A unit vector is checked by one rule and one tolerance,
+    # `thresholding._unit_vector`; a signal and the pair of
+    # `orthogonal_decompose` both go through it.
+    checks = {m.__name__: [node.lineno for node in ast.walk(_tree(m))
+                           if _compares_a_norm_with_one(node)]
+              for m in _modules()}
+    assert len(checks.pop("bitsense.thresholding")) == 1
+    assert checks == {name: [] for name in checks}
+
+
 def _ctypes_lines(owner):
     """The lines of ``owner`` (a module or a file's path) that import
     ``ctypes`` or call a ``CDLL``: a binding of a shared library."""
@@ -259,13 +285,6 @@ VECTOR_PARAMETERS = {"u", "v", "x", "y", "h", "values"}
 # Arguments of those names that are no vector input, each with the reason.
 NOT_VECTOR_INPUTS = {
     "bitsense.core.sgn.x": "a scalar or an array of any shape, signed entry by entry",
-    "bitsense.raic.restricted_residual.x": "one pair or a stack of pairs, one per row",
-    "bitsense.raic.restricted_residual.y": "one pair or a stack of pairs, one per row",
-    "bitsense.raic.restricted_residual.h": "one correction or a stack, one per row",
-    "bitsense.raic.orthogonal_decompose.h": "one correction or a stack, checked finite "
-                                            "in place",
-    "bitsense.thresholding.threshold_set.v": "a vector or a stack, restricted by a bool "
-                                             "mask of its shape",
 }
 
 

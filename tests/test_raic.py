@@ -394,6 +394,8 @@ class TestResidualAndBound:
         assert raic_bound(0.3, 0.0, 0.0, 1.2) == 0.0
         with pytest.raises(ValueError):
             raic_bound(-0.1, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="^d_s must be nonnegative$"):
+            raic_bound(0.1, 1.0, 1.0, [0.5, -5e-324])
 
     @pytest.mark.parametrize("d_s", [[0.5, 1.2], (0.5, 1.2)], ids=["list", "tuple"])
     def test_bound_takes_a_sequence_of_distances(self, d_s):
@@ -401,21 +403,25 @@ class TestResidualAndBound:
         want = raic_bound(0.1, 1.0, 2.0, np.array(d_s))
         assert raic_bound(0.1, 1.0, 2.0, d_s).tolist() == want.tolist()
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1j, True, "0.5", None])
     @pytest.mark.parametrize("position", range(4))
     def test_bound_rejects_non_finite_arguments(self, position, bad):
-        # A NaN used to pass `min(...) < 0` and come back as the bound.
-        # delta, a1 and a2 go through the package's rule for a real input.
+        # A NaN used to pass `min(...) < 0` and come back as the bound; a
+        # complex d_s gave a complex bound, True counted as 1, and a string
+        # or None raised a TypeError.  Each argument goes through the
+        # package's rule for a real input, and an array of d_s through its
+        # rule for a vector input.
         name = ("delta", "a1", "a2", "d_s")[position]
-        message = (f"{name} must be a finite number in [0, inf), got {bad!r}" if position < 3
-                   else "d_s must be finite and nonnegative")
+        message = f"{name} must be a finite number in [0, inf), got {bad!r}"
         args = [0.1, 1.0, 1.0, 1.0]
         args[position] = bad
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             raic_bound(*args)
-        args[3] = np.array([0.5, args[3], 1.5])
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            raic_bound(*args)
+        if position < 3 or isinstance(bad, float):  # a float array of d_s, one entry bad
+            args[3] = np.array([0.5, args[3], 1.5])
+            message = message if position < 3 else "d_s must be finite"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                raic_bound(*args)
 
     def test_residual_rows_equal_each_pair_alone(self):
         # A stack of pairs gives each pair's residual bit for bit, with J

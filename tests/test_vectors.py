@@ -1,15 +1,23 @@
 """Every vector input of the package, through its one rule.
 
-A signal, an iterate, a direction or a pair's vector is checked by
-`thresholding._vector`: a list, a tuple or an integer or floating array,
-one-dimensional, every entry finite, and of a fixed length where another
-argument sets it.  VECTOR_INPUTS lists each (entry, argument) and whether
-its length is fixed; each must reject NaN, +inf and -inf inside an
-otherwise valid vector, a scalar, a 2-d array, a bool array, a complex
-array, a list of strings and, where the length is fixed, a vector one
-entry short, with a ValueError that names the argument.
+A signal, an iterate, a direction, a pair's vector or a correction is
+checked by `thresholding._vector`: a list, a tuple or an integer or
+floating array, one-dimensional (or, for a stack, 2-d, one vector a row),
+every entry finite, and of a fixed length or shape where another argument
+sets it.  VECTOR_INPUTS lists each (entry, argument) and whether its length
+is fixed; an entry whose accepted value is 2-d takes a stack.  Each must
+reject NaN, +inf and -inf inside an otherwise valid value, a scalar, an
+array of one axis more (2-d, or 3-d for a stack), a bool array, a complex
+array, a list of strings and, where the length is fixed, a vector one entry
+short (a stack one row short), with a ValueError that names the argument.
 `tests/test_exports.py` fails if a public function or class of the
 package takes such an argument and is not listed here.
+
+A unit vector (a signal's values, the pair of `orthogonal_decompose`) is
+checked by `thresholding._unit_vector`: `_vector`, then a norm within
+`UNIT_NORM_TOL` of 1.  UNIT_INPUTS lists each; each must reject norms
+1 +- 2e-9, a vector of entries 1e200, one of norm 1e-200 and the zero
+vector with a ValueError that names the argument.
 """
 
 import math
@@ -21,7 +29,7 @@ import pytest
 from bitsense import core, montecarlo, raic, thresholding
 from bitsense.core import MeasurementMatrix, gaussian_matrix
 from bitsense.rng import SeedSpec, sample_standard_normal
-from bitsense.thresholding import _vector
+from bitsense.thresholding import UNIT_NORM_TOL, _unit_vector, _vector
 from input_tables import VALID, assert_rejected, entries, name
 
 # (entry, argument, whether another argument fixes its length).
@@ -32,10 +40,15 @@ VECTOR_INPUTS = [
     (core.sphere_distance, "v", True),
     (thresholding.top_k, "v", False),
     (thresholding.normalize, "v", False),
+    (thresholding.threshold_set, "v", False),
     (raic.h_a, "x", True),
     (raic.h_a, "y", True),
+    (raic.orthogonal_decompose, "h", False),
     (raic.orthogonal_decompose, "u", True),
     (raic.orthogonal_decompose, "v", True),
+    (raic.restricted_residual, "h", False),
+    (raic.restricted_residual, "x", True),
+    (raic.restricted_residual, "y", True),
     (montecarlo.mismatch_probability, "u", False),
     (montecarlo.mismatch_probability, "v", True),
     (montecarlo.band_count_mean, "u", False),
@@ -57,18 +70,22 @@ NOT_VECTORS = [
     ("nan", lambda w: _with(w, 0, math.nan)),
     ("inf", lambda w: _with(w, -1, math.inf)),
     ("-inf", lambda w: _with(w, 0, -math.inf)),
-    ("scalar", lambda w: float(np.asarray(w)[0])),
+    ("scalar", lambda w: float(np.ravel(w)[0])),
     ("2-d", lambda w: np.asarray(w, dtype=np.float64)[None]),
     ("bool", lambda w: np.asarray(w) != 0.0),
     ("complex", lambda w: np.asarray(w, dtype=np.complex128)),
     ("strings", lambda w: [str(x) for x in w]),
 ]
 ONE_SHORT = ("one short", lambda w: np.asarray(w, dtype=np.float64)[:-1])
+# The ids of the cases that differ for a stack, whose valid value is 2-d.
+STACK_CASES = {"2-d": "3-d", "one short": "one row short"}
 
 
 def _cases():
     for entry, argument, fixed in VECTOR_INPUTS:
+        stack = np.ndim(VALID[entry][argument]) == 2
         for case, make in NOT_VECTORS + [ONE_SHORT] * fixed:
+            case = STACK_CASES.get(case, case) if stack else case
             yield pytest.param(entry, argument, make,
                                id=f"{name(entry)}-{argument}-{case}")
 
@@ -113,6 +130,72 @@ def test_the_rule_does_not_copy_a_float64_array():
 def test_the_rule_names_the_argument_and_the_fault(value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _vector(value, "x", 2)
+
+
+@pytest.mark.parametrize(
+    "value, n, message",
+    [(np.ones((2, 2, 3)), None, "h must be a one-dimensional array of real numbers or a 2-d "
+                                "stack of them, got an array of dtype float64 and shape (2, 2, 3)"),
+     (np.ones((3, 3)), (2, 3), "h has shape (3, 3), expected (2, 3)"),
+     (np.ones(3), (2, 3), "h has shape (3,), expected (2, 3)"),
+     (np.ones((2, 4)), 3, "h has length 4, expected 3")],
+    ids=["3-d", "one row more", "one vector", "rows too long"],
+)
+def test_the_stack_form_names_the_argument_and_the_fault(value, n, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _vector(value, "h", n, stack=True)
+
+
+@pytest.mark.parametrize("value", [np.ones(3), np.ones((2, 3))], ids=["vector", "stack"])
+def test_the_stack_form_takes_a_vector_or_a_stack_uncopied(value):
+    assert _vector(value, "h", value.shape, stack=True) is value
+
+
+# (entry, argument) of each unit vector input.
+UNIT_INPUTS = [
+    (core.SparseUnitVector, "values"),
+    (raic.orthogonal_decompose, "u"),
+    (raic.orthogonal_decompose, "v"),
+]
+
+# Each case: its id and the rejected value made from the valid unit vector.
+NOT_UNIT = [
+    ("norm 1 + 2e-9", lambda w: np.asarray(w) * (1.0 + 2e-9)),
+    ("norm 1 - 2e-9", lambda w: np.asarray(w) * (1.0 - 2e-9)),
+    # Its sum of squares overflows: a norm by `np.linalg.norm` warned, an
+    # error under the suite's warning filter, before the check was reached.
+    ("entries 1e200", lambda w: _with(np.zeros(len(w)), [0, 1], 1e200)),
+    ("norm 1e-200", lambda w: _with(np.zeros(len(w)), 0, 1e-200)),
+    ("zero", lambda w: np.zeros(len(w))),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, argument, make",
+    [pytest.param(entry, argument, make, id=f"{name(entry)}-{argument}-{case}")
+     for entry, argument in UNIT_INPUTS for case, make in NOT_UNIT],
+)
+def test_unit_input_rejects_a_norm_off_one(entry, argument, make):
+    assert_rejected(entry, argument, make(VALID[entry][argument]))
+
+
+@pytest.mark.parametrize("scale", [1.0 - UNIT_NORM_TOL / 2, 1.0 + UNIT_NORM_TOL / 2])
+def test_the_unit_rule_accepts_a_norm_within_its_tolerance(scale):
+    a = np.array([0.6, 0.8]) * scale
+    assert _unit_vector(a, "u", 2) is a
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [([2.0, 0.0], "u must be a unit vector, got one of norm 2.0"),
+     ([0.0, 0.0], "u must be a unit vector, got one of norm 0.0"),
+     ([1e-310, 0.0], "u has a norm outside float64's normal range"),
+     ([1.0], "u has length 1, expected 2")],
+    ids=["norm 2", "zero", "subnormal", "short"],
+)
+def test_the_unit_rule_names_the_argument_and_the_fault(value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _unit_vector(value, "u", 2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
