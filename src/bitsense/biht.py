@@ -36,11 +36,12 @@ a `core.LazyGaussianMatrix`, which draws only what they ask for; the
 convergence trials use the latter, and their records are bit for bit
 those of the whole matrix.
 
-A run makes every product on one BLAS thread (`rng._one_blas_thread`),
-called bare or from the convergence trials, and hands the caller's count
-back when it returns or raises; so its bits do not depend on that count.
+A run makes every product on one BLAS thread
+(`_parallel._one_blas_thread`), called bare or from the convergence
+trials, and hands the caller's count back when it returns or raises; so
+its bits do not depend on that count.
 The dense step on a `core.MeasurementMatrix` takes its row blocks'
-products side by side on the sampler's pool, in place of a second BLAS
+products side by side on the package's pool, in place of a second BLAS
 thread for each product.  Before, a bare run used
 the caller's threading, and at OpenBLAS's default of one thread per core
 the idle BLAS worker busy-waited between products: the `solve` benchmark
@@ -74,6 +75,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ._inputs import _integer, _real
+from ._parallel import _one_blas_thread
 from .core import (
     LazyGaussianMatrix,
     MeasurementMatrix,
@@ -84,8 +87,8 @@ from .core import (
     sphere_distance,
 )
 from .raic import DEFAULT_ETA, correction, restricted_residual
-from .rng import SeedSpec, _one_blas_thread
-from .thresholding import _integer, _real, _top_k, normalize
+from .rng import SeedSpec
+from .thresholding import _top_k, normalize
 
 
 @dataclass(frozen=True)

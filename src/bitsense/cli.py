@@ -14,10 +14,10 @@ table in SETTINGS, from which its flags, its config keys and their types
 come.  Flags override the JSON config file given with ``--config``, which
 overrides the defaults; a config key that is not a setting of the
 subcommand is a usage error.  ``run``, ``validate`` and ``raic`` share one
-thread pool, with one worker per usable CPU, whose users `rng._map`
+thread pool, with one worker per usable CPU, whose users `_parallel._map`
 lists.  The outputs have the same bytes at any pool size.
 ``run``, ``validate`` and ``raic`` make their BLAS products on one thread,
-whatever ``OPENBLAS_NUM_THREADS`` says (see `rng._one_blas_thread`).
+whatever ``OPENBLAS_NUM_THREADS`` says (see `_parallel._one_blas_thread`).
 
 The library modules return data; this module writes every file the package
 writes, through `_write_csv`, `_write_json` and `generate`'s binary layout.

@@ -7,7 +7,7 @@ Conventions fixed here and relied on everywhere else:
   extended to zero vectors (0 if both zero, 1 if exactly one is zero).
 * Sparse vectors are stored dense; sparsity is an invariant, not a layout.
 * A vector input is a one-dimensional array of finite reals
-  (`thresholding._vector`), and a `MeasurementMatrix` is finite by
+  (`_inputs._vector`), and a `MeasurementMatrix` is finite by
   construction, so a product that reads only part of A, as the certifier's
   support products do, meets no NaN or inf.
 * The solver reads a measurement matrix through three calls only:
@@ -15,7 +15,7 @@ Conventions fixed here and relied on everywhere else:
   rows where the signs disagree; and `t_dot`, A^T r summed over the fixed
   row blocks of `dense_row_blocks`, for a correction with most rows
   mismatched.  `MeasurementMatrix` answers them by indexing and views, its
-  blocks' products side by side on the sampler's pool;
+  blocks' products side by side on the package's pool;
   `LazyGaussianMatrix`, the matrix of a convergence trial, draws what they
   ask for from the sampler, bit for bit the entries of `gaussian_matrix`,
   and its blocks one after another into one block of scratch.
@@ -29,10 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+# UNIT_NORM_TOL is read as `core.UNIT_NORM_TOL` too: the benchmark's
+# `solve` workload checks its final iterates against it.
+from ._inputs import UNIT_NORM_TOL, _integer, _norm, _unit_vector, _vector
+from ._parallel import _map
 from .rng import (
     SeedSpec,
     _derive_rows,
-    _map,
     _stream_key,
     _stream_keys,
     derive_seed,
@@ -41,9 +44,7 @@ from .rng import (
     sample_standard_normal_block,
     sample_standard_normal_rows,
 )
-# UNIT_NORM_TOL is read as `core.UNIT_NORM_TOL` too: the benchmark's
-# `solve` workload checks its final iterates against it.
-from .thresholding import UNIT_NORM_TOL, _integer, _norm, _unit_vector, _vector, smallest_k
+from .thresholding import smallest_k
 
 # The most float64 entries one array can hold: its byte count is an intp.
 _MAX_ENTRIES = np.iinfo(np.intp).max // 8
@@ -96,7 +97,7 @@ class SparseUnitVector:
     """A k-sparse vector of unit Euclidean norm.
 
     ``values`` is dense; at most ``k`` entries are nonzero and the norm is 1
-    within ``UNIT_NORM_TOL`` (`thresholding._unit_vector`).  Instances are
+    within ``UNIT_NORM_TOL`` (`_inputs._unit_vector`).  Instances are
     immutable (the array is marked read-only) and safe to share across
     threads.
     """
@@ -169,8 +170,9 @@ class MeasurementMatrix:
         `dense_row_blocks`, added in block order; ``rows`` is not needed.
 
         The blocks are views of A, so their products run side by side on
-        the sampler's pool (`rng._map`), each on whatever BLAS threads the
-        caller set, and the sum does not depend on the pool's size.
+        the package's pool (`_parallel._map`), each on whatever BLAS
+        threads the caller set, and the sum does not depend on the pool's
+        size.
         ``np.dot`` releases the GIL for the product and ``@`` does not: two
         threads each multiplying 2621 x 200 blocks on one BLAS thread ran
         3.0 times as fast as one thread with ``np.dot`` (1.4-3.7 in seven
@@ -201,7 +203,7 @@ class LazyGaussianMatrix:
       ``np.dot(A_b.T, r_b)`` keeps the bits it has over the whole matrix's
       block.  The drawn rows are zeroed again once the product is taken,
       so the scratch serves every block.  The trials that read such
-      matrices already run side by side on the sampler's pool.
+      matrices already run side by side on the package's pool.
 
     The caller hands over the scratch, a `dense_scratch` (4 MB at n=200):
     each dense read leaves it zero-filled again, so one scratch can serve
@@ -261,12 +263,9 @@ class SignPattern:
     bits: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.bits)
-        if b.ndim != 1:
-            raise ValueError("bits must be one-dimensional")
-        # Checked before the cast to int8, which takes 1.5 or 257 to 1; a
-        # bool array is no sign pattern, as it is no vector (`_vector`).
-        if b.dtype.kind not in "iuf" or np.count_nonzero(np.abs(b) == 1) != b.size:
+        b = _vector(self.bits, "bits")
+        # Checked before the cast to int8, which takes 1.5 or 257 to 1.
+        if np.count_nonzero(np.abs(b) == 1) != b.size:
             raise ValueError("entries must be -1 or +1")
         b = b.astype(np.int8)
         b.setflags(write=False)

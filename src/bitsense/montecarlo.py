@@ -19,12 +19,12 @@ records keep their bits.  At the acceptance config (n=200, k=5, m=10000,
 T=12) a trial draws about 60% of the m n normals, most of them for the
 first step's rows, and holds at most one 4 MB row block of them at once.
 The trials and the validator suite run their BLAS products on one thread
-(see `rng._one_blas_thread`); the validators called one by one keep the
-caller's threading.  The trials and the suite's six validator calls run
-side by side on the sampler's thread pool, whose users `rng._map` lists,
-each drawing serially on its worker.  The correction map of a stack of
-sampled matrices is formed in one place (`_corrections`) and split along
-e- and e+ by `raic.orthogonal_decompose`.
+(see `_parallel._one_blas_thread`); the validators called one by one keep
+the caller's threading.  The trials and the suite's six validator calls
+run side by side on the package's thread pool, whose users
+`_parallel._map` lists, each drawing serially on its worker.  The
+correction map of a stack of sampled matrices is formed in one place
+(`_corrections`) and split along e- and e+ by `raic.orthogonal_decompose`.
 
 The validators of a pair (u, v) draw only the columns they read, from the
 first to the last on which u or v is nonzero (`_read_columns`), and run
@@ -55,6 +55,8 @@ from functools import partial
 
 import numpy as np
 
+from ._inputs import _integer, _norm, _real, _vector
+from ._parallel import _map, _one_blas_thread
 from .biht import BIHTConfig, Trajectory, run_biht
 from .core import (
     LazyGaussianMatrix,
@@ -66,14 +68,7 @@ from .core import (
     sphere_distance,
 )
 from .raic import DEFAULT_ETA, orthogonal_decompose
-from .rng import (
-    SeedSpec,
-    _map,
-    _one_blas_thread,
-    derive_seed,
-    sample_standard_normal_block,
-)
-from .thresholding import _integer, _norm, _real, _vector
+from .rng import SeedSpec, derive_seed, sample_standard_normal_block
 
 # A block of `_map_normal_blocks` draws at most this many normals, 1 MiB of
 # float64.  The battery's band and mismatch validators draw 2 columns a row
@@ -381,10 +376,10 @@ def convergence_trials(
     reproducible.  The deterministic per-iteration bound is checked on every
     iterate; a violation raises ErrorBoundViolation with diagnostics, from
     the first trial in order that has one.  The trials run side by side on
-    the sampler's thread pool (`rng._map`), each drawing serially on its
-    worker, and come back in trial order; a lone trial runs in the calling
+    the package's thread pool (`_parallel._map`), each drawing serially on
+    its worker, and come back in trial order; a lone trial runs in the calling
     thread and spreads its draws over the pool.  Each trial draws its dense
-    step in a `core.dense_scratch` that `rng._map` hands from trial to
+    step in a `core.dense_scratch` that `_parallel._map` hands from trial to
     trial.  The products run on one BLAS thread and the caller's count is
     restored afterwards, so the results do not depend on it or on the
     pool's size.
@@ -434,11 +429,11 @@ def run_validator_suite(seed: SeedSpec, break_sgn_zero: bool = False) -> list[Va
     Returns one row per check; a row fails when its mean statistic strays
     past 4 SEs (or a tail frequency exceeds its bound by more than 3 SEs).
     The six validator calls are independent, each on its own derived seed,
-    and run side by side on the sampler's thread pool (`rng._map`), longest
-    first; a call's draws then run serially on its worker, and its rows come
-    back in the battery's order.  Like `convergence_trials`, it runs its
-    products on one BLAS thread, so the rows have the same bits at any pool
-    size and any caller's thread count.
+    and run side by side on the package's thread pool (`_parallel._map`),
+    longest first; a call's draws then run serially on its worker, and its
+    rows come back in the battery's order.  Like `convergence_trials`, it
+    runs its products on one BLAS thread, so the rows have the same bits at
+    any pool size and any caller's thread count.
     """
     mismatch_draws = 100_000
     sign_fn = _broken_sign if break_sgn_zero else None

@@ -42,10 +42,10 @@ in numpy passes with no Python loop over its pairs:
 Norms are taken as each row's own dot (`core.row_norms`), so every value
 is the one a pair-by-pair computation gives, up to the order of the sums in
 the block products.  The block products run on one BLAS thread (see
-`rng._one_blas_thread`), and the blocks themselves side by side on the
-sampler's thread pool (`rng._map`), results in pair order.  A block's draw,
-residuals and d_s depend only on the seed, its first pair and A, so the
-report has the same bytes at any pool size; the bounds, ratios,
+`_parallel._one_blas_thread`), and the blocks themselves side by side on
+the package's thread pool (`_parallel._map`), results in pair order.  A
+block's draw, residuals and d_s depend only on the seed, its first pair
+and A, so the report has the same bytes at any pool size; the bounds, ratios,
 ``delta_hat`` and records are formed once every block has returned.
 `h_a`, `correction` and `restricted_residual` stay the reference
 definition, which the solver uses; `correction`'s dense product runs on
@@ -60,6 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._inputs import _integer, _mask_checked, _real, _unit_vector, _vector
+from ._parallel import _map, _one_blas_thread
 from .core import (
     LazyGaussianMatrix,
     MeasurementMatrix,
@@ -75,22 +77,12 @@ from .core import (
 from .rng import (
     SeedSpec,
     _derive_rows,
-    _map,
-    _one_blas_thread,
     _stream_keys,
     random_uniform_rows,
     sample_standard_normal_rows,
 )
 from .theory import constants
-from .thresholding import (
-    _integer,
-    _mask_checked,
-    _real,
-    _unit_vector,
-    _vector,
-    smallest_k,
-    threshold_set,
-)
+from .thresholding import _threshold_set, smallest_k
 
 # Step size the contraction analysis requires; deviating far from it loses
 # the contraction, so treat overrides as experimental.
@@ -160,7 +152,7 @@ ROW_BLOCK = 512
 # and 110-123 ms at 64 (127-130 ms with dense sign products alone), and
 # peak RSS 74.0-74.2, 71.8-72.0, 71.0-71.1 and 70.5-70.7 MB (68.5-68.7 MB
 # with dense sign products).  The buffers are made in the pool task and are gone before the
-# residuals are formed: made in the calling thread, through `rng._map`'s
+# residuals are formed: made in the calling thread, through `_parallel._map`'s
 # scratch, and held to the end of the block, they read 0.3-0.8 MB higher.
 SIGN_ROWS = 128
 
@@ -181,8 +173,8 @@ def correction(
     ``A.t_dot(r, rows)``, summed as ``np.dot(A_b.T, r_b)`` over the fixed
     row blocks of `core.dense_row_blocks` and added in block order, where
     the rows it did not ask for meet zeros in r.  Its block products run on
-    one BLAS thread (`rng._one_blas_thread`): those of a
-    `core.MeasurementMatrix` side by side on the sampler's pool, those of a
+    one BLAS thread (`_parallel._one_blas_thread`): those of a
+    `core.MeasurementMatrix` side by side on the package's pool, those of a
     `core.LazyGaussianMatrix` one after another as its blocks are drawn.
     So the sum is bit for bit the one-thread blocked sum at any pool size
     and caller's BLAS thread count.  The blocks depend on the shape alone,
@@ -237,8 +229,8 @@ def orthogonal_decompose(h, u, v):
     c_plus have one entry per row and g is t x n, and row i of each equals,
     bit for bit, the decomposition of ``h[i]`` alone.
 
-    h is a vector or a stack (`thresholding._vector`), and u and v are
-    unit vectors (`thresholding._unit_vector`) of h's last length (numpy
+    h is a vector or a stack (`_inputs._vector`), and u and v are
+    unit vectors (`_inputs._unit_vector`) of h's last length (numpy
     would broadcast a shorter one); u == +-v leaves a direction undefined.
     """
     hv = _vector(h, "h", stack=True)
@@ -255,12 +247,13 @@ def restricted_residual(x: np.ndarray, y: np.ndarray, J: np.ndarray, h: np.ndarr
     supp(x) u supp(y) u J, J a bool mask of x's shape: the RAIC residual, and
     a quarter of the solver's bound.  A float for one pair; for stacks of
     pairs, one per row, each row's residual as alone (`row_norms`).  h is a
-    vector or a stack (`thresholding._vector`), x and y of h's shape, and J
-    is checked as `threshold_set` checks it, before the union is formed."""
+    vector or a stack (`_inputs._vector`), x and y of h's shape, and J
+    is checked as `threshold_set` checks it, before the union is formed;
+    h is then restricted by `threshold_set`'s own body, once checked."""
     h = _vector(h, "h", stack=True)
     x, y = _vector(x, "x", h.shape, stack=True), _vector(y, "y", h.shape, stack=True)
     J = _mask_checked(J, h.shape)
-    r = row_norms((x - y) - threshold_set(h, (x != 0.0) | (y != 0.0) | J))
+    r = row_norms((x - y) - _threshold_set(h, (x != 0.0) | (y != 0.0) | J))
     return float(r) if r.ndim == 0 else r
 
 
@@ -327,18 +320,17 @@ def _block_residuals(A: MeasurementMatrix, X, Y, J) -> np.ndarray:
     on either path, off signs within rounding of 0.  Its sums run in
     another order than `correction`'s, so a residual may differ from the
     reference in the last bits.  The residuals are `restricted_residual` of
-    the block's stacks, which restricts every correction with one mask.
+    the block's stacks, which restricts every correction with one mask
+    and checks the shapes of X, Y and J, all three `_draw_pairs`' own.
     The products run at the caller's BLAS threading.
     """
-    if X.shape[1] != A.n or Y.shape != X.shape or J.shape != X.shape:
-        raise ValueError(f"pairs and J must be rows of length {A.n}")
     return restricted_residual(X, Y, J, _corrections(A, X, Y))
 
 
 def raic_bound(delta: float, a1: float, a2: float, d_s):
     """The invertibility bound a1 * sqrt(delta * d_s) + a2 * delta, for one
-    d_s (a real input, `thresholding._real`) or elementwise over a vector of
-    them (`thresholding._vector`), each d_s nonnegative."""
+    d_s (a real input, `_inputs._real`) or elementwise over a vector of
+    them (`_inputs._vector`), each d_s nonnegative."""
     delta, a1, a2 = (_real(value, name, 0, math.inf, closed=True)
                      for value, name in ((delta, "delta"), (a1, "a1"), (a2, "a2")))
     if isinstance(d_s, (list, tuple, np.ndarray)):
@@ -459,7 +451,7 @@ def raic_certify(
 
     Pairs go PAIR_BLOCK at a time through one block draw (`_draw_pairs`)
     and one pass over row blocks of A (`_block_residuals`); the blocks run
-    on the sampler's thread pool, under one BLAS thread, and the records
+    on the package's thread pool, under one BLAS thread, and the records
     are formed after the last has returned.  Pair i takes
     its x, y and J from ``derive_seed(seed, i)`` as a pair-by-pair draw
     would, whatever the block size, and its d_s is `sphere_distance`'s bit

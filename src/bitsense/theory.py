@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .thresholding import _integer, _real
+from ._inputs import _integer, _real
 
 # Smallest certified threshold for the b constant; the contraction condition
 # below is checked against exactly this literal.
@@ -72,9 +72,8 @@ def sample_complexity(epsilon: float, rho: float, k: int, n: int) -> int:
     float64 (epsilon of about 1e-305 at k=5) is a ValueError.
     """
     epsilon, rho = _real(epsilon, "epsilon", 0, 1), _real(rho, "rho", 0, 1)
-    k, n = _integer(k, "k", 1), _integer(n, "n", 1)
-    if k >= n:
-        raise ValueError(f"need k < n, got k={k} with n={n}")
+    n = _integer(n, "n", 2)
+    k = _integer(k, "k", 1, n - 1)
     u = _CONSTANTS
     bc = u.b * u.c
     total = (

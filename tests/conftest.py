@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from bitsense import rng
+from bitsense import _parallel
 
 
 @pytest.fixture
@@ -14,7 +14,7 @@ def caller_blas():
     ``(get, put)``: ``put(t)`` sets it, ``get()`` reads it.  The count from
     before the test is put back after it, also when the test fails; the
     test skips where the count is not reachable (another BLAS)."""
-    calls = rng._openblas()
+    calls = _parallel._openblas()
     if calls is None:
         pytest.skip("numpy's BLAS thread count is not reachable")
     get, put, _ = calls
@@ -25,16 +25,16 @@ def caller_blas():
 
 @pytest.fixture
 def sampler_pool():
-    """``resize(workers)`` gives the sampler a fresh pool of that many
+    """``resize(workers)`` gives the package a fresh pool of that many
     workers, for the rest of the test or until the next resize.  A fresh
     pool of the default size follows the test, also when it fails."""
     with pytest.MonkeyPatch.context() as patch:
         def resize(workers):
-            patch.setattr(rng, "_worker_count", lambda: workers)
-            rng._forget_pool()
+            patch.setattr(_parallel, "_worker_count", lambda: workers)
+            _parallel._forget_pool()
 
         yield resize
-    rng._forget_pool()
+    _parallel._forget_pool()
 
 
 @pytest.fixture
@@ -45,7 +45,7 @@ def wide_pool(sampler_pool):
     per arg, on a pool of 2 * cores + 1 workers, switching threads every
     10 us.  The switch interval comes back after the calls, and the default
     pool after the test, also when it fails."""
-    wide = 2 * rng._worker_count() + 1
+    wide = 2 * _parallel._worker_count() + 1
 
     def callers(call, args):
         sampler_pool(1)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -263,14 +264,22 @@ class TestDomainTypes:
             SignPattern(np.array([1, 0, -1]))
 
     @pytest.mark.parametrize(
-        "bits",
-        [[1.5, -1], np.array([257, -1]), [1.9, -1.2], [math.nan, 1],
-         np.array([255, 1], dtype=np.uint8), np.array([1j, -1]), np.ones(3, dtype=bool)],
+        "bits, message",
+        [([1.5, -1], "entries must be -1 or +1"),
+         (np.array([257, -1]), "entries must be -1 or +1"),
+         ([1.9, -1.2], "entries must be -1 or +1"),
+         ([math.nan, 1], "bits must be finite"),
+         (np.array([255, 1], dtype=np.uint8), "entries must be -1 or +1"),
+         (np.array([1j, -1]), "bits must be a one-dimensional array of real numbers, got an "
+                              "array of dtype complex128 and shape (2,)"),
+         (np.ones(3, dtype=bool), "bits must be a one-dimensional array of real numbers, got "
+                                  "an array of dtype bool and shape (3,)")],
     )
-    def test_sign_pattern_checks_values_before_the_cast(self, bits):
+    def test_sign_pattern_checks_values_before_the_cast(self, bits, message):
         # A cast to int8 first would take each of these to a valid pattern;
-        # a bool array is rejected as `_vector` rejects it, all True or not.
-        with pytest.raises(ValueError, match="-1 or \\+1"):
+        # the bits go through the rule for a vector input (`_vector`) first,
+        # which rejects a NaN, a complex and a bool array, all True or not.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SignPattern(bits)
 
     @pytest.mark.parametrize(

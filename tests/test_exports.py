@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bitsense
-from bitsense import biht, core, montecarlo, raic, rng, thresholding
+from bitsense import _parallel, biht, core, montecarlo, raic, thresholding
 from test_integers import INTEGER_INPUTS
 from test_reals import REAL_INPUTS
 from test_vectors import VECTOR_INPUTS
@@ -105,21 +105,21 @@ def test_library_writers_are_gone():
     assert left == []
 
 
-def test_only_the_sampler_makes_the_pool_and_its_scratch_queue():
-    # One pool and one hand-off of per-task scratch, both in `rng._map`'s
-    # module; every other module goes through `_map`.
+def test_only_parallel_makes_the_pool_and_its_scratch_queue():
+    # One pool and one hand-off of per-task scratch, both in the module of
+    # `_parallel._map`; every other module goes through `_map`.
     makers = {m.__name__: _calls(m, "ThreadPoolExecutor", "SimpleQueue") for m in _modules()}
-    assert makers.pop("bitsense.rng") != []
+    assert makers.pop("bitsense._parallel") != []
     assert makers == {name: [] for name in makers}
 
 
 def test_the_pools_users_are_the_ones_map_lists():
-    # `rng._map`'s docstring names each function that calls it, in
+    # `_parallel._map`'s docstring names each function that calls it, in
     # parentheses, by its path in the package (its own module's without
     # one); every function that calls `_map` must be named there.
     modules = {m.__name__.removeprefix("bitsense."): m for m in _modules()}
-    listed = {name if name.split(".")[0] in modules else f"rng.{name}"
-              for name in re.findall(r"\(`([\w.]+)`\)", rng._map.__doc__)}
+    listed = {name if name.split(".")[0] in modules else f"_parallel.{name}"
+              for name in re.findall(r"\(`([\w.]+)`\)", _parallel._map.__doc__)}
     callers = {f"{short}.{name}" for short, m in modules.items() for name in _callers(m, "_map")}
     assert callers == listed
 
@@ -156,12 +156,12 @@ def _compares_a_norm_with_one(node):
 
 def test_only_the_unit_rule_compares_a_norm_with_one():
     # A unit vector is checked by one rule and one tolerance,
-    # `thresholding._unit_vector`; a signal and the pair of
+    # `_inputs._unit_vector`; a signal and the pair of
     # `orthogonal_decompose` both go through it.
     checks = {m.__name__: [node.lineno for node in ast.walk(_tree(m))
                            if _compares_a_norm_with_one(node)]
               for m in _modules()}
-    assert len(checks.pop("bitsense.thresholding")) == 1
+    assert len(checks.pop("bitsense._inputs")) == 1
     assert checks == {name: [] for name in checks}
 
 
@@ -174,15 +174,80 @@ def _ctypes_lines(owner):
     return imports + _calls(owner, "CDLL")
 
 
-def test_only_the_sampler_binds_openblas():
-    # numpy's OpenBLAS is found and bound once, in `rng._openblas`; the
-    # package (`rng._one_blas_thread`, `rng._openblas_core`) and the tests
+def test_only_parallel_binds_openblas():
+    # numpy's OpenBLAS is found and bound once, in `_parallel._openblas`;
+    # the package (`_one_blas_thread`, `_openblas_core`) and the tests
     # (conftest's `caller_blas`, the pins' `_on_core`) reach it through it.
     owners = {m.__name__: m for m in _modules()}
     owners.update((f"tests/{path.name}", path) for path in Path(__file__).parent.glob("*.py"))
     binds = {name: _ctypes_lines(owner) for name, owner in owners.items()}
-    assert binds.pop("bitsense.rng") != []
+    assert binds.pop("bitsense._parallel") != []
     assert binds == {name: [] for name in binds}
+
+
+# The names of the two private leaf modules: the input rules, and the
+# thread pool with the binding of numpy's OpenBLAS.
+HOMES = {name: home for home, names in {
+    "_inputs": ("_integer", "_real", "_vector", "_norm", "_NORM_FLOOR", "_unit_vector",
+                "UNIT_NORM_TOL", "_mask_checked"),
+    "_parallel": ("_worker_count", "_mark_pool_thread", "_executor", "_map", "_with_block",
+                  "_forget_pool", "_openblas", "_openblas_core", "_one_blas_thread", "_pool",
+                  "_pool_lock", "_on_pool", "_blas_lock", "_blas_users", "_blas_saved"),
+}.items() for name in names}
+
+
+def _defined(tree):
+    """The names a module binds at its top level by a def, a class or an
+    assignment, or in a function through ``global``."""
+    names = {n for node in ast.walk(tree) if isinstance(node, ast.Global) for n in node.names}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_the_leaf_modules_import_no_other_package_module():
+    # The other modules import these two, so the two import none of the
+    # package's modules: no import cycle, and no sampler loaded for a pool.
+    for home in sorted(set(HOMES.values())):
+        imports = [ast.unparse(node) for node in ast.walk(_tree(import_module(f"bitsense.{home}")))
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.level or (node.module or "").split(".")[0] == "bitsense")
+                   or isinstance(node, ast.Import)
+                   and any(a.name.split(".")[0] == "bitsense" for a in node.names)]
+        assert imports == [], home
+
+
+def test_each_leaf_name_is_defined_in_its_home_alone():
+    owners = {}
+    for m in _modules():
+        for name in _defined(_tree(m)) & set(HOMES):
+            owners.setdefault(name, set()).add(m.__name__.removeprefix("bitsense."))
+    assert owners == {name: {home} for name, home in HOMES.items()}
+
+
+def test_each_leaf_name_is_reached_from_its_home():
+    # In the package and the tests alike, by ``from <home> import`` or
+    # ``<home>.<name>``: a name reached through a module that imported it
+    # makes that module a second home.  `core` imports UNIT_NORM_TOL from
+    # `_inputs` for the benchmark, which reads `core.UNIT_NORM_TOL`.
+    owners = {m.__name__: m for m in _modules()}
+    owners.update((f"tests/{path.name}", path) for path in Path(__file__).parent.glob("*.py"))
+    short = {m.__name__.removeprefix("bitsense.") for m in _modules()}
+    wrong = []
+    for label, owner in owners.items():
+        for node in ast.walk(_tree(owner)):
+            if isinstance(node, ast.ImportFrom):
+                source = (node.module or "").rpartition(".")[2]
+                wrong += [f"{label}:{node.lineno} {a.name} from {node.module}"
+                          for a in node.names if a.name in HOMES and source != HOMES[a.name]]
+            elif (isinstance(node, ast.Attribute) and node.attr in HOMES
+                  and getattr(node.value, "id", None) in short - {HOMES[node.attr]}):
+                wrong.append(f"{label}:{node.lineno} {ast.unparse(node)}")
+    assert wrong == []
 
 
 def _uncollected(path):
@@ -264,7 +329,7 @@ def _listed(table):
 def test_every_integer_input_is_in_the_table():
     # A public function or class that takes a count, a size, an index or a
     # seed field is listed in `tests/test_integers.py`, whose table checks
-    # that it goes through `thresholding._integer`.
+    # that it goes through `_inputs._integer`.
     taken = _taken(INTEGER_PARAMETERS)
     assert taken
     assert taken - _listed(INTEGER_INPUTS) == set()
@@ -273,7 +338,7 @@ def test_every_integer_input_is_in_the_table():
 def test_every_real_input_is_in_the_table():
     # A public function or class that takes a real input is listed in
     # `tests/test_reals.py`, whose table checks that it goes through
-    # `thresholding._real`.
+    # `_inputs._real`.
     taken = _taken(REAL_PARAMETERS)
     assert NOT_REAL_INPUTS <= taken
     assert taken - NOT_REAL_INPUTS - _listed(REAL_INPUTS) == set()
@@ -291,7 +356,7 @@ NOT_VECTOR_INPUTS = {
 def test_every_vector_input_is_in_the_table():
     # A public function or class that takes a vector input is listed in
     # `tests/test_vectors.py`, whose table checks that it goes through
-    # `thresholding._vector`, or is named above with the reason it is not.
+    # `_inputs._vector`, or is named above with the reason it is not.
     taken = _taken(VECTOR_PARAMETERS)
     assert set(NOT_VECTOR_INPUTS) <= taken
     assert taken - set(NOT_VECTOR_INPUTS) - _listed(VECTOR_INPUTS) == set()

@@ -1,7 +1,7 @@
 """Every integer input of the package, through its one rule.
 
 A count, a size, an index or a seed field is checked by
-`thresholding._integer`: an int or a numpy integer within its bounds, never
+`_inputs._integer`: an int or a numpy integer within its bounds, never
 a bool or a float.  INTEGER_INPUTS lists each (entry, argument) with the
 values just past the argument's bounds, the upper one too where another
 argument sets it (k <= n, num_small <= num_pairs); each must reject those
@@ -60,8 +60,8 @@ INTEGER_INPUTS = [
     (montecarlo.convergence_trials, "m", (0,)),
     (montecarlo.convergence_trials, "trials", (0,)),
     (montecarlo.convergence_trials, "T", (0,)),
-    (theory.sample_complexity, "k", (0,)),
-    (theory.sample_complexity, "n", (0,)),
+    (theory.sample_complexity, "k", (0, 10)),
+    (theory.sample_complexity, "n", (1,)),
     (theory.epsilon_recurrence, "t", (-1,)),
     (theory.closed_form_bound, "t", (-1,)),
     (theory.nested_sqrt, "t", (-1,)),

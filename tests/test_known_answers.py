@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitsense import biht, cli, core, rng
+from bitsense import _parallel, biht, cli, core
 from bitsense.biht import BIHTConfig, run_biht
 from bitsense.core import (
     MeasurementMatrix,
@@ -260,9 +260,9 @@ VALIDATE_PINS = {
 # "three pair blocks" has m above one ROW_BLOCK (512).  In "tiles in a
 # block" each pair block's rank and J draws (128 x n and 128 x (n + 1)
 # uniforms) cross one 64Ki-element sampler tile, so the blocks, on the
-# sampler's pool, draw their tiles serially.  Like the `validators.csv`
+# package's pool, draw their tiles serially.  Like the `validators.csv`
 # pins, these depend in the last bits on OpenBLAS's one-thread kernels: the
-# products run under `rng._one_blas_thread`.
+# products run under `_parallel._one_blas_thread`.
 OUTPUT_DIGESTS = {
     "run": (
         ["run", "--n", "60", "--k", "3", "--m", "2000", "--trials", "4", "--iters", "8"],
@@ -325,7 +325,7 @@ PINNED_CORE = "SkylakeX"
 def _on_core():
     """A byte-pin failure's note: the pinned core beside this process's."""
     return (f"pins recorded under OpenBLAS core {PINNED_CORE}; "
-            f"this process runs {rng._openblas_core()}")
+            f"this process runs {_parallel._openblas_core()}")
 
 
 def _output_digests(name, out_dir):
@@ -611,7 +611,7 @@ class _ProductLog(np.ndarray):
         if func is not np.dot:
             return super().__array_function__(func, types, args, kwargs)
         self.log.append(self.shape)
-        calls = rng._openblas()
+        calls = _parallel._openblas()
         self.threads.append(calls and calls[0]())
         return func(*(np.asarray(a) for a in args), **kwargs)
 
@@ -694,7 +694,7 @@ def _blocked_reference(A, r):
     `core.dense_row_blocks`, added in block order."""
     starts = core.dense_row_blocks(A.m, A.n)
     a = np.asarray(A.entries)
-    with rng._one_blas_thread():
+    with _parallel._one_blas_thread():
         total = a[: starts.step].T @ r[: starts.step]
         for start in starts[1:]:
             total += a[start : start + starts.step].T @ r[start : start + starts.step]

@@ -729,9 +729,11 @@ class TestBlockPath:
 
     @pytest.mark.parametrize("shape", [(1, 3), (2, 4), (4,)])
     def test_block_residual_rejects_a_mask_not_of_the_pairs_shape(self, shape):
+        # `restricted_residual` checks J against the pairs' shape.
         A = gaussian_matrix(10, 4, SeedSpec(74))
         x = unit(np.ones(4))[None]
-        with pytest.raises(ValueError, match="pairs and J"):
+        message = "J must be a bool mask of shape (1, 4)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _block_residuals(A, x, x, np.zeros(shape, dtype=bool))
 
     def test_certify_matches_pair_by_pair_reference(self):

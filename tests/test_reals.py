@@ -1,7 +1,7 @@
 """Every real input of the package, through its one rule.
 
 A step size, a resolution, an error target, a failure probability, a
-constant or a nested-root argument is checked by `thresholding._real`: an
+constant or a nested-root argument is checked by `_inputs._real`: an
 int, a float, a numpy integer or a numpy floating, finite and within the
 argument's interval, never a bool, a string, an array or a complex.
 REAL_INPUTS lists each (entry, argument) with its values at an open bound
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from bitsense import biht, montecarlo, raic, rng, theory
-from bitsense.thresholding import _real
+from bitsense._inputs import _real
 from input_tables import VALID, assert_rejected, entries, name
 
 BELOW_ZERO = -5e-324  # the float just past the closed bound 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitsense._inputs import _norm
 from bitsense.rng import (
     SeedSpec,
     _stream_key,
@@ -12,7 +13,7 @@ from bitsense.rng import (
     random_uniform_rows,
     sample_standard_normal,
 )
-from bitsense.thresholding import _norm, normalize, smallest_k, threshold_set, top_k
+from bitsense.thresholding import normalize, smallest_k, threshold_set, top_k
 
 
 def uniforms(seeds, count):

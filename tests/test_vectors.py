@@ -1,7 +1,7 @@
 """Every vector input of the package, through its one rule.
 
 A signal, an iterate, a direction, a pair's vector or a correction is
-checked by `thresholding._vector`: a list, a tuple or an integer or
+checked by `_inputs._vector`: a list, a tuple or an integer or
 floating array, one-dimensional (or, for a stack, 2-d, one vector a row),
 every entry finite, and of a fixed length or shape where another argument
 sets it.  VECTOR_INPUTS lists each (entry, argument) and whether its length
@@ -14,7 +14,7 @@ short (a stack one row short), with a ValueError that names the argument.
 package takes such an argument and is not listed here.
 
 A unit vector (a signal's values, the pair of `orthogonal_decompose`) is
-checked by `thresholding._unit_vector`: `_vector`, then a norm within
+checked by `_inputs._unit_vector`: `_vector`, then a norm within
 `UNIT_NORM_TOL` of 1.  UNIT_INPUTS lists each; each must reject norms
 1 +- 2e-9, a vector of entries 1e200, one of norm 1e-200 and the zero
 vector with a ValueError that names the argument.
@@ -27,9 +27,9 @@ import numpy as np
 import pytest
 
 from bitsense import core, montecarlo, raic, thresholding
+from bitsense._inputs import UNIT_NORM_TOL, _unit_vector, _vector
 from bitsense.core import MeasurementMatrix, gaussian_matrix
 from bitsense.rng import SeedSpec, sample_standard_normal
-from bitsense.thresholding import UNIT_NORM_TOL, _unit_vector, _vector
 from input_tables import VALID, assert_rejected, entries, name
 
 # (entry, argument, whether another argument fixes its length).
