@@ -1,8 +1,9 @@
 """The package's one thread pool and its one binding of numpy's OpenBLAS.
 
-The pool is the one parallel layer of ``run``, ``validate``, ``raic`` and
-a bare `biht.run_biht`, whose BLAS products run on one thread under
-`_one_blas_thread` (the reason is measured there).  Work goes to it through
+The pool is the one parallel layer of ``run``, ``validate`` and ``raic``,
+whose BLAS products run on one thread under `_one_blas_thread` (the reason
+is measured there), as a bare `biht.run_biht`'s do; the dense step of such
+a run keeps to the calling thread.  Work goes to it through
 one helper, `_map`, which lists its users and is the one place that hands
 scratch to its tasks.  The pool has one worker per usable CPU and is made
 on first use; a forked child makes its own.
@@ -65,14 +66,15 @@ def _map(fn, items, scratch=None) -> list:
     running ones have ended.  So no call outlives `_map`, nor a
     `_one_blas_thread` it holds: a trial that raised would otherwise leave
     the other trials' runs holding the BLAS count at 1 after
-    `montecarlo.convergence_trials` raised.  The pool's five users, each
+    `montecarlo.convergence_trials` raised.  The pool's four users, each
     named by the function that calls `_map`: the sampler's tiles
     (`rng._stream`), the certifier's pair blocks (`raic.raic_certify`), the
-    battery's validators (`montecarlo.run_validator_suite`), the
-    convergence trials (`montecarlo.convergence_trials`) and the row blocks
-    of a dense correction over a whole matrix
-    (`core.MeasurementMatrix.t_dot`); the middle three draw serially on
-    their pool threads, and the last takes its blocks' products there.
+    battery's validators (`montecarlo.run_validator_suite`) and the
+    convergence trials (`montecarlo.convergence_trials`); the last three
+    draw serially on their pool threads.  Each measured faster than its
+    serial form.  The row blocks of a bare solver run's dense correction
+    did not, so `core.MeasurementMatrix.t_dot` sums them in the calling
+    thread (measured in `BENCH_39.json`).
 
     With ``scratch``, a function of no arguments that makes a block, each
     call is ``fn(item, block)``.  The blocks, one for each call that can run
@@ -192,9 +194,9 @@ def _one_blas_thread():
     products round some results differently.  A bare `biht.run_biht` runs
     inside it as well: with two BLAS threads its idle worker busy-waited
     between products, so the `solve` benchmark read ``cpu_s`` at about
-    twice ``run_s``.  Its dense first step takes its row blocks side by
-    side on the pool instead (`core.MeasurementMatrix.t_dot`), which wins
-    back about half of what one BLAS thread alone loses there.
+    twice ``run_s``.  Its dense first step sums its row blocks one after
+    another in the calling thread (`core.MeasurementMatrix.t_dot`): on the
+    pool they cost ``cpu_s`` and did not lower ``run_s`` (`BENCH_39.json`).
     """
     global _blas_users, _blas_saved
     calls = _openblas()

@@ -39,14 +39,16 @@ those of the whole matrix.
 A run makes every product on one BLAS thread
 (`_parallel._one_blas_thread`), called bare or from the convergence
 trials, and hands the caller's count back when it returns or raises; so
-its bits do not depend on that count.
-The dense step on a `core.MeasurementMatrix` takes its row blocks'
-products side by side on the package's pool, in place of a second BLAS
-thread for each product.  Before, a bare run used
-the caller's threading, and at OpenBLAS's default of one thread per core
-the idle BLAS worker busy-waited between products: the `solve` benchmark
-read ``cpu_s`` at about twice ``run_s`` (8.77 against 4.71 ms, medians
-of ten 20 s runs).
+its bits do not depend on that count.  Before, a bare run used the
+caller's threading, and at OpenBLAS's default of one thread per core the
+idle BLAS worker busy-waited between products: the `solve` benchmark read
+``cpu_s`` at about twice ``run_s`` (8.77 against 4.71 ms, medians of ten
+20 s runs).  The dense step on a `core.MeasurementMatrix` takes its row
+blocks' products one after another in the calling thread, off the
+package's pool.  Side by side on the pool they gave
+the `solve` benchmark no resolved gain in ``run_s`` and cost ``cpu_s``
+(2.84 against 2.81 ms and 3.29 against 2.81 ms, medians of ten
+alternating 20 s pairs; `BENCH_39.json`).
 
 A step that leaves the iterate in place (h = 0, once sgn(Ax) = b, or a zero
 candidate) is an absorbing fixed point: the signs, hence h and the next
@@ -59,11 +61,9 @@ projection and the iterate's checks) about 32 us, the product with the kept
 block and its signs about 35 us, the rows-only correction about 14 us and
 the mismatch rows about 7 us.  The first step's dense correction and a
 gather of five columns (0.15-0.25 ms) are the largest single costs.  The
-dense correction over the four row blocks at m=10000, medians of 600
-inside `solve`'s calls in six sets (2 vCPU, OpenBLAS 0.3.31), took
-1.24-1.58 ms with its blocks on the pool of 2, against 1.41-1.74 ms one
-after another on one BLAS thread and 1.09-1.43 ms on two BLAS threads;
-the blocks are what lets a trial's matrix, drawn on read, hold one block
+dense correction over the four row blocks at m=10000, one after another
+on one BLAS thread, took 1.41-1.74 ms, medians of 600 inside `solve`'s
+calls in six sets (2 vCPU, OpenBLAS 0.3.31); the blocks are what lets a trial's matrix, drawn on read, hold one block
 of scratch in place of m x n zeros.
 """
 

@@ -14,11 +14,11 @@ Conventions fixed here and relied on everywhere else:
   `columns`, the m x k block on a support; `rows`, the l x n block of the
   rows where the signs disagree; and `t_dot`, A^T r summed over the fixed
   row blocks of `dense_row_blocks`, for a correction with most rows
-  mismatched.  `MeasurementMatrix` answers them by indexing and views, its
-  blocks' products side by side on the package's pool;
+  mismatched.  `MeasurementMatrix` answers them by indexing and views;
   `LazyGaussianMatrix`, the matrix of a convergence trial, draws what they
   ask for from the sampler, bit for bit the entries of `gaussian_matrix`,
-  and its blocks one after another into one block of scratch.
+  and its blocks into one block of scratch.  Both take their blocks one
+  after another in the calling thread: the matrix layer has no threads.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from scipy.special import ndtri
 # UNIT_NORM_TOL is read as `core.UNIT_NORM_TOL` too: the benchmark's
 # `solve` workload checks its final iterates against it.
 from ._inputs import UNIT_NORM_TOL, _integer, _norm, _unit_vector, _vector
-from ._parallel import _map
 from .rng import (
     SeedSpec,
     _derive_rows,
@@ -167,24 +166,17 @@ class MeasurementMatrix:
 
     def t_dot(self, r: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """A^T r as ``np.dot(A_b.T, r_b)`` summed over the row blocks A_b of
-        `dense_row_blocks`, added in block order; ``rows`` is not needed.
-
-        The blocks are views of A, so their products run side by side on
-        the package's pool (`_parallel._map`), each on whatever BLAS
-        threads the caller set, and the sum does not depend on the pool's
-        size.
-        ``np.dot`` releases the GIL for the product and ``@`` does not: two
-        threads each multiplying 2621 x 200 blocks on one BLAS thread ran
-        3.0 times as fast as one thread with ``np.dot`` (1.4-3.7 in seven
-        rounds), and 1.15 times with ``@`` (0.93-1.21), with the same bits
-        (2 vCPU, numpy 2.4.6).
+        `dense_row_blocks`, views of A, one after another in the calling
+        thread and added in block order; ``rows`` is not needed.  Side by
+        side on the package's pool, the blocks of a bare run's dense step
+        made the `solve` benchmark no faster and cost it more CPU time
+        (`BENCH_39.json`).
         """
         a = self.entries
         starts = dense_row_blocks(*a.shape)
         step = starts.step
-        parts = _map(lambda start: np.dot(a[start : start + step].T, r[start : start + step]),
-                     starts)
-        return _in_block_order(parts)
+        return _in_block_order([np.dot(a[start : start + step].T, r[start : start + step])
+                                for start in starts])
 
 
 class LazyGaussianMatrix:
@@ -202,8 +194,7 @@ class LazyGaussianMatrix:
       residual r is 0 on every row it does not ask for, so
       ``np.dot(A_b.T, r_b)`` keeps the bits it has over the whole matrix's
       block.  The drawn rows are zeroed again once the product is taken,
-      so the scratch serves every block.  The trials that read such
-      matrices already run side by side on the package's pool.
+      so the scratch serves every block.
 
     The caller hands over the scratch, a `dense_scratch` (4 MB at n=200):
     each dense read leaves it zero-filled again, so one scratch can serve
@@ -239,7 +230,15 @@ class LazyGaussianMatrix:
         """A^T r for an r that is 0 off the ascending rows ``rows``, as
         `MeasurementMatrix.t_dot` sums it: each row block of
         `dense_row_blocks` holds A's entries on the rows of ``rows`` in it,
-        drawn into the scratch, and zeros on its other rows."""
+        drawn into the scratch, and zeros on its other rows.
+
+        The trials that call it run side by side on the package's pool, so
+        the products are ``np.dot``, which releases the GIL for the product,
+        and not ``@``, which does not: two threads each multiplying
+        2621 x 200 blocks on one BLAS thread ran 3.0 times as fast as one
+        thread with ``np.dot`` (1.4-3.7 in seven rounds), and 1.15 times
+        with ``@`` (0.93-1.21), with the same bits (2 vCPU, numpy 2.4.6).
+        """
         starts = dense_row_blocks(self.m, self.n)
         bounds = np.searchsorted(rows, [*starts, self.m])
         parts = []

@@ -102,11 +102,10 @@ DEFAULT_ETA = math.sqrt(2.0 * math.pi)
 # 1.18-1.47 ms at 0.3m; at m=5000, blocked 0.37-0.43 ms against rows-only
 # 0.27-0.32 ms at m/5, 0.33 ms at m/4 and 0.39-0.40 ms at 0.3m.  So the break-even is between m/5 and m/4 at
 # default threading and near 0.3m on one thread.  The constant stays at
-# m/5, now that every run is on one thread and a whole matrix's dense
-# blocks run on the pool: moving it would move the bits of the steps in
-# between, and l in [m/5, 0.3m) is rare: one of the 4650 mismatch counts
-# the `solve` benchmark records (seed 1, 150 solves) and none of the
-# acceptance run's (seed 0).
+# m/5, now that every run is on one thread: moving it would move the bits
+# of the steps in between, and l in [m/5, 0.3m) is rare: one of the 4650
+# mismatch counts the `solve` benchmark records (seed 1, 150 solves) and
+# none of the acceptance run's (seed 0).
 ROWS_ONLY_BELOW = 0.2
 
 # The certifier's block kernel signs a block's pairs through their supports
@@ -172,15 +171,14 @@ def correction(
     (``A.rows``), in O(l n).  Otherwise it is the dense product
     ``A.t_dot(r, rows)``, summed as ``np.dot(A_b.T, r_b)`` over the fixed
     row blocks of `core.dense_row_blocks` and added in block order, where
-    the rows it did not ask for meet zeros in r.  Its block products run on
-    one BLAS thread (`_parallel._one_blas_thread`): those of a
-    `core.MeasurementMatrix` side by side on the package's pool, those of a
-    `core.LazyGaussianMatrix` one after another as its blocks are drawn.
-    So the sum is bit for bit the one-thread blocked sum at any pool size
-    and caller's BLAS thread count.  The blocks depend on the shape alone,
-    so a matrix drawn on read gives the bits of the whole one, and a matrix
-    of at most `core.DENSE_BLOCK_ENTRIES` entries the bits of the single
-    ``A.T @ r``.
+    the rows it did not ask for meet zeros in r.  Its block products run
+    one after another in the calling thread, on one BLAS thread
+    (`_parallel._one_blas_thread`), those of a `core.LazyGaussianMatrix` as
+    its blocks are drawn.  So the sum is bit for bit the one-thread blocked
+    sum at any pool size and caller's BLAS thread count.  The blocks depend
+    on the shape alone, so a matrix drawn on read gives the bits of the
+    whole one, and a matrix of at most `core.DENSE_BLOCK_ENTRIES` entries
+    the bits of the single ``A.T @ r``.
     When b == s rowwise it is the zero vector, returned without a product.
     ``rows`` is ``np.flatnonzero(b != s)``, passed by a caller that found
     the mismatched rows already (the solver counts them at every step).

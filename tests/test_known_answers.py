@@ -413,10 +413,14 @@ def test_validate_digests_at_each_pool_size_and_blas_count(pin, blas_threads, po
 BARE_RUN_DIGEST = "f78f36ebaa95f01a2817440b16edb6c73bbb00ef8978181b1a55fba21dd084c0"
 
 
-def _bare_run_digest():
+def _bare_run_inputs():
+    """The bare run's matrix, its truth and the truth's signs."""
     A = gaussian_matrix(6000, 200, SeedSpec(29))
     truth = random_sparse_unit(200, 5, SeedSpec(29, 1))
-    b = core.sign_measure(A, truth.values)
+    return A, truth, core.sign_measure(A, truth.values)
+
+
+def _bare_run_digest(A, truth, b):
     traj = run_biht(A, b, BIHTConfig(k=5, max_iters=8, init=SeedSpec(29, 2)), truth=truth)
     assert traj.mismatch[0] >= ROWS_ONLY_BELOW * A.m  # a dense first step
     return hashlib.sha256(repr(_rows(traj)).encode()).hexdigest()
@@ -424,13 +428,29 @@ def _bare_run_digest():
 
 @pytest.mark.parametrize("blas_threads", [1, 2], ids=lambda t: f"caller BLAS {t}")
 def test_bare_run_digest_at_each_pool_size_and_blas_count(blas_threads, pool_size, caller_blas):
-    # The dense step's row blocks run on the pool, so neither its size nor
-    # the caller's BLAS thread count may move a bit of a bare run's record.
+    # The pool's size reaches only the matrix draw, whose tiles run on it,
+    # and the run takes its products on one BLAS thread; so neither the
+    # pool's size nor the caller's BLAS thread count may move a bit of a
+    # bare run's record.
     get, put = caller_blas
     put(blas_threads)
-    digest = _bare_run_digest()
+    digest = _bare_run_digest(*_bare_run_inputs())
     assert get() == blas_threads
     assert digest == BARE_RUN_DIGEST, _on_core()
+
+
+def test_bare_run_sums_its_dense_blocks_without_the_pool(monkeypatch):
+    # Once A and b are drawn, a bare run whose dense first step sums three
+    # row blocks makes no call on the pool: a pool that cannot be made
+    # stops nothing, and the record keeps its bits.
+    inputs = _bare_run_inputs()
+    assert len(core.dense_row_blocks(6000, 200)) == 3
+
+    def no_pool():
+        raise AssertionError("a bare solver run reached the thread pool")
+
+    monkeypatch.setattr(_parallel, "_executor", no_pool)
+    assert _bare_run_digest(*inputs) == BARE_RUN_DIGEST, _on_core()
 
 
 def _reference_correction(A, b, x, eta):
@@ -724,8 +744,9 @@ def _dense_signs(m, seed):
 def test_pooled_dense_correction_is_the_serial_blocked_sum(n, height, blocks, last, seed):
     # Blocks of ``height`` rows, the last of ``last`` (a short one when
     # last < height), on both matrix types: the blocks of a
-    # `MeasurementMatrix` on the pool, a `LazyGaussianMatrix`'s drawn one
-    # by one, both bit for bit the serial one-thread sum in block order.
+    # `MeasurementMatrix` as views, a `LazyGaussianMatrix`'s drawn one by
+    # one, both bit for bit the serial one-thread sum in block order.  The
+    # pool reaches only the matrix draws.
     last = min(last, height)
     m = (blocks - 1) * height + last
     with pytest.MonkeyPatch.context() as patch:
