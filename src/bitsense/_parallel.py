@@ -48,7 +48,7 @@ def _executor() -> ThreadPoolExecutor:
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(
-                max_workers=_worker_count(), thread_name_prefix="bitsense-rng",
+                max_workers=_worker_count(), thread_name_prefix="bitsense",
                 initializer=_mark_pool_thread,
             )
         return _pool
@@ -83,8 +83,8 @@ def _map(fn, items, scratch=None) -> list:
     would stay in those threads' malloc arenas after the call.  At the
     acceptance config (2 vCPU), a `run` whose trials ran one by one peaked
     2-3 MB higher with `rng._stream`'s tile blocks made on the pool's threads,
-    and the `converge` benchmark's `run`s at 75.9-80.1 MB against
-    70.3-70.9 MB with each trial's 4 MB dense block made in the trial.
+    and the `converge` benchmark's `run`s 5.0-9.8 MB higher with each
+    trial's 4 MB dense block made in the trial.
     """
     items = list(items)
     serial = len(items) < 2 or getattr(_on_pool, "worker", False)

@@ -62,8 +62,9 @@ block and its signs about 35 us, the rows-only correction about 14 us and
 the mismatch rows about 7 us.  The first step's dense correction and a
 gather of five columns (0.15-0.25 ms) are the largest single costs.  The
 dense correction over the four row blocks at m=10000, one after another
-on one BLAS thread, took 1.41-1.74 ms, medians of 600 inside `solve`'s
-calls in six sets (2 vCPU, OpenBLAS 0.3.31); the blocks are what lets a trial's matrix, drawn on read, hold one block
+on one BLAS thread, took 1.54-1.76 ms, medians of 600 inside `solve`'s
+calls in six sets (2 vCPU, OpenBLAS 0.3.31, 2026-10-22; `BENCH_40.json`);
+the blocks are what lets a trial's matrix, drawn on read, hold one block
 of scratch in place of m x n zeros.
 """
 

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 # UNIT_NORM_TOL is read as `core.UNIT_NORM_TOL` too: the benchmark's
 # `solve` workload checks its final iterates against it.
@@ -38,6 +37,7 @@ from .rng import (
     _stream_key,
     _stream_keys,
     derive_seed,
+    ndtri,
     random_uniform_rows,
     sample_standard_normal,
     sample_standard_normal_block,

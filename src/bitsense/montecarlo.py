@@ -75,9 +75,9 @@ from .rng import SeedSpec, derive_seed, sample_standard_normal_block
 # and take their 100 000 rows in two blocks; projection takes 327 trials a
 # block, tails 52.  Sized in elements of full width (1M), band and mismatch
 # took all their rows in one block: the battery peaked 9.5 MB above its
-# imports, not 7.1, and `validate` peak RSS read 66.4-66.5 MB, not 65.7-65.8
-# (medians of two sets of 10 pairs of 20 s runs; 2 vCPU; BENCH_35.json).  A
-# budget of 1 << 16 read 63.5 MB, but run_s was worse in 6 of 8 pairs.
+# imports, not 7.1, and `validate` peak RSS read 0.6-0.8 MB higher (medians
+# of two sets of 10 pairs of 20 s runs; 2 vCPU; BENCH_35.json).  A budget
+# of 1 << 16 read 2.2-2.3 MB lower, but run_s was worse in 6 of 8 pairs.
 _CHUNK_ELEMS = 1 << 17
 
 # Deterministic slack allowed on the per-iteration error bound before a

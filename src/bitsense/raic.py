@@ -149,8 +149,9 @@ ROW_BLOCK = 512
 # medians of 40 certificates in process, three rounds: CPU time per
 # certificate 102-120 ms at 512 rows, 94-100 ms at 256, 100-105 ms at 128
 # and 110-123 ms at 64 (127-130 ms with dense sign products alone), and
-# peak RSS 74.0-74.2, 71.8-72.0, 71.0-71.1 and 70.5-70.7 MB (68.5-68.7 MB
-# with dense sign products).  The buffers are made in the pool task and are gone before the
+# peak RSS 3.3-3.7, 1.1-1.5 and 0.3-0.6 MB above that at 64 rows at 512,
+# 256 and 128 (1.8-2.2 MB below it with dense sign products).  The buffers
+# are made in the pool task and are gone before the
 # residuals are formed: made in the calling thread, through `_parallel._map`'s
 # scratch, and held to the end of the block, they read 0.3-0.8 MB higher.
 SIGN_ROWS = 128

@@ -185,6 +185,31 @@ def test_only_parallel_binds_openblas():
     assert binds == {name: [] for name in binds}
 
 
+def _scipy_special_lines(owner):
+    """The lines of ``owner`` (a module) that import ``scipy.special`` or
+    from it: by ``import``, ``from scipy.special ... import`` or
+    ``from scipy import special``."""
+    def names(node):
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names]
+        if isinstance(node, ast.ImportFrom) and not node.level and node.module:
+            return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        return []
+
+    return [node.lineno for node in ast.walk(_tree(owner))
+            if any(name == "scipy.special" or name.startswith("scipy.special.")
+                   for name in names(node))]
+
+
+def test_only_rng_binds_scipy_special():
+    # The sampler's `ndtri` is bound once, in `rng` (`rng._load_ndtri`),
+    # without running scipy.special's package import; `core` takes it from
+    # `rng`.  Another import of it would bring that import back.
+    binds = {m.__name__: _scipy_special_lines(m) for m in _modules()}
+    assert binds.pop("bitsense.rng") != []
+    assert binds == {name: [] for name in binds}
+
+
 # The names of the two private leaf modules: the input rules, and the
 # thread pool with the binding of numpy's OpenBLAS.
 HOMES = {name: home for home, names in {
@@ -375,21 +400,31 @@ SUBCOMMANDS = {
 }
 
 
+# The scipy modules each subcommand may leave loaded: `scipy.sparse`, and
+# under it scipy's array-API layer, only where the certifier signs through
+# the pairs' supports; scipy.special's package never, as `rng` binds its
+# `ndtri` without it.
+SCIPY_MODULES = ("scipy.sparse", "scipy._lib._array_api", "scipy.special")
+
+
 @pytest.mark.parametrize(
-    "name, loads", [("import", False), ("run", False), ("validate", False), ("theory", False),
-                    ("raic", True)],
+    "name, loads", [("import", ()), ("run", ()), ("validate", ()), ("theory", ()),
+                    ("raic", ("scipy.sparse", "scipy._lib._array_api"))],
 )
-def test_only_the_certifier_imports_scipy_sparse(name, loads, tmp_path):
+def test_each_subcommand_imports_only_the_scipy_it_uses(name, loads, tmp_path):
     # `raic` imports `scipy.sparse` where its kernel first signs through
     # the pairs' supports; at module level it raised the peak RSS of the
-    # workloads that never certify.  A fresh interpreter each, as a user's.
+    # workloads that never certify.  scipy.special's package import loads
+    # the array-API layer too, which loads most of numpy's submodules:
+    # about 15 MB of the peak RSS of `validate`, `converge` and `solve`.  A
+    # fresh interpreter each, as a user's.
     code = "import sys\nimport bitsense\n"
     if SUBCOMMANDS[name] is not None:
         argv = [str(tmp_path) if a == "OUT" else a for a in SUBCOMMANDS[name]]
         code += f"from bitsense import cli\nassert cli.main({argv!r}) == 0\n"
-    code += "print('scipy.sparse' in sys.modules)\n"
+    code += f"print([m for m in {SCIPY_MODULES!r} if m in sys.modules])\n"
     env = dict(os.environ, PYTHONPATH=str(Path(bitsense.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[-1] == str(loads)
+    assert done.stdout.splitlines()[-1] == str(list(loads))

@@ -2,10 +2,12 @@ import math
 import os
 import re
 import signal
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -563,3 +565,62 @@ class TestUniformMap:
     def test_lowest_word_above_zero(self):
         keys = self.keyed_to(0x7FF)
         assert random_uniform_rows(keys, 1)[0, 0] == 2.0**-54
+
+
+def in_a_fresh_interpreter(code):
+    """Run ``code`` in a new Python process that imports this package's
+    source, and fail with its standard error unless it exits 0."""
+    env = dict(os.environ, PYTHONPATH=str(Path(rng.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+class TestNdtriBinding:
+    """`rng.ndtri` is scipy's ufunc object, bound by `rng._load_ndtri`
+    without running scipy.special's package import.  The stream pins here
+    and in `tests/test_known_answers.py` cover its values; these cover the
+    binding's three paths, each in a fresh interpreter."""
+
+    def test_a_later_package_import_gives_the_same_ufunc(self):
+        in_a_fresh_interpreter(
+            "import sys\n"
+            "from bitsense import rng\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "import scipy.special\n"
+            "assert scipy.special.ndtri is rng.ndtri\n"
+            "assert scipy.special._ufuncs is sys.modules['scipy.special._ufuncs']\n"
+            "assert rng.ndtri(0.5) == 0.0\n"
+        )
+
+    def test_an_imported_package_gives_its_ufunc_and_no_stand_in(self):
+        in_a_fresh_interpreter(
+            "import importlib.util, sys\n"
+            "import scipy.special\n"
+            "special = sys.modules['scipy.special']\n"
+            "def no_stand_in(spec):\n"
+            "    raise AssertionError(f'a module made for {spec.name}')\n"
+            "importlib.util.module_from_spec = no_stand_in\n"
+            "from bitsense import rng\n"
+            "assert rng.ndtri is scipy.special.ndtri\n"
+            "assert sys.modules['scipy.special'] is special\n"
+        )
+
+    # A module that is missing, and one that is there without ``ndtri``.
+    @pytest.mark.parametrize("source", ["scipy.special._no_such_module",
+                                        "scipy.special._ufuncs_cxx"])
+    def test_a_failing_source_falls_back_to_the_package(self, source):
+        in_a_fresh_interpreter(
+            "import importlib.util, sys\n"
+            "from bitsense import rng\n"
+            "made = []\n"
+            "module_from_spec = importlib.util.module_from_spec\n"
+            "importlib.util.module_from_spec = lambda spec: made.append(module_from_spec(spec))"
+            " or made[-1]\n"
+            f"ndtri = rng._load_ndtri({source!r})\n"
+            "special = sys.modules['scipy.special']\n"
+            "assert len(made) == 1 and special is not made[0]\n"
+            "assert 'ndtri' in vars(special)\n"
+            "import scipy.special\n"
+            "assert special is scipy.special and ndtri is scipy.special.ndtri is rng.ndtri\n"
+        )
