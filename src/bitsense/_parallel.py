@@ -4,9 +4,8 @@ The pool is the one parallel layer of ``run``, ``validate`` and ``raic``,
 whose BLAS products run on one thread under `_one_blas_thread` (the reason
 is measured there), as a bare `biht.run_biht`'s do; the dense step of such
 a run keeps to the calling thread.  Work goes to it through
-one helper, `_map`, which lists its users and is the one place that hands
-scratch to its tasks.  The pool has one worker per usable CPU and is made
-on first use; a forked child makes its own.
+one helper, `_map`, which lists its users.  The pool has one worker per
+usable CPU and is made on first use; a forked child makes its own.
 
 `_openblas` finds and binds the OpenBLAS library that numpy bundles, once:
 its thread count for `_one_blas_thread`, its core name for `_openblas_core`.
@@ -18,7 +17,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
@@ -54,7 +52,7 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
-def _map(fn, items, scratch=None) -> list:
+def _map(fn, items) -> list:
     """``[fn(item) for item in items]``, run on the pool when that can help.
 
     Called on one of the pool's own threads, or with fewer than two items,
@@ -75,25 +73,9 @@ def _map(fn, items, scratch=None) -> list:
     serial form.  The row blocks of a bare solver run's dense correction
     did not, so `core.MeasurementMatrix.t_dot` sums them in the calling
     thread (measured in `BENCH_39.json`).
-
-    With ``scratch``, a function of no arguments that makes a block, each
-    call is ``fn(item, block)``.  The blocks, one for each call that can run
-    at once, are made here in the calling thread and handed from call to
-    call, also by a call that raises.  Made on the pool's threads, they
-    would stay in those threads' malloc arenas after the call.  At the
-    acceptance config (2 vCPU), a `run` whose trials ran one by one peaked
-    2-3 MB higher with `rng._stream`'s tile blocks made on the pool's threads,
-    and the `converge` benchmark's `run`s 5.0-9.8 MB higher with each
-    trial's 4 MB dense block made in the trial.
     """
     items = list(items)
-    serial = len(items) < 2 or getattr(_on_pool, "worker", False)
-    if scratch is not None:
-        free = queue.SimpleQueue()
-        for _ in range(min(len(items), 1 if serial else _worker_count())):
-            free.put(scratch())
-        fn = functools.partial(_with_block, fn, free)
-    if serial:
+    if len(items) < 2 or getattr(_on_pool, "worker", False):
         return [fn(item) for item in items]
     pool = _executor()
     futures = [pool.submit(fn, item) for item in items]
@@ -106,15 +88,6 @@ def _map(fn, items, scratch=None) -> list:
             future.cancel()
         wait(futures)
         raise
-
-
-def _with_block(fn, free, item):
-    # `_map`'s call with scratch: a block from ``free``, given back after.
-    block = free.get()
-    try:
-        return fn(item, block)
-    finally:
-        free.put(block)
 
 
 def _forget_pool() -> None:

@@ -23,32 +23,33 @@ keeps that column block and reads it again only when the support changes.
 The correction is non-zero only on the l rows where b and sgn(Ax) differ,
 which the mismatch count finds once per iterate; `correction` sums over
 those rows alone while l < m/5 (`raic.ROWS_ONLY_BELOW`, the measured
-break-even against the dense product) and takes the dense product, summed
-over fixed 4 MB row blocks, above it.  l is about m theta / pi for the
-angle theta between x and the signal, so late steps are cheap and the
-first, with l near m/2, take the dense product.
+break-even against the dense product) and takes the dense product above
+it.  l is about m theta / pi for the angle theta between x and the signal,
+so late steps are cheap and the first, with l near m/2, takes the dense
+product.
 
 Those are the solver's only reads of A: the columns on a support
 (``A.columns``), the mismatched rows (``A.rows``) and, for a dense step,
-A^T r over the row blocks (``A.t_dot``).  So it runs the same on a
-`core.MeasurementMatrix`, which answers them by indexing and views, and on
-a `core.LazyGaussianMatrix`, which draws only what they ask for; the
-convergence trials use the latter, and their records are bit for bit
-those of the whole matrix.
+A^T r (``A.t_dot``).  So it runs the same on a `core.MeasurementMatrix`,
+which answers them by indexing and views and sums A^T r over fixed row
+blocks, and on a `core.DeferredGaussianMatrix`, the convergence trials'
+matrix, which draws what they ask for by deferred decisions: its dense
+step draws one normal for each column it has not drawn, in place of the
+mismatched rows.
 
 A run makes every product on one BLAS thread
 (`_parallel._one_blas_thread`), called bare or from the convergence
 trials, and hands the caller's count back when it returns or raises; so
 its bits do not depend on that count.  Before, a bare run used the
 caller's threading, and at OpenBLAS's default of one thread per core the
-idle BLAS worker busy-waited between products: the `solve` benchmark read
-``cpu_s`` at about twice ``run_s`` (8.77 against 4.71 ms, medians of ten
-20 s runs).  The dense step on a `core.MeasurementMatrix` takes its row
-blocks' products one after another in the calling thread, off the
-package's pool.  Side by side on the pool they gave
-the `solve` benchmark no resolved gain in ``run_s`` and cost ``cpu_s``
-(2.84 against 2.81 ms and 3.29 against 2.81 ms, medians of ten
-alternating 20 s pairs; `BENCH_39.json`).
+idle BLAS worker busy-waited between products, and the `solve` benchmark
+read ``cpu_s`` at about twice ``run_s`` (8.77 against 4.71 ms, medians of
+ten 20 s runs).  The dense step
+on a `core.MeasurementMatrix` takes its row blocks' products one after
+another in the calling thread, off the package's pool: side by side on the
+pool they gave the `solve` benchmark no resolved gain in ``run_s`` and
+cost ``cpu_s`` (2.84 against 2.81 ms and 3.29 against 2.81 ms, medians of
+ten alternating 20 s pairs; `BENCH_39.json`).
 
 A step that leaves the iterate in place (h = 0, once sgn(Ax) = b, or a zero
 candidate) is an absorbing fixed point: the signs, hence h and the next
@@ -60,12 +61,11 @@ there costs about 90 us (2 vCPU, numpy 2.4): the descent (top-k, the sphere
 projection and the iterate's checks) about 32 us, the product with the kept
 block and its signs about 35 us, the rows-only correction about 14 us and
 the mismatch rows about 7 us.  The first step's dense correction and a
-gather of five columns (0.15-0.25 ms) are the largest single costs.  The
-dense correction over the four row blocks at m=10000, one after another
-on one BLAS thread, took 1.54-1.76 ms, medians of 600 inside `solve`'s
-calls in six sets (2 vCPU, OpenBLAS 0.3.31, 2026-10-22; `BENCH_40.json`);
-the blocks are what lets a trial's matrix, drawn on read, hold one block
-of scratch in place of m x n zeros.
+gather of five columns (0.15-0.25 ms) are the largest single costs; the
+dense correction's time inside `solve` is in `BENCH_40.json`
+("dense_step_inside_solve").  A convergence trial's time, before and after
+its matrix was drawn by deferred decisions, is in `BENCH_41.json`
+("serial_trial").
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ import numpy as np
 from ._inputs import _integer, _real
 from ._parallel import _one_blas_thread
 from .core import (
-    LazyGaussianMatrix,
+    DeferredGaussianMatrix,
     MeasurementMatrix,
     SignPattern,
     SparseUnitVector,
@@ -151,7 +151,7 @@ def _descend(x_prev: SparseUnitVector, h: np.ndarray, k: int):
 
 
 def run_biht(
-    A: MeasurementMatrix | LazyGaussianMatrix,
+    A: MeasurementMatrix | DeferredGaussianMatrix,
     b: SignPattern,
     config: BIHTConfig,
     truth: Optional[SparseUnitVector] = None,

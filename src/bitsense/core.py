@@ -12,13 +12,13 @@ Conventions fixed here and relied on everywhere else:
   support products do, meets no NaN or inf.
 * The solver reads a measurement matrix through three calls only:
   `columns`, the m x k block on a support; `rows`, the l x n block of the
-  rows where the signs disagree; and `t_dot`, A^T r summed over the fixed
-  row blocks of `dense_row_blocks`, for a correction with most rows
-  mismatched.  `MeasurementMatrix` answers them by indexing and views;
-  `LazyGaussianMatrix`, the matrix of a convergence trial, draws what they
-  ask for from the sampler, bit for bit the entries of `gaussian_matrix`,
-  and its blocks into one block of scratch.  Both take their blocks one
-  after another in the calling thread: the matrix layer has no threads.
+  rows where the signs disagree; and `t_dot`, A^T r for a correction with
+  most rows mismatched.  `MeasurementMatrix` answers them by indexing and
+  views, and sums `t_dot` over the fixed row blocks of `dense_row_blocks`;
+  `DeferredGaussianMatrix`, the matrix of a convergence trial, draws what
+  they ask for by deferred decisions, and its dense step draws one normal
+  for each column it has not drawn.  Both take their products in the
+  calling thread: the matrix layer has no threads.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .rng import (
     ndtri,
     random_uniform_rows,
     sample_standard_normal,
-    sample_standard_normal_block,
     sample_standard_normal_rows,
 )
 from .thresholding import smallest_k
@@ -49,10 +48,9 @@ from .thresholding import smallest_k
 _MAX_ENTRIES = np.iinfo(np.intp).max // 8
 
 
-# Entries per row block of the dense correction: 4 MB of float64.  Summed
-# block by block, A.T @ r needs one block of scratch where the matrix is
-# drawn on read, not a zero-filled m x n array, and a `MeasurementMatrix`
-# hands its blocks over as views.
+# Entries per row block of a `MeasurementMatrix`'s dense correction: 4 MB
+# of float64, handed over as views.  The blocks fix the order of the sum,
+# on which the bare-run pins rest.
 DENSE_BLOCK_ENTRIES = 1 << 19
 
 
@@ -73,14 +71,6 @@ def _in_block_order(parts: list) -> np.ndarray:
     for part in parts[1:]:
         total += part
     return total
-
-
-def dense_scratch(m: int, n: int) -> np.ndarray:
-    """A zero-filled block of scratch for the dense reads of an m x n
-    `LazyGaussianMatrix`: as many rows as a block of `dense_row_blocks`,
-    or m if fewer, by n."""
-    m, n = _check_shape(m, n)
-    return np.zeros((min(dense_row_blocks(m, n).step, m), n))
 
 
 def _check_shape(m: int, n: int) -> tuple[int, int]:
@@ -179,80 +169,151 @@ class MeasurementMatrix:
                                 for start in starts])
 
 
-class LazyGaussianMatrix:
-    """``gaussian_matrix(m, n, seed)``, drawn where it is read.
+class DeferredGaussianMatrix:
+    """An m x n matrix of i.i.d. standard normals, the matrix of a
+    convergence trial, drawn by deferred decisions: an entry is drawn when
+    a read first needs it, from its law given all that was handed out
+    before, and then kept.
 
-    It answers the solver's three reads by drawing from the sampler
-    (`rng.sample_standard_normal_block`), which addresses entry (i, j) as
-    element i * n + j of the seed's stream:
+    It answers the solver's three reads:
 
-    * `columns`: the m x k block on a support, drawn as that block.
-    * `rows`: the rows where the signs disagree, drawn as one l x n block.
-    * `t_dot`: for the dense correction, each fixed row block with the
-      asked-for rows in it drawn into one zero-filled block of scratch and
-      the others left zero, one block after another.  The correction's
-      residual r is 0 on every row it does not ask for, so
-      ``np.dot(A_b.T, r_b)`` keeps the bits it has over the whole matrix's
-      block.  The drawn rows are zeroed again once the product is taken,
-      so the scratch serves every block.
+    * `columns`: the m x k block on a support.  A column not yet drawn is
+      drawn whole, conditioned on the dense step's record if there is one
+      (below), and its entries on the rows kept are then those rows'.
+    * `rows`: the rows where the signs disagree, drawn in the same way:
+      whole, conditioned on the record, with the kept columns' entries.
+    * `t_dot`: A^T r for a dense correction.  On the columns kept, and on
+      the rows kept, it is the product of the entries.  A column j not yet
+      drawn meets r on the rows U not yet drawn only through
+      c_j = a_j[U] . r_U, which is N(0, ||r_U||^2) and independent of all
+      that was handed out, since r depends only on what was read before.
+      So it draws c_j, one normal a column in place of the column's |U|
+      entries, and records the constraint: r_U, and c_j for each column.
 
-    The caller hands over the scratch, a `dense_scratch` (4 MB at n=200):
-    each dense read leaves it zero-filled again, so one scratch can serve
-    matrix after matrix.  Nothing else is kept between reads, so a matrix
-    never holds an m x n array, and two trials can run side by side in
-    less memory than one took with such an array.
+    Under a record, a column is drawn as a_U = g - r_U (r_U . g - c_j) /
+    ||r_U||^2 for standard normal g, and a row block R of U through g_R and
+    r_U . g, whose part off R is one more normal a column.  A row read then
+    takes R out of U, and each c_j keeps what is left once the part of
+    those rows is subtracted.  This is the principle of deferred decisions,
+    with the conditioning step of the Gaussian conditioning technique
+    (Bolthausen, Comm. Math. Phys. 2014; Bayati and Montanari, IEEE Trans.
+    IT 2011).  So the matrix realized is exactly i.i.d. Gaussian, though it
+    is not ``gaussian_matrix(seed)``'s.
 
-    A solver run reads only part of the matrix: at n=200, k=5, m=10000 and
-    T=12, a trial draws about half of the rows (the first step's mismatched
-    rows, about m/2, and about 110 more, some of them again, later) and
-    about ten distinct columns, some of them more than once.  Every entry
-    it hands out is ``gaussian_matrix(m, n, seed).entries`` at that place,
-    bit for bit.  ``drawn`` counts the normals drawn so far.
+    A dense step that finds a record already there draws every column not
+    yet drawn, conditioned on it, which completes the matrix, and then
+    takes the product exactly; `BENCH_41.json` ("second_dense_step")
+    records how seldom that happens, and why this is kept over a second,
+    orthogonalized constraint.  `columns` of all n columns completes the
+    matrix the same way.
+
+    Draw e is the first normals of ``sample_standard_normal`` under
+    ``derive_seed(seed, e)``, e counting the matrix's draws from 0, so the
+    entries depend on the reads alone, not on the pool's size or the BLAS
+    thread count.  ``drawn`` counts the normals drawn so far, those that
+    a kept entry then replaced included.
     """
 
-    def __init__(self, m: int, n: int, seed: SeedSpec, scratch: np.ndarray):
+    def __init__(self, m: int, n: int, seed: SeedSpec):
         self.m, self.n = _check_shape(m, n)
         self.seed = seed
         self.drawn = 0
-        self.scratch = scratch
+        self._events = 0  # the draws so far: the next draw's key index
+        # Where each row and column is kept (-1 while it is not drawn): row
+        # i is _rows[_row_at[i]] and column j is _cols[_col_at[j]].  The
+        # columns are a list, which grows without copying those it holds:
+        # one array grown by concatenation read the `converge` benchmark's
+        # peak RSS about 4.5 MB higher (`BENCH_41.json`, "column_store").
+        self._row_at = np.full(self.m, -1, dtype=np.intp)
+        self._col_at = np.full(self.n, -1, dtype=np.intp)
+        self._rows = np.empty((0, self.n))
+        self._cols = []
+        # The dense step's record, None when there is none: r on the rows
+        # not yet drawn and 0 on the others, ||r||^2, and c_j at each
+        # column j not yet drawn.
+        self._r = self._r2 = self._c = None
+
+    def _normals(self, *shape: int) -> np.ndarray:
+        """A fresh block of standard normals under the matrix's next key."""
+        count = math.prod(shape)
+        out = sample_standard_normal(derive_seed(self.seed, self._events), count)
+        self._events += 1
+        self.drawn += count
+        return out.reshape(shape)
 
     def columns(self, cols: np.ndarray) -> np.ndarray:
-        """The m x |cols| block A[:, cols], drawn as that block."""
-        self.drawn += self.m * cols.size
-        return sample_standard_normal_block(self.seed, self.n, range(self.m), cols)
+        """The m x |cols| block A[:, cols], each column drawn on its first
+        read."""
+        new = cols[self._col_at[cols] < 0]
+        if new.size:
+            self._draw_columns(new)
+        return np.array([self._cols[i] for i in self._col_at[cols]]).reshape(-1, self.m).T
 
     def rows(self, rows: np.ndarray) -> np.ndarray:
-        """The len(rows) x n block A[rows], drawn as that block."""
-        self.drawn += rows.size * self.n
-        return sample_standard_normal_block(self.seed, self.n, rows, range(self.n))
+        """The len(rows) x n block A[rows], each row drawn on its first
+        read."""
+        new = rows[self._row_at[rows] < 0]
+        if new.size:
+            self._draw_rows(new)
+        return self._rows[self._row_at[rows]]
 
     def t_dot(self, r: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """A^T r for an r that is 0 off the ascending rows ``rows``, as
-        `MeasurementMatrix.t_dot` sums it: each row block of
-        `dense_row_blocks` holds A's entries on the rows of ``rows`` in it,
-        drawn into the scratch, and zeros on its other rows.
+        """A^T r, with one normal drawn for each column not yet drawn
+        (``rows`` is not needed).  The products are ``np.dot``, which
+        releases the GIL, as the trials run side by side on the pool."""
+        if self._r is not None:
+            # A second dense step: complete the matrix, conditioned on the
+            # record, and take the product exactly.
+            self._draw_columns(np.flatnonzero(self._col_at < 0))
+            self._r = self._r2 = self._c = None
+        kept = np.flatnonzero(self._col_at >= 0)
+        out = np.empty(self.n)
+        out[kept] = [np.dot(self._cols[i], r) for i in self._col_at[kept]]
+        fresh = np.flatnonzero(self._col_at < 0)
+        if fresh.size:
+            drawn = np.flatnonzero(self._row_at >= 0)
+            out[fresh] = np.dot(r[drawn], self._rows[np.ix_(self._row_at[drawn], fresh)])
+            r_u = r.copy()
+            r_u[drawn] = 0.0
+            r2 = float(np.dot(r_u, r_u))
+            if r2 > 0.0:
+                self._r, self._r2, self._c = r_u, r2, np.zeros(self.n)
+                self._c[fresh] = self._normals(fresh.size) * math.sqrt(r2)
+                out[fresh] += self._c[fresh]
+        return out
 
-        The trials that call it run side by side on the package's pool, so
-        the products are ``np.dot``, which releases the GIL for the product,
-        and not ``@``, which does not: two threads each multiplying
-        2621 x 200 blocks on one BLAS thread ran 3.0 times as fast as one
-        thread with ``np.dot`` (1.4-3.7 in seven rounds), and 1.15 times
-        with ``@`` (0.93-1.21), with the same bits (2 vCPU, numpy 2.4.6).
-        """
-        starts = dense_row_blocks(self.m, self.n)
-        bounds = np.searchsorted(rows, [*starts, self.m])
-        parts = []
-        for start, lo, hi in zip(starts, bounds, bounds[1:]):
-            block = self.scratch[: min(starts.step, self.m - start)]
-            at = rows[lo:hi] - start
-            try:
-                sample_standard_normal_block(self.seed, self.n, rows[lo:hi], range(self.n),
-                                             into=(block, at))
-                self.drawn += at.size * self.n
-                parts.append(np.dot(block.T, r[start : start + len(block)]))
-            finally:
-                block[at] = 0.0
-        return _in_block_order(parts)
+    def _draw_columns(self, new: np.ndarray) -> None:
+        # Whole columns of normals, conditioned on the record where there is
+        # one; r is 0 on the rows drawn, whose entries are then the rows'.
+        g = self._normals(new.size, self.m)
+        if self._r is not None:
+            g -= np.outer((np.dot(g, self._r) - self._c[new]) / self._r2, self._r)
+        drawn = np.flatnonzero(self._row_at >= 0)
+        g[:, drawn] = self._rows[np.ix_(self._row_at[drawn], new)].T
+        self._col_at[new] = np.arange(len(self._cols), len(self._cols) + new.size)
+        self._cols.extend(g)
+
+    def _draw_rows(self, new: np.ndarray) -> None:
+        # Whole rows of normals, their entries on the columns drawn then the
+        # columns'.  Under a record, the block R = new of U is drawn through
+        # g_R and r_U . g, whose part off R is one more normal, z.
+        if self._r is None:
+            g = self._normals(new.size, self.n)
+        else:
+            g = self._normals(new.size + 1, self.n)
+            g, z = g[:-1], g[-1]
+            r_r = self._r[new]
+            self._r[new] = 0.0
+            r2, self._r2 = self._r2, float(np.dot(self._r, self._r))
+            g -= np.outer(r_r, (np.dot(r_r, g) + math.sqrt(self._r2) * z - self._c) / r2)
+            self._c -= np.dot(r_r, g)
+            if self._r2 == 0.0:
+                self._r = self._r2 = self._c = None
+        kept = np.flatnonzero(self._col_at >= 0)
+        for j, i in zip(kept, self._col_at[kept]):
+            g[:, j] = self._cols[i][new]
+        self._row_at[new] = np.arange(len(self._rows), len(self._rows) + new.size)
+        self._rows = np.concatenate([self._rows, g])
 
 
 @dataclass(frozen=True)
@@ -308,16 +369,16 @@ class _Measure:
     the same.  Gathering k columns of the row-major matrix costs ten to
     twenty-five times the product itself (at m=10000, k=5: 0.17 ms in a warm
     loop and a median 0.41 ms inside the `solve` benchmark's calls, which
-    each follow a `gc.collect()`, against 0.017 ms for the product),
-    drawing them about a hundred times, and most late solver steps move the
-    values within a support that has settled.  A dense v takes all n
+    each follow a `gc.collect()`, against 0.017 ms for the product), and
+    most late solver steps move the values within a support that has
+    settled.  A dense v takes all n
     columns, which a `MeasurementMatrix` hands over as A itself,
     ungathered; a zero v takes no column and measures all +1.  A caller
     that already has supp(v), as the solver has from top-k, passes it and
     saves the scan for nonzeros.
     """
 
-    def __init__(self, A: MeasurementMatrix | LazyGaussianMatrix):
+    def __init__(self, A: MeasurementMatrix | DeferredGaussianMatrix):
         self.A = A
         self.supp = None
         self.cols = None
@@ -330,7 +391,7 @@ class _Measure:
         return _finite_signs(self.cols @ v[supp])
 
 
-def sign_measure(A: MeasurementMatrix | LazyGaussianMatrix, x) -> SignPattern:
+def sign_measure(A: MeasurementMatrix | DeferredGaussianMatrix, x) -> SignPattern:
     """One-bit measurement: the row-wise sign of A @ x, over the support of x."""
     return SignPattern(_Measure(A)(_vector(x, "x", A.n)))
 

@@ -12,13 +12,15 @@ compares an empirical statistic against its known value:
 
 plus the end-to-end convergence trials, which run the solver on fresh random
 instances (the only trial pipeline; the CLI's ``run`` uses it too).  A
-trial's matrix is a `core.LazyGaussianMatrix`: the solver reads only the
-columns on its supports and the rows where the signs disagree, and only
-those are drawn, each entry the one ``gaussian_matrix`` would hold, so the
-records keep their bits.  At the acceptance config (n=200, k=5, m=10000,
-T=12) a trial draws about 60% of the m n normals, most of them for the
-first step's rows, and holds at most one 4 MB row block of them at once.
-The trials and the validator suite run their BLAS products on one thread
+trial's matrix is a `core.DeferredGaussianMatrix`: the solver reads the
+columns on its supports, the rows where the signs disagree and, in its
+first step, A^T r over about m/2 mismatched rows.  The matrix draws the
+columns and rows it is asked for and keeps them, and answers A^T r with one
+normal for each column it has not drawn; later reads are drawn conditioned
+on those normals.  So a trial draws a small share of its m n normals
+(`BENCH_41.json`, "normals_per_trial"), and its matrix is exactly i.i.d.
+Gaussian, though not ``gaussian_matrix``'s.  The trials and the validator
+suite run their BLAS products on one thread
 (see `_parallel._one_blas_thread`); the validators called one by one keep
 the caller's threading.  The trials and the suite's six validator calls
 run side by side on the package's thread pool, whose users
@@ -59,10 +61,9 @@ from ._inputs import _integer, _norm, _real, _vector
 from ._parallel import _map, _one_blas_thread
 from .biht import BIHTConfig, Trajectory, run_biht
 from .core import (
-    LazyGaussianMatrix,
+    DeferredGaussianMatrix,
     _nonnegative,
     _pair_directions,
-    dense_scratch,
     random_sparse_unit,
     sign_measure,
     sphere_distance,
@@ -343,9 +344,9 @@ class ErrorBoundViolation(RuntimeError):
     """An iterate's error exceeded its deterministic bound beyond rounding slack."""
 
 
-def _convergence_trial(n, k, m, T, eta, trial_seed, scratch) -> Trajectory:
+def _convergence_trial(n, k, m, T, eta, trial_seed) -> Trajectory:
     x = random_sparse_unit(n, k, derive_seed(trial_seed, 0))
-    A = LazyGaussianMatrix(m, n, derive_seed(trial_seed, 1), scratch)
+    A = DeferredGaussianMatrix(m, n, derive_seed(trial_seed, 1))
     b = sign_measure(A, x.values)
     config = BIHTConfig(k=k, max_iters=T, eta=eta, init=derive_seed(trial_seed, 2))
     traj = run_biht(A, b, config, truth=x)
@@ -378,11 +379,11 @@ def convergence_trials(
     the first trial in order that has one.  The trials run side by side on
     the package's thread pool (`_parallel._map`), each drawing serially on
     its worker, and come back in trial order; a lone trial runs in the calling
-    thread and spreads its draws over the pool.  Each trial draws its dense
-    step in a `core.dense_scratch` that `_parallel._map` hands from trial to
-    trial.  The products run on one BLAS thread and the caller's count is
-    restored afterwards, so the results do not depend on it or on the
-    pool's size.
+    thread and spreads its draws over the pool.  A trial's matrix is a
+    `core.DeferredGaussianMatrix`, whose draws are keyed by the trial's own
+    count of them; the products run on one BLAS thread and the caller's
+    count is restored afterwards.  So the results depend on neither that
+    count nor the pool's size.
     """
     # Counts as ints and eta as a float before any draw, as `BIHTConfig`
     # holds its own: a float count or a bool would fail deep in the
@@ -391,11 +392,11 @@ def convergence_trials(
                           ((n, "n"), (k, "k"), (m, "m"), (trials, "trials"), (T, "T (iters)")))
     eta = _real(eta, "eta", 0, math.inf)
 
-    def trial(i, scratch):
-        return _convergence_trial(n, k, m, T, eta, derive_seed(seed, i), scratch)
+    def trial(i):
+        return _convergence_trial(n, k, m, T, eta, derive_seed(seed, i))
 
     with _one_blas_thread():
-        return _map(trial, range(trials), partial(dense_scratch, m, n))
+        return _map(trial, range(trials))
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ import numpy as np
 from ._inputs import _integer, _mask_checked, _real, _unit_vector, _vector
 from ._parallel import _map, _one_blas_thread
 from .core import (
-    LazyGaussianMatrix,
+    DeferredGaussianMatrix,
     MeasurementMatrix,
     _live_row_norms,
     _nonnegative,
@@ -157,7 +157,7 @@ ROW_BLOCK = 512
 SIGN_ROWS = 128
 
 def correction(
-    A: MeasurementMatrix | LazyGaussianMatrix,
+    A: MeasurementMatrix | DeferredGaussianMatrix,
     b,
     s,
     eta: float = DEFAULT_ETA,
@@ -170,16 +170,15 @@ def correction(
     b and s differ contribute, and only those are read.  While
     l < ROWS_ONLY_BELOW * m the product runs over those rows alone
     (``A.rows``), in O(l n).  Otherwise it is the dense product
-    ``A.t_dot(r, rows)``, summed as ``np.dot(A_b.T, r_b)`` over the fixed
-    row blocks of `core.dense_row_blocks` and added in block order, where
-    the rows it did not ask for meet zeros in r.  Its block products run
-    one after another in the calling thread, on one BLAS thread
-    (`_parallel._one_blas_thread`), those of a `core.LazyGaussianMatrix` as
-    its blocks are drawn.  So the sum is bit for bit the one-thread blocked
-    sum at any pool size and caller's BLAS thread count.  The blocks depend
-    on the shape alone, so a matrix drawn on read gives the bits of the
-    whole one, and a matrix of at most `core.DENSE_BLOCK_ENTRIES` entries
-    the bits of the single ``A.T @ r``.
+    ``A.t_dot(r, rows)``, on one BLAS thread (`_parallel._one_blas_thread`)
+    in the calling thread.  A `core.MeasurementMatrix` sums it as
+    ``np.dot(A_b.T, r_b)`` over the fixed row blocks of
+    `core.dense_row_blocks`, added in block order, so the sum is bit for
+    bit the one-thread blocked sum at any pool size and caller's BLAS
+    thread count, and a matrix of at most `core.DENSE_BLOCK_ENTRIES`
+    entries gives the bits of the single ``A.T @ r``.  A
+    `core.DeferredGaussianMatrix` draws one normal for each column it has
+    not drawn.
     When b == s rowwise it is the zero vector, returned without a product.
     ``rows`` is ``np.flatnonzero(b != s)``, passed by a caller that found
     the mismatched rows already (the solver counts them at every step).

@@ -1,8 +1,12 @@
-"""Deterministic, platform-stable random sampling.
+"""Deterministic, counter-based random sampling.
 
 All randomness in this package flows through a counter-based generator so
-that identical seeds reproduce bit-identical streams on every platform and
-so that no generator state is ever shared, between streams or threads.
+that identical seeds reproduce identical streams and so that no generator
+state is ever shared, between streams or threads.  The words and the
+uniforms are integer arithmetic and one exact scaling, so they are the same
+bits on every platform.  The normals are exact for a fixed libm: cephes
+``ndtri`` calls the C library's ``log`` in its tail branch, and libm
+variants that round differently move a few normals in the last bits.
 
 The scheme, fixed for reproducibility:
 
@@ -35,8 +39,7 @@ stream keyed ``key + r * n * G``, and its entry in column c is at counter
 ``key + r * n * G + (c + 1) * G``.
 `sample_standard_normal_block` draws any rows by any columns of such a
 matrix that way, one key per row, never drawing the other entries: the
-validators take contiguous columns of contiguous rows, and the convergence
-trials the columns on a support and the rows where the signs disagree.
+validators take contiguous columns of contiguous rows.
 
 A request of more than about 64Ki elements is split into contiguous row
 tiles of at most 64Ki elements that run on the package's thread pool
@@ -50,7 +53,6 @@ Nothing here is cryptographic.
 
 from __future__ import annotations
 
-import functools
 import importlib.util
 import sys
 from dataclasses import dataclass
@@ -245,17 +247,14 @@ def _fill(out: np.ndarray, keys: np.ndarray, steps: np.ndarray, normal: bool) ->
         ndtri(out, out=out)
 
 
-def _stream(keys: np.ndarray, count: int, normal: bool, steps=None, into=None) -> np.ndarray:
+def _stream(keys: np.ndarray, count: int, normal: bool, steps=None) -> np.ndarray:
     """Elements ``0 .. count - 1`` of the stream of each key in the uint64
     array ``keys``, uniforms or, with ``normal``, normals, one row per key,
     in a fresh float64 array that owns its memory.
 
     With ``steps``, an array of ``count`` uint64 counter steps, column c
     holds the element at counter ``key + steps[c]`` rather than
-    ``key + (c + 1) * _GOLDEN``: columns that need not be contiguous.  With
-    ``into = (dest, at)``, row r goes to ``dest[at[r]]`` one tile at a
-    time, through a block of scratch, rather than to a fresh array, and dest
-    is returned.
+    ``key + (c + 1) * _GOLDEN``: columns that need not be contiguous.
 
     The tiles run on the pool (`_map`), or one after another in the calling
     thread when it is one of the pool's own, as in the certifier's pair
@@ -263,13 +262,13 @@ def _stream(keys: np.ndarray, count: int, normal: bool, steps=None, into=None) -
     """
     count = _integer(count, "count")
     rows = keys.size
-    out = np.empty((rows, count)) if into is None else into[0]
+    out = np.empty((rows, count))
     # Contiguous row tiles of at most one chunk: whole rows while a row fits
     # in a chunk, else one row cut into chunks.
     width = min(max(1, count), _CHUNK)
     height = max(1, _CHUNK // width)
 
-    def fill(piece, scratch=None) -> None:
+    def fill(piece) -> None:
         r, c = piece
         tile_keys = keys[r : r + height]
         if steps is None:
@@ -277,15 +276,9 @@ def _stream(keys: np.ndarray, count: int, normal: bool, steps=None, into=None) -
             tile_steps = _STEPS[: min(width, count - c)]
         else:
             tile_steps = steps[c : c + width]
-        if scratch is None:
-            _fill(out[r : r + height, c : c + width], tile_keys, tile_steps, normal)
-            return
-        tile = scratch[: tile_keys.size, : tile_steps.size]
-        _fill(tile, tile_keys, tile_steps, normal)
-        out[into[1][r : r + height], c : c + width] = tile
+        _fill(out[r : r + height, c : c + width], tile_keys, tile_steps, normal)
 
-    pieces = [(r, c) for r in range(0, rows, height) for c in range(0, count, width)]
-    _map(fill, pieces, None if into is None else functools.partial(np.empty, (height, width)))
+    _map(fill, [(r, c) for r in range(0, rows, height) for c in range(0, count, width)])
     return out
 
 
@@ -293,8 +286,10 @@ def sample_standard_normal(seed: SeedSpec, count: int) -> np.ndarray:
     """i.i.d. standard normal draws via the inverse-CDF transform: the first
     ``count`` elements of ``seed``'s stream.
 
-    The transform is fixed (uniform -> ndtri) so the mapping from seed to
-    values is stable across platforms and releases of this package.
+    The transform is fixed (uniform -> ndtri), so the mapping from seed to
+    values is stable across releases of this package.  The uniforms are the
+    same bits on every platform; the normals are for a fixed libm, whose
+    ``log`` ``ndtri`` calls in its tail branch.
     """
     out = _stream(np.array([_stream_key(seed)], dtype=np.uint64), count, True)
     out.shape = (count,)  # in place: the array keeps owning its memory
@@ -313,8 +308,7 @@ def sample_standard_normal_rows(keys: np.ndarray, count: int) -> np.ndarray:
     return _stream(keys, count, True)
 
 
-def sample_standard_normal_block(seed: SeedSpec, n: int, rows, columns,
-                                 into=None) -> np.ndarray:
+def sample_standard_normal_block(seed: SeedSpec, n: int, rows, columns) -> np.ndarray:
     """Rows ``rows`` by columns ``columns`` of ``seed``'s normals laid out
     row-major in rows of ``n``, drawn without the other entries: bit for bit
     ``sample_standard_normal(seed, (max(rows) + 1) * n).reshape(-1, n)[np.ix_(rows, columns)]``.
@@ -325,13 +319,8 @@ def sample_standard_normal_block(seed: SeedSpec, n: int, rows, columns,
     stream keyed ``key + i * n * G`` (mod 2^64, ``key`` the seed's stream
     key, G = 0x9E3779B97F4A7C15), and entry j of that row its element j.
     Each row is drawn from its own key; a range of columns from c0 on
-    starts each row's key at ``key + (i * n + c0) * G``.
-
-    The block is a fresh array.  With ``into = (dest, at)``, ``dest`` an
-    array of ``len(columns)`` columns and ``at`` an array of ``len(rows)``
-    row indices into it, row r of the block is written to ``dest[at[r]]``
-    instead, one tile of at most 64Ki elements at a time, so that no
-    temporary of the whole block is made, and ``dest`` is returned.
+    starts each row's key at ``key + (i * n + c0) * G``.  The block is a
+    fresh array.
     """
     n = _integer(n, "n", 1)
     if isinstance(columns, range):
@@ -357,4 +346,4 @@ def sample_standard_normal_block(seed: SeedSpec, n: int, rows, columns,
         if rows.ndim != 1 or rows.size and rows.min() < 0:
             raise ValueError("need an array of rows >= 0")
         keys = rows.astype(np.uint64) * np.uint64(step) + np.uint64(key & _MASK64)
-    return _stream(keys, width, True, steps, into)
+    return _stream(keys, width, True, steps)

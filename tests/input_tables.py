@@ -34,8 +34,7 @@ VALID = {
     rng.sample_standard_normal_rows: dict(keys=KEYS, count=3),
     rng.sample_standard_normal_block: dict(seed=SEED, n=4, rows=range(2), columns=range(4)),
     core.dense_row_blocks: dict(m=5, n=4),
-    core.dense_scratch: dict(m=5, n=4),
-    core.LazyGaussianMatrix: dict(m=5, n=4, seed=SEED, scratch=None),
+    core.DeferredGaussianMatrix: dict(m=5, n=4, seed=SEED),
     core.gaussian_matrix: dict(m=5, n=4, seed=SEED),
     core.SparseUnitVector: dict(values=np.array([0.6, 0.8, 0.0]), k=2),
     core.random_sparse_unit_rows: dict(n=6, k=2, seeds=(SEED,)),

@@ -7,22 +7,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bitsense import cli, core
+from bitsense import cli, montecarlo
 from bitsense.biht import BIHTConfig, run_biht
 from bitsense.core import (
-    LazyGaussianMatrix,
+    DeferredGaussianMatrix,
     MeasurementMatrix,
     SignPattern,
     SparseUnitVector,
-    dense_row_blocks,
-    dense_scratch,
     gaussian_matrix,
     random_sparse_unit,
     sgn,
     sign_measure,
 )
 from bitsense.montecarlo import convergence_trials
-from bitsense.raic import DEFAULT_ETA, ROWS_ONLY_BELOW
+from bitsense.raic import DEFAULT_ETA
 from bitsense.rng import SeedSpec, derive_seed, sample_standard_normal
 
 
@@ -343,33 +341,16 @@ class TestMetamorphic:
         assert scaled.bits.tobytes() == sign_measure(A, truth.values).bits.tobytes()
 
 
-class _BlockLog(np.ndarray):
-    """A scratch view that keeps a copy of each block of it that ``np.dot``
-    multiplies, in ``blocks``, the list its slices share."""
+class RecordedMatrix(DeferredGaussianMatrix):
+    """A DeferredGaussianMatrix that keeps a copy of every block it hands
+    out, with the columns or rows asked for, and of each dense step's r and
+    result."""
 
-    def __array_finalize__(self, obj):
-        self.blocks = getattr(obj, "blocks", None)
-
-    def __array_function__(self, func, types, args, kwargs):
-        if func is not np.dot:
-            return super().__array_function__(func, types, args, kwargs)
-        self.blocks.append(np.array(args[0]).T)  # args[0] is a block's transpose
-        return func(*(np.asarray(a) for a in args), **kwargs)
-
-
-class RecordingMatrix(LazyGaussianMatrix):
-    """A LazyGaussianMatrix that keeps a copy of every block it hands out:
-    the column blocks, the rows-only blocks and the dense step's row blocks,
-    each with the columns or rows it was asked for.  ``reads`` lists the
-    row reads in order, ``"rows"`` or ``"blocks"`` with the rows asked
-    for."""
-
-    def __init__(self, m, n, seed, scratch):
-        super().__init__(m, n, seed, scratch.view(_BlockLog))
+    def __init__(self, m, n, seed):
+        super().__init__(m, n, seed)
         self.column_reads = []
         self.row_reads = []
-        self.block_reads = []
-        self.reads = []
+        self.dense_reads = []
 
     def columns(self, cols):
         block = super().columns(cols)
@@ -377,148 +358,204 @@ class RecordingMatrix(LazyGaussianMatrix):
         return block
 
     def rows(self, rows):
-        self.reads.append(("rows", rows.copy()))
         block = super().rows(rows)
         self.row_reads.append((rows.copy(), block.copy()))
         return block
 
     def t_dot(self, r, rows):
-        self.reads.append(("blocks", rows.copy()))
-        self.scratch.blocks = blocks = []
         total = super().t_dot(r, rows)
-        starts = np.cumsum([0] + [len(block) for block in blocks[:-1]])
-        self.block_reads.append((rows.copy(), list(zip(starts, blocks))))
+        self.dense_reads.append((r.copy(), total.copy()))
         return total
 
 
-def assert_same_record(got, want):
-    """Two trajectories equal bit for bit."""
-    assert [x.values.tobytes() for x in got.iterates] == [
-        x.values.tobytes() for x in want.iterates
-    ]
+def recorded_trial(n, k, m, T, seed, eta=DEFAULT_ETA):
+    """(A, traj): a convergence trial (`montecarlo._convergence_trial`) and
+    the matrix it drew, recorded."""
+    made = []
+
+    class Kept(RecordedMatrix):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "DeferredGaussianMatrix", Kept)
+        traj = montecarlo._convergence_trial(n, k, m, T, eta, seed)
+    (A,) = made
+    return A, traj
+
+
+def completed(A):
+    """The whole matrix A stands for: every entry not yet drawn, drawn
+    conditioned on what it handed out."""
+    return MeasurementMatrix(A.columns(np.arange(A.n)))
+
+
+# How far a record on the completed matrix may stray from the run that drew
+# it, set before it was measured: the two differ only in rounding, as where
+# the dense step drew c_j the completed matrix sums a column.
+REPLAY_TOL = 1e-12
+
+
+def replayed(A, truth, config, b=None):
+    """(M, record): the completed matrix M and the run on it.  With b None,
+    the run takes M's own signs of the truth, as a trial measures them."""
+    M = completed(A)
+    if b is None:
+        b = sign_measure(M, truth.values)
+    return M, run_biht(M, b, config, truth=truth)
+
+
+def assert_same_path(got, want):
+    """Two records with the same supports and mismatch counts."""
+    assert [x.support().tolist() for x in got.iterates] == [
+        x.support().tolist() for x in want.iterates]
     assert got.mismatch == want.mismatch
-    for g, w in ((got.error_ds, want.error_ds), (got.lemma1_rhs, want.lemma1_rhs)):
-        assert np.array(g).tobytes() == np.array(w).tobytes()
 
 
-def assert_drawn_from(lazy, A):
-    """Every block ``lazy`` handed out holds A's entries where it was asked
-    for them, bit for bit: the columns, the rows, and in each dense row
-    block the rows asked for, with zeros on the block's other rows.  The
-    dense blocks are those of `dense_row_blocks`, in order.  ``drawn``
-    counts the entries asked for."""
-    for cols, block in lazy.column_reads:
-        assert block.tobytes() == A.entries[:, cols].tobytes()
-    for rows, block in lazy.row_reads:
-        assert block.tobytes() == A.entries[rows].tobytes()
-    for rows, blocks in lazy.block_reads:
-        assert [start for start, _ in blocks] == list(dense_row_blocks(A.m, A.n))
-        for start, block in blocks:
-            whole = A.entries[start : start + len(block)]
-            asked = np.isin(np.arange(start, start + len(block)), rows)
-            assert block.shape == whole.shape
-            assert block[asked].tobytes() == whole[asked].tobytes()
-            assert not block[~asked].any()
-    widths = sum(cols.size for cols, _ in lazy.column_reads)
-    heights = sum(rows.size for _, rows in lazy.reads)
-    assert lazy.drawn == A.m * widths + A.n * heights
+def assert_replays(A, traj, truth, config):
+    """A trial's run on the completed matrix takes the path of ``traj``,
+    with its d_s and bounds within REPLAY_TOL."""
+    want = replayed(A, truth, config)[1]
+    assert_same_path(traj, want)
+    assert np.abs(np.subtract(traj.error_ds, want.error_ds)).max() <= REPLAY_TOL
+    assert np.abs(np.subtract(traj.lemma1_rhs[1:], want.lemma1_rhs[1:])).max() <= REPLAY_TOL
 
 
-def lazy_and_whole(n, k, m, seed, measured=True, scratch=None):
-    """(lazy, A, truth, b): one matrix drawn on read (in ``scratch``, when
-    given) and as a whole, the truth, and signs measured by the lazy matrix
-    or random."""
-    truth = random_sparse_unit(n, k, derive_seed(seed, 0))
-    if scratch is None:
-        scratch = dense_scratch(m, n)
-    lazy = RecordingMatrix(m, n, derive_seed(seed, 1), scratch)
-    A = gaussian_matrix(m, n, derive_seed(seed, 1))
-    if measured:
-        b = sign_measure(lazy, truth.values)
-        assert b.bits.tobytes() == sign_measure(A, truth.values).bits.tobytes()
-    else:
-        b = SignPattern(sgn(sample_standard_normal(derive_seed(seed, 2), m)))
-    return lazy, A, truth, b
+def trial_inputs(n, k, T, seed, eta=DEFAULT_ETA):
+    """A trial's truth and solver config, as `montecarlo._convergence_trial`
+    derives them from its seed."""
+    return (random_sparse_unit(n, k, derive_seed(seed, 0)),
+            BIHTConfig(k=k, max_iters=T, eta=eta, init=derive_seed(seed, 2)))
 
 
-class TestDrawnOnRead:
-    """The solver on a matrix drawn where it is read keeps the record of the
-    whole matrix bit for bit, and reads only the whole matrix's entries."""
+def assert_kept(A, M):
+    """Every block a recorded matrix handed out is the completed matrix M's
+    entries there, bit for bit."""
+    for cols, block in A.column_reads:
+        assert block.tobytes() == M.entries[:, cols].tobytes()
+    for rows, block in A.row_reads:
+        assert block.tobytes() == M.entries[rows].tobytes()
 
-    @pytest.mark.parametrize("n, k, m, T, seed, stops", [
-        (60, 3, 1200, 20, 700, True),  # a dense step, rows-only steps, a fixed point
-        (60, 3, 1200, 20, 704, False),  # a dense step, then rows-only steps to T
-        (4, 4, 300, 10, 701, True),  # k = n: every support takes every column
-        (8, 8, 200, 10, 702, False),
-        (200, 5, 3000, 12, 701, True),  # the first step's rows span several tiles
-        # The dense step crosses row blocks of 2621 rows (n=200): four, the
-        # last of 137 rows; two whole ones; and three of 3495 rows (n=150),
-        # the last of 10.  At n=7 the second block starts at an address
-        # that is not a multiple of 64 bytes.
-        (200, 5, 8000, 12, 700, False),
-        (200, 5, 5242, 12, 701, True),
-        (150, 4, 7000, 12, 700, True),
-        (7, 3, 80000, 8, 701, True),
+
+def assert_constraints_hold(A, M):
+    """Each dense step's A^T r is the completed matrix's within rounding.
+    A column's residual is at most 2 m eps times the sum of |r_i a_ij|
+    over its rows plus 10 sqrt(2) ||r||: the classical bound on the
+    rounding of a dot product of m terms, doubled, where the conditioning
+    also rounds at the scale of r . g - c_j, a normal of variance at most
+    2 ||r||^2, taken at 10 of its standard deviations."""
+    for r, total in A.dense_reads:
+        scale = np.abs(M.entries.T) @ np.abs(r) + 10.0 * math.sqrt(2.0) * np.linalg.norm(r)
+        assert (np.abs(M.entries.T @ r - total) <= 2 * A.m * np.finfo(float).eps * scale).all()
+
+
+class TestDeferredDecisions:
+    """A trial's matrix is drawn by deferred decisions: its dense step takes
+    one normal for each column it has not drawn, and every later read is
+    drawn conditioned on that.  The record replays on the completed matrix,
+    every entry handed out is kept, and each dense step's constraint holds
+    on the completed matrix within rounding."""
+
+    @pytest.mark.parametrize("i", range(20))
+    @pytest.mark.parametrize("eta, dense_steps", [
+        (DEFAULT_ETA, 1),
+        # A step so short that the iterate barely moves: every step is
+        # dense, and the second completes the matrix.
+        (1e-3, 20),
+    ], ids=["eta", "short steps"])
+    def test_trial_replays_on_the_completed_matrix(self, i, eta, dense_steps):
+        n, k, m, T = 60, 3, 1200, 20
+        seed = derive_seed(SeedSpec(577), i)
+        A, traj = recorded_trial(n, k, m, T, seed, eta)
+        assert len(A.dense_reads) == dense_steps
+        assert_replays(A, traj, *trial_inputs(n, k, T, seed, eta))
+
+    @pytest.mark.parametrize("n, k, m, T, seed", [
+        (4, 4, 300, 10, 701),  # k = n: every support takes every column
+        (8, 8, 200, 10, 702),
+        (200, 5, 3000, 12, 701),
     ])
-    def test_run_keeps_the_record_of_the_whole_matrix(self, n, k, m, T, seed, stops):
-        lazy, A, truth, b = lazy_and_whole(n, k, m, SeedSpec(seed))
-        config = BIHTConfig(k=k, max_iters=T, init=derive_seed(SeedSpec(seed), 3))
-        traj = run_biht(lazy, b, config, truth=truth)
-        assert_same_record(traj, run_biht(A, b, config, truth=truth))
-        assert_drawn_from(lazy, A)
-        # Each case takes the steps it is listed for.
-        dense = [kind == "blocks" for kind, _ in lazy.reads]
-        assert dense == [rows.size >= ROWS_ONLY_BELOW * m for _, rows in lazy.reads]
-        assert dense[0] and len(dense) > 1 and not any(dense[1:])
-        assert (traj.iterates[-1] is traj.iterates[-2]) == stops
-        if k == n:
-            assert all(cols.size == n for cols, _ in lazy.column_reads)
+    def test_other_shapes_replay(self, n, k, m, T, seed):
+        seed = SeedSpec(seed)
+        A, traj = recorded_trial(n, k, m, T, seed)
+        assert_replays(A, traj, *trial_inputs(n, k, T, seed))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_small_runs_keep_the_record_of_the_whole_matrix(self, data):
+    def test_small_runs_replay(self, data):
+        # Random signs b as well as measured ones: most rows then stay
+        # mismatched, and the dense steps follow one another.
         n = data.draw(st.integers(1, 40))
         k = data.draw(st.integers(1, min(n, 6)))
         m = data.draw(st.integers(1, 400))
         seed = SeedSpec(data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(0, 2**64 - 1)))
-        lazy, A, truth, b = lazy_and_whole(n, k, m, seed, measured=data.draw(st.booleans()))
+        truth = random_sparse_unit(n, k, derive_seed(seed, 0))
+        A = RecordedMatrix(m, n, derive_seed(seed, 1))
+        if data.draw(st.booleans()):
+            b = sign_measure(A, truth.values)
+        else:
+            b = SignPattern(sgn(sample_standard_normal(derive_seed(seed, 2), m)))
         eta = data.draw(st.sampled_from([math.sqrt(2.0 * math.pi), 1.0, 0.3]))
         config = BIHTConfig(k=k, max_iters=data.draw(st.integers(1, 8)), eta=eta,
                             init=derive_seed(seed, 3))
-        assert_same_record(run_biht(lazy, b, config, truth=truth),
-                           run_biht(A, b, config, truth=truth))
-        assert_drawn_from(lazy, A)
+        traj = run_biht(A, b, config, truth=truth)
+        # Random signs, or a tiny m, leave the steps without contraction,
+        # and they can grow a rounding difference several times a step; so
+        # only the path is compared here, and the floats in the trials'
+        # cases above.
+        M, want = replayed(A, truth, config, b)
+        assert_same_path(traj, want)
+        assert_kept(A, M)
+        assert_constraints_hold(A, M)
 
-    def test_one_scratch_serves_matrix_after_matrix(self):
-        # As the trials hand theirs on: each run keeps the record of its
-        # whole matrix, and leaves the scratch zero for the next.
-        n, k, m, T = 200, 5, 6000, 8
-        scratch = dense_scratch(m, n)
-        for seed in (SeedSpec(705), SeedSpec(706)):
-            lazy, A, truth, b = lazy_and_whole(n, k, m, seed, scratch=scratch)
-            config = BIHTConfig(k=k, max_iters=T, init=derive_seed(seed, 3))
-            assert_same_record(run_biht(lazy, b, config, truth=truth),
-                               run_biht(A, b, config, truth=truth))
-            assert_drawn_from(lazy, A)
-            assert lazy.block_reads and not scratch.any()
+    def test_every_entry_handed_out_is_kept(self):
+        # Rows and columns agree where they cross, and both are the
+        # completed matrix's entries.
+        A, _ = recorded_trial(200, 5, 3000, 12, SeedSpec(578))
+        assert A.row_reads and A.column_reads
+        for rows, row_block in A.row_reads:
+            for cols, col_block in A.column_reads:
+                assert row_block[:, cols].tobytes() == col_block[rows].tobytes()
+        assert_kept(A, completed(A))
 
-    def test_a_dense_read_left_early_leaves_the_scratch_zero(self, monkeypatch):
-        # The second block's draw writes its rows and raises.
-        draw = core.sample_standard_normal_block
-        calls = []
+    @pytest.mark.parametrize("eta", [DEFAULT_ETA, 1e-3], ids=["eta", "short steps"])
+    def test_each_columns_constraint_holds_within_rounding(self, eta):
+        A, _ = recorded_trial(200, 5, 3000, 12, SeedSpec(579), eta)
+        assert A.dense_reads
+        assert_constraints_hold(A, completed(A))
 
-        def failing(*args, **kwargs):
-            calls.append(draw(*args, **kwargs).any())
-            if len(calls) == 2:
-                raise RuntimeError("draw")
+    def test_the_dense_step_draws_one_normal_per_column_not_drawn(self):
+        # Rows and columns are drawn whole, their entries where a kept
+        # column or row crosses them then replaced by its own.
+        m, n = 500, 30
+        A = DeferredGaussianMatrix(m, n, SeedSpec(580))
+        A.columns(np.array([2, 7]))
+        A.rows(np.array([4, 9, 11]))
+        assert A.drawn == 2 * m + 3 * n
+        r = np.where(np.arange(m) % 2 == 0, 1.0, 0.0)
+        A.t_dot(r, np.flatnonzero(r))
+        assert A.drawn == 2 * m + 3 * n + (n - 2)
+        # A second dense step completes the matrix: each of the other
+        # columns, whole.
+        A.t_dot(r, np.flatnonzero(r))
+        assert A.drawn == 2 * m + 3 * n + (n - 2) + (n - 2) * m
 
-        monkeypatch.setattr(core, "sample_standard_normal_block", failing)
-        scratch = dense_scratch(8000, 200)
-        lazy = LazyGaussianMatrix(8000, 200, SeedSpec(707), scratch)
-        with pytest.raises(RuntimeError, match="draw"):
-            lazy.t_dot(np.ones(8000), np.arange(0, 8000, 2))
-        assert calls == [True, True]
-        assert not scratch.any()
+    def test_a_zero_vector_reads_no_column(self):
+        A = DeferredGaussianMatrix(5, 3, SeedSpec(582))
+        assert sign_measure(A, np.zeros(3)).bits.tolist() == [1] * 5
+        assert A.drawn == 0
+
+    def test_each_draw_is_keyed_by_the_matrixs_count_of_draws(self):
+        # Draw e is the first normals of the stream derive_seed(seed, e).
+        m, n, seed = 50, 6, SeedSpec(581)
+        A = DeferredGaussianMatrix(m, n, seed)
+        first = A.columns(np.array([1, 4]))
+        assert first.T.tobytes() == sample_standard_normal(derive_seed(seed, 0), 2 * m).tobytes()
+        rows = A.rows(np.array([3, 8]))
+        fresh = sample_standard_normal(derive_seed(seed, 1), 2 * n).reshape(2, n)
+        assert rows[:, [0, 2, 3, 5]].tobytes() == fresh[:, [0, 2, 3, 5]].tobytes()
+        assert rows[:, [1, 4]].tobytes() == first[[3, 8]].tobytes()
 
 
 class TestTrajectoryCsv:

@@ -357,7 +357,7 @@ class TestGenerate:
 
 @pytest.mark.parametrize("argv, module, allocation", [
     (["run", "--n", "40", "--k", "2", "--m", "30", "--trials", "1", "--iters", "1"],
-     montecarlo, "dense_scratch"),
+     montecarlo, "DeferredGaussianMatrix"),
     (["raic", "--n", "40", "--m", "30", "--pairs", "2"], core, "sample_standard_normal"),
     (["generate", "--what", "signal", "--n", "40", "--k", "1"], core, "random_sparse_unit_rows"),
 ])

@@ -105,10 +105,10 @@ def test_library_writers_are_gone():
     assert left == []
 
 
-def test_only_parallel_makes_the_pool_and_its_scratch_queue():
-    # One pool and one hand-off of per-task scratch, both in the module of
-    # `_parallel._map`; every other module goes through `_map`.
-    makers = {m.__name__: _calls(m, "ThreadPoolExecutor", "SimpleQueue") for m in _modules()}
+def test_only_parallel_makes_the_pool():
+    # One pool, in the module of `_parallel._map`; every other module goes
+    # through `_map`.
+    makers = {m.__name__: _calls(m, "ThreadPoolExecutor") for m in _modules()}
     assert makers.pop("bitsense._parallel") != []
     assert makers == {name: [] for name in makers}
 
@@ -215,7 +215,7 @@ def test_only_rng_binds_scipy_special():
 HOMES = {name: home for home, names in {
     "_inputs": ("_integer", "_real", "_vector", "_norm", "_NORM_FLOOR", "_unit_vector",
                 "UNIT_NORM_TOL", "_mask_checked"),
-    "_parallel": ("_worker_count", "_mark_pool_thread", "_executor", "_map", "_with_block",
+    "_parallel": ("_worker_count", "_mark_pool_thread", "_executor", "_map",
                   "_forget_pool", "_openblas", "_openblas_core", "_one_blas_thread", "_pool",
                   "_pool_lock", "_on_pool", "_blas_lock", "_blas_users", "_blas_saved"),
 }.items() for name in names}

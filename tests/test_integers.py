@@ -29,10 +29,8 @@ INTEGER_INPUTS = [
     (rng.sample_standard_normal_block, "n", (0,)),
     (core.dense_row_blocks, "m", (0,)),
     (core.dense_row_blocks, "n", (0,)),
-    (core.dense_scratch, "m", (0,)),
-    (core.dense_scratch, "n", (0,)),
-    (core.LazyGaussianMatrix, "m", (0,)),
-    (core.LazyGaussianMatrix, "n", (0,)),
+    (core.DeferredGaussianMatrix, "m", (0,)),
+    (core.DeferredGaussianMatrix, "n", (0,)),
     (core.gaussian_matrix, "m", (0,)),
     (core.gaussian_matrix, "n", (0,)),
     (core.SparseUnitVector, "k", (0, 4)),

@@ -329,31 +329,6 @@ class TestBlocks:
         got = sample_standard_normal_block(seed, 3, range(2, 9), np.array(cols))
         assert got.tobytes() == self.whole(seed, 3, 9)[2:, cols].tobytes()
 
-    @pytest.mark.parametrize("chunk", [16, 40, _CHUNK])
-    def test_rows_into_an_array_in_tiles(self, chunk, monkeypatch):
-        # 16-element chunks put two 7-column rows in a tile and cut a
-        # 53-column row in four, 40-element ones five rows and two; the rows
-        # land where they belong and nothing else is written.
-        seed = SeedSpec(_MASK64, 5)
-        monkeypatch.setattr(rng, "_CHUNK", chunk)
-        for n in (7, 53):
-            whole = self.whole(seed, n, 90)
-            rows = np.array([3, 4, 17, 88, 0, 41, 42, 43, 60])
-            into = np.full((90, n), -1.0)
-            got = sample_standard_normal_block(seed, n, rows, range(n), into=(into, rows))
-            assert got is into
-            assert into[rows].tobytes() == whole[rows].tobytes()
-            rest = np.setdiff1d(np.arange(90), rows)
-            assert (into[rest] == -1.0).all()
-            # Rows written elsewhere than their own index, as a row block
-            # of the lazy matrix takes them: row r of the block to at[r].
-            at = np.array([8, 0, 2, 9, 1, 4, 5, 6, 3])
-            into = np.full((10, 4), -1.0)
-            got = sample_standard_normal_block(seed, n, rows, range(2, 6), into=(into, at))
-            assert got is into
-            assert into[at].tobytes() == whole[rows, 2:6].tobytes()
-            assert (into[7] == -1.0).all()
-
     def test_bad_indices_rejected(self):
         for rows, cols in ((np.array([0]), np.array([3])), (np.array([0]), np.array([-1])),
                            (np.array([-1]), range(3)), (np.zeros((1, 1), int), range(3)),
